@@ -2,36 +2,42 @@
 
 A renewal cycle runs between consecutive successful-transmission ends and
 contains exactly one success.  Conditioning on the occupancy census at the
-start of each contention period yields two linear systems:
+start of each contention period yields two linear systems x = c + M x:
 
   * expected cycle length E[R | census] over all (k1, k2, k3) censuses,
   * tagged-queue success probabilities P(tagged AP / STA wins the cycle |
     tagged pair state and census of the other N-1 pairs).
 
-Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S), so for
-a given arrival rate the systems are solved once and the fixed point
-lambda = Theta_AP = Theta_STA is found by reweighting the solved vectors.
+A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
+t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
+The destination, coefficient and exponents of p_t and 1 - p_t of each move
+out of a census are tabulated once per pair count (``CensusSpace``), so a
+row of M is bincount(dest, coeff * sum_t w_t p_t^ep (1-p_t)^eq).  The tagged
+M applies this operator to the other N-1 pairs, with w_t scaled by the
+tagged pair's own 4x4 transition law.  Occupancy enters only through the
+i.i.d. per-queue prior (P_A, P_S): the fixed point lambda = Theta_AP =
+Theta_STA reweights the solved vectors by multinomial census probabilities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AP, STA, MacTiming, ParameterError, SystemConfig, TimerPolicy
+from .core import MacTiming, ParameterError, SystemConfig, TimerPolicy
 from .kernels import (
     PAIR_STATES,
     S0,
     S1,
     S2,
+    S3,
     ConsistencyError,
     KernelTable,
-    TaggedCensus,
+    _gl_nodes,
     build_kernels,
-    p_hat_minislot,
-    pair_transition_probs,
 )
 
 
@@ -77,37 +83,107 @@ def enumerate_censuses(n: int) -> list[tuple[int, int, int]]:
             for k3 in range(n - k1 - k2 + 1)]
 
 
-def _multinom(n: int, counts) -> int:
-    coeff, left = 1, n
-    for c in counts:
-        coeff *= math.comb(left, c)
-        left -= c
-    return coeff
+class CensusSpace:
+    """The censuses of ``n`` pairs and the arrival moves between them.
+
+    Shared by every model with this ``n`` (see ``census_space``), so the
+    arrays are read-only.  ``counts`` holds (n0, k1, k2, k3) per census.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.censuses = tuple(enumerate_censuses(n))
+        self.index = {c: i for i, c in enumerate(self.censuses)}
+        self.counts = np.array([(n - sum(c),) + c for c in self.censuses])
+        self.multinom = np.array([math.factorial(n) / math.prod(map(math.factorial, k))
+                                  for k in self.counts.tolist()])
+        self.lookup = np.full((n + 1,) * 3, -1)
+        self.lookup[tuple(self.counts[:, 1:].T)] = np.arange(len(self.censuses))
+        for arr in (self.counts, self.multinom, self.lookup):
+            arr.flags.writeable = False
+
+    @functools.cached_property
+    def _moves(self):
+        """Per move: flat (source, destination) cell of M, coefficient, and
+        flat (source, exponent of p, exponent of q) cell of the table
+        ``apply`` receives.  A move (a, b, c, d, e) fills a of the k1 AP-only
+        and b of the k2 STA-only pairs and turns c / d / e empty pairs
+        AP-only / STA-only / full."""
+        nc, ne = len(self.censuses), 2 * self.n + 1
+        binom = np.array([[math.comb(r, k) for k in range(self.n + 1)]
+                          for r in range(self.n + 1)], dtype=float)
+        cells, coeffs, terms = [], [], []
+        for src, (k1, k2, k3) in enumerate(self.censuses):
+            n0 = self.n - k1 - k2 - k3
+            fill = census_space(n0)
+            c, d, e = (x[None, :] for x in fill.counts[:, 1:].T)
+            a, b = (x.reshape(-1, 1) for x in np.indices((k1 + 1, k2 + 1)))
+            dest = self.lookup[k1 - a + c, k2 - b + d, k3 + a + b + e]
+            ep = a + b + c + d + 2 * e
+            eq = k1 - a + k2 - b + c + d + 2 * (n0 - c - d - e)
+            cells.append((src * nc + dest).ravel())
+            coeffs.append((binom[k1, a] * binom[k2, b] * fill.multinom).ravel())
+            terms.append(((src * ne + ep) * ne + eq).ravel())
+        moves = tuple(np.concatenate(x) for x in (cells, coeffs, terms))
+        for arr in moves:
+            arr.flags.writeable = False
+        return moves
+
+    def powers(self, p: np.ndarray) -> np.ndarray:
+        """Table [t, e * (2n+1) + f] = p_t^e (1 - p_t)^f for e, f = 0..2n."""
+        e = np.arange(2 * self.n + 1)
+        pw, qw = p[:, None] ** e, (1.0 - p)[:, None] ** e
+        return (pw[:, :, None] * qw[:, None, :]).reshape(len(p), -1)
+
+    def apply(self, table: np.ndarray) -> np.ndarray:
+        """Transition matrix whose row for census c sums
+        coeff * table[c, ep, eq] over the moves out of c, where ``table`` is
+        (per-census window weights) @ ``powers``."""
+        cells, coeffs, terms = self._moves
+        nc = len(self.censuses)
+        flat = np.bincount(cells, coeffs * table.ravel()[terms], minlength=nc * nc)
+        return flat.reshape(nc, nc)
+
+    def prior(self, rho, scale: float = 1.0) -> np.ndarray:
+        """``scale`` times the census probabilities when each pair is
+        independently in state j with probability rho[j]."""
+        out = scale * self.multinom
+        for j in PAIR_STATES:
+            out = out * rho[j] ** self.counts[:, j]
+        return out
+
+
+census_space = functools.cache(CensusSpace)  # one shared space per pair count
 
 
 def census_prior(prior: OccupancyPrior, n: int) -> dict[tuple[int, int, int], float]:
     """Probability of each census under independent per-queue occupancy."""
+    space = census_space(n)
+    return dict(zip(space.censuses, space.prior(prior.pair_state_probs()).tolist()))
+
+
+def _tagged_prior_vec(prior: OccupancyPrior, n: int) -> np.ndarray:
+    """Tagged-state probabilities in ``CycleModel._tidx`` order."""
     rho = prior.pair_state_probs()
-    out = {}
-    for k1, k2, k3 in enumerate_censuses(n):
-        k0 = n - k1 - k2 - k3
-        out[(k1, k2, k3)] = (_multinom(n, (k0, k1, k2, k3))
-                             * rho[0] ** k0 * rho[1] ** k1
-                             * rho[2] ** k2 * rho[3] ** k3)
-    return out
+    return np.concatenate([census_space(n - 1).prior(rho, r) for r in rho])
 
 
 def tagged_prior(prior: OccupancyPrior, n: int) -> dict[tuple, float]:
     """Probability of each tagged state (s_i; l1, l2, l3)."""
-    rho = prior.pair_state_probs()
-    out = {}
-    for i in PAIR_STATES:
-        for l1, l2, l3 in enumerate_censuses(n - 1):
-            l0 = n - 1 - l1 - l2 - l3
-            out[(i, l1, l2, l3)] = (rho[i] * _multinom(n - 1, (l0, l1, l2, l3))
-                                    * rho[0] ** l0 * rho[1] ** l1
-                                    * rho[2] ** l2 * rho[3] ** l3)
-    return out
+    keys = [(i,) + L for i in PAIR_STATES for L in census_space(n - 1).censuses]
+    return dict(zip(keys, _tagged_prior_vec(prior, n).tolist()))
+
+
+def _pair_law(p: np.ndarray) -> np.ndarray:
+    """f[i, j, t]: probability that a pair in state i is in state j after
+    window t (queues only fill; a nonempty queue keeps its packet)."""
+    q = 1.0 - p
+    f = np.zeros((4, 4, len(p)))
+    f[S0] = q ** 2, p * q, q * p, p * p
+    f[S1, S1], f[S1, S3] = q, p
+    f[S2, S2], f[S2, S3] = q, p
+    f[S3, S3] = 1.0
+    return f
 
 
 class CycleModel:
@@ -131,11 +207,9 @@ class CycleModel:
         if len(self.per) != self.num_states:
             raise ParameterError("PER vector length does not match channel states")
 
-        self.censuses = enumerate_censuses(n)
-        self.cidx = {c: i for i, c in enumerate(self.censuses)}
-        self.others = enumerate_censuses(n - 1)
-        self.oidx = {c: i for i, c in enumerate(self.others)}
-        self.tagged_states = [(i, L) for i in PAIR_STATES for L in self.others]
+        self.space, self.others_space = census_space(n), census_space(n - 1)
+        self.censuses, self.cidx = self.space.censuses, self.space.index
+        self.others, self.oidx = self.others_space.censuses, self.others_space.index
 
         # kernel mass regrouped by the channel state the timer length implies
         k1 = self.kmax + 1
@@ -149,35 +223,36 @@ class CycleModel:
         self._surv_prev = np.stack(
             [[kernels.survival(j, k - 1) for k in range(k1)] for j in PAIR_STATES])
         self._cum_ap = kernels.cum_ap
-        gl_x, gl_w = np.polynomial.legendre.leggauss(max(1, (n + 1) // 2))
-        self._gl = ((gl_x + 1.0) / 2.0, gl_w / 2.0)
+        self._gl = _gl_nodes(n - 1)
+        self._others_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-        self._summary_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._trow_cache: dict[tuple, np.ndarray] = {}
+        # window [k, s]: resolution at slot k, then a success in state s or,
+        # for s = num_states, a collision; p is the per-queue arrival chance
+        tx = [timing.t_suc(s) for s in range(self.num_states)] + [timing.t_col()]
+        self._windows = (np.arange(k1) * timing.slot_us)[:, None] + np.array(tx)
+        self._p = -np.expm1(-(lambda_pps * 1e-6) * self._windows.ravel())
 
         self._solve_renewal()
         self._solve_tagged()
 
     # ----- per-census contention summaries -------------------------------
 
-    def _tiebreak_vec(self, counts) -> np.ndarray:
-        """W(k): expected uniform-pick share of one more AP queue expiring at
-        k against ``counts`` other pairs, for k = 0..t_max."""
-        xs, ws = self._gl
-        out = np.zeros(self.kmax + 1)
-        for x, w in zip(xs, ws):
-            prod = np.ones(self.kmax + 1)
-            for j in PAIR_STATES:
-                if counts[j]:
-                    prod *= (self._surv[j] + x * self._cum_ap[j]) ** counts[j]
-            out += w * prod
-        return out
+    def _others_vectors(self, others: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(W(k), S(k)) for k = 0..t_max against ``others`` pair counts: W is
+        the expected uniform-pick share of one more AP queue expiring at k,
+        S the probability that every other pair survives past k."""
+        if others not in self._others_cache:
+            cnt = np.array(others)[:, None]
+            share = np.zeros(self.kmax + 1)
+            for x, w in zip(*self._gl):
+                share += w * np.prod((self._surv + x * self._cum_ap) ** cnt, axis=0)
+            surv = np.prod(self._surv ** cnt, axis=0)
+            self._others_cache[others] = (share, surv)
+        return self._others_cache[others]
 
     def census_summary(self, census: tuple[int, int, int]):
         """(succ[k, state], col[k]) for one census: total clean-win mass by
         resolution slot and winner channel state, and collision mass."""
-        if census in self._summary_cache:
-            return self._summary_cache[census]
         k1_, k2_, k3_ = census
         counts = (self.n - k1_ - k2_ - k3_, k1_, k2_, k3_)
         succ = np.zeros((self.kmax + 1, self.num_states))
@@ -185,188 +260,112 @@ class CycleModel:
             if counts[i] == 0:
                 continue
             others = tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
-            w_ap = self._tiebreak_vec(others)
-            surv_others = np.ones(self.kmax + 1)
-            for j in PAIR_STATES:
-                if others[j]:
-                    surv_others *= self._surv[j] ** others[j]
+            w_ap, surv_others = self._others_vectors(others)
             succ += counts[i] * self._ap_by_state[i] * w_ap[:, None]
             succ += counts[i] * self._sta_by_state[i] * surv_others[:, None]
-        before = np.ones(self.kmax + 1)
-        after = np.ones(self.kmax + 1)
-        for j in PAIR_STATES:
-            if counts[j]:
-                before *= self._surv_prev[j] ** counts[j]
-                after *= self._surv[j] ** counts[j]
-        col = before - after - succ.sum(axis=1)
+        cnt = np.array(counts)[:, None]
+        before = np.prod(self._surv_prev ** cnt, axis=0)
+        col = before - np.prod(self._surv ** cnt, axis=0) - succ.sum(axis=1)
         low = col.min()
         if low < -1e-9:
             raise ConsistencyError(f"negative collision mass {low} at census {census}")
-        col = np.clip(col, 0.0, None)
-        self._summary_cache[census] = (succ, col)
-        return succ, col
-
-    def _branch_weights(self, census: tuple[int, int, int]):
-        """Cycle-continuation weights grouped by elapsed window duration."""
-        succ, col = self.census_summary(census)
-        delta = self.timing.slot_us
-        by_t: dict[float, float] = {}
-        for k in range(self.kmax + 1):
-            for s in range(self.num_states):
-                w = succ[k, s] * self.per[s]
-                if w > 0.0:
-                    t = k * delta + self.timing.t_suc(s)
-                    by_t[t] = by_t.get(t, 0.0) + w
-            if col[k] > 0.0:
-                t = k * delta + self.timing.t_col()
-                by_t[t] = by_t.get(t, 0.0) + col[k]
-        return by_t
-
-    def _duration_term(self, census: tuple[int, int, int]) -> float:
-        """Expected time consumed by the first minislot of the cycle."""
-        succ, col = self.census_summary(census)
-        delta = self.timing.slot_us
-        ks = np.arange(self.kmax + 1) * delta
-        tsuc = np.array([self.timing.t_suc(s) for s in range(self.num_states)])
-        return float((succ * (ks[:, None] + tsuc[None, :])).sum()
-                     + (col * (ks + self.timing.t_col())).sum())
-
-    # ----- census-to-census transitions ----------------------------------
-
-    def _transition_row(self, census: tuple[int, int, int], t_us: float,
-                        n: int, index: dict) -> np.ndarray:
-        """Destination distribution over censuses of ``n`` pairs after a
-        window of ``t_us`` (arrivals only; occupied queues stay occupied)."""
-        key = (census, n, t_us)
-        if key in self._trow_cache:
-            return self._trow_cache[key]
-        k1_, k2_, k3_ = census
-        n0 = n - k1_ - k2_ - k3_
-        p = -math.expm1(-(self.lambda_pps * 1e-6) * t_us)
-        q = 1.0 - p
-        pw = [p ** i for i in range(2 * n + 1)]
-        qw = [q ** i for i in range(2 * n + 1)]
-        row = np.zeros(len(index))
-        for a in range(k1_ + 1):
-            wa = math.comb(k1_, a) * pw[a] * qw[k1_ - a]
-            for b in range(k2_ + 1):
-                wb = wa * math.comb(k2_, b) * pw[b] * qw[k2_ - b]
-                for c in range(n0 + 1):
-                    wc = wb * math.comb(n0, c) * pw[c] * qw[c]
-                    for d in range(n0 - c + 1):
-                        wd = wc * math.comb(n0 - c, d) * pw[d] * qw[d]
-                        for e in range(n0 - c - d + 1):
-                            rest = n0 - c - d - e
-                            w = (wd * math.comb(n0 - c - d, e)
-                                 * pw[2 * e] * qw[2 * rest])
-                            dest = (k1_ - a + c, k2_ - b + d, k3_ + a + b + e)
-                            row[index[dest]] += w
-        self._trow_cache[key] = row
-        return row
+        return succ, np.clip(col, 0.0, None)
 
     # ----- linear systems -------------------------------------------------
 
     def _solve_renewal(self) -> None:
         nc = len(self.censuses)
-        m = np.zeros((nc, nc))
-        c = np.zeros(nc)
         lam_us = self.lambda_pps * 1e-6
         empty_idx = self.cidx[(0, 0, 0)]
+        # weights[c, window]: the period ends without a success (errored
+        # success or collision) after that window; c holds each census's
+        # mean period length
+        weights = np.zeros((nc, self._windows.size))
+        c = np.zeros(nc)
         for ci, census in enumerate(self.censuses):
-            if census == (0, 0, 0):
-                if lam_us > 0.0:
-                    c[ci] = 1.0 / (2.0 * self.n * lam_us)
-                    m[ci, self.cidx[(1, 0, 0)]] = 0.5
-                    m[ci, self.cidx[(0, 1, 0)]] = 0.5
+            if ci == empty_idx:
                 continue
-            c[ci] = self._duration_term(census)
-            for t_us, w in self._branch_weights(census).items():
-                m[ci] += w * self._transition_row(census, t_us, self.n, self.cidx)
-        if self.lambda_pps > 0.0:
-            x = np.linalg.solve(np.eye(nc) - m, c)
-        else:
-            keep = [i for i in range(nc) if i != empty_idx]
-            sub = np.linalg.solve(np.eye(nc - 1) - m[np.ix_(keep, keep)], c[keep])
-            x = np.full(nc, np.inf)
-            x[keep] = sub
-        if not np.all(np.isfinite(x[[i for i in range(nc) if i != empty_idx]])):
+            succ, col = self.census_summary(census)
+            c[ci] = ((succ * self._windows[:, :-1]).sum()
+                     + (col * self._windows[:, -1]).sum())
+            weights[ci] = np.column_stack([succ * self.per, col]).ravel()
+        m = self.space.apply(weights @ self.space.powers(self._p))
+        if lam_us > 0.0:
+            c[empty_idx] = 1.0 / (2.0 * self.n * lam_us)
+            m[empty_idx, self.cidx[(1, 0, 0)]] = 0.5
+            m[empty_idx, self.cidx[(0, 1, 0)]] = 0.5
+        # with no arrivals the empty census never ends: E[R | empty] = inf
+        keep = (np.arange(nc) != empty_idx) | (lam_us > 0.0)
+        x = np.full(nc, np.inf)
+        x[keep] = np.linalg.solve(np.eye(keep.sum()) - m[np.ix_(keep, keep)], c[keep])
+        if not np.all(np.isfinite(x[keep])):
             raise ConsistencyError("renewal linear system produced non-finite values")
+        self._weights = weights
         self._renewal_m, self._renewal_c = m, c
         self.renewal_by_census = x
 
     def _solve_tagged(self) -> None:
         nl = len(self.others)
-        nt = 4 * nl
-        tidx = lambda i, lo: i * nl + lo
-        m = np.zeros((nt, nt))
-        rhs = np.zeros((nt, 2))
+        others = self.others_space
+        pq = others.powers(self._p)
+        law = _pair_law(self._p)
+        share, surv = map(np.array, zip(
+            *[self._others_vectors(tuple(k)) for k in others.counts.tolist()]))
+        delivered = 1.0 - self.per
+        m = np.zeros((4, nl, 4, nl))
+        rhs = np.zeros((4, nl, 2))
         for i in PAIR_STATES:
-            for lo, L in enumerate(self.others):
-                t = tidx(i, lo)
-                tagged = TaggedCensus(i, L[0], L[1], L[2], self.n)
-                combined = tagged.census()
-                if combined.is_empty():
-                    # idle system: the first arrival lands on the tagged AP,
-                    # the tagged STA, or one of the other pairs' queues
-                    if self.lambda_pps > 0.0:
-                        m[t, tidx(S1, self.oidx[(0, 0, 0)])] = 1.0 / (2 * self.n)
-                        m[t, tidx(S2, self.oidx[(0, 0, 0)])] = 1.0 / (2 * self.n)
-                        if self.n > 1:
-                            frac = (self.n - 1) / (2.0 * self.n)
-                            m[t, tidx(S0, self.oidx[(1, 0, 0)])] = frac
-                            m[t, tidx(S0, self.oidx[(0, 1, 0)])] = frac
-                    continue
-                rhs[t, 0] = p_hat_minislot(AP, tagged, self.kernels, self.per)
-                rhs[t, 1] = p_hat_minislot(STA, tagged, self.kernels, self.per)
-                ckey = (combined.k1, combined.k2, combined.k3)
-                for t_us, w in self._branch_weights(ckey).items():
-                    fmap = pair_transition_probs(i, t_us, self.lambda_pps)
-                    orow = self._transition_row(L, t_us, self.n - 1, self.oidx)
-                    for j, fj in fmap.items():
-                        if fj > 0.0:
-                            m[t, j * nl:(j + 1) * nl] += w * fj * orow
-        y = np.linalg.solve(np.eye(nt) - m, rhs)
+            # the census of all N pairs: the others plus the tagged pair
+            combined = others.counts[:, 1:] + np.eye(4, dtype=int)[i, 1:]
+            w = self._weights[self.space.lookup[tuple(combined.T)]]
+            for j in PAIR_STATES:
+                if law[i, j].any():
+                    m[i, :, j, :] = others.apply((w * law[i, j]) @ pq)
+            rhs[i, :, 0] = share @ (self._ap_by_state[i] @ delivered)
+            rhs[i, :, 1] = surv @ (self._sta_by_state[i] @ delivered)
+        # idle system: the first arrival lands on the tagged AP, the tagged
+        # STA, or one of the other pairs' queues
+        idle = self.oidx[(0, 0, 0)]
+        rhs[S0, idle] = 0.0
+        if self.lambda_pps > 0.0:
+            m[S0, idle, S1, idle] = m[S0, idle, S2, idle] = 1.0 / (2 * self.n)
+            if self.n > 1:
+                frac = (self.n - 1) / (2.0 * self.n)
+                m[S0, idle, S0, self.oidx[(1, 0, 0)]] = frac
+                m[S0, idle, S0, self.oidx[(0, 1, 0)]] = frac
+        m, rhs = m.reshape(4 * nl, 4 * nl), rhs.reshape(4 * nl, 2)
+        y = np.linalg.solve(np.eye(4 * nl) - m, rhs)
         if not np.all(np.isfinite(y)):
             raise ConsistencyError("tagged linear system produced non-finite values")
         self._tagged_m, self._tagged_rhs = m, rhs
         self.tagged_ap = y[:, 0]
         self.tagged_sta = y[:, 1]
-        self._tidx = tidx
+        self._tidx = lambda i, lo: i * nl + lo
 
     # ----- residuals and aggregation --------------------------------------
 
     def residuals(self) -> tuple[float, float]:
         """Max back-substitution residual of the two linear systems."""
-        nc = len(self.censuses)
-        x = self.renewal_by_census
-        finite = np.isfinite(x)
-        r1 = 0.0
-        if self.lambda_pps > 0.0:
-            r1 = float(np.abs((np.eye(nc) - self._renewal_m) @ x - self._renewal_c).max())
-        else:
-            keep = np.where(finite)[0]
-            mm = self._renewal_m[np.ix_(keep, keep)]
-            r1 = float(np.abs((np.eye(len(keep)) - mm) @ x[keep]
-                              - self._renewal_c[keep]).max())
+        keep = np.isfinite(self.renewal_by_census)
+        x = self.renewal_by_census[keep]
+        r1 = np.abs(x - self._renewal_m[np.ix_(keep, keep)] @ x - self._renewal_c[keep])
         y = np.stack([self.tagged_ap, self.tagged_sta], axis=1)
-        nt = len(self.tagged_ap)
-        r2 = float(np.abs((np.eye(nt) - self._tagged_m) @ y - self._tagged_rhs).max())
-        return r1, r2
+        r2 = np.abs(y - self._tagged_m @ y - self._tagged_rhs)
+        return float(r1.max()), float(r2.max())
+
+    # The sums below are Python's sum in state order, as in the scalar loop
+    # they replace: the fixed point amplifies a change of summation order.
 
     def expected_renewal(self, prior: OccupancyPrior) -> float:
-        probs = census_prior(prior, self.n)
-        return float(sum(p * self.renewal_by_census[self.cidx[c]]
-                         for c, p in probs.items() if p > 0.0))
+        probs = self.space.prior(prior.pair_state_probs())
+        keep = probs > 0.0  # E[R | empty] is inf when lambda = 0
+        return sum((probs[keep] * self.renewal_by_census[keep]).tolist())
 
     def tagged_success(self, prior: OccupancyPrior) -> tuple[float, float]:
-        probs = tagged_prior(prior, self.n)
-        pa = ps = 0.0
-        for (i, l1, l2, l3), p in probs.items():
-            if p > 0.0:
-                t = self._tidx(i, self.oidx[(l1, l2, l3)])
-                pa += p * self.tagged_ap[t]
-                ps += p * self.tagged_sta[t]
-        return pa, ps
+        probs = _tagged_prior_vec(prior, self.n)
+        keep = probs > 0.0
+        return (sum((probs[keep] * self.tagged_ap[keep]).tolist()),
+                sum((probs[keep] * self.tagged_sta[keep]).tolist()))
 
     def throughput(self, prior: OccupancyPrior):
         """(theta_ap_pps, theta_sta_pps, e_r_us, pbar_a, pbar_s) at a prior."""

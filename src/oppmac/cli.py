@@ -17,14 +17,14 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import analysis_csv_lines, fixed_point
 from .config import ConfigError, WlanSetup, default_setup, load_config, setup_hash
-from .core import SystemConfig
+from .core import ParameterError
 from .sim import SimReport, run_dcf, run_opportunistic
 
 SIM_SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
@@ -57,16 +57,10 @@ def _run_seed(base: int, scheme: str, lam: float, rep: int) -> int:
     return (base + int.from_bytes(hashlib.sha256(tag).digest()[:4], "big")) % 2**63
 
 
-def _with(config: SystemConfig, **kw) -> SystemConfig:
-    vals = dict(config.__dict__)
-    vals.update(kw)
-    return SystemConfig(**vals)
-
-
 def _simulate_one(spec: ExperimentSpec, scheme: str, lam: float, rep: int) -> SimReport:
     setup = spec.setup
-    cfg = _with(setup.config, lambda_pps=lam,
-                seed=_run_seed(spec.base_seed, scheme, lam, rep))
+    cfg = replace(setup.config, lambda_pps=lam,
+                  seed=_run_seed(spec.base_seed, scheme, lam, rep))
     dur = spec.duration_s * 1e6
     import warnings
     with warnings.catch_warnings():
@@ -204,7 +198,7 @@ def cmd_validate(spec: ExperimentSpec) -> int:
 def cmd_compare(spec: ExperimentSpec) -> int:
     setup = spec.setup
     chash = setup_hash(setup)
-    pi = setup.resolve_pi()
+    pi = setup.resolve_pi() if "analysis" in spec.schemes else None
     lines = [f"# schema=compare-v1 config_hash={chash} units: pps=pkts/s",
              "scheme,lambda_pps,uplink_pps,downlink_pps,system_pps"]
     for scheme in spec.schemes:
@@ -230,9 +224,14 @@ def cmd_compare(spec: ExperimentSpec) -> int:
 
 
 def _parse_lambdas(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
+    """Comma-separated arrival rates, each a finite number >= 0."""
+    try:
+        lams = tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise ConfigError("--lambda", str(exc)) from None
+    if not all(math.isfinite(x) and x >= 0.0 for x in lams):
+        raise ConfigError("--lambda", f"rates must be finite and >= 0, got {text!r}")
+    return lams
 
 
 def build_spec(args) -> ExperimentSpec:
@@ -286,7 +285,7 @@ def main(argv=None) -> int:
     try:
         spec = build_spec(args)
         return args.func(spec)
-    except ConfigError as exc:
+    except ParameterError as exc:  # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,13 @@ class WlanSetup:
     space: ChannelSpace
 
     def resolve_pi(self):
-        return self.config.resolve_pi(self.space)
+        """Channel-state law for the analysis.  Rejects a PER vector under
+        which no transmission can succeed, since no renewal cycle would end."""
+        pi = self.config.resolve_pi(self.space)
+        if not any(w > 0.0 and e < 1.0 for w, e in zip(pi, self.config.per_state_per)):
+            raise ConfigError("system.per_state_per",
+                              "PER is 1 in every channel state that occurs")
+        return pi
 
 
 _DEFAULTS = {

@@ -62,13 +62,6 @@ class ChannelSpace:
         edges[0] = 0.0
         return np.asarray(edges)
 
-    def state_for_ebn0_db(self, ebn0_db: float) -> int:
-        state = 0
-        for i, t in enumerate(self.thresholds_db):
-            if ebn0_db >= t:
-                state = i
-        return state
-
 
 def state_probabilities(space: ChannelSpace, mean_ebn0_db: float) -> np.ndarray:
     """State distribution for Rayleigh fading with the given mean Eb/N0.
@@ -249,8 +242,8 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_stations < 1:
             raise ParameterError("need at least one station")
-        if self.lambda_pps < 0:
-            raise ParameterError("arrival rate must be nonnegative")
+        if not (math.isfinite(self.lambda_pps) and self.lambda_pps >= 0):
+            raise ParameterError("arrival rate must be finite and nonnegative")
         if any(not 0.0 <= e <= 1.0 for e in self.per_state_per):
             raise ParameterError("per-state PER values must lie in [0, 1]")
         if (self.pi is None) == (self.mean_ebn0_db is None):

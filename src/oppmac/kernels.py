@@ -26,6 +26,7 @@ nonempty, s3 = both nonempty.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,10 +135,6 @@ class KernelTable:
         """Survival values at k = 0 .. t_max."""
         return self._surv[i, 1:]
 
-    def kernel(self, i: int, k: int, l: int, kind: str) -> float:
-        arr = {"ap": self.ap, "sta": self.sta, "both": self.both}[kind]
-        return float(arr[i, k, l])
-
 
 def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float,
                   slot_us: float | None = None) -> KernelTable:
@@ -228,11 +225,14 @@ def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float,
     return KernelTable(policy, pi, lambda_pps, ap, sta, both, surv)
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1], exact to the given degree."""
-    n = max(1, (degree + 2) // 2)
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    """Gauss-Legendre nodes/weights on [0, 1], exact to the given degree;
+    cached, so the arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(max(1, (degree + 2) // 2))
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _tiebreak_weight(kernels: KernelTable, others: tuple[int, int, int, int],

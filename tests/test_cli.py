@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oppmac.cli import ExperimentSpec, main, validation_rows
@@ -188,3 +189,49 @@ def test_cli_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["analyze", "--lambda", "10", "--set", "nope=1",
                  "--out", str(tmp_path / "y")]) == 2
+
+
+@pytest.mark.parametrize("verb", ["analyze", "simulate"])
+@pytest.mark.parametrize("rates", ["fast", "nan", "inf", "-inf", "-5", "10,nan"])
+def test_bad_lambda_exit_code(tmp_path, capsys, verb, rates):
+    """Rejected while parsing, before any model or simulator starts."""
+    assert main([verb, f"--lambda={rates}", "--out", str(tmp_path)]) == 2
+    assert "--lambda" in capsys.readouterr().err
+    assert not tmp_path.joinpath("analysis.csv").exists()
+
+
+def test_analyze_zero_rate_exit_code(tmp_path, capsys):
+    assert main(["analyze", "--lambda", "0", "--set", "system.n_stations=2",
+                 "--out", str(tmp_path)]) == 2
+    assert "positive arrival rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["system.per_state_per=1,1,1,1"],
+    ["system.per_state_per=1,0.1,0.1,0.1", "channel.pi=1,0,0,0"],
+])
+def test_per_one_everywhere_exit_code(tmp_path, capsys, overrides):
+    """No state that occurs can deliver a frame, so no cycle ends."""
+    args = ["analyze", "--lambda", "20", "--set", "system.n_stations=2"]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "system.per_state_per" in capsys.readouterr().err
+
+
+def test_analyze_matches_committed_grid(tmp_path):
+    """The README grid (N=7) reproduces results/validation/analysis.csv:
+    numbers to 1e-12 relative, since float summation order may differ
+    between numpy builds; flags and iteration counts exactly."""
+    assert main(["analyze", "--lambda", "10,20,30,40,50,60,70,80,85,90,100",
+                 "--set", "system.retry_limit=unlimited",
+                 "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "analysis.csv").read_text().splitlines()
+    pinned = Path(__file__).resolve().parents[1] / "results/validation/analysis.csv"
+    want = pinned.read_text().splitlines()
+    assert got[:2] == want[:2] and len(got) == len(want)
+    for g, w in zip(got[2:], want[2:]):
+        g, w = g.split(","), w.split(",")
+        assert g[-2:] == w[-2:]  # converged, iterations
+        np.testing.assert_allclose([float(x) for x in g[:-2]],
+                                   [float(x) for x in w[:-2]], rtol=1e-12, atol=0)

@@ -155,8 +155,9 @@ def test_mac_timing_validation(space):
 def test_system_config_validation():
     with pytest.raises(ParameterError):
         SystemConfig(n_stations=0, lambda_pps=1.0, pi=(1.0, 0, 0, 0))
-    with pytest.raises(ParameterError):
-        SystemConfig(n_stations=1, lambda_pps=-1.0, pi=(1.0, 0, 0, 0))
+    for bad_rate in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            SystemConfig(n_stations=1, lambda_pps=bad_rate, pi=(1.0, 0, 0, 0))
     with pytest.raises(ParameterError):
         SystemConfig(n_stations=1, lambda_pps=1.0)  # no channel mode
     with pytest.raises(ParameterError):
