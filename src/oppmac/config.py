@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .core import ChannelSpace, MacTiming, ParameterError, SystemConfig, TimerPolicy
@@ -106,16 +107,22 @@ def default_setup(overrides: dict | None = None) -> WlanSetup:
 
 def _floats(key: str, val: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in val.split(","))
+        xs = tuple(float(x) for x in val.split(","))
     except ValueError as exc:
         raise ConfigError(key, f"expected comma-separated numbers, got {val!r}") from exc
+    if not all(map(math.isfinite, xs)):
+        raise ConfigError(key, f"values must be finite, got {val!r}")
+    return xs
 
 
 def _one(key: str, val: str, cast):
     try:
-        return cast(val)
+        x = cast(val)
     except ValueError as exc:
         raise ConfigError(key, f"bad value {val!r}") from exc
+    if cast is float and not math.isfinite(x):
+        raise ConfigError(key, f"value must be finite, got {val!r}")
+    return x
 
 
 def _build_setup(v: dict) -> WlanSetup:

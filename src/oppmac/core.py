@@ -98,8 +98,9 @@ class TimerPolicy:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"p must be in [0, 1], got {self.p}")
-        if self.delta_us <= 0:
-            raise ParameterError("slot length must be positive")
+        if not (math.isfinite(self.delta_us) and self.delta_us > 0):
+            raise ParameterError(f"slot length must be finite and positive, "
+                                 f"got {self.delta_us!r}")
         if self.num_states < 1:
             raise ParameterError("need at least one channel state")
 

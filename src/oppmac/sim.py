@@ -9,12 +9,14 @@ DCF baseline with one aggregate AP queue, binary exponential backoff, and
 either ARF or threshold-based rate adaptation.
 
 Both engines are event driven (arrivals, contention resolutions, busy-period
-ends) and strictly deterministic for a given (config, seed).  A transmission
-transaction spans the frame, its acknowledgment, and the trailing interframe
-gap; queue state changes are applied when the transaction completes, so a
-queue counts as occupied for exactly the per-attempt duration the analytical
-model charges it.  Renewal instants shift by the same constant for every
-success, leaving renewal-length statistics unchanged.
+ends) and strictly deterministic for a given (config, seed): every random
+stream has its own generator, whose draws may be served from blocks but are
+never reordered.  A transmission transaction spans the frame, its
+acknowledgment, and the trailing interframe gap; queue state changes are
+applied when the transaction completes, so a queue counts as occupied for
+exactly the per-attempt duration the analytical model charges it.  Renewal
+instants shift by the same constant for every success, leaving
+renewal-length statistics unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ import heapq
 import json
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -37,24 +42,22 @@ from .core import (
     TimerPolicy,
 )
 
+# Heap entries are (time_us, rank, queue, seq) tuples, so ties break on the
+# kind rank, then the queue id, then the sequence number (for a resolution,
+# its epoch).
 EV_ARRIVAL = 0
 EV_END = 1     # transaction (frame + ACK + trailing gap) ends; outcome applied
 EV_RESOLVE = 2
 EV_MARK = 3
 
+# Draws per block: small enough that the 2N arrival streams' blocks add no
+# measurable memory, large enough that the numpy call per block is amortised.
+DRAW_BLOCK = 64
+ARRIVAL_BLOCK = 16
 
-@dataclass(frozen=True)
-class Event:
-    """Heap entry; ties break on (time, kind rank, queue id, sequence)."""
 
-    time_us: float
-    rank: int
-    queue: int
-    seq: int
-
-    def __lt__(self, other: "Event") -> bool:
-        return ((self.time_us, self.rank, self.queue, self.seq)
-                < (other.time_us, other.rank, other.queue, other.seq))
+class InvariantError(RuntimeError):
+    """An internal simulator invariant failed (a bug, not a bad input)."""
 
 
 @dataclass
@@ -96,17 +99,6 @@ class SimReport:
         data = json.loads(text)
         data.pop("_meta", None)
         return cls(**data)
-
-
-def estimate_occupancy(report: SimReport) -> tuple[float, float]:
-    """Time-averaged nonempty fractions (AP side, STA side)."""
-    return report.p_a_hat, report.p_s_hat
-
-
-def estimate_renewal(report: SimReport) -> float | None:
-    """Mean interval between successive successful-transmission ends, or
-    None when the run produced no usable renewal intervals."""
-    return report.mean_renewal_us
 
 
 class _QueueStat:
@@ -176,15 +168,37 @@ def _rng_streams(seed: int, n_arrival_streams: int):
     return gens[:n_arrival_streams], gens[n_arrival_streams:]
 
 
-def _state_drawer(config: SystemConfig, space: ChannelSpace, rng):
-    """Per-draw channel state: explicit distribution or Rayleigh quantized."""
+def _blocks(draw, size: int):
+    """Endless iterator of Python scalars, drawn ``size`` at a time by
+    ``draw(size=size)``.  numpy returns the same values, in the same order,
+    for k draws in one call as for k scalar calls, so while nothing else
+    draws from the generator behind ``draw`` this is its scalar stream."""
+    return chain.from_iterable(draw(size=size).tolist() for _ in repeat(None))
+
+
+def _state_draws(config: SystemConfig, space: ChannelSpace, rng,
+                 size: int = DRAW_BLOCK):
+    """Endless iterator of channel states, explicit distribution or Rayleigh
+    quantized, each block quantized by one ``searchsorted``."""
     if config.pi is not None:
         cum = np.cumsum(np.asarray(config.pi, dtype=float))
         top = len(cum) - 1  # guards the ~1-ulp shortfall of the last cumsum
-        return lambda: min(int(np.searchsorted(cum, rng.random(), side="right")), top)
-    mean_lin = 10.0 ** (config.mean_ebn0_db / 10.0)
-    edges = space.thresholds_linear()[1:]
-    return lambda: int(np.searchsorted(edges, rng.exponential(mean_lin), side="right"))
+
+        def draw(size):
+            return np.minimum(np.searchsorted(cum, rng.random(size), side="right"), top)
+    else:
+        mean_lin = 10.0 ** (config.mean_ebn0_db / 10.0)
+        edges = space.thresholds_linear()[1:]
+
+        def draw(size):
+            return np.searchsorted(edges, rng.exponential(mean_lin, size), side="right")
+    return _blocks(draw, size)
+
+
+def _gap_draws(rng, mean_us: float):
+    """Zero-argument callable giving the successive inter-arrival gaps of one
+    Poisson stream with the given mean."""
+    return _blocks(partial(rng.exponential, mean_us), ARRIVAL_BLOCK).__next__
 
 
 def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
@@ -203,25 +217,33 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     nq = 2 * n  # queue 2i = AP side of pair i, queue 2i+1 = STA side
     delta = policy.delta_us
     lam_us = config.lambda_pps * 1e-6
-
-    arr_rngs, (chan_rng, timer_rng, per_rng, pick_rng, _) = _rng_streams(config.seed, nq)
-    draw_state = _state_drawer(config, space, chan_rng)
-    per = np.asarray(config.per_state_per, dtype=float)
+    per = [float(e) for e in config.per_state_per]
     if len(per) != space.num_states:
         raise ParameterError("PER vector length does not match channel space")
+    states = range(space.num_states)
+    base = [policy.base_slot(h) for h in states]
+    p_even = (policy.p, 1.0 - policy.p)  # indexed by q & 1: AP side, STA side
+    tx_us = [timing.t_suc(h) for h in states]  # data + SIFS + ACK + trailing DIFS
+    air_us = [timing.data_airtime(h) for h in states]
+    difs = timing.difs_us
+
+    arr_rngs, (chan_rng, timer_rng, per_rng, pick_rng, _) = _rng_streams(config.seed, nq)
+    next_state = _state_draws(config, space, chan_rng).__next__
+    next_timer_u = _blocks(timer_rng.random, DRAW_BLOCK).__next__
+    next_coin = _blocks(per_rng.random, DRAW_BLOCK).__next__
 
     tally = _Tally(nq, space.num_states)
-    heap: list[Event] = []
-    seq = 0
-
-    def push(t, rank, queue=-1, epoch=0):
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, Event(t, rank, queue, epoch if rank == EV_RESOLVE else seq))
+    qstat = tally.q
+    backlogged: set[int] = set()  # queues with backlog > 0
+    heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
+    seq = 0  # tie-break of non-resolution events, in push order
 
     if lam_us > 0.0:
+        next_gap = [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs]
         for q in range(nq):
-            push(arr_rngs[q].exponential(1.0 / lam_us), EV_ARRIVAL, q)
+            seq += 1
+            push(heap, (next_gap[q](), EV_ARRIVAL, q, seq))
 
     # phase: vacant (idle, nothing queued), contention, busy (transaction
     # in progress, including its trailing interframe gap)
@@ -237,7 +259,8 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     warm_renewal_target = None
     end_time = duration_us if duration_us is not None else math.inf
     if duration_us is not None:
-        push(warmup_frac * duration_us, EV_MARK)
+        seq += 1
+        push(heap, (warmup_frac * duration_us, EV_MARK, -1, seq))
     else:
         warm_renewal_target = max(1, math.ceil(warmup_frac * max_renewals))
     trace_rows = []
@@ -246,105 +269,105 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     stopped_by_budget = False
     now = 0.0
 
-    def set_timer(q: int, set_slot: int) -> None:
-        pair = q // 2
-        if pair_state[pair] is None:
-            pair_state[pair] = draw_state()
-        base = policy.base_slot(pair_state[pair])
-        p_even = policy.p if q % 2 == 0 else 1.0 - policy.p
-        draw = base if timer_rng.random() < p_even else base + 1
-        timers[q] = set_slot + draw
+    def timer_slots(q: int) -> int:
+        h = pair_state[q >> 1]
+        if h is None:
+            h = pair_state[q >> 1] = next_state()
+        return base[h] if next_timer_u() < p_even[q & 1] else base[h] + 1
 
     def start_contention(t0: float) -> None:
         nonlocal phase, tau, epoch, k_star
         phase = "contention"
         tau = t0
         timers.clear()
-        for i in range(n):
-            pair_state[i] = None
-        for q in range(nq):
-            if tally.q[q].backlog > 0:
-                set_timer(q, 0)
-        assert timers, "contention started with no backlogged queue"
+        pair_state[:] = [None] * n
+        for q in sorted(backlogged):
+            timers[q] = timer_slots(q)
+        if not timers:
+            raise InvariantError("contention started with no backlogged queue")
         epoch += 1
         k_star = min(timers.values())
-        push(tau + k_star * delta, EV_RESOLVE, -1, epoch)
+        push(heap, (tau + k_star * delta, EV_RESOLVE, -1, epoch))
 
     def fail_or_drop(q: int, t: float) -> None:
-        qs = tally.q[q]
+        qs = qstat[q]
         qs.retry += 1
         if config.retry_limit is not None and qs.retry > config.retry_limit:
             qs.flush(t)
             qs.backlog -= 1
             qs.dropped += 1
             qs.retry = 0
+            if not qs.backlog:
+                backlogged.discard(q)
 
     while heap:
-        ev = heapq.heappop(heap)
-        if ev.time_us > end_time:
+        now, rank, q, tag = pop(heap)
+        if now > end_time:
             break
-        now = ev.time_us
 
-        if ev.rank == EV_ARRIVAL:
-            q = ev.queue
-            qs = tally.q[q]
+        if rank == EV_ARRIVAL:
+            qs = qstat[q]
             qs.flush(now)
             qs.arrivals += 1
             qs.backlog += 1
-            push(now + arr_rngs[q].exponential(1.0 / lam_us), EV_ARRIVAL, q)
+            seq += 1
+            push(heap, (now + next_gap[q](), EV_ARRIVAL, q, seq))
             if qs.backlog == 1:
+                backlogged.add(q)
                 if phase == "vacant":
                     start_contention(now)
                 elif phase == "contention" and q not in timers:
                     m = max(1, math.ceil((now - tau) / delta - 1e-9))
                     if m <= k_star:
-                        set_timer(q, m)
+                        timers[q] = m + timer_slots(q)
                         if timers[q] < k_star:
                             k_star = timers[q]
                             epoch += 1
-                            push(tau + k_star * delta, EV_RESOLVE, -1, epoch)
+                            push(heap, (tau + k_star * delta, EV_RESOLVE, -1, epoch))
                 # while the channel is busy the queue just backlogs
 
-        elif ev.rank == EV_RESOLVE:
-            if ev.seq != epoch or phase != "contention":
+        elif rank == EV_RESOLVE:
+            if tag != epoch or phase != "contention":
                 continue
             expired = sorted(q for q, e in timers.items() if e == k_star)
-            assert expired, "resolution with no expiring timer"
-            ap_exp = [q for q in expired if q % 2 == 0]
-            sta_exp = [q for q in expired if q % 2 == 1]
-            if not sta_exp or (len(expired) == 1 and not ap_exp):
-                if sta_exp:
-                    winner = sta_exp[0]
-                else:
+            if not expired:
+                raise InvariantError("resolution with no expiring timer")
+            ap_exp = [q for q in expired if not q & 1]
+            if len(ap_exp) == len(expired) or len(expired) == 1:
+                # AP expiries alone merge by a uniform pick; a lone STA wins
+                if ap_exp:
                     winner = ap_exp[int(pick_rng.integers(len(ap_exp)))]
                     if len(ap_exp) > 1:
                         ap_merges += 1
-                h = pair_state[winner // 2]
-                busy = timing.t_suc(h)  # data + SIFS + ACK + trailing DIFS
-                ok = per_rng.random() >= per[h]
-                pending_outcome = ("tx", winner, h, ok)
+                else:
+                    winner = expired[0]
+                h = pair_state[winner >> 1]
+                busy = tx_us[h]
+                pending_outcome = ("tx", winner, h, next_coin() >= per[h])
             else:
-                assert sta_exp and len(expired) >= 2, "AP-internal collision"
-                # channel is blocked for the longest colliding frame; the
-                # colliders drew good states, so this is usually far shorter
-                # than the analysis' conservative lowest-rate constant
-                busy = max(timing.data_airtime(pair_state[q // 2])
-                           for q in expired) + timing.difs_us
-                pending_outcome = ("col", list(expired), None, False)
+                # an STA expiry among two or more collides; the channel is
+                # blocked for the longest colliding frame.  The colliders
+                # drew good states, so this is usually far shorter than the
+                # analysis' conservative lowest-rate constant.
+                busy = max(air_us[pair_state[q >> 1]] for q in expired) + difs
+                pending_outcome = ("col", expired, None, False)
             phase = "busy"
             timers.clear()
-            push(now + busy, EV_END)
+            seq += 1
+            push(heap, (now + busy, EV_END, -1, seq))
 
-        elif ev.rank == EV_END:
+        elif rank == EV_END:
             kind, who, h, ok = pending_outcome
             pending_outcome = None
             if kind == "tx":
-                qs = tally.q[who]
+                qs = qstat[who]
                 if ok:
                     qs.flush(now)
                     qs.backlog -= 1
                     qs.delivered += 1
                     qs.retry = 0
+                    if not qs.backlog:
+                        backlogged.discard(who)
                     side = AP if who % 2 == 0 else STA
                     tally.on_success(now, h, side)
                     renewals += 1
@@ -364,13 +387,13 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
                 for q in who:
                     fail_or_drop(q, now)
             # the trailing DIFS elapsed inside the transaction
-            if any(qs.backlog > 0 for qs in tally.q):
+            if backlogged:
                 start_contention(now)
             else:
                 phase = "vacant"
 
-        elif ev.rank == EV_MARK:
-            tally.snapshot(ev.time_us)
+        else:  # EV_MARK
+            tally.snapshot(now)
 
     final_t = now if stopped_by_budget or duration_us is None else end_time
     if tally.snap is None:
@@ -399,6 +422,11 @@ def _build_report(scheme, config, tally, final_t, nq, ap_merges, queue_name,
     queues = {}
     for q in range(nq):
         qs = tally.q[q]
+        if qs.arrivals != qs.delivered + qs.dropped + qs.backlog:
+            raise InvariantError(
+                f"queue {queue_name(q)} breaks conservation: {qs.arrivals} arrivals "
+                f"!= {qs.delivered} delivered + {qs.dropped} dropped "
+                f"+ {qs.backlog} backlog")
         dmeas = qs.delivered - snap["delivered"][q]
         queues[queue_name(q)] = {
             "arrivals": qs.arrivals,
@@ -498,6 +526,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         raise ParameterError("rate_adaptation must be 'arf' or 'threshold'")
     if duration_us is None:
         raise ParameterError("run_dcf requires a duration")
+    use_arf = rate_adaptation == "arf"
     n = config.n_stations
     ns = n + 1  # station 0 = AP
     delta = timing.slot_us
@@ -506,28 +535,30 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
 
     arr_rngs, (chan_rng, back_rng, per_rng, _pick, dest_rng) = _rng_streams(
         config.seed, ns)
-    draw_state = _state_drawer(config, space, chan_rng)
-    per = np.asarray(config.per_state_per, dtype=float)
+    next_state = _state_draws(config, space, chan_rng).__next__
+    next_coin = _blocks(per_rng.random, DRAW_BLOCK).__next__
+    next_dest = _blocks(partial(dest_rng.integers, n), DRAW_BLOCK).__next__
+    per = [float(e) for e in config.per_state_per]
     airtime = [timing.data_airtime(s) for s in range(space.num_states)]
 
     tally = _Tally(ns, space.num_states)
-    ap_dests: list[int] = []  # destination of each queued AP packet, FIFO
-    links = [("sta", i) for i in range(n)] + [("ap", i) for i in range(n)]
-    arf = {lk: _ArfState() for lk in links}
-    last_seen = {lk: 0 for lk in links}  # latest observed state per link
+    qstat = tally.q
+    backlogged: set[int] = set()  # stations with backlog > 0
+    ap_dests: deque[int] = deque()  # destination of each queued AP packet, FIFO
+    # link id: uplink of station i is i, downlink to station i is n + i
+    arf = [_ArfState() for _ in range(2 * n)]
+    last_seen = [0] * (2 * n)  # latest observed state per link
 
-    heap: list[Event] = []
-    seq = 0
-
-    def push(t, rank, queue=-1, epoch=0):
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, Event(t, rank, queue, epoch if rank == EV_RESOLVE else seq))
+    heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
+    seq = 0  # tie-break of non-resolution events, in push order
 
     if lam_us > 0.0:
-        push(arr_rngs[0].exponential(1.0 / (n * lam_us)), EV_ARRIVAL, 0)
-        for st in range(1, ns):
-            push(arr_rngs[st].exponential(1.0 / lam_us), EV_ARRIVAL, st)
+        next_gap = [_gap_draws(arr_rngs[0], 1.0 / (n * lam_us))]
+        next_gap += [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs[1:]]
+        for st in range(ns):
+            seq += 1
+            push(heap, (next_gap[st](), EV_ARRIVAL, st, seq))
 
     cw = [CW_MIN] * ns
     slots_left: list = [None] * ns
@@ -536,17 +567,16 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     epoch = 0
     pending_outcome = None
     end_time = duration_us
-    push(warmup_frac * duration_us, EV_MARK)
-    now = 0.0
+    seq += 1
+    push(heap, (warmup_frac * duration_us, EV_MARK, -1, seq))
 
     def normalize(t: float) -> None:
         nonlocal idle_t0
         # slack absorbs float error of the t0 + k*delta event times
         elapsed = int(math.floor((t - idle_t0) / delta + 1e-7))
         if elapsed > 0:
-            for st in range(ns):
-                if slots_left[st] is not None:
-                    slots_left[st] = max(0, slots_left[st] - elapsed)
+            slots_left[:] = [None if s is None else max(0, s - elapsed)
+                             for s in slots_left]
             idle_t0 += elapsed * delta
 
     def schedule_tx() -> None:
@@ -554,17 +584,14 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         active = [s for s in slots_left if s is not None]
         if active:
             epoch += 1
-            push(idle_t0 + min(active) * delta, EV_RESOLVE, -1, epoch)
+            push(heap, (idle_t0 + min(active) * delta, EV_RESOLVE, -1, epoch))
 
     def begin_idle(t0: float) -> None:
         nonlocal phase, idle_t0
         idle_t0 = t0
-        backlogged = False
-        for st in range(ns):
-            if tally.q[st].backlog > 0:
-                backlogged = True
-                if slots_left[st] is None:
-                    slots_left[st] = int(back_rng.integers(cw[st] + 1))
+        for st in sorted(backlogged):
+            if slots_left[st] is None:
+                slots_left[st] = int(back_rng.integers(cw[st] + 1))
         if backlogged:
             phase = "countdown"
             schedule_tx()
@@ -572,7 +599,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             phase = "vacant"
 
     def fail_station(st: int, t: float) -> None:
-        qs = tally.q[st]
+        qs = qstat[st]
         qs.retry += 1
         cw[st] = min(2 * cw[st] + 1, CW_MAX)
         if config.retry_limit is not None and qs.retry > config.retry_limit:
@@ -581,27 +608,27 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             qs.dropped += 1
             qs.retry = 0
             cw[st] = CW_MIN
+            if not qs.backlog:
+                backlogged.discard(st)
             if st == 0 and ap_dests:
-                ap_dests.pop(0)
+                ap_dests.popleft()
 
     while heap:
-        ev = heapq.heappop(heap)
-        if ev.time_us > end_time:
+        now, rank, st, tag = pop(heap)
+        if now > end_time:
             break
-        now = ev.time_us
 
-        if ev.rank == EV_ARRIVAL:
-            st = ev.queue
-            qs = tally.q[st]
+        if rank == EV_ARRIVAL:
+            qs = qstat[st]
             qs.flush(now)
             qs.arrivals += 1
             qs.backlog += 1
             if st == 0:
-                ap_dests.append(int(dest_rng.integers(n)))
-                push(now + arr_rngs[0].exponential(1.0 / (n * lam_us)), EV_ARRIVAL, 0)
-            else:
-                push(now + arr_rngs[st].exponential(1.0 / lam_us), EV_ARRIVAL, st)
+                ap_dests.append(next_dest())
+            seq += 1
+            push(heap, (now + next_gap[st](), EV_ARRIVAL, st, seq))
             if qs.backlog == 1:
+                backlogged.add(st)
                 if phase == "vacant":
                     phase = "countdown"
                     idle_t0 = now
@@ -619,20 +646,18 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
                         schedule_tx()
                 # during busy: backlog only; backoff drawn at next idle start
 
-        elif ev.rank == EV_RESOLVE:
-            if ev.seq != epoch or phase != "countdown":
+        elif rank == EV_RESOLVE:
+            if tag != epoch or phase != "countdown":
                 continue
             normalize(now)
             winners = [st for st in range(ns) if slots_left[st] == 0]
-            assert winners, "transmission event with no zero counter"
+            if not winners:
+                raise InvariantError("transmission event with no zero counter")
             attempts = []
             for st in winners:
-                link = ("ap", ap_dests[0]) if st == 0 else ("sta", st - 1)
-                h = draw_state()
-                if rate_adaptation == "threshold":
-                    ridx = last_seen[link]
-                else:
-                    ridx = arf[link].rate
+                link = n + ap_dests[0] if st == 0 else st - 1
+                h = next_state()
+                ridx = arf[link].rate if use_arf else last_seen[link]
                 last_seen[link] = h  # known by the time of the next attempt
                 attempts.append((st, link, h, ridx))
                 slots_left[st] = None  # fresh backoff after this attempt
@@ -641,47 +666,49 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
                 st, link, h, ridx = attempts[0]
                 # + ACK (or its timeout) + trailing DIFS / EIFS
                 busy += timing.sifs_us + timing.ack_us
-                eff_per = per[ridx] if h >= ridx else 1.0
-                ok = per_rng.random() >= eff_per
+                ok = next_coin() >= (per[ridx] if h >= ridx else 1.0)
                 pending_outcome = ("tx", attempts, ok)
                 busy += timing.difs_us if ok else eifs
             else:
                 pending_outcome = ("col", attempts, False)
                 busy += eifs
             phase = "busy"
-            push(now + busy, EV_END)
+            seq += 1
+            push(heap, (now + busy, EV_END, -1, seq))
 
-        elif ev.rank == EV_END:
+        elif rank == EV_END:
             kind, attempts, ok = pending_outcome
             pending_outcome = None
             if kind == "tx":
                 st, link, h, ridx = attempts[0]
                 if ok:
-                    qs = tally.q[st]
+                    qs = qstat[st]
                     qs.flush(now)
                     qs.backlog -= 1
                     qs.delivered += 1
                     qs.retry = 0
                     cw[st] = CW_MIN
+                    if not qs.backlog:
+                        backlogged.discard(st)
                     if st == 0:
-                        ap_dests.pop(0)
-                    if rate_adaptation == "arf":
+                        ap_dests.popleft()
+                    if use_arf:
                         arf[link].on_success(space.num_states - 1)
                     tally.on_success(now, ridx, AP if st == 0 else STA)
                 else:
                     fail_station(st, now)
-                    if rate_adaptation == "arf":
+                    if use_arf:
                         arf[link].on_failure()
             else:
                 tally.collisions += 1
                 for st, link, _h, _r in attempts:
                     fail_station(st, now)
-                    if rate_adaptation == "arf":
+                    if use_arf:
                         arf[link].on_failure()
             begin_idle(now)
 
-        elif ev.rank == EV_MARK:
-            tally.snapshot(ev.time_us)
+        else:  # EV_MARK
+            tally.snapshot(now)
 
     if tally.snap is None:
         tally.snapshot(0.0)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oppmac import cli
 from oppmac.cli import ExperimentSpec, main, validation_rows
 from oppmac.config import (
     ConfigError,
@@ -64,6 +65,15 @@ def test_config_rayleigh_mode():
     assert setup.config.pi is None
     pi = setup.resolve_pi()
     assert abs(pi.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("key", ["system.lambda_pps", "timer.delta_us"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_nonfinite_names_key(key, value):
+    with pytest.raises(ConfigError) as err:
+        default_setup({key: value})
+    assert err.value.key == key
+    assert key in str(err.value)
 
 
 def test_setup_hash_tracks_content():
@@ -200,6 +210,20 @@ def test_bad_lambda_exit_code(tmp_path, capsys, verb, rates):
     assert not tmp_path.joinpath("analysis.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["analyze", "simulate"])
+@pytest.mark.parametrize("delta_us", ["nan", "inf"])
+def test_nonfinite_slot_length_exit_code(tmp_path, capsys, monkeypatch, verb, delta_us):
+    """Rejected while building the setup, before any model or simulator starts."""
+    def started(*args, **kwargs):
+        raise AssertionError("a model or simulator started")
+    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
+        monkeypatch.setattr(cli, name, started)
+    assert main([verb, "--lambda", "10", "--set", f"timer.delta_us={delta_us}",
+                 "--out", str(tmp_path)]) == 2
+    assert "timer.delta_us" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_analyze_zero_rate_exit_code(tmp_path, capsys):
     assert main(["analyze", "--lambda", "0", "--set", "system.n_stations=2",
                  "--out", str(tmp_path)]) == 2
@@ -235,3 +259,17 @@ def test_analyze_matches_committed_grid(tmp_path):
         assert g[-2:] == w[-2:]  # converged, iterations
         np.testing.assert_allclose([float(x) for x in g[:-2]],
                                    [float(x) for x in w[:-2]], rtol=1e-12, atol=0)
+
+
+def test_compare_matches_committed_row(tmp_path):
+    """The lambda=10 row of results/throughput/compare.csv (three schemes, two
+    40 s replications each) reproduces byte for byte."""
+    assert main(["compare", "--scheme", "opportunistic,dcf-arf,dcf-threshold",
+                 "--lambda", "10", "--reps", "2", "--duration-s", "40",
+                 "--set", "channel.mode=rayleigh", "--set", "channel.mean_ebn0_db=28.0",
+                 "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "compare.csv").read_text().splitlines()
+    pinned = Path(__file__).resolve().parents[1] / "results/throughput/compare.csv"
+    want = pinned.read_text().splitlines()
+    assert got == want[:2] + [r for r in want[2:] if r.split(",")[1] == "10.0"]
+    assert len(got) == 5

@@ -97,6 +97,12 @@ def test_timer_degenerate_p():
     assert all(draw_timer(pol, 0, STA, rng) == 7 for _ in range(32))
 
 
+@pytest.mark.parametrize("delta_us", [0.0, -9.0, float("nan"), float("inf")])
+def test_timer_rejects_bad_slot_length(delta_us):
+    with pytest.raises(ParameterError, match="slot length"):
+        TimerPolicy(p=0.5, delta_us=delta_us, num_states=4)
+
+
 def test_timer_draw_frequency():
     pol = TimerPolicy(p=0.3, delta_us=9.0, num_states=4)
     rng = np.random.Generator(np.random.PCG64(7))

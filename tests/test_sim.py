@@ -1,15 +1,24 @@
+import heapq
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_point
 from oppmac.sim import (
+    EV_ARRIVAL,
+    EV_END,
+    EV_MARK,
+    EV_RESOLVE,
+    InvariantError,
     _ArfState,
+    _blocks,
+    _build_report,
+    _state_draws,
+    _Tally,
     SimReport,
-    estimate_occupancy,
-    estimate_renewal,
     run_dcf,
     run_opportunistic,
 )
@@ -142,12 +151,16 @@ def test_low_renewal_warning(policy, timing, space):
 def test_estimators(policy, timing, space):
     cfg = SystemConfig(n_stations=2, lambda_pps=50.0, pi=(0.25,) * 4, seed=6)
     rep = quiet_run(cfg, policy, timing, space, duration_us=10e6)
-    assert estimate_occupancy(rep) == (rep.p_a_hat, rep.p_s_hat)
-    assert estimate_renewal(rep) == rep.mean_renewal_us
+    assert 0.0 < rep.p_a_hat < 1.0 and 0.0 < rep.p_s_hat < 1.0
+    assert rep.renewal_count > 0
+    # mean renewal length = measured window / renewals, up to the partial
+    # cycles at the window's two ends
+    assert rep.mean_renewal_us == pytest.approx(rep.measured_us / rep.renewal_count,
+                                                rel=0.01)
     empty = quiet_run(SystemConfig(n_stations=2, lambda_pps=0.0,
                                    pi=(0.25,) * 4), policy, timing, space,
                       duration_us=1e6)
-    assert estimate_renewal(empty) is None
+    assert empty.mean_renewal_us is None
 
 
 def test_trace_csv(policy, timing, space, tmp_path):
@@ -239,12 +252,73 @@ def test_dcf_threshold_tracks_previous_state(timing, space):
     assert counts[2] > 0.95 * sum(counts)
 
 
-def test_event_ordering():
-    from oppmac.sim import Event
-    assert Event(5.0, 1, 0, 0) < Event(6.0, 0, 0, 0)      # time first
-    assert Event(5.0, 0, 9, 0) < Event(5.0, 1, 0, 0)      # then kind rank
-    assert Event(5.0, 1, 0, 0) < Event(5.0, 1, 2, 0)      # then queue id
-    assert Event(5.0, 1, 2, 1) < Event(5.0, 1, 2, 4)      # then sequence
+def test_heap_entry_ordering():
+    """Heap entries (time_us, rank, queue, seq) pop by time, then kind rank,
+    then queue id, then sequence; at one instant an arrival precedes a
+    transaction end, which precedes a resolution and the warmup mark."""
+    assert EV_ARRIVAL < EV_END < EV_RESOLVE < EV_MARK
+    want = [(5.0, EV_ARRIVAL, 9, 7), (5.0, EV_END, -1, 3), (5.0, EV_RESOLVE, -1, 2),
+            (5.0, EV_RESOLVE, 0, 1), (5.0, EV_RESOLVE, 2, 1), (5.0, EV_RESOLVE, 2, 4),
+            (5.0, EV_MARK, -1, 0), (6.0, EV_ARRIVAL, 0, 0)]
+    heap = []
+    for entry in reversed(want):
+        heapq.heappush(heap, entry)
+    assert [heapq.heappop(heap) for _ in want] == want
+
+
+def _gen():
+    return np.random.Generator(np.random.PCG64(2024))
+
+
+def test_block_draws_match_scalar_calls(space):
+    """A stream served in blocks of 7 gives, across three block boundaries,
+    the same Python scalars in the same order as one scalar call per draw."""
+    k = 23
+
+    def served(it):
+        got = [next(it) for _ in range(k)]
+        assert len({type(x) for x in got}) == 1
+        return got
+
+    ref = _gen()
+    assert served(_blocks(_gen().random, 7)) == [ref.random() for _ in range(k)]
+    ref = _gen()
+    assert served(_blocks(partial(_gen().exponential, 631.5), 7)) \
+        == [ref.exponential(631.5) for _ in range(k)]
+
+    pi = (0.1, 0.2, 0.3, 0.4)
+    cum = np.cumsum(pi)
+    ref = _gen()
+    want = [min(int(np.searchsorted(cum, ref.random(), side="right")), 3)
+            for _ in range(k)]
+    explicit = SystemConfig(n_stations=1, lambda_pps=1.0, pi=pi)
+    assert served(_state_draws(explicit, space, _gen(), size=7)) == want
+    assert len(set(want)) == 4
+
+    edges = space.thresholds_linear()[1:]
+    ref = _gen()
+    want = [int(np.searchsorted(edges, ref.exponential(10.0 ** 2.8), side="right"))
+            for _ in range(k)]
+    rayleigh = SystemConfig(n_stations=1, lambda_pps=1.0, mean_ebn0_db=28.0)
+    assert served(_state_draws(rayleigh, space, _gen(), size=7)) == want
+    assert len(set(want)) > 1
+
+
+def test_conservation_breach_raises():
+    """The report refuses counters where a packet went missing."""
+    cfg = SystemConfig(n_stations=1, lambda_pps=10.0, pi=(0.25,) * 4)
+    tally = _Tally(2, 4)
+    tally.snapshot(0.0)
+    tally.q[1].arrivals = 3
+    tally.q[1].delivered = 1
+    tally.q[1].backlog = 1
+    with pytest.raises(InvariantError, match="sta0 breaks conservation"):
+        _build_report("opportunistic", cfg, tally, 1e6, 2, 0,
+                      queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
+    tally.q[1].dropped = 1
+    rep = _build_report("opportunistic", cfg, tally, 1e6, 2, 0,
+                        queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
+    assert rep.queues["sta0"]["arrivals"] == 3
 
 
 def test_replication_consistency(policy, timing, space):
