@@ -13,18 +13,7 @@ from .core import (
     state_from_timer,
     state_probabilities,
 )
-from .kernels import (
-    ConsistencyError,
-    KernelTable,
-    SystemCensus,
-    TaggedCensus,
-    build_kernels,
-    p_col,
-    p_hat_minislot,
-    p_suc_ap,
-    p_suc_sta,
-    transition_prob,
-)
+from .kernels import ConsistencyError, KernelTable, build_kernels
 from .analysis import (
     AnalysisSolution,
     CycleModel,
@@ -32,18 +21,14 @@ from .analysis import (
     capacity_search,
     census_prior,
     fixed_point,
-    solve_expected_renewal,
-    solve_tagged_success,
 )
 
 __all__ = [
     "AP", "STA", "ChannelSpace", "MacTiming", "ParameterError", "SystemConfig",
     "TimerPolicy", "draw_timer", "state_from_timer", "state_probabilities",
-    "ConsistencyError", "KernelTable", "SystemCensus", "TaggedCensus",
-    "build_kernels", "p_col", "p_hat_minislot", "p_suc_ap", "p_suc_sta",
-    "transition_prob", "AnalysisSolution", "CycleModel", "OccupancyPrior",
-    "capacity_search", "census_prior", "fixed_point", "solve_expected_renewal",
-    "solve_tagged_success",
+    "ConsistencyError", "KernelTable", "build_kernels", "AnalysisSolution",
+    "CycleModel", "OccupancyPrior", "capacity_search", "census_prior",
+    "fixed_point",
 ]
 
 __version__ = "0.1.0"

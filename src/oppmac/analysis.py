@@ -206,6 +206,10 @@ class CycleModel:
         self.num_states = kernels.policy.num_states
         if len(self.per) != self.num_states:
             raise ParameterError("PER vector length does not match channel states")
+        delta = kernels.policy.delta_us
+        if timing.slot_us != delta:
+            raise ParameterError(f"timing slot {timing.slot_us!r} us differs from "
+                                 f"the timer slot {delta!r} us")
 
         self.space, self.others_space = census_space(n), census_space(n - 1)
         self.censuses, self.cidx = self.space.censuses, self.space.index
@@ -229,7 +233,7 @@ class CycleModel:
         # window [k, s]: resolution at slot k, then a success in state s or,
         # for s = num_states, a collision; p is the per-queue arrival chance
         tx = [timing.t_suc(s) for s in range(self.num_states)] + [timing.t_col()]
-        self._windows = (np.arange(k1) * timing.slot_us)[:, None] + np.array(tx)
+        self._windows = (np.arange(k1) * delta)[:, None] + np.array(tx)
         self._p = -np.expm1(-(lambda_pps * 1e-6) * self._windows.ravel())
 
         self._solve_renewal()
@@ -374,33 +378,6 @@ class CycleModel:
         theta_ap = pbar_a / e_r * 1e6
         theta_sta = pbar_s / e_r * 1e6
         return theta_ap, theta_sta, e_r, pbar_a, pbar_s
-
-
-# ----- public operations ---------------------------------------------------
-
-
-def solve_expected_renewal(prior: OccupancyPrior, kernels: KernelTable,
-                           timing: MacTiming, per, lambda_pps: float, n: int):
-    """E[R] under the prior plus the per-census expectation vector."""
-    model = CycleModel(kernels, timing, per, lambda_pps, n)
-    vec = {c: float(model.renewal_by_census[i]) for i, c in enumerate(model.censuses)}
-    if lambda_pps <= 0.0:
-        probs = census_prior(prior, n)
-        e_r = math.inf if probs[(0, 0, 0)] > 0.0 else sum(
-            p * vec[c] for c, p in probs.items() if p > 0.0)
-        return e_r, vec
-    return model.expected_renewal(prior), vec
-
-
-def solve_tagged_success(prior: OccupancyPrior, kernels: KernelTable,
-                         timing: MacTiming, per, lambda_pps: float, n: int):
-    """(pbar_a, pbar_s) under the prior plus the per-state vectors."""
-    model = CycleModel(kernels, timing, per, lambda_pps, n)
-    vec = {(i, L): (float(model.tagged_ap[model._tidx(i, lo)]),
-                    float(model.tagged_sta[model._tidx(i, lo)]))
-           for i in PAIR_STATES for lo, L in enumerate(model.others)}
-    pa, ps = model.tagged_success(prior)
-    return pa, ps, vec
 
 
 FP_GAMMA = 0.5

@@ -14,7 +14,7 @@ Keys map one-to-one onto the domain types:
     channel.thresholds_db  = 0, 19.11, 26.90, 31.88
     channel.rates_mbps     = 12, 24, 48, 54
     timer.p                = 0.5
-    timer.delta_us         = 9.0
+    timer.delta_us         = 9.0        # backoff slot of both MACs and the analysis
     timing.payload_bytes   = 1500
     timing.collision_rate_mbps = 12     # analysis collision-cost rate
 
@@ -65,6 +65,23 @@ _DEFAULTS = {
     "timer.delta_us": "9.0",
     "timing.payload_bytes": "1500",
     "timing.collision_rate_mbps": "12",
+}
+
+
+# config key of each domain-type field that one key sets
+_FIELD_KEYS = {
+    "thresholds_db": "channel.thresholds_db",
+    "rates_mbps": "channel.rates_mbps",
+    "num_states": "channel.rates_mbps",
+    "per_state_tx_us": "channel.rates_mbps",
+    "pi": "channel.pi",
+    "n_stations": "system.n_stations",
+    "lambda_pps": "system.lambda_pps",
+    "per_state_per": "system.per_state_per",
+    "retry_limit": "system.retry_limit",
+    "p": "timer.p",
+    "delta_us": "timer.delta_us",
+    "collision_us": "timing.collision_rate_mbps",
 }
 
 
@@ -160,11 +177,12 @@ def _build_setup(v: dict) -> WlanSetup:
             payload_bytes=_one("timing.payload_bytes", v["timing.payload_bytes"], int),
             collision_rate_mbps=_one("timing.collision_rate_mbps",
                                      v["timing.collision_rate_mbps"], float),
+            slot_us=policy.delta_us,
         )
     except ConfigError:
         raise
     except ParameterError as exc:
-        raise ConfigError("<setup>", str(exc)) from exc
+        raise ConfigError(_FIELD_KEYS.get(exc.field, "<setup>"), str(exc)) from exc
     if config.pi is not None and len(config.pi) != space.num_states:
         raise ConfigError("channel.pi", "length does not match channel states")
     if len(config.per_state_per) != space.num_states:

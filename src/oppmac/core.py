@@ -25,7 +25,12 @@ SIDES = (AP, STA)
 
 
 class ParameterError(ValueError):
-    """Invalid configuration or operation parameter."""
+    """Invalid configuration or operation parameter; ``field`` names the
+    offending field of a domain type, when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -42,15 +47,16 @@ class ChannelSpace:
 
     def __post_init__(self):
         if len(self.thresholds_db) != len(self.rates_mbps):
-            raise ParameterError("thresholds and rates must have equal length")
+            raise ParameterError("thresholds and rates must have equal length",
+                                 "rates_mbps")
         if len(self.rates_mbps) < 1:
-            raise ParameterError("at least one channel state required")
+            raise ParameterError("at least one channel state required", "rates_mbps")
         if self.thresholds_db[0] != 0.0:
-            raise ParameterError("first Eb/N0 threshold must be 0 dB")
+            raise ParameterError("first Eb/N0 threshold must be 0 dB", "thresholds_db")
         if any(b >= a for b, a in zip(self.thresholds_db, self.thresholds_db[1:])):
-            raise ParameterError("thresholds must be strictly ascending")
+            raise ParameterError("thresholds must be strictly ascending", "thresholds_db")
         if any(b >= a for b, a in zip(self.rates_mbps, self.rates_mbps[1:])):
-            raise ParameterError("rates must be strictly ascending")
+            raise ParameterError("rates must be strictly ascending", "rates_mbps")
 
     @property
     def num_states(self) -> int:
@@ -97,12 +103,12 @@ class TimerPolicy:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"p must be in [0, 1], got {self.p}")
+            raise ParameterError(f"p must be in [0, 1], got {self.p}", "p")
         if not (math.isfinite(self.delta_us) and self.delta_us > 0):
             raise ParameterError(f"slot length must be finite and positive, "
-                                 f"got {self.delta_us!r}")
+                                 f"got {self.delta_us!r}", "delta_us")
         if self.num_states < 1:
-            raise ParameterError("need at least one channel state")
+            raise ParameterError("need at least one channel state", "num_states")
 
     @property
     def t_max(self) -> int:
@@ -184,14 +190,19 @@ class MacTiming:
 
     def __post_init__(self):
         if any(b <= a for b, a in zip(self.per_state_tx_us, self.per_state_tx_us[1:])):
-            raise ParameterError("per-state tx times must strictly decrease with state")
+            raise ParameterError("per-state tx times must strictly decrease with state",
+                                 "per_state_tx_us")
         if self.collision_us <= 0:
-            raise ParameterError("collision duration must be positive")
+            raise ParameterError("collision duration must be positive", "collision_us")
 
     @classmethod
     def dot11a(cls, space: ChannelSpace, payload_bytes: int = 1500,
-               collision_rate_mbps: float | None = None) -> "MacTiming":
+               collision_rate_mbps: float | None = None,
+               slot_us: float = SLOT_US) -> "MacTiming":
         """Standard 802.11a timing for the given channel space.
+
+        ``slot_us`` is the backoff slot; a scenario passes its timer policy's
+        ``delta_us``, so analysis and both simulators count one slot length.
 
         ``collision_rate_mbps`` sets the airtime assumed lost per collision;
         by default the lowest PHY rate of the space (the conservative,
@@ -206,7 +217,7 @@ class MacTiming:
         col_rate = collision_rate_mbps if collision_rate_mbps is not None else space.rates_mbps[0]
         col = data_airtime_us(payload_bytes, col_rate) + DIFS_US
         return cls(
-            slot_us=SLOT_US,
+            slot_us=slot_us,
             difs_us=DIFS_US,
             sifs_us=SIFS_US,
             ack_us=ack,
@@ -242,20 +253,23 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.n_stations < 1:
-            raise ParameterError("need at least one station")
+            raise ParameterError("need at least one station", "n_stations")
         if not (math.isfinite(self.lambda_pps) and self.lambda_pps >= 0):
-            raise ParameterError("arrival rate must be finite and nonnegative")
+            raise ParameterError("arrival rate must be finite and nonnegative",
+                                 "lambda_pps")
         if any(not 0.0 <= e <= 1.0 for e in self.per_state_per):
-            raise ParameterError("per-state PER values must lie in [0, 1]")
+            raise ParameterError("per-state PER values must lie in [0, 1]",
+                                 "per_state_per")
         if (self.pi is None) == (self.mean_ebn0_db is None):
-            raise ParameterError("specify exactly one of pi / mean_ebn0_db")
+            raise ParameterError("specify exactly one of pi / mean_ebn0_db", "pi")
         if self.pi is not None:
             if any(w < 0 for w in self.pi):
-                raise ParameterError("state probabilities must be nonnegative")
+                raise ParameterError("state probabilities must be nonnegative", "pi")
             if abs(sum(self.pi) - 1.0) > 1e-12:
-                raise ParameterError("explicit state probabilities must sum to 1")
+                raise ParameterError("explicit state probabilities must sum to 1", "pi")
         if self.retry_limit is not None and self.retry_limit < 0:
-            raise ParameterError("retry limit must be nonnegative or None")
+            raise ParameterError("retry limit must be nonnegative or None",
+                                 "retry_limit")
 
     def resolve_pi(self, space: ChannelSpace) -> np.ndarray:
         """State distribution implied by the configured channel mode."""

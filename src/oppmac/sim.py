@@ -25,7 +25,6 @@ import heapq
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -42,9 +41,10 @@ from .core import (
     TimerPolicy,
 )
 
-# Heap entries are (time_us, rank, queue, seq) tuples, so ties break on the
-# kind rank, then the queue id, then the sequence number (for a resolution,
-# its epoch).
+# Heap entries are (time_us, rank, tag) tuples, so ties break on the kind
+# rank, then the tag: the queue of an arrival, the epoch of a resolution, -1
+# otherwise.  A queue has at most one pending arrival, and at most one END and
+# one MARK are ever pending, so no two entries compare equal.
 EV_ARRIVAL = 0
 EV_END = 1     # transaction (frame + ACK + trailing gap) ends; outcome applied
 EV_RESOLVE = 2
@@ -237,13 +237,11 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     backlogged: set[int] = set()  # queues with backlog > 0
     heap: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
-    seq = 0  # tie-break of non-resolution events, in push order
 
     if lam_us > 0.0:
         next_gap = [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs]
         for q in range(nq):
-            seq += 1
-            push(heap, (next_gap[q](), EV_ARRIVAL, q, seq))
+            push(heap, (next_gap[q](), EV_ARRIVAL, q))
 
     # phase: vacant (idle, nothing queued), contention, busy (transaction
     # in progress, including its trailing interframe gap)
@@ -259,8 +257,7 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     warm_renewal_target = None
     end_time = duration_us if duration_us is not None else math.inf
     if duration_us is not None:
-        seq += 1
-        push(heap, (warmup_frac * duration_us, EV_MARK, -1, seq))
+        push(heap, (warmup_frac * duration_us, EV_MARK, -1))
     else:
         warm_renewal_target = max(1, math.ceil(warmup_frac * max_renewals))
     trace_rows = []
@@ -287,7 +284,7 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
             raise InvariantError("contention started with no backlogged queue")
         epoch += 1
         k_star = min(timers.values())
-        push(heap, (tau + k_star * delta, EV_RESOLVE, -1, epoch))
+        push(heap, (tau + k_star * delta, EV_RESOLVE, epoch))
 
     def fail_or_drop(q: int, t: float) -> None:
         qs = qstat[q]
@@ -301,17 +298,17 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
                 backlogged.discard(q)
 
     while heap:
-        now, rank, q, tag = pop(heap)
+        now, rank, tag = pop(heap)
         if now > end_time:
             break
 
         if rank == EV_ARRIVAL:
+            q = tag
             qs = qstat[q]
             qs.flush(now)
             qs.arrivals += 1
             qs.backlog += 1
-            seq += 1
-            push(heap, (now + next_gap[q](), EV_ARRIVAL, q, seq))
+            push(heap, (now + next_gap[q](), EV_ARRIVAL, q))
             if qs.backlog == 1:
                 backlogged.add(q)
                 if phase == "vacant":
@@ -323,7 +320,7 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
                         if timers[q] < k_star:
                             k_star = timers[q]
                             epoch += 1
-                            push(heap, (tau + k_star * delta, EV_RESOLVE, -1, epoch))
+                            push(heap, (tau + k_star * delta, EV_RESOLVE, epoch))
                 # while the channel is busy the queue just backlogs
 
         elif rank == EV_RESOLVE:
@@ -353,8 +350,7 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
                 pending_outcome = ("col", expired, None, False)
             phase = "busy"
             timers.clear()
-            seq += 1
-            push(heap, (now + busy, EV_END, -1, seq))
+            push(heap, (now + busy, EV_END, -1))
 
         elif rank == EV_END:
             kind, who, h, ok = pending_outcome
@@ -544,21 +540,21 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     tally = _Tally(ns, space.num_states)
     qstat = tally.q
     backlogged: set[int] = set()  # stations with backlog > 0
-    ap_dests: deque[int] = deque()  # destination of each queued AP packet, FIFO
+    # destination of the AP's head packet, drawn at its first attempt; the
+    # queue is FIFO, so the k-th head packet takes the stream's k-th draw
+    ap_dest = None
     # link id: uplink of station i is i, downlink to station i is n + i
     arf = [_ArfState() for _ in range(2 * n)]
     last_seen = [0] * (2 * n)  # latest observed state per link
 
     heap: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
-    seq = 0  # tie-break of non-resolution events, in push order
 
     if lam_us > 0.0:
         next_gap = [_gap_draws(arr_rngs[0], 1.0 / (n * lam_us))]
         next_gap += [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs[1:]]
         for st in range(ns):
-            seq += 1
-            push(heap, (next_gap[st](), EV_ARRIVAL, st, seq))
+            push(heap, (next_gap[st](), EV_ARRIVAL, st))
 
     cw = [CW_MIN] * ns
     slots_left: list = [None] * ns
@@ -567,8 +563,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     epoch = 0
     pending_outcome = None
     end_time = duration_us
-    seq += 1
-    push(heap, (warmup_frac * duration_us, EV_MARK, -1, seq))
+    push(heap, (warmup_frac * duration_us, EV_MARK, -1))
 
     def normalize(t: float) -> None:
         nonlocal idle_t0
@@ -584,7 +579,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         active = [s for s in slots_left if s is not None]
         if active:
             epoch += 1
-            push(heap, (idle_t0 + min(active) * delta, EV_RESOLVE, -1, epoch))
+            push(heap, (idle_t0 + min(active) * delta, EV_RESOLVE, epoch))
 
     def begin_idle(t0: float) -> None:
         nonlocal phase, idle_t0
@@ -599,6 +594,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             phase = "vacant"
 
     def fail_station(st: int, t: float) -> None:
+        nonlocal ap_dest
         qs = qstat[st]
         qs.retry += 1
         cw[st] = min(2 * cw[st] + 1, CW_MAX)
@@ -610,23 +606,21 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             cw[st] = CW_MIN
             if not qs.backlog:
                 backlogged.discard(st)
-            if st == 0 and ap_dests:
-                ap_dests.popleft()
+            if st == 0:
+                ap_dest = None
 
     while heap:
-        now, rank, st, tag = pop(heap)
+        now, rank, tag = pop(heap)
         if now > end_time:
             break
 
         if rank == EV_ARRIVAL:
+            st = tag
             qs = qstat[st]
             qs.flush(now)
             qs.arrivals += 1
             qs.backlog += 1
-            if st == 0:
-                ap_dests.append(next_dest())
-            seq += 1
-            push(heap, (now + next_gap[st](), EV_ARRIVAL, st, seq))
+            push(heap, (now + next_gap[st](), EV_ARRIVAL, st))
             if qs.backlog == 1:
                 backlogged.add(st)
                 if phase == "vacant":
@@ -655,7 +649,12 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
                 raise InvariantError("transmission event with no zero counter")
             attempts = []
             for st in winners:
-                link = n + ap_dests[0] if st == 0 else st - 1
+                if st == 0:
+                    if ap_dest is None:
+                        ap_dest = next_dest()
+                    link = n + ap_dest
+                else:
+                    link = st - 1
                 h = next_state()
                 ridx = arf[link].rate if use_arf else last_seen[link]
                 last_seen[link] = h  # known by the time of the next attempt
@@ -673,8 +672,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
                 pending_outcome = ("col", attempts, False)
                 busy += eifs
             phase = "busy"
-            seq += 1
-            push(heap, (now + busy, EV_END, -1, seq))
+            push(heap, (now + busy, EV_END, -1))
 
         elif rank == EV_END:
             kind, attempts, ok = pending_outcome
@@ -691,7 +689,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
                     if not qs.backlog:
                         backlogged.discard(st)
                     if st == 0:
-                        ap_dests.popleft()
+                        ap_dest = None
                     if use_arf:
                         arf[link].on_success(space.num_states - 1)
                     tally.on_success(now, ridx, AP if st == 0 else STA)

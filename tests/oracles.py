@@ -1,16 +1,23 @@
-"""Independent Monte-Carlo oracles for contention-period probabilities.
+"""Test references for contention-period probabilities.
 
-These sample one contention period directly from the protocol description
-(set slots, shared per-pair channel state, two-slot timer draws, first-expiry
-resolution with AP-side merging) without touching the analytic kernel code.
-The AP's uniform pick among simultaneously expired AP queues and the packet
-error coin are averaged analytically within each sampled trial, which lowers
-variance without coupling the oracle to the implementation under test.
+The Monte-Carlo oracles sample one contention period directly from the
+protocol description (set slots, shared per-pair channel state, two-slot
+timer draws, first-expiry resolution with AP-side merging) without touching
+the analytic kernel code.  The AP's uniform pick among simultaneously
+expired AP queues and the packet error coin are averaged analytically within
+each sampled trial, which lowers variance without coupling the oracle to the
+implementation under test.  The exact scalar references at the end evaluate
+the census-level probabilities term by term from the kernel tables.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
+
+from oppmac import AP, STA, ConsistencyError, ParameterError
 
 BIG = 1 << 20  # sentinel: no timer set within the horizon
 
@@ -135,3 +142,185 @@ def z_scores(analytic, empirical, trials):
     se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / trials)
     se = np.maximum(se, 1.0 / trials)
     return np.abs(emp - p) / se
+
+
+# ---------------------------------------------------------------------------
+# Exact scalar references.  One term at a time, from the definitions, for a
+# census given as counts (n0, n1, n2, n3) of pairs per occupancy state: the
+# per-(i, k, l) success and collision probabilities, the tagged minislot win,
+# and the occupancy transition law over a window.  ``CycleModel`` computes
+# the same quantities as arrays; the tests compare it against these exactly.
+# They read the per-pair kernel tables and nothing else of the analysis.
+
+PAIR_STATES = (0, 1, 2, 3)
+
+
+def _others_of(counts, i):
+    """Counts of the pairs other than one s_i pair."""
+    return tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
+
+
+def tiebreak_weight(kernels, others, k):
+    """Expected win share of a tagged AP queue expiring first-in-pair at k.
+
+    Sums over how many of the other pairs' AP queues also expire (cleanly)
+    at k, each such configuration weighted by the uniform pick among the
+    1 + sum(a_j) simultaneously expired AP queues; all remaining pairs must
+    survive past k.  Evaluated exactly through the identity
+    1/(1+s) = integral_0^1 x^s dx, which turns the configuration sum into a
+    polynomial of degree sum(others), integrated by Gauss-Legendre.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(max(1, (sum(others) + 2) // 2))
+    total = 0.0
+    for x, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
+        prod = 1.0
+        for j in PAIR_STATES:
+            if others[j]:
+                prod *= (kernels.survival(j, k) + x * kernels.cum_ap[j, k]) ** others[j]
+        total += w * prod
+    return total
+
+
+def p_suc_sta(i, k, l, counts, kernels):
+    """Probability that the STA queue of some s_i pair wins alone at slot k
+    with timer length l: its own pair kernel times survival of every other
+    pair strictly past k."""
+    if counts[i] == 0:
+        return 0.0
+    val = counts[i] * kernels.sta[i, k, l] * kernels.survival(i, k) ** (counts[i] - 1)
+    for j in PAIR_STATES:
+        if j != i:
+            val *= kernels.survival(j, k) ** counts[j]
+    return val
+
+
+def p_suc_ap(i, k, l, counts, kernels):
+    """Probability that an AP queue of some s_i pair wins at slot k with
+    timer length l.
+
+    Several AP queues may expire together at k without collision; the AP
+    picks one uniformly.  No STA queue may expire at or before k.
+    """
+    if counts[i] == 0:
+        return 0.0
+    return counts[i] * kernels.ap[i, k, l] * tiebreak_weight(kernels, _others_of(counts, i), k)
+
+
+def p_suc_ap_config_sum(i, k, l, counts, kernels):
+    """p_suc_ap by the explicit sum over which other AP queues tie at k."""
+    if counts[i] == 0:
+        return 0.0
+    others = _others_of(counts, i)
+    total = 0.0
+    for a in itertools.product(*(range(m + 1) for m in others)):
+        w = 1.0 / (1 + sum(a))
+        for j in PAIR_STATES:
+            w *= (math.comb(others[j], a[j])
+                  * kernels.cum_ap[j, k] ** a[j]
+                  * kernels.survival(j, k) ** (others[j] - a[j]))
+        total += w
+    return counts[i] * kernels.ap[i, k, l] * total
+
+
+def p_col(k, counts, kernels):
+    """Collision probability at slot k: something expires at k but neither a
+    lone STA nor an AP-only group wins cleanly."""
+    if not 0 <= k <= kernels.t_max:
+        raise ParameterError(f"slot {k} outside 0..{kernels.t_max}")
+    before = after = 1.0
+    for j in PAIR_STATES:
+        before *= kernels.survival(j, k - 1) ** counts[j]
+        after *= kernels.survival(j, k) ** counts[j]
+    success = 0.0
+    for i in PAIR_STATES:
+        if counts[i] == 0:
+            continue
+        others = _others_of(counts, i)
+        success += counts[i] * kernels.cum_ap[i, k] * tiebreak_weight(kernels, others, k)
+        sta_surv = kernels.survival(i, k) ** (counts[i] - 1)
+        for j in PAIR_STATES:
+            if j != i:
+                sta_surv *= kernels.survival(j, k) ** counts[j]
+        success += counts[i] * kernels.cum_sta[i, k] * sta_surv
+    val = before - after - success
+    if val < 0.0:
+        if val < -1e-12:
+            raise ConsistencyError(
+                f"collision probability {val} at k={k} for counts {counts}")
+        val = 0.0
+    return val
+
+
+def p_hat_minislot(side, i, others, kernels, per):
+    """Probability that the queue on ``side`` of a tagged s_i pair wins the
+    minislot and transmits without error, given the counts ``others`` of the
+    other pairs.
+
+    The AP side may share its expiry slot with other AP queues and still win
+    through the AP's uniform pick; the STA side requires every other queue
+    to survive strictly past its slot.
+    """
+    per = np.asarray(per, dtype=float)
+    total = 0.0
+    for k in range(kernels.t_max + 1):
+        if side == AP:
+            weight = tiebreak_weight(kernels, others, k)
+            row = kernels.ap[i, k, :k + 1]
+        elif side == STA:
+            weight = 1.0
+            for j in PAIR_STATES:
+                weight *= kernels.survival(j, k) ** others[j]
+            row = kernels.sta[i, k, :k + 1]
+        else:
+            raise ParameterError(f"side must be 'ap' or 'sta', got {side!r}")
+        if weight == 0.0:
+            continue
+        states = kernels.state_of_l[:k + 1]
+        total += weight * float(np.sum(row * (1.0 - per[states])))
+    return total
+
+
+def transition_prob(counts, deltas, t_us, lambda_pps):
+    """Probability that ``deltas = (a, b, c, d, e)`` pairs gain occupancy
+    during a window of ``t_us``: a of the s1 and b of the s2 pairs become
+    full, and c/d/e empty pairs turn AP-only/STA-only/full.  Each empty
+    queue independently receives an arrival with 1 - exp(-lambda*t)."""
+    a, b, c, d, e = deltas
+    n0, k1, k2, _ = counts
+    if a < 0 or b < 0 or c < 0 or d < 0 or e < 0:
+        return 0.0
+    if a > k1 or b > k2 or c + d + e > n0:
+        return 0.0
+    p = -math.expm1(-(lambda_pps * 1e-6) * t_us)
+    rest = n0 - c - d - e
+    coeff = (math.comb(k1, a) * math.comb(k2, b)
+             * math.comb(n0, c) * math.comb(n0 - c, d) * math.comb(n0 - c - d, e))
+    return (coeff
+            * p ** (a + b + c + d + 2 * e)
+            * (1.0 - p) ** (k1 - a + k2 - b + c + d + 2 * rest))
+
+
+def transition_deltas(counts):
+    """All (a, b, c, d, e) reachable from the census, with destination
+    (k1, k2, k3)."""
+    n0, k1, k2, k3 = counts
+    out = []
+    for a in range(k1 + 1):
+        for b in range(k2 + 1):
+            for c in range(n0 + 1):
+                for d in range(n0 - c + 1):
+                    for e in range(n0 - c - d + 1):
+                        out.append(((a, b, c, d, e),
+                                    (k1 - a + c, k2 - b + d, k3 + a + b + e)))
+    return out
+
+
+def pair_transition_probs(state, t_us, lambda_pps):
+    """Occupancy transition law of a single pair over a window: queues only
+    fill (a nonempty queue keeps its packet until it is served)."""
+    p = -math.expm1(-(lambda_pps * 1e-6) * t_us)
+    if state == 0:
+        return {0: (1 - p) ** 2, 1: p * (1 - p), 2: (1 - p) * p, 3: p * p}
+    if state in (1, 2):
+        return {state: 1 - p, 3: p}
+    return {3: 1.0}

@@ -16,24 +16,28 @@ from oppmac import (
     STA,
     CycleModel,
     OccupancyPrior,
-    SystemCensus,
     SystemConfig,
-    TaggedCensus,
     TimerPolicy,
     build_kernels,
     capacity_search,
     fixed_point,
+)
+from oppmac.cli import main
+from oppmac.kernels import PAIR_STATES
+from oppmac.sim import run_dcf, run_opportunistic
+
+from conftest import LAMBDA_GRID, P_GRID, PI_GRID
+from oracles import (
+    kernel_oracle,
     p_col,
     p_hat_minislot,
     p_suc_ap,
     p_suc_sta,
+    system_oracle,
+    transition_deltas,
+    transition_prob,
+    z_scores,
 )
-from oppmac.cli import main
-from oppmac.kernels import PAIR_STATES, transition_deltas, transition_prob
-from oppmac.sim import run_dcf, run_opportunistic
-
-from conftest import LAMBDA_GRID, P_GRID, PI_GRID
-from oracles import kernel_oracle, system_oracle, z_scores
 
 warnings.filterwarnings("ignore", message="only .* renewals")
 
@@ -276,46 +280,41 @@ def test_c5_kernel_oracles():
                             abs(kt.survival(tag, k) - (1.0 - running)))
                 # system-level probabilities for every census of up to 3 pairs
                 for n in (1, 2, 3):
-                    for (k1, k2, k3) in all_censuses(n):
-                        census = SystemCensus(k1, k2, k3, n)
+                    for census in all_censuses(n):
+                        counts = (n - sum(census),) + census
                         exact_ap = np.zeros((4, 8, 8))
                         exact_sta = np.zeros((4, 8, 8))
                         for i in PAIR_STATES:
                             for k in range(8):
                                 for l in range(k + 1):
-                                    exact_ap[i, k, l] = p_suc_ap(i, k, l, census, kt)
-                                    exact_sta[i, k, l] = p_suc_sta(i, k, l, census, kt)
-                        exact_col = np.array([p_col(k, census, kt)
+                                    exact_ap[i, k, l] = p_suc_ap(i, k, l, counts, kt)
+                                    exact_sta[i, k, l] = p_suc_sta(i, k, l, counts, kt)
+                        exact_col = np.array([p_col(k, counts, kt)
                                               for k in range(8)])
-                        if not census.is_empty():
+                        if census != (0, 0, 0):
                             total = exact_ap.sum() + exact_sta.sum() + exact_col.sum()
                             sum_rule_worst = max(sum_rule_worst, abs(total - 1.0))
                         seed += 1
-                        mc = system_oracle(seed, MC_TRIALS, census.counts(),
+                        mc = system_oracle(seed, MC_TRIALS, counts,
                                            pi, p, q, kt.t_max, (0.1,) * 4)
                         zs.append(z_scores(exact_ap, mc["suc_ap"], MC_TRIALS).ravel())
                         zs.append(z_scores(exact_sta, mc["suc_sta"], MC_TRIALS).ravel())
                         zs.append(z_scores(exact_col, mc["col"], MC_TRIALS).ravel())
                         # tagged minislot win probabilities, error-weighted
                         for i in PAIR_STATES:
-                            counts = census.counts()
                             if counts[i] == 0:
                                 continue
-                            others = [counts[1], counts[2], counts[3]]
-                            if i != 0:
-                                others[i - 1] -= 1
-                            tagged = TaggedCensus(i, others[0], others[1],
-                                                  others[2], n)
-                            pa = p_hat_minislot(AP, tagged, kt, (0.1,) * 4)
-                            ps = p_hat_minislot(STA, tagged, kt, (0.1,) * 4)
+                            others = tuple(counts[j] - (j == i) for j in PAIR_STATES)
+                            pa = p_hat_minislot(AP, i, others, kt, (0.1,) * 4)
+                            ps = p_hat_minislot(STA, i, others, kt, (0.1,) * 4)
                             zs.append(z_scores([pa, ps],
                                                [mc["phat_ap"][i], mc["phat_sta"][i]],
                                                MC_TRIALS).ravel())
                 # transition masses sum to one
-                for (k1, k2, k3) in all_censuses(3):
-                    census = SystemCensus(k1, k2, k3, 3)
-                    mass = sum(transition_prob(census, d, 700.0, max(lam, 10.0))
-                               for d, _ in transition_deltas(census))
+                for census in all_censuses(3):
+                    counts = (3 - sum(census),) + census
+                    mass = sum(transition_prob(counts, d, 700.0, max(lam, 10.0))
+                               for d, _ in transition_deltas(counts))
                     sum_rule_worst = max(sum_rule_worst, abs(mass - 1.0))
     z = np.concatenate(zs)
     frac3 = float((z > 3.0).mean())

@@ -15,10 +15,8 @@ from oppmac import (
     capacity_search,
     census_prior,
     fixed_point,
-    solve_expected_renewal,
-    solve_tagged_success,
 )
-from oppmac.analysis import analysis_csv_lines, enumerate_censuses, tagged_prior
+from oppmac.analysis import analysis_csv_lines, tagged_prior
 
 
 def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
@@ -98,13 +96,20 @@ def test_single_queue_renewal_with_errors(timing):
     assert abs(got - per_attempt / (1 - e)) < 1e-9
 
 
+def test_model_rejects_mismatched_slot(timing):
+    """The model windows count the kernels' slot, so a timing with another
+    slot length is refused rather than silently mixed in."""
+    kt = build_kernels(TimerPolicy(delta_us=20.0), np.full(4, 0.25), 40.0)
+    with pytest.raises(ParameterError, match="slot"):
+        CycleModel(kt, timing, (0.1,) * 4, 40.0, 2)
+
+
 def test_lambda_zero_empty_census_is_infinite(timing):
-    prior = OccupancyPrior(0.5, 0.5)
-    policy = TimerPolicy()
-    kt = build_kernels(policy, np.full(4, 0.25), 0.0)
-    e_r, vec = solve_expected_renewal(prior, kt, timing, (0.1,) * 4, 0.0, 2)
+    model = make_model(2, 0.0, timing=timing)
+    vec = dict(zip(model.censuses, model.renewal_by_census.tolist()))
     assert math.isinf(vec[(0, 0, 0)])
-    assert math.isinf(e_r)  # prior puts mass on the empty census
+    # the prior puts mass on the empty census
+    assert math.isinf(model.expected_renewal(OccupancyPrior(0.5, 0.5)))
     assert all(v > 0 for c, v in vec.items() if c != (0, 0, 0))
 
 
@@ -163,21 +168,6 @@ def test_renewal_identity_every_prior(n, lam, timing):
         for p_s in (0.1, 0.6, 0.95):
             pa, ps = model.tagged_success(OccupancyPrior(p_a, p_s))
             assert abs(n * (pa + ps) - 1.0) < 1e-6
-
-
-def test_solve_ops_agree_with_model(timing):
-    policy = TimerPolicy()
-    pi = np.full(4, 0.25)
-    kt = build_kernels(policy, pi, 40.0)
-    prior = OccupancyPrior(0.2, 0.25)
-    e_r, vec = solve_expected_renewal(prior, kt, timing, (0.1,) * 4, 40.0, 3)
-    pa, ps, tagged_vec = solve_tagged_success(prior, kt, timing, (0.1,) * 4, 40.0, 3)
-    model = CycleModel(kt, timing, (0.1,) * 4, 40.0, 3)
-    assert abs(e_r - model.expected_renewal(prior)) < 1e-9
-    mpa, mps = model.tagged_success(prior)
-    assert abs(pa - mpa) < 1e-12 and abs(ps - mps) < 1e-12
-    assert len(vec) == len(enumerate_censuses(3))
-    assert len(tagged_vec) == 4 * len(enumerate_censuses(2))
 
 
 # ------------------------------------------------------------ fixed point

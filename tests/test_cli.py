@@ -76,6 +76,30 @@ def test_config_nonfinite_names_key(key, value):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("timer.p", "2"),
+    ("system.n_stations", "0"),
+    ("channel.rates_mbps", "54,48,24,12"),
+])
+def test_config_range_error_names_key(tmp_path, capsys, key, value):
+    """An out-of-range value exits 2 naming its own key."""
+    with pytest.raises(ConfigError) as err:
+        default_setup({key: value})
+    assert err.value.key == key
+    assert main(["analyze", "--lambda", "10", "--set", f"{key}={value}",
+                 "--out", str(tmp_path)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_slot_length_has_one_source():
+    """timer.delta_us sets the backoff slot of the timer policy and of the
+    MAC timing alike, so the kernels, the model windows and both simulators
+    count the same slot."""
+    setup = default_setup({"timer.delta_us": "20"})
+    assert setup.policy.delta_us == setup.timing.slot_us == 20.0
+    assert default_setup().timing.slot_us == 9.0
+
+
 def test_setup_hash_tracks_content():
     a = default_setup()
     b = default_setup({"system.lambda_pps": "61.0"})

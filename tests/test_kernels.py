@@ -5,31 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppmac import (
-    AP,
-    STA,
-    ParameterError,
-    SystemCensus,
-    TaggedCensus,
-    TimerPolicy,
-    build_kernels,
+from oppmac import AP, STA, CycleModel, ParameterError, TimerPolicy, build_kernels
+from oppmac.kernels import PAIR_STATES
+
+from conftest import LAMBDA_GRID, P_GRID, PI_GRID
+from oracles import (
+    kernel_oracle,
     p_col,
     p_hat_minislot,
     p_suc_ap,
+    p_suc_ap_config_sum,
     p_suc_sta,
-    transition_prob,
-)
-from oppmac.kernels import (
-    PAIR_STATES,
-    _p_suc_ap_config_sum,
-    dump_census_probs_csv,
-    dump_kernels_csv,
     pair_transition_probs,
+    system_oracle,
     transition_deltas,
+    transition_prob,
+    z_scores,
 )
-
-from conftest import LAMBDA_GRID, P_GRID, PI_GRID
-from oracles import kernel_oracle, system_oracle, z_scores
 
 
 def make_kernels(pi=(0.25,) * 4, lam=5e3, p=0.5):
@@ -41,11 +33,19 @@ def q_of(lam, delta=9.0):
     return -math.expm1(-lam * 1e-6 * delta)
 
 
-def all_censuses(n):
-    return [SystemCensus(k1, k2, k3, n)
-            for k1 in range(n + 1)
-            for k2 in range(n - k1 + 1)
-            for k3 in range(n - k1 - k2 + 1)]
+def summaries(kt, timing, n):
+    """{(k1, k2, k3): census_summary} over every census of n pairs."""
+    model = CycleModel(kt, timing, (0.1,) * 4, kt.lambda_pps, n)
+    return {c: model.census_summary(c) for c in model.censuses}
+
+
+def lone_queue_law(p_even, pi=(0.25,) * 4):
+    """[k, state] law of one queue's timer with no other contender."""
+    law = np.zeros((8, 4))
+    for h, w in enumerate(pi):
+        b = 2 * (3 - h)
+        law[b, h], law[b + 1, h] = w * p_even, w * (1 - p_even)
+    return law
 
 
 # ---------------------------------------------------------------- kernels
@@ -124,76 +124,73 @@ def test_kernel_monte_carlo(tag):
 
 # ------------------------------------------------- system probabilities
 
-def test_p_suc_sta_single_contender():
-    kt = make_kernels(lam=0.0)
-    census = SystemCensus(0, 1, 0, 1)
-    total = sum(p_suc_sta(2, k, l, census, kt)
-                for k in range(8) for l in range(k + 1))
-    assert abs(total - 1.0) < 1e-12
-    assert p_suc_sta(1, 3, 3, census, kt) == 0.0  # empty class
+def test_p_suc_sta_single_contender(timing):
+    """A lone STA-only pair with no arrivals wins every period, at its bare
+    timer law (the STA takes the even slot with probability 1 - p)."""
+    kt = make_kernels(lam=0.0, p=0.3)
+    succ, _ = summaries(kt, timing, 1)[(0, 1, 0)]
+    assert np.abs(succ - lone_queue_law(0.7)).max() < 1e-12
+    assert abs(succ.sum() - 1.0) < 1e-12
 
 
-def test_p_suc_ap_single_contender():
-    kt = make_kernels(lam=0.0)
-    census = SystemCensus(1, 0, 0, 1)
-    total = sum(p_suc_ap(1, k, l, census, kt)
-                for k in range(8) for l in range(k + 1))
-    assert abs(total - 1.0) < 1e-12
-    assert p_suc_ap(3, 2, 2, census, kt) == 0.0
+def test_p_suc_ap_single_contender(timing):
+    kt = make_kernels(lam=0.0, p=0.3)
+    succ, _ = summaries(kt, timing, 1)[(1, 0, 0)]
+    assert np.abs(succ - lone_queue_law(0.3)).max() < 1e-12
+    assert abs(succ.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_p_suc_ap_matches_config_sum(n):
-    """The Gauss-Legendre tie-break weight equals the explicit configuration
-    sum (polynomial exactness)."""
+def test_p_suc_ap_matches_config_sum(n, timing):
+    """The model's Gauss-Legendre tie-break share equals the explicit
+    configuration sum (polynomial exactness)."""
     kt = make_kernels((0.1, 0.4, 0.3, 0.2), 2e4, 0.3)
-    for census in all_censuses(n):
+    model = CycleModel(kt, timing, (0.1,) * 4, kt.lambda_pps, n)
+    for counts in model.space.counts.tolist():
         for i in PAIR_STATES:
+            if counts[i] == 0:
+                continue
+            others = tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
+            share, _ = model._others_vectors(others)
             for k in (0, 3, 7):
                 for l in range(0, k + 1, 3):
-                    a = p_suc_ap(i, k, l, census, kt)
-                    b = _p_suc_ap_config_sum(i, k, l, census, kt)
+                    a = counts[i] * kt.ap[i, k, l] * share[k]
+                    b = p_suc_ap_config_sum(i, k, l, counts, kt)
                     assert abs(a - b) < 1e-12
 
 
-def test_p_col_single_s3_is_tie_mass():
+def test_p_col_single_s3_is_tie_mass(timing):
     """With one full pair the only collision source is its internal tie."""
     kt = make_kernels(lam=7e3)
-    census = SystemCensus(0, 0, 1, 1)
+    _, col = summaries(kt, timing, 1)[(0, 0, 1)]
     for k in range(8):
         expect = float(kt.both[3, k, :k + 1].sum())
-        assert abs(p_col(k, census, kt) - expect) < 1e-12
+        assert abs(col[k] - expect) < 1e-12
 
 
-def test_p_col_zero_for_single_contender():
+def test_p_col_zero_for_single_contender(timing):
     kt = make_kernels(lam=0.0)
-    census = SystemCensus(1, 0, 0, 1)
-    assert all(p_col(k, census, kt) == 0.0 for k in range(8))
+    _, col = summaries(kt, timing, 1)[(1, 0, 0)]
+    assert (col == 0.0).all()
 
 
 def test_p_col_range_check():
     kt = make_kernels()
     with pytest.raises(ParameterError):
-        p_col(8, SystemCensus(0, 0, 1, 1), kt)
+        p_col(8, (0, 0, 0, 1), kt)
 
 
 @pytest.mark.parametrize("pi", PI_GRID[:2])
 @pytest.mark.parametrize("lam", (0.0, 3e4))
-def test_completeness(pi, lam):
+def test_completeness(pi, lam, timing):
     """Any census with a queue backlogged at the period start resolves by
     t_max: success plus collision mass is exactly 1."""
     kt = make_kernels(pi, lam, 0.5)
     for n in (1, 2, 3):
-        for census in all_censuses(n):
-            if census.is_empty():
+        for census, (succ, col) in summaries(kt, timing, n).items():
+            if census == (0, 0, 0):
                 continue
-            total = 0.0
-            for k in range(8):
-                total += p_col(k, census, kt)
-                for i in PAIR_STATES:
-                    for l in range(k + 1):
-                        total += p_suc_ap(i, k, l, census, kt)
-                        total += p_suc_sta(i, k, l, census, kt)
+            total = succ.sum() + col.sum()
             assert abs(total - 1.0) < 1e-9, (census, total)
 
 
@@ -201,17 +198,17 @@ def test_system_monte_carlo_spot():
     """System-level win/collision probabilities vs a two-pair Monte-Carlo."""
     pi, lam, p = (0.25,) * 4, 3e4, 0.5
     kt = make_kernels(pi, lam, p)
-    census = SystemCensus(0, 0, 2, 2)
+    counts = (0, 0, 0, 2)
     trials = 1_000_000
-    mc = system_oracle(77, trials, census.counts(), pi, p, q_of(lam), kt.t_max)
+    mc = system_oracle(77, trials, counts, pi, p, q_of(lam), kt.t_max)
     exact_ap = np.zeros((4, 8, 8))
     exact_sta = np.zeros((4, 8, 8))
-    exact_col = np.array([p_col(k, census, kt) for k in range(8)])
+    exact_col = np.array([p_col(k, counts, kt) for k in range(8)])
     for i in PAIR_STATES:
         for k in range(8):
             for l in range(k + 1):
-                exact_ap[i, k, l] = p_suc_ap(i, k, l, census, kt)
-                exact_sta[i, k, l] = p_suc_sta(i, k, l, census, kt)
+                exact_ap[i, k, l] = p_suc_ap(i, k, l, counts, kt)
+                exact_sta[i, k, l] = p_suc_sta(i, k, l, counts, kt)
     for exact, emp in ((exact_ap, mc["suc_ap"]), (exact_sta, mc["suc_sta"]),
                        (exact_col, mc["col"])):
         z = z_scores(exact, emp, trials)
@@ -227,10 +224,10 @@ def test_system_monte_carlo_spot():
 
 def test_p_hat_tagged_never_contends():
     kt = make_kernels(lam=0.0)
-    tagged = TaggedCensus(0, 1, 0, 1, 3)
+    others = (0, 1, 0, 1)
     per = (0.1,) * 4
-    assert p_hat_minislot(AP, tagged, kt, per) == 0.0
-    assert p_hat_minislot(STA, tagged, kt, per) == 0.0
+    assert p_hat_minislot(AP, 0, others, kt, per) == 0.0
+    assert p_hat_minislot(STA, 0, others, kt, per) == 0.0
 
 
 def test_p_hat_lone_pair_tie_complement():
@@ -239,10 +236,10 @@ def test_p_hat_lone_pair_tie_complement():
     for p in (0.5, 0.3):
         policy = TimerPolicy(p=p, delta_us=9.0, num_states=4)
         kt = build_kernels(policy, np.full(4, 0.25), 0.0)
-        tagged = TaggedCensus(3, 0, 0, 0, 3)
+        others = (2, 0, 0, 0)
         per = (0.0,) * 4
-        pa = p_hat_minislot(AP, tagged, kt, per)
-        ps = p_hat_minislot(STA, tagged, kt, per)
+        pa = p_hat_minislot(AP, 3, others, kt, per)
+        ps = p_hat_minislot(STA, 3, others, kt, per)
         assert abs(pa - p * p) < 1e-12
         assert abs(ps - (1 - p) * (1 - p)) < 1e-12
         assert abs((pa + ps) - (1 - 2 * p * (1 - p))) < 1e-12
@@ -253,9 +250,9 @@ def test_p_hat_monte_carlo_n7():
     pi, lam, p = (0.25,) * 4, 5e3, 0.5
     per = (0.1, 0.1, 0.1, 0.1)
     kt = make_kernels(pi, lam, p)
-    tagged = TaggedCensus(1, 2, 2, 2, 7)
-    exact_ap = p_hat_minislot(AP, tagged, kt, per)
-    exact_sta = p_hat_minislot(STA, tagged, kt, per)
+    others = (0, 2, 2, 2)
+    exact_ap = p_hat_minislot(AP, 1, others, kt, per)
+    exact_sta = p_hat_minislot(STA, 1, others, kt, per)
     trials = 1_000_000
     counts = (0, 3, 2, 2)  # tagged s1 pair listed first within its class
     mc = system_oracle(4242, trials, counts, pi, p, q_of(lam), kt.t_max, per)
@@ -267,33 +264,36 @@ def test_p_hat_monte_carlo_n7():
 def test_p_hat_bad_side():
     kt = make_kernels()
     with pytest.raises(ParameterError):
-        p_hat_minislot("both", TaggedCensus(3, 0, 0, 0, 1), kt, (0.1,) * 4)
+        p_hat_minislot("both", 3, (0, 0, 0, 0), kt, (0.1,) * 4)
 
 
 # ------------------------------------------------------------ transitions
 
+# The transition references below are what tests/test_operator.py pins the
+# model's census operator to; these checks tie them to first principles.
+
 def test_transition_zero_window():
-    census = SystemCensus(1, 1, 0, 3)
-    assert transition_prob(census, (0, 0, 0, 0, 0), 0.0, 50.0) == 1.0
-    assert transition_prob(census, (1, 0, 0, 0, 0), 0.0, 50.0) == 0.0
+    counts = (1, 1, 1, 0)
+    assert transition_prob(counts, (0, 0, 0, 0, 0), 0.0, 50.0) == 1.0
+    assert transition_prob(counts, (1, 0, 0, 0, 0), 0.0, 50.0) == 0.0
 
 
 def test_transition_saturating_window():
-    census = SystemCensus(1, 1, 0, 3)
+    counts = (1, 1, 1, 0)
     # enormous window: every queue fills, all pairs land in s3
-    p = transition_prob(census, (1, 1, 0, 0, 1), 1e12, 50.0)
+    p = transition_prob(counts, (1, 1, 0, 0, 1), 1e12, 50.0)
     assert abs(p - 1.0) < 1e-9
 
 
 def test_transition_enumeration_oracle():
     """N=2 from (1,0,0): exact product of three per-queue Bernoulli draws."""
-    census = SystemCensus(1, 0, 0, 2)
+    counts = (1, 1, 0, 0)
     lam, t = 50.0, 2000.0
     pr = -math.expm1(-lam * 1e-6 * t)
     total = 0.0
-    for deltas, dest in transition_deltas(census):
+    for deltas, dest in transition_deltas(counts):
         a, b, c, d, e = deltas
-        got = transition_prob(census, deltas, t, lam)
+        got = transition_prob(counts, deltas, t, lam)
         # queues empty at the start: STA of the s1 pair (fills with prob pr),
         # and both queues of the empty pair
         expect = ((pr if a else 1 - pr)
@@ -311,17 +311,16 @@ def test_transition_enumeration_oracle():
        st.floats(0.0, 1e5), st.floats(0.0, 200.0))
 @settings(max_examples=80, deadline=None)
 def test_transition_mass_sums_to_one(k1, k2, k3, t_us, lam):
-    n = k1 + k2 + k3 + 1
-    census = SystemCensus(k1, k2, k3, n)
-    total = sum(transition_prob(census, deltas, t_us, lam)
-                for deltas, _ in transition_deltas(census))
+    counts = (1, k1, k2, k3)
+    total = sum(transition_prob(counts, deltas, t_us, lam)
+                for deltas, _ in transition_deltas(counts))
     assert abs(total - 1.0) < 1e-9
 
 
 def test_transition_out_of_range_deltas_are_impossible():
-    census = SystemCensus(1, 0, 0, 2)
-    assert transition_prob(census, (2, 0, 0, 0, 0), 100.0, 10.0) == 0.0
-    assert transition_prob(census, (0, 0, 1, 1, 0), 100.0, 10.0) == 0.0
+    counts = (1, 1, 0, 0)
+    assert transition_prob(counts, (2, 0, 0, 0, 0), 100.0, 10.0) == 0.0
+    assert transition_prob(counts, (0, 0, 1, 1, 0), 100.0, 10.0) == 0.0
 
 
 def test_pair_transition_rows_sum_to_one():
@@ -335,34 +334,9 @@ def test_pair_transition_rows_sum_to_one():
 
 # ------------------------------------------------------------------ misc
 
-def test_census_validation():
-    with pytest.raises(ParameterError):
-        SystemCensus(2, 0, 0, 1)
-    with pytest.raises(ParameterError):
-        TaggedCensus(3, 1, 1, 1, 3)
-    t = TaggedCensus(3, 1, 0, 0, 3)
-    assert t.census().counts() == (1, 1, 0, 1)
-    assert t.l0 == 1
-
-
-def test_kernel_dumps(tmp_path):
-    kt = make_kernels()
-    p1 = tmp_path / "kernels.csv"
-    dump_kernels_csv(kt, p1)
-    head = p1.read_text().splitlines()
-    assert head[0] == "state,k,l,p_ap,p_sta,p_both"
-    p2 = tmp_path / "census.csv"
-    dump_census_probs_csv(SystemCensus(1, 0, 1, 2), kt, p2)
-    assert p2.read_text().startswith("kind,state,k,l,probability")
-
-
-def test_p_suc_sta_empty_census_no_arrivals():
-    """All-empty census with no arrivals: nobody ever wins (the class
-    weights vanish for occupied classes; the empty class never joins)."""
+def test_p_suc_sta_empty_census_no_arrivals(timing):
+    """All-empty census with no arrivals: nobody ever wins or collides (the
+    empty pairs never join)."""
     kt = make_kernels(lam=0.0)
-    census = SystemCensus(0, 0, 0, 2)
-    for i in PAIR_STATES:
-        for k in range(8):
-            for l in range(k + 1):
-                assert p_suc_sta(i, k, l, census, kt) == 0.0
-                assert p_suc_ap(i, k, l, census, kt) == 0.0
+    succ, col = summaries(kt, timing, 2)[(0, 0, 0)]
+    assert (succ == 0.0).all() and (col == 0.0).all()

@@ -1,21 +1,13 @@
 """The census transition operator and the tagged right-hand side of
-``CycleModel`` against the scalar references in ``oppmac.kernels``."""
+``CycleModel`` against the exact scalar references in ``oracles``."""
 
 import numpy as np
 import pytest
 
-from oppmac import (
-    AP,
-    STA,
-    CycleModel,
-    SystemCensus,
-    TaggedCensus,
-    TimerPolicy,
-    build_kernels,
-    p_hat_minislot,
-    transition_prob,
-)
-from oppmac.kernels import PAIR_STATES, S0, pair_transition_probs, transition_deltas
+from oppmac import AP, STA, CycleModel, TimerPolicy, build_kernels
+from oppmac.kernels import PAIR_STATES, S0
+
+from oracles import p_hat_minislot, pair_transition_probs, transition_deltas, transition_prob
 
 PI = (0.1, 0.2, 0.3, 0.4)
 PER = (0.1, 0.25, 0.0, 0.4)  # a zero-PER state has no errored-success windows
@@ -45,9 +37,9 @@ def scalar_row(census, n, t_us, lam, index):
     if n == 0:
         row[0] = 1.0
         return row
-    start = SystemCensus(*census, n)
-    for deltas, dest in transition_deltas(start):
-        row[index[dest]] += transition_prob(start, deltas, t_us, lam)
+    counts = (n - sum(census),) + census
+    for deltas, dest in transition_deltas(counts):
+        row[index[dest]] += transition_prob(counts, deltas, t_us, lam)
     return row
 
 
@@ -98,8 +90,8 @@ def test_tagged_rhs_matches_p_hat_minislot(n, lam, timing):
             if combined(i, others) == (0, 0, 0):
                 assert (got == 0.0).all()
                 continue
-            tagged = TaggedCensus(i, *others, n)
-            want = [p_hat_minislot(side, tagged, kt, PER) for side in (AP, STA)]
+            counts = (n - 1 - sum(others),) + others
+            want = [p_hat_minislot(side, i, counts, kt, PER) for side in (AP, STA)]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import json
 import warnings
@@ -253,13 +254,14 @@ def test_dcf_threshold_tracks_previous_state(timing, space):
 
 
 def test_heap_entry_ordering():
-    """Heap entries (time_us, rank, queue, seq) pop by time, then kind rank,
-    then queue id, then sequence; at one instant an arrival precedes a
-    transaction end, which precedes a resolution and the warmup mark."""
+    """Heap entries (time_us, rank, tag) pop by time, then kind rank, then
+    tag (an arrival's queue, a resolution's epoch); at one instant an arrival
+    precedes a transaction end, which precedes a resolution and the warmup
+    mark."""
     assert EV_ARRIVAL < EV_END < EV_RESOLVE < EV_MARK
-    want = [(5.0, EV_ARRIVAL, 9, 7), (5.0, EV_END, -1, 3), (5.0, EV_RESOLVE, -1, 2),
-            (5.0, EV_RESOLVE, 0, 1), (5.0, EV_RESOLVE, 2, 1), (5.0, EV_RESOLVE, 2, 4),
-            (5.0, EV_MARK, -1, 0), (6.0, EV_ARRIVAL, 0, 0)]
+    want = [(5.0, EV_ARRIVAL, 2), (5.0, EV_ARRIVAL, 9), (5.0, EV_END, -1),
+            (5.0, EV_RESOLVE, 1), (5.0, EV_RESOLVE, 4), (5.0, EV_MARK, -1),
+            (6.0, EV_ARRIVAL, 0)]
     heap = []
     for entry in reversed(want):
         heapq.heappush(heap, entry)
@@ -334,3 +336,51 @@ def test_replication_consistency(policy, timing, space):
     # all replicates deliver the offered load (stable system): tight spread
     assert max(rates) - min(rates) < 0.1 * np.mean(rates)
     assert abs(np.mean(rates) - 4 * 60.0) / (4 * 60.0) < 0.05
+
+
+EXPLICIT = dict(pi=(0.1, 0.2, 0.3, 0.4))
+RAYLEIGH = dict(mean_ebn0_db=28.0)
+
+# (mac, N, lambda, channel, retry limit, bounds, trace file, sha256 of the
+# report JSON followed by the trace CSV)
+GOLDEN_RUNS = [
+    ("opportunistic", 7, 400.0, EXPLICIT, 7, dict(duration_us=2e6), True,
+     "16b5f32042c0c52ea05dbe824c9586724e1877ef9cc0acdd9e6648e060ce154d"),
+    ("opportunistic", 2, 60.0, RAYLEIGH, None, dict(max_renewals=1500), False,
+     "604b28d56a00abccfb7ccdd2bb6955a2832bdbae305fe893f360a8ad4ddbe070"),
+    ("opportunistic", 7, 400.0, RAYLEIGH, 7, dict(duration_us=2e6, max_renewals=700),
+     True, "40d3b07f6a5cf8d02ba442bf90bf44d7060bbfa5022d108590bfef6e804b8a19"),
+    ("opportunistic", 2, 60.0, EXPLICIT, None, dict(duration_us=2e6, max_renewals=5000),
+     True, "3fe0cc4dad10f2a84be8101ed8cff4804116e60f67990982fb5bc6dcb43d946a"),
+    ("arf", 7, 400.0, EXPLICIT, 7, dict(duration_us=5e6), False,
+     "d59b82a9a2477cb842c6933b225d5480d542dc201b1b3713a8a3a59b371358ef"),
+    ("arf", 2, 60.0, RAYLEIGH, None, dict(duration_us=5e6), False,
+     "fd55163dc468933d7f4f0c32b578e3bc0cbab83d6865da6a9488de042aebb8a3"),
+    ("threshold", 7, 400.0, RAYLEIGH, 7, dict(duration_us=5e6), False,
+     "98f7259d6272b1130622385e8b382a2ea6b37e3be6c4bfa452963c3db9ea7caa"),
+    ("threshold", 2, 60.0, EXPLICIT, None, dict(duration_us=5e6), False,
+     "2538dfbb63fa9a2b1a81e4fce6139912acbca202e2d42d9a2d04fed0a4451fd9"),
+]
+
+
+def test_golden_report_digests(policy, timing, space, tmp_path):
+    """Short runs of both simulators in every stopping mode reproduce their
+    pinned reports and renewal traces byte for byte, including runs with
+    retry-limit drops (AP-queue drops in DCF) and AP merges."""
+    got, ap_drops, merges = [], 0, 0
+    for i, (mac, n, lam, chan, retry, bounds, trace, _) in enumerate(GOLDEN_RUNS):
+        cfg = SystemConfig(n_stations=n, lambda_pps=lam, retry_limit=retry,
+                           seed=11 + i, **chan)
+        path = tmp_path / f"trace{i}.csv" if trace else None
+        if mac == "opportunistic":
+            rep = quiet_run(cfg, policy, timing, space, trace_path=path, **bounds)
+        else:
+            rep = quiet_dcf(cfg, timing, space, mac, **bounds)
+        digest = hashlib.sha256(rep.to_json().encode())
+        if path is not None:
+            digest.update(path.read_bytes())
+        got.append(digest.hexdigest())
+        ap_drops += rep.queues.get("ap", {}).get("dropped", 0)
+        merges += rep.ap_internal_merges
+    assert got == [run[-1] for run in GOLDEN_RUNS]
+    assert ap_drops > 0 and merges > 0
