@@ -150,7 +150,6 @@ PHY_OVERHEAD_US = 20.0  # 802.11a preamble + PLCP header
 SERVICE_TAIL_BITS = 16 + 6  # PLCP service field + tail bits
 SLOT_US = 9.0
 SIFS_US = 16.0
-DIFS_US = 34.0
 ACK_BYTES = 14
 ACK_RATE_MBPS = 24.0
 
@@ -203,6 +202,7 @@ class MacTiming:
 
         ``slot_us`` is the backoff slot; a scenario passes its timer policy's
         ``delta_us``, so analysis and both simulators count one slot length.
+        DIFS (SIFS plus two slots) and the EIFS built from it follow it.
 
         ``collision_rate_mbps`` sets the airtime assumed lost per collision;
         by default the lowest PHY rate of the space (the conservative,
@@ -210,15 +210,16 @@ class MacTiming:
         longest, lowest-rate one).
         """
         ack = ack_airtime_us()
+        difs = SIFS_US + 2 * slot_us
         tx = tuple(
-            data_airtime_us(payload_bytes, r) + SIFS_US + ack + DIFS_US
+            data_airtime_us(payload_bytes, r) + SIFS_US + ack + difs
             for r in space.rates_mbps
         )
         col_rate = collision_rate_mbps if collision_rate_mbps is not None else space.rates_mbps[0]
-        col = data_airtime_us(payload_bytes, col_rate) + DIFS_US
+        col = data_airtime_us(payload_bytes, col_rate) + difs
         return cls(
             slot_us=slot_us,
-            difs_us=DIFS_US,
+            difs_us=difs,
             sifs_us=SIFS_US,
             ack_us=ack,
             phy_overhead_us=PHY_OVERHEAD_US,

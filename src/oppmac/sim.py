@@ -1,4 +1,4 @@
-"""Discrete-event WLAN simulators.
+"""Discrete-event WLAN simulators: one event loop, two MAC policies.
 
 ``run_opportunistic`` implements the channel-keyed per-pair backoff MAC:
 every nonempty queue sets a timer at the start of a contention period, the
@@ -8,10 +8,22 @@ simultaneity involving an STA queue collides.  ``run_dcf`` is the 802.11
 DCF baseline with one aggregate AP queue, binary exponential backoff, and
 either ARF or threshold-based rate adaptation.
 
-Both engines are event driven (arrivals, contention resolutions, busy-period
-ends) and strictly deterministic for a given (config, seed): every random
-stream has its own generator, whose draws may be served from blocks but are
-never reordered.  A transmission transaction spans the frame, its
+Both run on ``_run``, which owns the heap of arrivals, contention
+resolutions, transaction ends and the warmup mark; the channel phase
+(vacant, contention, busy); stale-resolution skips; stopping, warmup and
+the renewal trace; and the report.  A MAC is four hooks it calls:
+
+- ``start(t)``: a contention among the backlogged queues begins at t;
+  return the time it resolves.
+- ``join(q, t)``: queue q became backlogged mid-contention; return a new,
+  earlier resolution time, or None if the pending one stands.
+- ``resolve(t)``: pick the outcome; return how long the channel is busy.
+- ``end(t)``: the transaction ends; apply the outcome through the shared
+  ``_Tally`` and return ``(state, side)`` of a success, else None.
+
+The engine is strictly deterministic for a given (config, seed): every
+random stream has its own generator, whose draws may be served from blocks
+but are never reordered.  A transmission transaction spans the frame, its
 acknowledgment, and the trailing interframe gap; queue state changes are
 applied when the transaction completes, so a queue counts as occupied for
 exactly the per-attempt duration the analytical model charges it.  Renewal
@@ -121,11 +133,15 @@ class _QueueStat:
 
 
 class _Tally:
-    """Cumulative counters plus a warmup snapshot for windowed metrics."""
+    """Cumulative counters plus a warmup snapshot for windowed metrics, and
+    the per-queue bookkeeping both MACs share."""
 
-    def __init__(self, n_queues: int, num_states: int):
+    def __init__(self, n_queues: int, num_states: int, retry_limit: int | None):
         self.q = [_QueueStat() for _ in range(n_queues)]
+        self.retry_limit = retry_limit
+        self.backlogged: set[int] = set()  # queues with backlog > 0
         self.collisions = 0
+        self.ap_merges = 0
         self.successes = 0
         self.last_success_t = None
         self.first_after_snap = None
@@ -136,6 +152,30 @@ class _Tally:
     def flush(self, t: float) -> None:
         for qs in self.q:
             qs.flush(t)
+
+    def deliver(self, q: int, t: float) -> None:
+        """Queue q's head packet got through."""
+        self.q[q].delivered += 1
+        self._pop_head(q, t)
+
+    def fail(self, q: int, t: float) -> bool:
+        """Queue q's head packet failed an attempt; return whether that
+        exhausted its retries, so it was dropped."""
+        qs = self.q[q]
+        qs.retry += 1
+        if self.retry_limit is None or qs.retry <= self.retry_limit:
+            return False
+        qs.dropped += 1
+        self._pop_head(q, t)
+        return True
+
+    def _pop_head(self, q: int, t: float) -> None:
+        qs = self.q[q]
+        qs.flush(t)
+        qs.backlog -= 1
+        qs.retry = 0
+        if not qs.backlog:
+            self.backlogged.discard(q)
 
     def on_success(self, t: float, state: int, side: str) -> None:
         self.successes += 1
@@ -201,6 +241,99 @@ def _gap_draws(rng, mean_us: float):
     return _blocks(partial(rng.exponential, mean_us), ARRIVAL_BLOCK).__next__
 
 
+def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
+         start, join, resolve, end, duration_us: float | None,
+         max_renewals: int | None, warmup_frac: float, trace_path,
+         queue_name, ap_queue_ids) -> SimReport:
+    """The event loop both MACs share; the MAC is the four hooks (see the
+    module docstring).  ``next_gap[q]`` gives queue q's inter-arrival gaps
+    (empty at a zero rate)."""
+    qstat, backlogged = tally.q, tally.backlogged
+    heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
+    for q, gap in enumerate(next_gap):
+        push(heap, (gap(), EV_ARRIVAL, q))
+
+    end_time = duration_us if duration_us is not None else math.inf
+    budget = max_renewals if max_renewals is not None else math.inf
+    warm_target = None
+    if duration_us is not None:
+        push(heap, (warmup_frac * duration_us, EV_MARK, -1))
+    else:
+        warm_target = max(1, math.ceil(warmup_frac * max_renewals))
+    trace_rows = []
+
+    # phase: vacant (idle, nothing queued), contention, busy (transaction
+    # in progress, including its trailing interframe gap)
+    phase = "vacant"
+    epoch = 0
+    now = 0.0
+    while heap:
+        now, rank, tag = pop(heap)
+        if now > end_time:
+            break
+
+        if rank == EV_ARRIVAL:
+            qs = qstat[tag]
+            qs.flush(now)
+            qs.arrivals += 1
+            qs.backlog += 1
+            push(heap, (now + next_gap[tag](), EV_ARRIVAL, tag))
+            if qs.backlog == 1:
+                backlogged.add(tag)
+                if phase == "vacant":
+                    phase = "contention"
+                    epoch += 1
+                    push(heap, (start(now), EV_RESOLVE, epoch))
+                elif phase == "contention":
+                    t_res = join(tag, now)
+                    if t_res is not None:
+                        epoch += 1
+                        push(heap, (t_res, EV_RESOLVE, epoch))
+                # while the channel is busy the queue just backlogs
+
+        elif rank == EV_RESOLVE:
+            if tag != epoch or phase != "contention":
+                continue
+            phase = "busy"
+            push(heap, (now + resolve(now), EV_END, -1))
+
+        elif rank == EV_END:
+            won = end(now)
+            if won is not None:
+                state, side = won
+                prev_t = tally.last_success_t
+                tally.on_success(now, state, side)
+                if trace_path is not None and prev_t is not None:
+                    trace_rows.append((tally.successes, now - prev_t, side, state))
+                if tally.successes == warm_target:
+                    tally.snapshot(now)
+                if tally.successes >= budget:
+                    break
+            # the trailing interframe gap elapsed inside the transaction
+            if backlogged:
+                phase = "contention"
+                epoch += 1
+                push(heap, (start(now), EV_RESOLVE, epoch))
+            else:
+                phase = "vacant"
+
+        else:  # EV_MARK
+            tally.snapshot(now)
+
+    final_t = now if tally.successes >= budget else end_time
+    if tally.snap is None:
+        tally.snapshot(0.0)
+    tally.flush(final_t)
+    report = _build_report(scheme, config, tally, final_t, queue_name, ap_queue_ids)
+    if trace_path is not None:
+        with open(trace_path, "w") as fh:
+            fh.write("renewal,length_us,winner_side,state,outcome\n")
+            for idx, length, side, state in trace_rows:
+                fh.write(f"{idx},{length!r},{side},{state},success\n")
+    return report
+
+
 def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
                       timing: MacTiming, space: ChannelSpace,
                       duration_us: float | None = None,
@@ -231,40 +364,15 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     next_state = _state_draws(config, space, chan_rng).__next__
     next_timer_u = _blocks(timer_rng.random, DRAW_BLOCK).__next__
     next_coin = _blocks(per_rng.random, DRAW_BLOCK).__next__
+    next_gap = [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs] if lam_us > 0.0 else []
 
-    tally = _Tally(nq, space.num_states)
-    qstat = tally.q
-    backlogged: set[int] = set()  # queues with backlog > 0
-    heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
-
-    if lam_us > 0.0:
-        next_gap = [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs]
-        for q in range(nq):
-            push(heap, (next_gap[q](), EV_ARRIVAL, q))
-
-    # phase: vacant (idle, nothing queued), contention, busy (transaction
-    # in progress, including its trailing interframe gap)
-    phase = "vacant"
+    tally = _Tally(nq, space.num_states, config.retry_limit)
+    backlogged = tally.backlogged
     tau = 0.0
-    epoch = 0
     timers: dict[int, int] = {}
     pair_state: list = [None] * n
     k_star = 0
-    pending_outcome = None
-
-    renewals = 0
-    warm_renewal_target = None
-    end_time = duration_us if duration_us is not None else math.inf
-    if duration_us is not None:
-        push(heap, (warmup_frac * duration_us, EV_MARK, -1))
-    else:
-        warm_renewal_target = max(1, math.ceil(warmup_frac * max_renewals))
-    trace_rows = []
-    prev_success_t = None
-    ap_merges = 0
-    stopped_by_budget = False
-    now = 0.0
+    attempted, won_state, ok = [], None, False  # outcome of the last resolution
 
     def timer_slots(q: int) -> int:
         h = pair_state[q >> 1]
@@ -272,146 +380,78 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
             h = pair_state[q >> 1] = next_state()
         return base[h] if next_timer_u() < p_even[q & 1] else base[h] + 1
 
-    def start_contention(t0: float) -> None:
-        nonlocal phase, tau, epoch, k_star
-        phase = "contention"
-        tau = t0
+    def start(t: float) -> float:
+        nonlocal tau, k_star
+        tau = t
         timers.clear()
         pair_state[:] = [None] * n
         for q in sorted(backlogged):
             timers[q] = timer_slots(q)
         if not timers:
             raise InvariantError("contention started with no backlogged queue")
-        epoch += 1
         k_star = min(timers.values())
-        push(heap, (tau + k_star * delta, EV_RESOLVE, epoch))
+        return tau + k_star * delta
 
-    def fail_or_drop(q: int, t: float) -> None:
-        qs = qstat[q]
-        qs.retry += 1
-        if config.retry_limit is not None and qs.retry > config.retry_limit:
-            qs.flush(t)
-            qs.backlog -= 1
-            qs.dropped += 1
-            qs.retry = 0
-            if not qs.backlog:
-                backlogged.discard(q)
+    def join(q: int, t: float) -> float | None:
+        nonlocal k_star
+        m = max(1, math.ceil((t - tau) / delta - 1e-9))
+        if m > k_star:
+            return None
+        timers[q] = m + timer_slots(q)
+        if timers[q] >= k_star:
+            return None
+        k_star = timers[q]
+        return tau + k_star * delta
 
-    while heap:
-        now, rank, tag = pop(heap)
-        if now > end_time:
-            break
-
-        if rank == EV_ARRIVAL:
-            q = tag
-            qs = qstat[q]
-            qs.flush(now)
-            qs.arrivals += 1
-            qs.backlog += 1
-            push(heap, (now + next_gap[q](), EV_ARRIVAL, q))
-            if qs.backlog == 1:
-                backlogged.add(q)
-                if phase == "vacant":
-                    start_contention(now)
-                elif phase == "contention" and q not in timers:
-                    m = max(1, math.ceil((now - tau) / delta - 1e-9))
-                    if m <= k_star:
-                        timers[q] = m + timer_slots(q)
-                        if timers[q] < k_star:
-                            k_star = timers[q]
-                            epoch += 1
-                            push(heap, (tau + k_star * delta, EV_RESOLVE, epoch))
-                # while the channel is busy the queue just backlogs
-
-        elif rank == EV_RESOLVE:
-            if tag != epoch or phase != "contention":
-                continue
-            expired = sorted(q for q, e in timers.items() if e == k_star)
-            if not expired:
-                raise InvariantError("resolution with no expiring timer")
-            ap_exp = [q for q in expired if not q & 1]
-            if len(ap_exp) == len(expired) or len(expired) == 1:
-                # AP expiries alone merge by a uniform pick; a lone STA wins
-                if ap_exp:
-                    winner = ap_exp[int(pick_rng.integers(len(ap_exp)))]
-                    if len(ap_exp) > 1:
-                        ap_merges += 1
-                else:
-                    winner = expired[0]
-                h = pair_state[winner >> 1]
-                busy = tx_us[h]
-                pending_outcome = ("tx", winner, h, next_coin() >= per[h])
+    def resolve(t: float) -> float:
+        nonlocal attempted, won_state, ok
+        expired = sorted(q for q, e in timers.items() if e == k_star)
+        if not expired:
+            raise InvariantError("resolution with no expiring timer")
+        ap_exp = [q for q in expired if not q & 1]
+        if len(ap_exp) == len(expired) or len(expired) == 1:
+            # AP expiries alone merge by a uniform pick; a lone STA wins
+            if ap_exp:
+                winner = ap_exp[int(pick_rng.integers(len(ap_exp)))]
+                if len(ap_exp) > 1:
+                    tally.ap_merges += 1
             else:
-                # an STA expiry among two or more collides; the channel is
-                # blocked for the longest colliding frame.  The colliders
-                # drew good states, so this is usually far shorter than the
-                # analysis' conservative lowest-rate constant.
-                busy = max(air_us[pair_state[q >> 1]] for q in expired) + difs
-                pending_outcome = ("col", expired, None, False)
-            phase = "busy"
-            timers.clear()
-            push(heap, (now + busy, EV_END, -1))
+                winner = expired[0]
+            attempted = [winner]
+            won_state = pair_state[winner >> 1]
+            ok = next_coin() >= per[won_state]
+            return tx_us[won_state]
+        # an STA expiry among two or more collides; the channel is blocked
+        # for the longest colliding frame.  The colliders drew good states,
+        # so this is usually far shorter than the analysis' conservative
+        # lowest-rate constant.
+        attempted, ok = expired, False
+        return max(air_us[pair_state[q >> 1]] for q in expired) + difs
 
-        elif rank == EV_END:
-            kind, who, h, ok = pending_outcome
-            pending_outcome = None
-            if kind == "tx":
-                qs = qstat[who]
-                if ok:
-                    qs.flush(now)
-                    qs.backlog -= 1
-                    qs.delivered += 1
-                    qs.retry = 0
-                    if not qs.backlog:
-                        backlogged.discard(who)
-                    side = AP if who % 2 == 0 else STA
-                    tally.on_success(now, h, side)
-                    renewals += 1
-                    if trace_path is not None and prev_success_t is not None:
-                        trace_rows.append((renewals, now - prev_success_t,
-                                           side, h, "success"))
-                    prev_success_t = now
-                    if warm_renewal_target is not None and renewals == warm_renewal_target:
-                        tally.snapshot(now)
-                    if max_renewals is not None and renewals >= max_renewals:
-                        stopped_by_budget = True
-                        break
-                else:
-                    fail_or_drop(who, now)
-            else:
-                tally.collisions += 1
-                for q in who:
-                    fail_or_drop(q, now)
-            # the trailing DIFS elapsed inside the transaction
-            if backlogged:
-                start_contention(now)
-            else:
-                phase = "vacant"
+    def end(t: float):
+        if ok:
+            tally.deliver(attempted[0], t)
+            return won_state, STA if attempted[0] & 1 else AP
+        if len(attempted) > 1:
+            tally.collisions += 1
+        for q in attempted:
+            tally.fail(q, t)
+        return None
 
-        else:  # EV_MARK
-            tally.snapshot(now)
-
-    final_t = now if stopped_by_budget or duration_us is None else end_time
-    if tally.snap is None:
-        tally.snapshot(0.0)
-    tally.flush(final_t)
-    report = _build_report(
-        "opportunistic", config, tally, final_t, nq, ap_merges,
+    report = _run(
+        "opportunistic", config, tally, next_gap, start, join, resolve, end,
+        duration_us, max_renewals, warmup_frac, trace_path,
         queue_name=lambda q: f"{'ap' if q % 2 == 0 else 'sta'}{q // 2}",
         ap_queue_ids=[q for q in range(nq) if q % 2 == 0])
     if duration_us is not None and report.renewal_count < 1000:
         warnings.warn(f"only {report.renewal_count} renewals in the measurement "
                       "window; estimates may be noisy", stacklevel=2)
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            fh.write("renewal,length_us,winner_side,state,outcome\n")
-            for idx, length, side, hh, outcome in trace_rows:
-                fh.write(f"{idx},{length!r},{side},{hh},{outcome}\n")
     return report
 
 
-def _build_report(scheme, config, tally, final_t, nq, ap_merges, queue_name,
+def _build_report(scheme, config, tally, final_t, queue_name,
                   ap_queue_ids) -> SimReport:
+    nq = len(tally.q)
     snap = tally.snap
     measured = final_t - snap["t"]
     meas_s = measured * 1e-6
@@ -471,7 +511,7 @@ def _build_report(scheme, config, tally, final_t, nq, ap_merges, queue_name,
                              zip(tally.winner_states, snap["winner_states"])],
         winner_side_counts={k: tally.winner_sides[k] - snap["winner_sides"][k]
                             for k in tally.winner_sides},
-        ap_internal_merges=ap_merges,
+        ap_internal_merges=tally.ap_merges,
         dropped_total=sum(qs.dropped for qs in tally.q),
     )
 
@@ -536,34 +576,25 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     next_dest = _blocks(partial(dest_rng.integers, n), DRAW_BLOCK).__next__
     per = [float(e) for e in config.per_state_per]
     airtime = [timing.data_airtime(s) for s in range(space.num_states)]
+    next_gap = []
+    if lam_us > 0.0:
+        next_gap = [_gap_draws(arr_rngs[0], 1.0 / (n * lam_us))]
+        next_gap += [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs[1:]]
 
-    tally = _Tally(ns, space.num_states)
-    qstat = tally.q
-    backlogged: set[int] = set()  # stations with backlog > 0
+    tally = _Tally(ns, space.num_states, config.retry_limit)
+    backlogged = tally.backlogged
     # destination of the AP's head packet, drawn at its first attempt; the
     # queue is FIFO, so the k-th head packet takes the stream's k-th draw
     ap_dest = None
     # link id: uplink of station i is i, downlink to station i is n + i
     arf = [_ArfState() for _ in range(2 * n)]
     last_seen = [0] * (2 * n)  # latest observed state per link
-
-    heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
-
-    if lam_us > 0.0:
-        next_gap = [_gap_draws(arr_rngs[0], 1.0 / (n * lam_us))]
-        next_gap += [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs[1:]]
-        for st in range(ns):
-            push(heap, (next_gap[st](), EV_ARRIVAL, st))
-
     cw = [CW_MIN] * ns
+    # backoff counter per station: None until drawn, and again after each
+    # attempt; only a backlogged station holds one
     slots_left: list = [None] * ns
-    phase = "vacant"  # vacant | countdown | busy
     idle_t0 = 0.0
-    epoch = 0
-    pending_outcome = None
-    end_time = duration_us
-    push(heap, (warmup_frac * duration_us, EV_MARK, -1))
+    attempts, ok = [], False  # outcome of the last resolution
 
     def normalize(t: float) -> None:
         nonlocal idle_t0
@@ -574,143 +605,77 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
                              for s in slots_left]
             idle_t0 += elapsed * delta
 
-    def schedule_tx() -> None:
-        nonlocal epoch
-        active = [s for s in slots_left if s is not None]
-        if active:
-            epoch += 1
-            push(heap, (idle_t0 + min(active) * delta, EV_RESOLVE, epoch))
-
-    def begin_idle(t0: float) -> None:
-        nonlocal phase, idle_t0
-        idle_t0 = t0
+    def start(t: float) -> float:
+        nonlocal idle_t0
+        # frozen counters resume; fresh ones are drawn in station order
+        idle_t0 = t
         for st in sorted(backlogged):
             if slots_left[st] is None:
                 slots_left[st] = int(back_rng.integers(cw[st] + 1))
-        if backlogged:
-            phase = "countdown"
-            schedule_tx()
-        else:
-            phase = "vacant"
+        return idle_t0 + min(s for s in slots_left if s is not None) * delta
 
-    def fail_station(st: int, t: float) -> None:
-        nonlocal ap_dest
-        qs = qstat[st]
-        qs.retry += 1
-        cw[st] = min(2 * cw[st] + 1, CW_MAX)
-        if config.retry_limit is not None and qs.retry > config.retry_limit:
-            qs.flush(t)
-            qs.backlog -= 1
-            qs.dropped += 1
-            qs.retry = 0
-            cw[st] = CW_MIN
-            if not qs.backlog:
-                backlogged.discard(st)
+    def join(st: int, t: float) -> float | None:
+        normalize(t)
+        soonest = min(s for s in slots_left if s is not None)
+        k = int(back_rng.integers(cw[st] + 1))
+        if t > idle_t0:
+            k += 1  # mid-slot joiner starts at the next boundary
+        slots_left[st] = k
+        return idle_t0 + k * delta if k < soonest else None
+
+    def resolve(t: float) -> float:
+        nonlocal ap_dest, attempts, ok
+        normalize(t)
+        winners = [st for st in range(ns) if slots_left[st] == 0]
+        if not winners:
+            raise InvariantError("transmission event with no zero counter")
+        attempts = []
+        for st in winners:
             if st == 0:
-                ap_dest = None
+                if ap_dest is None:
+                    ap_dest = next_dest()
+                link = n + ap_dest
+            else:
+                link = st - 1
+            h = next_state()
+            ridx = arf[link].rate if use_arf else last_seen[link]
+            last_seen[link] = h  # known by the time of the next attempt
+            attempts.append((st, link, h, ridx))
+            slots_left[st] = None  # fresh backoff after this attempt
+        busy = max(airtime[r] for _, _, _, r in attempts)
+        if len(winners) > 1:
+            ok = False
+            return busy + eifs
+        _, _, h, ridx = attempts[0]
+        # + ACK (or its timeout) + trailing DIFS / EIFS
+        busy += timing.sifs_us + timing.ack_us
+        ok = next_coin() >= (per[ridx] if h >= ridx else 1.0)
+        return busy + (timing.difs_us if ok else eifs)
 
-    while heap:
-        now, rank, tag = pop(heap)
-        if now > end_time:
-            break
-
-        if rank == EV_ARRIVAL:
-            st = tag
-            qs = qstat[st]
-            qs.flush(now)
-            qs.arrivals += 1
-            qs.backlog += 1
-            push(heap, (now + next_gap[st](), EV_ARRIVAL, st))
-            if qs.backlog == 1:
-                backlogged.add(st)
-                if phase == "vacant":
-                    phase = "countdown"
-                    idle_t0 = now
-                    slots_left[st] = int(back_rng.integers(cw[st] + 1))
-                    schedule_tx()
-                elif phase == "countdown":
-                    normalize(now)
-                    others = [s for st2, s in enumerate(slots_left)
-                              if s is not None and st2 != st]
-                    join = int(back_rng.integers(cw[st] + 1))
-                    if now > idle_t0:
-                        join += 1  # mid-slot joiner starts at the next boundary
-                    slots_left[st] = join
-                    if not others or join < min(others):
-                        schedule_tx()
-                # during busy: backlog only; backoff drawn at next idle start
-
-        elif rank == EV_RESOLVE:
-            if tag != epoch or phase != "countdown":
-                continue
-            normalize(now)
-            winners = [st for st in range(ns) if slots_left[st] == 0]
-            if not winners:
-                raise InvariantError("transmission event with no zero counter")
-            attempts = []
-            for st in winners:
+    def end(t: float):
+        nonlocal ap_dest
+        if len(attempts) > 1:
+            tally.collisions += 1
+        for st, link, _h, _r in attempts:
+            if ok:
+                tally.deliver(st, t)
+            if ok or tally.fail(st, t):  # the head packet left the queue
+                cw[st] = CW_MIN
                 if st == 0:
-                    if ap_dest is None:
-                        ap_dest = next_dest()
-                    link = n + ap_dest
-                else:
-                    link = st - 1
-                h = next_state()
-                ridx = arf[link].rate if use_arf else last_seen[link]
-                last_seen[link] = h  # known by the time of the next attempt
-                attempts.append((st, link, h, ridx))
-                slots_left[st] = None  # fresh backoff after this attempt
-            busy = max(airtime[r] for _, _, _, r in attempts)
-            if len(winners) == 1:
-                st, link, h, ridx = attempts[0]
-                # + ACK (or its timeout) + trailing DIFS / EIFS
-                busy += timing.sifs_us + timing.ack_us
-                ok = next_coin() >= (per[ridx] if h >= ridx else 1.0)
-                pending_outcome = ("tx", attempts, ok)
-                busy += timing.difs_us if ok else eifs
+                    ap_dest = None
             else:
-                pending_outcome = ("col", attempts, False)
-                busy += eifs
-            phase = "busy"
-            push(heap, (now + busy, EV_END, -1))
-
-        elif rank == EV_END:
-            kind, attempts, ok = pending_outcome
-            pending_outcome = None
-            if kind == "tx":
-                st, link, h, ridx = attempts[0]
+                cw[st] = min(2 * cw[st] + 1, CW_MAX)
+            if use_arf:
                 if ok:
-                    qs = qstat[st]
-                    qs.flush(now)
-                    qs.backlog -= 1
-                    qs.delivered += 1
-                    qs.retry = 0
-                    cw[st] = CW_MIN
-                    if not qs.backlog:
-                        backlogged.discard(st)
-                    if st == 0:
-                        ap_dest = None
-                    if use_arf:
-                        arf[link].on_success(space.num_states - 1)
-                    tally.on_success(now, ridx, AP if st == 0 else STA)
+                    arf[link].on_success(space.num_states - 1)
                 else:
-                    fail_station(st, now)
-                    if use_arf:
-                        arf[link].on_failure()
-            else:
-                tally.collisions += 1
-                for st, link, _h, _r in attempts:
-                    fail_station(st, now)
-                    if use_arf:
-                        arf[link].on_failure()
-            begin_idle(now)
+                    arf[link].on_failure()
+        if not ok:
+            return None
+        st, _link, _h, ridx = attempts[0]
+        return ridx, AP if st == 0 else STA
 
-        else:  # EV_MARK
-            tally.snapshot(now)
-
-    if tally.snap is None:
-        tally.snapshot(0.0)
-    tally.flush(end_time)
-    return _build_report(f"dcf-{rate_adaptation}", config, tally, end_time, ns, 0,
-                         queue_name=lambda st: "ap" if st == 0 else f"sta{st - 1}",
-                         ap_queue_ids=[0])
+    return _run(f"dcf-{rate_adaptation}", config, tally, next_gap,
+                start, join, resolve, end, duration_us, None, warmup_frac, None,
+                queue_name=lambda st: "ap" if st == 0 else f"sta{st - 1}",
+                ap_queue_ids=[0])

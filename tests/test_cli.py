@@ -94,10 +94,17 @@ def test_config_range_error_names_key(tmp_path, capsys, key, value):
 def test_slot_length_has_one_source():
     """timer.delta_us sets the backoff slot of the timer policy and of the
     MAC timing alike, so the kernels, the model windows and both simulators
-    count the same slot."""
+    count the same slot, and DIFS follows it."""
     setup = default_setup({"timer.delta_us": "20"})
     assert setup.policy.delta_us == setup.timing.slot_us == 20.0
-    assert default_setup().timing.slot_us == 9.0
+    assert setup.timing.difs_us == 56.0  # SIFS + 2 slots
+    default = default_setup()
+    assert default.timing.slot_us == 9.0 and default.timing.difs_us == 34.0
+    assert setup_hash(default) == "bf996f81072c"
+    # the per-success cost and the collision cost carry the same DIFS
+    assert setup.timing.collision_us - default.timing.collision_us == 22.0
+    assert [a - b for a, b in zip(setup.timing.per_state_tx_us,
+                                  default.timing.per_state_tx_us)] == [22.0] * 4
 
 
 def test_setup_hash_tracks_content():

@@ -42,9 +42,14 @@ def assert_conservation(report):
         assert q["arrivals"] == q["delivered"] + q["dropped"] + q["backlog"], name
 
 
-def test_zero_rate_run_is_empty(policy, timing, space):
+@pytest.mark.parametrize("mac", ["opportunistic", "dcf"])
+def test_zero_rate_run_is_empty(mac, policy, timing, space):
     cfg = SystemConfig(n_stations=3, lambda_pps=0.0, pi=(0.25,) * 4, seed=9)
-    rep = quiet_run(cfg, policy, timing, space, duration_us=1e6)
+    if mac == "opportunistic":
+        rep = quiet_run(cfg, policy, timing, space, duration_us=1e6)
+    else:
+        rep = quiet_dcf(cfg, timing, space, "arf", duration_us=1e6)
+    assert rep.duration_us == 1e6
     assert rep.system_pps == 0.0
     assert rep.collisions_total == 0
     assert rep.renewal_count == 0
@@ -309,18 +314,64 @@ def test_block_draws_match_scalar_calls(space):
 def test_conservation_breach_raises():
     """The report refuses counters where a packet went missing."""
     cfg = SystemConfig(n_stations=1, lambda_pps=10.0, pi=(0.25,) * 4)
-    tally = _Tally(2, 4)
+    tally = _Tally(2, 4, None)
     tally.snapshot(0.0)
     tally.q[1].arrivals = 3
     tally.q[1].delivered = 1
     tally.q[1].backlog = 1
     with pytest.raises(InvariantError, match="sta0 breaks conservation"):
-        _build_report("opportunistic", cfg, tally, 1e6, 2, 0,
+        _build_report("opportunistic", cfg, tally, 1e6,
                       queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
     tally.q[1].dropped = 1
-    rep = _build_report("opportunistic", cfg, tally, 1e6, 2, 0,
+    rep = _build_report("opportunistic", cfg, tally, 1e6,
                         queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
     assert rep.queues["sta0"]["arrivals"] == 3
+
+
+def _tally_with_backlog(retry_limit, backlog):
+    tally = _Tally(2, 4, retry_limit)
+    qs = tally.q[1]
+    qs.arrivals = qs.backlog = backlog
+    tally.backlogged.add(1)
+    return tally, qs
+
+
+@pytest.mark.parametrize("retry_limit", [None, 0, 1])
+def test_tally_fail_drops_after_retry_limit(retry_limit):
+    """A failed attempt drops the head packet exactly when it exceeds the
+    retry limit; a drop resets the retry count and takes one packet out."""
+    tally, qs = _tally_with_backlog(retry_limit, 2)
+    attempts = 5 if retry_limit is None else retry_limit + 1
+    dropped = [tally.fail(1, 10.0 * k) for k in range(1, attempts + 1)]
+    assert dropped == [False] * (attempts - 1) + [retry_limit is not None]
+    if retry_limit is None:
+        assert (qs.retry, qs.backlog, qs.dropped) == (5, 2, 0)
+        return
+    assert (qs.retry, qs.backlog, qs.dropped, qs.delivered) == (0, 1, 1, 0)
+    assert qs.last_t == 10.0 * attempts and qs.occ_us == 10.0 * attempts
+    assert tally.backlogged == {1}
+    # the last packet's drop empties the queue
+    assert [tally.fail(1, 100.0) for _ in range(attempts)][-1]
+    assert (qs.backlog, qs.dropped) == (0, 2)
+    assert tally.backlogged == set()
+    assert qs.arrivals == qs.delivered + qs.dropped + qs.backlog
+
+
+@pytest.mark.parametrize("retry_limit", [None, 0, 1])
+def test_tally_deliver_resets_retries(retry_limit):
+    """A delivery takes the head packet out and resets its retry count; the
+    queue leaves the backlogged set with its last packet."""
+    tally, qs = _tally_with_backlog(retry_limit, 2)
+    if retry_limit != 0:
+        assert not tally.fail(1, 5.0)
+        assert qs.retry == 1
+    tally.deliver(1, 20.0)
+    assert (qs.retry, qs.backlog, qs.delivered, qs.dropped) == (0, 1, 1, 0)
+    assert tally.backlogged == {1} and qs.occ_us == 20.0
+    tally.deliver(1, 30.0)
+    assert (qs.backlog, qs.delivered) == (0, 2)
+    assert tally.backlogged == set() and qs.occ_us == 30.0
+    assert tally.q[0].delivered == 0
 
 
 def test_replication_consistency(policy, timing, space):
@@ -360,6 +411,14 @@ GOLDEN_RUNS = [
      "98f7259d6272b1130622385e8b382a2ea6b37e3be6c4bfa452963c3db9ea7caa"),
     ("threshold", 2, 60.0, EXPLICIT, None, dict(duration_us=5e6), False,
      "2538dfbb63fa9a2b1a81e4fce6139912acbca202e2d42d9a2d04fed0a4451fd9"),
+    # retry limit 0: every failed attempt drops its packet
+    ("opportunistic", 7, 400.0, EXPLICIT, 0, dict(duration_us=2e6), True,
+     "b602a4ac7bb851b1d0c4a11611963ab848f563c974b107b90d000aa3264bbbf7"),
+    ("arf", 7, 400.0, RAYLEIGH, 0, dict(duration_us=5e6), False,
+     "e647de7da56ce2feed4b09267d5c2777754f77b0615ec39679cdeba2f7a6a7b5"),
+    # zero rate: no arrival is ever scheduled
+    ("arf", 3, 0.0, EXPLICIT, 7, dict(duration_us=1e6), False,
+     "aab7169ae38ecbd14dde8379fad3f0a6dd35e3762fb452ddf9b18855df47ef6e"),
 ]
 
 
