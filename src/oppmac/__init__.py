@@ -19,7 +19,6 @@ from .analysis import (
     CycleModel,
     OccupancyPrior,
     capacity_search,
-    census_prior,
     fixed_point,
 )
 
@@ -27,8 +26,7 @@ __all__ = [
     "AP", "STA", "ChannelSpace", "MacTiming", "ParameterError", "SystemConfig",
     "TimerPolicy", "draw_timer", "state_from_timer", "state_probabilities",
     "ConsistencyError", "KernelTable", "build_kernels", "AnalysisSolution",
-    "CycleModel", "OccupancyPrior", "capacity_search", "census_prior",
-    "fixed_point",
+    "CycleModel", "OccupancyPrior", "capacity_search", "fixed_point",
 ]
 
 __version__ = "0.1.0"

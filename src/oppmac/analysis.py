@@ -8,6 +8,10 @@ start of each contention period yields two linear systems x = c + M x:
   * tagged-queue success probabilities P(tagged AP / STA wins the cycle |
     tagged pair state and census of the other N-1 pairs).
 
+M holds only periods that end without a success; no queue empties in them, so
+off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3 (the tagged
+system adds the tagged pair's queues) and ``level_sweep`` solves both by level.
+
 A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
 The destination, coefficient and exponents of p_t and 1 - p_t of each move
@@ -87,7 +91,8 @@ class CensusSpace:
     """The censuses of ``n`` pairs and the arrival moves between them.
 
     Shared by every model with this ``n`` (see ``census_space``), so the
-    arrays are read-only.  ``counts`` holds (n0, k1, k2, k3) per census.
+    arrays are read-only.  ``counts`` holds (n0, k1, k2, k3) per census and
+    ``level`` its number of nonempty queues, k1 + k2 + 2 k3.
     """
 
     def __init__(self, n: int):
@@ -95,11 +100,12 @@ class CensusSpace:
         self.censuses = tuple(enumerate_censuses(n))
         self.index = {c: i for i, c in enumerate(self.censuses)}
         self.counts = np.array([(n - sum(c),) + c for c in self.censuses])
+        self.level = self.counts[:, 1:] @ np.array([1, 1, 2])
         self.multinom = np.array([math.factorial(n) / math.prod(map(math.factorial, k))
                                   for k in self.counts.tolist()])
         self.lookup = np.full((n + 1,) * 3, -1)
         self.lookup[tuple(self.counts[:, 1:].T)] = np.arange(len(self.censuses))
-        for arr in (self.counts, self.multinom, self.lookup):
+        for arr in (self.counts, self.level, self.multinom, self.lookup):
             arr.flags.writeable = False
 
     @functools.cached_property
@@ -156,22 +162,30 @@ class CensusSpace:
 census_space = functools.cache(CensusSpace)  # one shared space per pair count
 
 
-def census_prior(prior: OccupancyPrior, n: int) -> dict[tuple[int, int, int], float]:
-    """Probability of each census under independent per-queue occupancy."""
-    space = census_space(n)
-    return dict(zip(space.censuses, space.prior(prior.pair_state_probs()).tolist()))
-
-
 def _tagged_prior_vec(prior: OccupancyPrior, n: int) -> np.ndarray:
     """Tagged-state probabilities in ``CycleModel._tidx`` order."""
     rho = prior.pair_state_probs()
     return np.concatenate([census_space(n - 1).prior(rho, r) for r in rho])
 
 
-def tagged_prior(prior: OccupancyPrior, n: int) -> dict[tuple, float]:
-    """Probability of each tagged state (s_i; l1, l2, l3)."""
-    keys = [(i,) + L for i in PAIR_STATES for L in census_space(n - 1).censuses]
-    return dict(zip(keys, _tagged_prior_vec(prior, n).tolist()))
+def level_sweep(m: np.ndarray, c: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Solve x = c + m x where off its diagonal m moves strictly up in ``level``:
+    from the top level down, x_r = (c_r + m[r, higher] x) / (1 - m[r, r]).  A
+    move that does not go up, or m[r, r] >= 1, raises ``ConsistencyError``."""
+    x = np.zeros(c.shape)
+    for lv in range(level.max(), -1, -1):
+        rows = np.flatnonzero(level == lv)
+        block, on = m[rows], (np.arange(len(rows)), rows)  # m[rows] is a copy
+        stay = 1.0 - block[on]
+        block[on] = 0.0
+        low = block[:, level <= lv]
+        if low.any():
+            raise ConsistencyError(f"row {rows[np.argwhere(low)[0, 0]]} of m has a move "
+                                   f"that does not leave level {lv} upwards")
+        if not (stay > 0.0).all():
+            raise ConsistencyError(f"a diagonal entry of m at level {lv} is not below 1")
+        x[rows] = ((c[rows] + block @ x).T / stay).T  # x is 0 at this level and below
+    return x
 
 
 def _pair_law(p: np.ndarray) -> np.ndarray:
@@ -223,12 +237,6 @@ class CycleModel:
             s = kernels.state_of_l[l]
             self._ap_by_state[:, :, s] += kernels.ap[:, :, l]
             self._sta_by_state[:, :, s] += kernels.sta[:, :, l]
-        self._surv = np.stack([kernels.survival_row(j) for j in PAIR_STATES])
-        self._surv_prev = np.stack(
-            [[kernels.survival(j, k - 1) for k in range(k1)] for j in PAIR_STATES])
-        self._cum_ap = kernels.cum_ap
-        self._gl = _gl_nodes(n - 1)
-        self._others_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
         # window [k, s]: resolution at slot k, then a success in state s or,
         # for s = num_states, a collision; p is the per-queue arrival chance
@@ -236,44 +244,43 @@ class CycleModel:
         self._windows = (np.arange(k1) * delta)[:, None] + np.array(tx)
         self._p = -np.expm1(-(lambda_pps * 1e-6) * self._windows.ravel())
 
+        self._summarise()
         self._solve_renewal()
         self._solve_tagged()
 
-    # ----- per-census contention summaries -------------------------------
+    # ----- contention summaries of every census -------------------------
 
-    def _others_vectors(self, others: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(W(k), S(k)) for k = 0..t_max against ``others`` pair counts: W is
-        the expected uniform-pick share of one more AP queue expiring at k,
-        S the probability that every other pair survives past k."""
-        if others not in self._others_cache:
-            cnt = np.array(others)[:, None]
-            share = np.zeros(self.kmax + 1)
-            for x, w in zip(*self._gl):
-                share += w * np.prod((self._surv + x * self._cum_ap) ** cnt, axis=0)
-            surv = np.prod(self._surv ** cnt, axis=0)
-            self._others_cache[others] = (share, surv)
-        return self._others_cache[others]
+    def _summarise(self) -> None:
+        """Against each census of the other n-1 pairs, at k = 0..t_max: the
+        expected uniform-pick share of one more AP queue expiring at k and the
+        probability that all those pairs survive past k.  Per census of all n
+        pairs: clean-win mass succ[c, k, winner state] and collision col[c, k]."""
+        kt, others = self.kernels, self.others_space
+        surv = np.stack([kt.survival_row(j) for j in PAIR_STATES])
+        cnt = others.counts[:, :, None]
+        share = np.zeros((len(self.others), self.kmax + 1))
+        for x, w in zip(*_gl_nodes(self.n - 1)):
+            share += w * np.prod((surv + x * kt.cum_ap) ** cnt, axis=1)
+        alone = np.prod(surv ** cnt, axis=1)
+        self._others_share, self._others_surv = share, alone
 
-    def census_summary(self, census: tuple[int, int, int]):
-        """(succ[k, state], col[k]) for one census: total clean-win mass by
-        resolution slot and winner channel state, and collision mass."""
-        k1_, k2_, k3_ = census
-        counts = (self.n - k1_ - k2_ - k3_, k1_, k2_, k3_)
-        succ = np.zeros((self.kmax + 1, self.num_states))
-        for i in PAIR_STATES:
-            if counts[i] == 0:
-                continue
-            others = tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
-            w_ap, surv_others = self._others_vectors(others)
-            succ += counts[i] * self._ap_by_state[i] * w_ap[:, None]
-            succ += counts[i] * self._sta_by_state[i] * surv_others[:, None]
-        cnt = np.array(counts)[:, None]
-        before = np.prod(self._surv_prev ** cnt, axis=0)
-        col = before - np.prod(self._surv ** cnt, axis=0) - succ.sum(axis=1)
-        low = col.min()
-        if low < -1e-9:
-            raise ConsistencyError(f"negative collision mass {low} at census {census}")
-        return succ, np.clip(col, 0.0, None)
+        counts = self.space.counts
+        succ = np.zeros((len(self.censuses), self.kmax + 1, self.num_states))
+        for i in PAIR_STATES:  # o: the others of one s_i pair (idle if none)
+            minus = counts[:, 1:] - np.eye(4, dtype=int)[i, 1:]
+            o = others.lookup[tuple(np.where(counts[:, i, None] > 0, minus, 0).T)]
+            ci = counts[:, i, None, None]
+            succ += ci * self._ap_by_state[i] * share[o][:, :, None]
+            succ += ci * self._sta_by_state[i] * alone[o][:, :, None]
+        cnt = counts[:, :, None]
+        before = np.prod(np.stack([[kt.survival(j, k - 1) for k in range(self.kmax + 1)]
+                                   for j in PAIR_STATES]) ** cnt, axis=1)
+        col = before - np.prod(surv ** cnt, axis=1) - succ.sum(axis=2)
+        bad = np.flatnonzero(col.min(axis=1) < -1e-9)
+        if len(bad):
+            raise ConsistencyError(f"negative collision mass {col[bad[0]].min()} "
+                                   f"at census {self.censuses[bad[0]]}")
+        self.succ, self.col = succ, np.clip(col, 0.0, None)
 
     # ----- linear systems -------------------------------------------------
 
@@ -283,27 +290,22 @@ class CycleModel:
         empty_idx = self.cidx[(0, 0, 0)]
         # weights[c, window]: the period ends without a success (errored
         # success or collision) after that window; c holds each census's
-        # mean period length
-        weights = np.zeros((nc, self._windows.size))
-        c = np.zeros(nc)
-        for ci, census in enumerate(self.censuses):
-            if ci == empty_idx:
-                continue
-            succ, col = self.census_summary(census)
-            c[ci] = ((succ * self._windows[:, :-1]).sum()
-                     + (col * self._windows[:, -1]).sum())
-            weights[ci] = np.column_stack([succ * self.per, col]).ravel()
+        # mean period length.  The empty census's row is closed form.
+        succ, col = self.succ, self.col
+        weights = np.concatenate([succ * self.per, col[:, :, None]], 2).reshape(nc, -1)
+        c = ((succ * self._windows[:, :-1]).reshape(nc, -1).sum(axis=1)
+             + (col * self._windows[:, -1]).sum(axis=1))
+        weights[empty_idx], c[empty_idx] = 0.0, 0.0
         m = self.space.apply(weights @ self.space.powers(self._p))
         if lam_us > 0.0:
             c[empty_idx] = 1.0 / (2.0 * self.n * lam_us)
             m[empty_idx, self.cidx[(1, 0, 0)]] = 0.5
             m[empty_idx, self.cidx[(0, 1, 0)]] = 0.5
-        # with no arrivals the empty census never ends: E[R | empty] = inf
-        keep = (np.arange(nc) != empty_idx) | (lam_us > 0.0)
-        x = np.full(nc, np.inf)
-        x[keep] = np.linalg.solve(np.eye(keep.sum()) - m[np.ix_(keep, keep)], c[keep])
-        if not np.all(np.isfinite(x[keep])):
+        x = level_sweep(m, c, self.space.level)
+        if not np.isfinite(x).all():
             raise ConsistencyError("renewal linear system produced non-finite values")
+        if lam_us == 0.0:  # no arrivals: the empty census never ends
+            x[empty_idx] = np.inf
         self._weights = weights
         self._renewal_m, self._renewal_c = m, c
         self.renewal_by_census = x
@@ -313,8 +315,6 @@ class CycleModel:
         others = self.others_space
         pq = others.powers(self._p)
         law = _pair_law(self._p)
-        share, surv = map(np.array, zip(
-            *[self._others_vectors(tuple(k)) for k in others.counts.tolist()]))
         delivered = 1.0 - self.per
         m = np.zeros((4, nl, 4, nl))
         rhs = np.zeros((4, nl, 2))
@@ -325,8 +325,8 @@ class CycleModel:
             for j in PAIR_STATES:
                 if law[i, j].any():
                     m[i, :, j, :] = others.apply((w * law[i, j]) @ pq)
-            rhs[i, :, 0] = share @ (self._ap_by_state[i] @ delivered)
-            rhs[i, :, 1] = surv @ (self._sta_by_state[i] @ delivered)
+            rhs[i, :, 0] = self._others_share @ (self._ap_by_state[i] @ delivered)
+            rhs[i, :, 1] = self._others_surv @ (self._sta_by_state[i] @ delivered)
         # idle system: the first arrival lands on the tagged AP, the tagged
         # STA, or one of the other pairs' queues
         idle = self.oidx[(0, 0, 0)]
@@ -338,7 +338,8 @@ class CycleModel:
                 m[S0, idle, S0, self.oidx[(1, 0, 0)]] = frac
                 m[S0, idle, S0, self.oidx[(0, 1, 0)]] = frac
         m, rhs = m.reshape(4 * nl, 4 * nl), rhs.reshape(4 * nl, 2)
-        y = np.linalg.solve(np.eye(4 * nl) - m, rhs)
+        # the level counts the tagged pair's own nonempty queues, 0/1/1/2
+        y = level_sweep(m, rhs, (np.array([0, 1, 1, 2])[:, None] + others.level).ravel())
         if not np.all(np.isfinite(y)):
             raise ConsistencyError("tagged linear system produced non-finite values")
         self._tagged_m, self._tagged_rhs = m, rhs

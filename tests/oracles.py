@@ -7,11 +7,14 @@ the analytic kernel code.  The AP's uniform pick among simultaneously
 expired AP queues and the packet error coin are averaged analytically within
 each sampled trial, which lowers variance without coupling the oracle to the
 implementation under test.  The exact scalar references at the end evaluate
-the census-level probabilities term by term from the kernel tables.
+the census-level probabilities term by term from the kernel tables; the
+occupancy priors and the dense linear solve are references for the model's
+census vectors and its level sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -63,18 +66,21 @@ def kernel_oracle(seed, trials, tag, pi, p, q, tmax):
     rng = np.random.Generator(np.random.PCG64(seed))
     k_ap, l_ap, k_sta, l_sta = sample_pairs(rng, trials, [tag], pi, p, q, tmax)
     k_ap, l_ap, k_sta, l_sta = k_ap[:, 0], l_ap[:, 0], k_sta[:, 0], l_sta[:, 0]
-    ap = np.zeros((tmax + 1, tmax + 1))
-    sta = np.zeros((tmax + 1, tmax + 1))
-    both = np.zeros((tmax + 1, tmax + 1))
     m_ap = (k_ap < k_sta) & (k_ap <= tmax)
     m_sta = (k_sta < k_ap) & (k_sta <= tmax)
     m_tie = (k_ap == k_sta) & (k_ap <= tmax)
-    np.add.at(ap, (k_ap[m_ap], l_ap[m_ap]), 1.0)
-    np.add.at(sta, (k_sta[m_sta], l_sta[m_sta]), 1.0)
-    np.add.at(both, (k_ap[m_tie], l_ap[m_tie]), 1.0)
+    ap = _tally(k_ap[m_ap], l_ap[m_ap], tmax)
+    sta = _tally(k_sta[m_sta], l_sta[m_sta], tmax)
+    both = _tally(k_ap[m_tie], l_ap[m_tie], tmax)
     kmin = np.minimum(k_ap, k_sta)
     surv = np.array([(kmin > k).mean() for k in range(tmax + 1)])
     return ap / trials, sta / trials, both / trials, surv
+
+
+def _tally(k, l, tmax, weights=None):
+    """[k, l] histogram; bincount adds the weights in input order."""
+    flat = np.bincount(k * (tmax + 1) + l, weights, minlength=(tmax + 1) ** 2)
+    return flat.reshape(tmax + 1, tmax + 1).astype(float)
 
 
 def system_oracle(seed, trials, counts, pi, p, q, tmax, per=None):
@@ -100,22 +106,27 @@ def system_oracle(seed, trials, counts, pi, p, q, tmax, per=None):
 
     suc_ap = np.zeros((4, tmax + 1, tmax + 1))
     suc_sta = np.zeros((4, tmax + 1, tmax + 1))
-    colk = np.zeros(tmax + 1)
-    np.add.at(colk, kmin[col], 1.0)
+    colk = np.bincount(kmin[col], minlength=tmax + 1).astype(float)
     per = np.zeros(h_states) if per is None else np.asarray(per, dtype=float)
     state_of = lambda l: h_states - 1 - l // 2
     phat_ap = np.zeros(4)
     phat_sta = np.zeros(4)
     first_of_class = {}
+    wins = {}  # tag -> per-pair (k, l, weight) of AP wins and of STA wins
     for j, tag in enumerate(tags):
         first_of_class.setdefault(tag, j)
         sel = ap_clean & (k_ap[:, j] == kmin)
-        if sel.any():
-            w = 1.0 / nap[sel]
-            np.add.at(suc_ap, (tag, kmin[sel], l_ap[sel, j]), w)
         sel2 = sta_clean & (k_sta[:, j] == kmin)
-        if sel2.any():
-            np.add.at(suc_sta, (tag, kmin[sel2], l_sta[sel2, j]), 1.0)
+        ap_w, sta_w = wins.setdefault(tag, ([], []))
+        ap_w.append((kmin[sel], l_ap[sel, j], 1.0 / nap[sel]))
+        sta_w.append((kmin[sel2], l_sta[sel2, j]))
+    # one tally per class over its pairs in order: the sums run in the same
+    # order as accumulating pair after pair
+    for tag, (ap_w, sta_w) in wins.items():
+        k, l, w = map(np.concatenate, zip(*ap_w))
+        suc_ap[tag] = _tally(k, l, tmax, w)
+        k, l = map(np.concatenate, zip(*sta_w))
+        suc_sta[tag] = _tally(k, l, tmax)
     for tag, j in first_of_class.items():
         sel = ap_clean & (k_ap[:, j] == kmin)
         if sel.any():
@@ -160,6 +171,13 @@ def _others_of(counts, i):
     return tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
 
 
+@functools.cache
+def _unit_gauss_legendre(points):
+    """Gauss-Legendre nodes and weights mapped to [0, 1], as Python floats."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    return ((nodes + 1.0) / 2.0).tolist(), (weights / 2.0).tolist()
+
+
 def tiebreak_weight(kernels, others, k):
     """Expected win share of a tagged AP queue expiring first-in-pair at k.
 
@@ -170,9 +188,8 @@ def tiebreak_weight(kernels, others, k):
     1/(1+s) = integral_0^1 x^s dx, which turns the configuration sum into a
     polynomial of degree sum(others), integrated by Gauss-Legendre.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(max(1, (sum(others) + 2) // 2))
     total = 0.0
-    for x, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
+    for x, w in zip(*_unit_gauss_legendre(max(1, (sum(others) + 2) // 2))):
         prod = 1.0
         for j in PAIR_STATES:
             if others[j]:
@@ -324,3 +341,31 @@ def pair_transition_probs(state, t_us, lambda_pps):
     if state in (1, 2):
         return {state: 1 - p, 3: p}
     return {3: 1.0}
+
+
+def census_prior(prior, n):
+    """Probability of each census (k1, k2, k3) of n pairs when each pair is
+    independently in state j with probability rho_j: a multinomial term."""
+    rho = prior.pair_state_probs()
+    out = {}
+    for k1 in range(n + 1):
+        for k2 in range(n - k1 + 1):
+            for k3 in range(n - k1 - k2 + 1):
+                counts = (n - k1 - k2 - k3, k1, k2, k3)
+                coeff = math.factorial(n) // math.prod(map(math.factorial, counts))
+                out[(k1, k2, k3)] = coeff * math.prod(r ** c for r, c in zip(rho, counts))
+    return out
+
+
+def tagged_prior(prior, n):
+    """Probability of each tagged state (s_i; l1, l2, l3): the tagged pair
+    in state i and the census (l1, l2, l3) of the other n - 1 pairs."""
+    rho = prior.pair_state_probs()
+    others = census_prior(prior, n - 1)
+    return {(i,) + census: rho[i] * p
+            for i in PAIR_STATES for census, p in others.items()}
+
+
+def dense_solve(m, c):
+    """x = c + m x by a dense LU solve of (I - m) x = c."""
+    return np.linalg.solve(np.eye(len(m)) - m, c)

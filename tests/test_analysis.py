@@ -13,10 +13,11 @@ from oppmac import (
     TimerPolicy,
     build_kernels,
     capacity_search,
-    census_prior,
     fixed_point,
 )
-from oppmac.analysis import analysis_csv_lines, tagged_prior
+from oppmac.analysis import _tagged_prior_vec, analysis_csv_lines, census_space
+
+from oracles import census_prior, tagged_prior
 
 
 def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
@@ -27,15 +28,27 @@ def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
 
 # ----------------------------------------------------------------- priors
 
+def model_census_prior(prior, n):
+    """{(k1, k2, k3): probability} as the model weights its census vectors."""
+    space = census_space(n)
+    return dict(zip(space.censuses, space.prior(prior.pair_state_probs()).tolist()))
+
+
 def test_census_prior_corners():
-    assert census_prior(OccupancyPrior(0.0, 0.0), 5)[(0, 0, 0)] == 1.0
-    assert census_prior(OccupancyPrior(1.0, 1.0), 5)[(0, 0, 5)] == 1.0
+    for probs in (census_prior, model_census_prior):
+        assert probs(OccupancyPrior(0.0, 0.0), 5)[(0, 0, 0)] == 1.0
+        assert probs(OccupancyPrior(1.0, 1.0), 5)[(0, 0, 5)] == 1.0
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 7))
 @settings(max_examples=60, deadline=None)
 def test_census_prior_normalizes_and_marginals(p_a, p_s, n):
-    probs = census_prior(OccupancyPrior(p_a, p_s), n)
+    prior = OccupancyPrior(p_a, p_s)
+    probs = model_census_prior(prior, n)
+    want = census_prior(prior, n)
+    assert probs.keys() == want.keys()
+    np.testing.assert_allclose(list(probs.values()), list(want.values()),
+                               rtol=1e-13, atol=1e-300)
     assert abs(sum(probs.values()) - 1.0) < 1e-12
     # per-pair AP marginal: k1 + k3 occupied AP queues out of n
     ap_marginal = sum(p * (k1 + k3) for (k1, k2, k3), p in probs.items()) / n
@@ -45,6 +58,9 @@ def test_census_prior_normalizes_and_marginals(p_a, p_s, n):
 def test_tagged_prior_consistency():
     prior = OccupancyPrior(0.3, 0.6)
     probs = tagged_prior(prior, 7)
+    # the model's vector is in (pair state, others' census) order
+    np.testing.assert_allclose(_tagged_prior_vec(prior, 7), list(probs.values()),
+                               rtol=1e-13, atol=0)
     assert abs(sum(probs.values()) - 1.0) < 1e-12
     by_class = {}
     for (i, *_), p in probs.items():

@@ -1,11 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppmac import AP, STA, CycleModel, ParameterError, TimerPolicy, build_kernels
+from oppmac import (
+    AP,
+    STA,
+    ConsistencyError,
+    CycleModel,
+    KernelTable,
+    ParameterError,
+    TimerPolicy,
+    build_kernels,
+)
+from oppmac.analysis import enumerate_censuses
 from oppmac.kernels import PAIR_STATES
 
 from conftest import LAMBDA_GRID, P_GRID, PI_GRID
@@ -34,9 +45,9 @@ def q_of(lam, delta=9.0):
 
 
 def summaries(kt, timing, n):
-    """{(k1, k2, k3): census_summary} over every census of n pairs."""
+    """{(k1, k2, k3): (succ[k, state], col[k])} over every census of n pairs."""
     model = CycleModel(kt, timing, (0.1,) * 4, kt.lambda_pps, n)
-    return {c: model.census_summary(c) for c in model.censuses}
+    return {c: (model.succ[ci], model.col[ci]) for ci, c in enumerate(model.censuses)}
 
 
 def lone_queue_law(p_even, pi=(0.25,) * 4):
@@ -151,12 +162,34 @@ def test_p_suc_ap_matches_config_sum(n, timing):
             if counts[i] == 0:
                 continue
             others = tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
-            share, _ = model._others_vectors(others)
+            share = model._others_share[model.oidx[others[1:]]]
             for k in (0, 3, 7):
                 for l in range(0, k + 1, 3):
                     a = counts[i] * kt.ap[i, k, l] * share[k]
                     b = p_suc_ap_config_sum(i, k, l, counts, kt)
                     assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("inflate", [1.2, 4.0])
+def test_negative_collision_mass_names_first_census(inflate, timing):
+    """AP kernel mass inflated past the pair survival law leaves a negative
+    collision mass; the model refuses it and names the first such census."""
+    kt = make_kernels((0.1, 0.4, 0.3, 0.2), 0.0, 0.3)
+    bad = KernelTable(kt.policy, kt.pi, kt.lambda_pps, inflate * kt.ap, kt.sta,
+                      kt.both, kt._surv)
+
+    def collision_mass(counts, k):
+        before = math.prod(bad.survival(j, k - 1) ** counts[j] for j in PAIR_STATES)
+        after = math.prod(bad.survival(j, k) ** counts[j] for j in PAIR_STATES)
+        wins = sum(p_suc_ap(i, k, l, counts, bad) + p_suc_sta(i, k, l, counts, bad)
+                   for i in PAIR_STATES for l in range(k + 1))
+        return before - after - wins
+
+    first = next(c for c in enumerate_censuses(3)
+                 if min(collision_mass((3 - sum(c),) + c, k) for k in range(8)) < -1e-9)
+    message = r"negative collision mass .* census " + re.escape(str(first))
+    with pytest.raises(ConsistencyError, match=message):
+        CycleModel(bad, timing, (0.1,) * 4, 0.0, 3)
 
 
 def test_p_col_single_s3_is_tie_mass(timing):

@@ -1,13 +1,20 @@
-"""The census transition operator and the tagged right-hand side of
-``CycleModel`` against the exact scalar references in ``oracles``."""
+"""The census transition operator, the tagged right-hand side and the level
+sweep of ``CycleModel`` against the exact references in ``oracles``."""
 
 import numpy as np
 import pytest
 
-from oppmac import AP, STA, CycleModel, TimerPolicy, build_kernels
+from oppmac import AP, STA, ConsistencyError, CycleModel, TimerPolicy, build_kernels
+from oppmac.analysis import level_sweep
 from oppmac.kernels import PAIR_STATES, S0
 
-from oracles import p_hat_minislot, pair_transition_probs, transition_deltas, transition_prob
+from oracles import (
+    dense_solve,
+    p_hat_minislot,
+    pair_transition_probs,
+    transition_deltas,
+    transition_prob,
+)
 
 PI = (0.1, 0.2, 0.3, 0.4)
 PER = (0.1, 0.25, 0.0, 0.4)  # a zero-PER state has no errored-success windows
@@ -20,7 +27,8 @@ def make_model(n, lam, timing):
 
 def continuation_windows(model, census):
     """{window t_us: probability the period ends without a success after t}."""
-    succ, col = model.census_summary(census)
+    ci = model.cidx[census]
+    succ, col = model.succ[ci], model.col[ci]
     delta, out = model.timing.slot_us, {}
     for k in range(model.kmax + 1):
         for s in range(model.num_states):
@@ -108,3 +116,74 @@ def test_row_mass_is_continuation_probability(n, lam, timing):
             if combined(i, others) != (0, 0, 0):
                 cont = sum(continuation_windows(model, combined(i, others)).values())
                 assert abs(model._tagged_m[model._tidx(i, lo)].sum() - cont) <= 1e-14
+
+
+# ------------------------------------------------------------- level sweep
+
+def levels(model):
+    """Nonempty-queue count of every renewal unknown and of every tagged
+    unknown (the tagged pair's own queues included), from the census tuples."""
+    of = lambda census: census[0] + census[1] + 2 * census[2]
+    renewal = np.array([of(c) for c in model.censuses])
+    tagged = np.array([own + of(c) for own in (0, 1, 1, 2) for c in model.others])
+    return renewal, tagged
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 10])
+@pytest.mark.parametrize("lam", [0.0, 40.0, 80.0])
+def test_every_move_raises_the_level(n, lam, timing):
+    """Periods in M end without a success, so no queue empties: every
+    off-diagonal nonzero of both systems moves to a strictly higher level."""
+    model, _ = make_model(n, lam, timing)
+    for m, level in zip((model._renewal_m, model._tagged_m), levels(model)):
+        src, dst = np.nonzero(m)
+        off = src != dst
+        assert (level[dst[off]] > level[src[off]]).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
+@pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
+def test_sweep_matches_dense_solve(n, lam, timing):
+    model, _ = make_model(n, lam, timing)
+    # with no arrivals the empty census never ends: its E[R] is infinite
+    want = np.full(len(model.censuses), np.inf)
+    keep = np.ones(len(model.censuses), bool)
+    keep[model.cidx[(0, 0, 0)]] = lam > 0.0
+    want[keep] = dense_solve(model._renewal_m[np.ix_(keep, keep)], model._renewal_c[keep])
+    got = model.renewal_by_census
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
+    want = dense_solve(model._tagged_m, model._tagged_rhs)
+    np.testing.assert_allclose(model.tagged_ap, want[:, 0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.tagged_sta, want[:, 1], rtol=1e-12, atol=0)
+
+
+def test_sweep_solves_hand_example():
+    m = np.array([[0.5, 0.25, 0.0],
+                  [0.0, 0.0, 0.5],
+                  [0.0, 0.0, 0.75]])
+    c = np.array([1.0, 2.0, 3.0])
+    level = np.array([0, 1, 2])
+    x = level_sweep(m, c, level)
+    # x2 = 3 / (1 - 0.75), x1 = 2 + 0.5 x2, x0 = (1 + 0.25 x1) / (1 - 0.5)
+    np.testing.assert_allclose(x, [6.0, 8.0, 12.0], rtol=1e-15)
+    np.testing.assert_allclose(level_sweep(m, np.stack([c, 2 * c], 1), level),
+                               np.stack([x, 2 * x], 1), rtol=1e-15)
+
+
+@pytest.mark.parametrize("level", [[0, 0, 1],   # 0 -> 1 inside level 0
+                                   [1, 0, 2]])  # 0 -> 1 moves down a level
+def test_sweep_rejects_moves_that_do_not_raise_the_level(level):
+    m = np.array([[0.1, 0.2, 0.0],
+                  [0.0, 0.3, 0.4],
+                  [0.0, 0.0, 0.5]])
+    with pytest.raises(ConsistencyError, match="row 0 of m has a move that does not"):
+        level_sweep(m, np.ones(3), np.array(level))
+
+
+@pytest.mark.parametrize("diag", [1.0, 1.5, np.nan])
+def test_sweep_rejects_diagonal_not_below_one(diag):
+    m = np.array([[0.1, 0.2],
+                  [0.0, diag]])
+    with pytest.raises(ConsistencyError, match="diagonal entry of m at level 1 is not"):
+        level_sweep(m, np.ones(2), np.array([0, 1]))
