@@ -1,26 +1,25 @@
 """Renewal-reward throughput model for the opportunistic MAC.
 
 A renewal cycle runs between consecutive successful-transmission ends and
-contains exactly one success.  Conditioning on the occupancy census at the
-start of each contention period yields two linear systems x = c + M x:
-
-  * expected cycle length E[R | census] over all (k1, k2, k3) censuses,
-  * tagged-queue success probabilities P(tagged AP / STA wins the cycle |
-    tagged pair state and census of the other N-1 pairs).
+contains exactly one success.  Conditioning on the state i of a tagged pair
+and the census o of the other N-1 pairs at the start of each contention
+period yields one linear system y = c + M y for P(tagged AP / STA wins the
+cycle) and the expected cycle length.  (i, o) lumps onto the census o + e_i
+of all N pairs, so the last column is E[R | census] (checked to agree over i).
 
 M holds only periods that end without a success; no queue empties in them, so
-off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3 (the tagged
-system adds the tagged pair's queues) and ``level_sweep`` solves both by level.
+off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3 plus the
+tagged pair's nonempty queues, and ``level_sweep`` solves it by level.
 
 A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
 The destination, coefficient and exponents of p_t and 1 - p_t of each move
-out of a census are tabulated once per pair count (``CensusSpace``), so a
-row of M is bincount(dest, coeff * sum_t w_t p_t^ep (1-p_t)^eq).  The tagged
-M applies this operator to the other N-1 pairs, with w_t scaled by the
-tagged pair's own 4x4 transition law.  Occupancy enters only through the
-i.i.d. per-queue prior (P_A, P_S): the fixed point lambda = Theta_AP =
-Theta_STA reweights the solved vectors by multinomial census probabilities.
+out of a census are tabulated once per pair count (``CensusSpace``), so the
+others' part of a row of M is bincount(dest, coeff * sum_t w_t p_t^ep
+(1-p_t)^eq), with w_t scaled by the tagged pair's own 4x4 transition law.
+Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
+fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
+multinomial census probabilities.
 """
 
 from __future__ import annotations
@@ -201,7 +200,7 @@ def _pair_law(p: np.ndarray) -> np.ndarray:
 
 
 class CycleModel:
-    """Solved per-census renewal lengths and tagged success probabilities.
+    """Solved tagged success probabilities and per-census renewal lengths.
 
     Everything except the occupancy prior is fixed by (kernels, timing, per,
     lambda, N); ``throughput`` aggregates the solved vectors under a prior.
@@ -244,8 +243,12 @@ class CycleModel:
         self._windows = (np.arange(k1) * delta)[:, None] + np.array(tx)
         self._p = -np.expm1(-(lambda_pps * 1e-6) * self._windows.ravel())
 
+        # _combined[i, o]: the census of all N pairs when the tagged pair is
+        # in state i and the others are in census o (one-to-one for each i)
+        grown = self.others_space.counts[None, :, 1:] + np.eye(4, dtype=int)[:, None, 1:]
+        self._combined = self.space.lookup[tuple(np.moveaxis(grown, 2, 0))]
+
         self._summarise()
-        self._solve_renewal()
         self._solve_tagged()
 
     # ----- contention summaries of every census -------------------------
@@ -266,12 +269,11 @@ class CycleModel:
 
         counts = self.space.counts
         succ = np.zeros((len(self.censuses), self.kmax + 1, self.num_states))
-        for i in PAIR_STATES:  # o: the others of one s_i pair (idle if none)
-            minus = counts[:, 1:] - np.eye(4, dtype=int)[i, 1:]
-            o = others.lookup[tuple(np.where(counts[:, i, None] > 0, minus, 0).T)]
-            ci = counts[:, i, None, None]
-            succ += ci * self._ap_by_state[i] * share[o][:, :, None]
-            succ += ci * self._sta_by_state[i] * alone[o][:, :, None]
+        for i in PAIR_STATES:  # the censuses with an s_i pair, and its others
+            c = self._combined[i]
+            ci = counts[c, i, None, None]
+            succ[c] += ci * self._ap_by_state[i] * share[:, :, None]
+            succ[c] += ci * self._sta_by_state[i] * alone[:, :, None]
         cnt = counts[:, :, None]
         before = np.prod(np.stack([[kt.survival(j, k - 1) for k in range(self.kmax + 1)]
                                    for j in PAIR_STATES]) ** cnt, axis=1)
@@ -282,81 +284,68 @@ class CycleModel:
                                    f"at census {self.censuses[bad[0]]}")
         self.succ, self.col = succ, np.clip(col, 0.0, None)
 
-    # ----- linear systems -------------------------------------------------
+    # ----- the tagged linear system ---------------------------------------
 
-    def _solve_renewal(self) -> None:
-        nc = len(self.censuses)
-        lam_us = self.lambda_pps * 1e-6
-        empty_idx = self.cidx[(0, 0, 0)]
+    def _tagged_system(self):
+        """(m, rhs, level) over the states (i, o); the rhs columns are the
+        tagged AP's and STA's win probability and the mean period length."""
+        others = self.others_space
+        nc, nl = len(self.censuses), len(self.others)
         # weights[c, window]: the period ends without a success (errored
-        # success or collision) after that window; c holds each census's
-        # mean period length.  The empty census's row is closed form.
+        # success or collision) after that window; period[c] is its mean length
         succ, col = self.succ, self.col
         weights = np.concatenate([succ * self.per, col[:, :, None]], 2).reshape(nc, -1)
-        c = ((succ * self._windows[:, :-1]).reshape(nc, -1).sum(axis=1)
-             + (col * self._windows[:, -1]).sum(axis=1))
-        weights[empty_idx], c[empty_idx] = 0.0, 0.0
-        m = self.space.apply(weights @ self.space.powers(self._p))
-        if lam_us > 0.0:
-            c[empty_idx] = 1.0 / (2.0 * self.n * lam_us)
-            m[empty_idx, self.cidx[(1, 0, 0)]] = 0.5
-            m[empty_idx, self.cidx[(0, 1, 0)]] = 0.5
-        x = level_sweep(m, c, self.space.level)
-        if not np.isfinite(x).all():
-            raise ConsistencyError("renewal linear system produced non-finite values")
-        if lam_us == 0.0:  # no arrivals: the empty census never ends
-            x[empty_idx] = np.inf
-        self._weights = weights
-        self._renewal_m, self._renewal_c = m, c
-        self.renewal_by_census = x
-
-    def _solve_tagged(self) -> None:
-        nl = len(self.others)
-        others = self.others_space
+        period = ((succ * self._windows[:, :-1]).reshape(nc, -1).sum(axis=1)
+                  + (col * self._windows[:, -1]).sum(axis=1))
         pq = others.powers(self._p)
         law = _pair_law(self._p)
         delivered = 1.0 - self.per
         m = np.zeros((4, nl, 4, nl))
-        rhs = np.zeros((4, nl, 2))
+        rhs = np.zeros((4, nl, 3))
         for i in PAIR_STATES:
-            # the census of all N pairs: the others plus the tagged pair
-            combined = others.counts[:, 1:] + np.eye(4, dtype=int)[i, 1:]
-            w = self._weights[self.space.lookup[tuple(combined.T)]]
+            w = weights[self._combined[i]]
             for j in PAIR_STATES:
                 if law[i, j].any():
                     m[i, :, j, :] = others.apply((w * law[i, j]) @ pq)
             rhs[i, :, 0] = self._others_share @ (self._ap_by_state[i] @ delivered)
             rhs[i, :, 1] = self._others_surv @ (self._sta_by_state[i] @ delivered)
-        # idle system: the first arrival lands on the tagged AP, the tagged
-        # STA, or one of the other pairs' queues
+            rhs[i, :, 2] = period[self._combined[i]]
+        # idle system (closed form): wait for the first arrival, which lands
+        # on the tagged AP, the tagged STA, or one of the other pairs' queues
         idle = self.oidx[(0, 0, 0)]
-        rhs[S0, idle] = 0.0
+        m[S0, idle], rhs[S0, idle] = 0.0, 0.0
         if self.lambda_pps > 0.0:
+            rhs[S0, idle, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
             m[S0, idle, S1, idle] = m[S0, idle, S2, idle] = 1.0 / (2 * self.n)
             if self.n > 1:
                 frac = (self.n - 1) / (2.0 * self.n)
                 m[S0, idle, S0, self.oidx[(1, 0, 0)]] = frac
                 m[S0, idle, S0, self.oidx[(0, 1, 0)]] = frac
-        m, rhs = m.reshape(4 * nl, 4 * nl), rhs.reshape(4 * nl, 2)
         # the level counts the tagged pair's own nonempty queues, 0/1/1/2
-        y = level_sweep(m, rhs, (np.array([0, 1, 1, 2])[:, None] + others.level).ravel())
+        level = (np.array([0, 1, 1, 2])[:, None] + others.level).ravel()
+        return m.reshape(4 * nl, 4 * nl), rhs.reshape(4 * nl, 3), level
+
+    def _solve_tagged(self) -> None:
+        nl = len(self.others)
+        y = level_sweep(*self._tagged_system())
         if not np.all(np.isfinite(y)):
             raise ConsistencyError("tagged linear system produced non-finite values")
-        self._tagged_m, self._tagged_rhs = m, rhs
-        self.tagged_ap = y[:, 0]
-        self.tagged_sta = y[:, 1]
+        self.tagged_ap, self.tagged_sta = y[:, 0], y[:, 1]
         self._tidx = lambda i, lo: i * nl + lo
+        # E[R | c] is the period column at every (i, c - e_i); they must agree
+        by_class = np.full((4, len(self.censuses)), np.nan)
+        by_class[np.arange(4)[:, None], self._combined] = y[:, 2].reshape(4, nl)
+        x = np.choose(np.argmax(self.space.counts > 0, axis=1), by_class)  # lowest i in c
+        spread = np.nanmax(by_class, axis=0) - np.nanmin(by_class, axis=0)
+        bad = np.flatnonzero(~(spread <= 1e-9 * x))
+        if len(bad):
+            raise ConsistencyError(f"E[R] differs by {spread[bad[0]]} between tagged "
+                                   f"states of census {self.censuses[bad[0]]}")
+        if self.lambda_pps == 0.0:  # no arrivals: the empty census never ends
+            x[self.cidx[(0, 0, 0)]] = np.inf
+        self.renewal_by_census = x
 
-    # ----- residuals and aggregation --------------------------------------
-
-    def residuals(self) -> tuple[float, float]:
-        """Max back-substitution residual of the two linear systems."""
-        keep = np.isfinite(self.renewal_by_census)
-        x = self.renewal_by_census[keep]
-        r1 = np.abs(x - self._renewal_m[np.ix_(keep, keep)] @ x - self._renewal_c[keep])
-        y = np.stack([self.tagged_ap, self.tagged_sta], axis=1)
-        r2 = np.abs(y - self._tagged_m @ y - self._tagged_rhs)
-        return float(r1.max()), float(r2.max())
+    # ----- aggregation ----------------------------------------------------
 
     # The sums below are Python's sum in state order, as in the scalar loop
     # they replace: the fixed point amplifies a change of summation order.
@@ -466,10 +455,7 @@ def capacity_search(config: SystemConfig, policy: TimerPolicy, pi,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("lambda grid must be strictly ascending")
     solutions = [fixed_point(lam, config, policy, pi, timing) for lam in grid]
-    capacity = None
-    for sol in solutions:
-        if sol.converged:
-            capacity = sol.lambda_pps
+    capacity = max((s.lambda_pps for s in solutions if s.converged), default=None)
     return capacity, solutions
 
 

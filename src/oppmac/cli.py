@@ -50,6 +50,12 @@ class ExperimentSpec:
         bad = [s for s in self.schemes if s not in ALL_SCHEMES]
         if bad:
             raise ConfigError("--scheme", f"unknown scheme(s) {bad}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise ConfigError("--duration-s",
+                              f"must be finite and > 0, got {self.duration_s!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ConfigError("--tolerance",
+                              f"must be finite and >= 0, got {self.tolerance!r}")
 
 
 def _run_seed(base: int, scheme: str, lam: float, rep: int) -> int:

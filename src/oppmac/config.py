@@ -81,6 +81,8 @@ _FIELD_KEYS = {
     "retry_limit": "system.retry_limit",
     "p": "timer.p",
     "delta_us": "timer.delta_us",
+    "payload_bytes": "timing.payload_bytes",
+    "collision_rate_mbps": "timing.collision_rate_mbps",
     "collision_us": "timing.collision_rate_mbps",
 }
 

@@ -55,8 +55,9 @@ class ChannelSpace:
             raise ParameterError("first Eb/N0 threshold must be 0 dB", "thresholds_db")
         if any(b >= a for b, a in zip(self.thresholds_db, self.thresholds_db[1:])):
             raise ParameterError("thresholds must be strictly ascending", "thresholds_db")
-        if any(b >= a for b, a in zip(self.rates_mbps, self.rates_mbps[1:])):
-            raise ParameterError("rates must be strictly ascending", "rates_mbps")
+        if any(b >= a for b, a in zip((0.0, *self.rates_mbps), self.rates_mbps)):
+            raise ParameterError("rates must be positive and strictly ascending",
+                                 "rates_mbps")
 
     @property
     def num_states(self) -> int:
@@ -209,13 +210,17 @@ class MacTiming:
         EIFS-like choice: every station defers as if the garbled frame were a
         longest, lowest-rate one).
         """
+        if payload_bytes <= 0:
+            raise ParameterError("payload must be positive", "payload_bytes")
+        col_rate = space.rates_mbps[0] if collision_rate_mbps is None else collision_rate_mbps
+        if not col_rate > 0.0:
+            raise ParameterError("collision rate must be positive", "collision_rate_mbps")
         ack = ack_airtime_us()
         difs = SIFS_US + 2 * slot_us
         tx = tuple(
             data_airtime_us(payload_bytes, r) + SIFS_US + ack + difs
             for r in space.rates_mbps
         )
-        col_rate = collision_rate_mbps if collision_rate_mbps is not None else space.rates_mbps[0]
         col = data_airtime_us(payload_bytes, col_rate) + difs
         return cls(
             slot_us=slot_us,

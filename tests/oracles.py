@@ -8,8 +8,9 @@ expired AP queues and the packet error coin are averaged analytically within
 each sampled trial, which lowers variance without coupling the oracle to the
 implementation under test.  The exact scalar references at the end evaluate
 the census-level probabilities term by term from the kernel tables; the
-occupancy priors and the dense linear solve are references for the model's
-census vectors and its level sweep.
+occupancy priors, the dense renewal system built from the scalar arrival law
+and the dense linear solve are references for the model's census vectors and
+its level sweep.
 """
 
 from __future__ import annotations
@@ -369,3 +370,60 @@ def tagged_prior(prior, n):
 def dense_solve(m, c):
     """x = c + m x by a dense LU solve of (I - m) x = c."""
     return np.linalg.solve(np.eye(len(m)) - m, c)
+
+
+def period_windows(model, census):
+    """({window t_us: probability the period ends in a delivered success
+    after t}, {t: probability it ends without a success after t}) for a
+    census (k1, k2, k3) of all ``model.n`` pairs, from the model's per-census
+    summaries ``succ`` and ``col``."""
+    ci = model.cidx[census]
+    succ, col = model.succ[ci], model.col[ci]
+    delta, won, cont = model.timing.slot_us, {}, {}
+    for k in range(model.kmax + 1):
+        for s in range(model.num_states):
+            t = k * delta + model.timing.t_suc(s)
+            won[t] = won.get(t, 0.0) + succ[k, s] * (1.0 - model.per[s])
+            cont[t] = cont.get(t, 0.0) + succ[k, s] * model.per[s]
+        t = k * delta + model.timing.t_col()
+        cont[t] = cont.get(t, 0.0) + col[k]
+    return won, cont
+
+
+def continuation_windows(model, census):
+    """{window t_us: probability the period ends without a success after t}."""
+    return period_windows(model, census)[1]
+
+
+def scalar_row(census, n, t_us, lam, index):
+    """Destination law over censuses of n pairs after a window of t_us."""
+    row = np.zeros(len(index))
+    if n == 0:
+        row[0] = 1.0
+        return row
+    counts = (n - sum(census),) + census
+    for deltas, dest in transition_deltas(counts):
+        row[index[dest]] += transition_prob(counts, deltas, t_us, lam)
+    return row
+
+
+def renewal_system(model):
+    """Dense (m, c) of x = c + m x for E[R | census] over the censuses of all
+    ``model.n`` pairs.  A row of m sums the scalar destination laws of the
+    windows after which the period ends without a success; c is the mean
+    period length.  The idle census waits 1/(2 N lambda) for the first
+    arrival, which makes one pair AP-only or STA-only; with no arrivals its
+    row stays empty (the model sets its E[R] to inf)."""
+    nc, lam = len(model.censuses), model.lambda_pps
+    m, c = np.zeros((nc, nc)), np.zeros(nc)
+    for ci, census in enumerate(model.censuses):
+        if census == (0, 0, 0):
+            if lam > 0.0:
+                c[ci] = 1.0 / (2 * model.n * lam * 1e-6)
+                m[ci, model.cidx[(1, 0, 0)]] = m[ci, model.cidx[(0, 1, 0)]] = 0.5
+            continue
+        won, cont = period_windows(model, census)
+        c[ci] = sum(t * w for t, w in won.items()) + sum(t * w for t, w in cont.items())
+        for t, w in cont.items():
+            m[ci] += w * scalar_row(census, model.n, t, lam, model.cidx)
+    return m, c

@@ -17,7 +17,7 @@ from oppmac import (
 )
 from oppmac.analysis import _tagged_prior_vec, analysis_csv_lines, census_space
 
-from oracles import census_prior, tagged_prior
+from oracles import census_prior, renewal_system, tagged_prior
 
 
 def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
@@ -131,9 +131,10 @@ def test_lambda_zero_empty_census_is_infinite(timing):
 
 def test_renewal_residuals_and_positivity(timing):
     model = make_model(4, 45.0, timing=timing)
-    r1, r2 = model.residuals()
-    assert r1 < 1e-9 and r2 < 1e-9
     x = model.renewal_by_census
+    # residual against the scalar renewal system E[R] = c + M E[R]
+    m, c = renewal_system(model)
+    assert np.abs(x - m @ x - c).max() < 1e-9
     assert (x > 0).all()
     # at light load the empty census dominates every other expectation
     assert x[model.cidx[(0, 0, 0)]] == x.max()

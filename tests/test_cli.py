@@ -80,6 +80,9 @@ def test_config_nonfinite_names_key(key, value):
     ("timer.p", "2"),
     ("system.n_stations", "0"),
     ("channel.rates_mbps", "54,48,24,12"),
+    ("channel.rates_mbps", "0,24,48,54"),          # a zero PHY rate
+    ("timing.collision_rate_mbps", "0"),
+    ("timing.payload_bytes", "0"),                 # not a tx-time ordering error
 ])
 def test_config_range_error_names_key(tmp_path, capsys, key, value):
     """An out-of-range value exits 2 naming its own key."""
@@ -239,6 +242,24 @@ def test_bad_lambda_exit_code(tmp_path, capsys, verb, rates):
     assert main([verb, f"--lambda={rates}", "--out", str(tmp_path)]) == 2
     assert "--lambda" in capsys.readouterr().err
     assert not tmp_path.joinpath("analysis.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "validate"])
+@pytest.mark.parametrize("flag,value", [
+    ("--duration-s", "nan"), ("--duration-s", "inf"),  # would never reach the end time
+    ("--duration-s", "0"), ("--duration-s", "-1"),     # would report a silent zero
+    ("--tolerance", "nan"), ("--tolerance", "-1"),     # would breach every row
+])
+def test_bad_duration_or_tolerance_exit_code(tmp_path, capsys, monkeypatch,
+                                             verb, flag, value):
+    """Rejected while building the spec, before any model or simulator starts."""
+    def started(*args, **kwargs):
+        raise AssertionError("a model or simulator started")
+    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
+        monkeypatch.setattr(cli, name, started)
+    assert main([verb, "--lambda", "20", f"{flag}={value}", "--out", str(tmp_path)]) == 2
+    assert f"config key {flag!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("verb", ["analyze", "simulate"])

@@ -1,19 +1,23 @@
-"""The census transition operator, the tagged right-hand side and the level
-sweep of ``CycleModel`` against the exact references in ``oracles``."""
+"""The tagged system of ``CycleModel`` (census transition operator,
+right-hand side, level sweep) and the E[R | census] read off it, against the
+exact references in ``oracles``."""
 
 import numpy as np
 import pytest
 
 from oppmac import AP, STA, ConsistencyError, CycleModel, TimerPolicy, build_kernels
-from oppmac.analysis import level_sweep
-from oppmac.kernels import PAIR_STATES, S0
+from oppmac import analysis
+from oppmac.analysis import census_space, level_sweep
+from oppmac.kernels import PAIR_STATES, S0, S1, S3
 
 from oracles import (
+    continuation_windows,
     dense_solve,
     p_hat_minislot,
     pair_transition_probs,
-    transition_deltas,
-    transition_prob,
+    period_windows,
+    renewal_system,
+    scalar_row,
 )
 
 PI = (0.1, 0.2, 0.3, 0.4)
@@ -23,32 +27,6 @@ PER = (0.1, 0.25, 0.0, 0.4)  # a zero-PER state has no errored-success windows
 def make_model(n, lam, timing):
     kt = build_kernels(TimerPolicy(), np.asarray(PI), lam)
     return CycleModel(kt, timing, PER, lam, n), kt
-
-
-def continuation_windows(model, census):
-    """{window t_us: probability the period ends without a success after t}."""
-    ci = model.cidx[census]
-    succ, col = model.succ[ci], model.col[ci]
-    delta, out = model.timing.slot_us, {}
-    for k in range(model.kmax + 1):
-        for s in range(model.num_states):
-            t = k * delta + model.timing.t_suc(s)
-            out[t] = out.get(t, 0.0) + succ[k, s] * model.per[s]
-        t = k * delta + model.timing.t_col()
-        out[t] = out.get(t, 0.0) + col[k]
-    return out
-
-
-def scalar_row(census, n, t_us, lam, index):
-    """Destination law over censuses of n pairs after a window of t_us."""
-    row = np.zeros(len(index))
-    if n == 0:
-        row[0] = 1.0
-        return row
-    counts = (n - sum(census),) + census
-    for deltas, dest in transition_deltas(counts):
-        row[index[dest]] += transition_prob(counts, deltas, t_us, lam)
-    return row
 
 
 def combined(i, others):
@@ -61,19 +39,24 @@ def combined(i, others):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_renewal_rows_match_scalar_reference(n, lam, timing):
+    """E[R | census] against a dense solve of the scalar renewal system; with
+    no arrivals the empty census never ends and its E[R] is infinite."""
     model, _ = make_model(n, lam, timing)
-    for ci, census in enumerate(model.censuses):
-        if census == (0, 0, 0):
-            continue  # the idle row is closed form (test_analysis)
-        want = sum(w * scalar_row(census, n, t, lam, model.cidx)
-                   for t, w in continuation_windows(model, census).items())
-        assert np.abs(model._renewal_m[ci] - want).max() <= 1e-14
+    m, c = renewal_system(model)
+    want = np.full(len(model.censuses), np.inf)
+    keep = np.ones(len(model.censuses), bool)
+    keep[model.cidx[(0, 0, 0)]] = lam > 0.0
+    want[keep] = dense_solve(m[np.ix_(keep, keep)], c[keep])
+    got = model.renewal_by_census
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_tagged_rows_match_scalar_reference(n, lam, timing):
     model, _ = make_model(n, lam, timing)
+    m = model._tagged_system()[0]
     nl = len(model.others)
     for i in PAIR_STATES:
         for lo, others in enumerate(model.others):
@@ -84,17 +67,17 @@ def test_tagged_rows_match_scalar_reference(n, lam, timing):
                 orow = scalar_row(others, n - 1, t, lam, model.oidx)
                 for j, fj in pair_transition_probs(i, t, lam).items():
                     want[j * nl:(j + 1) * nl] += w * fj * orow
-            got = model._tagged_m[model._tidx(i, lo)]
-            assert np.abs(got - want).max() <= 1e-14
+            assert np.abs(m[model._tidx(i, lo)] - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 @pytest.mark.parametrize("lam", [0.0, 60.0])
 def test_tagged_rhs_matches_p_hat_minislot(n, lam, timing):
     model, kt = make_model(n, lam, timing)
+    rhs = model._tagged_system()[1]
     for i in PAIR_STATES:
         for lo, others in enumerate(model.others):
-            got = model._tagged_rhs[model._tidx(i, lo)]
+            got = rhs[model._tidx(i, lo), :2]
             if combined(i, others) == (0, 0, 0):
                 assert (got == 0.0).all()
                 continue
@@ -103,59 +86,101 @@ def test_tagged_rhs_matches_p_hat_minislot(n, lam, timing):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("lam", [0.0, 60.0])
+def test_tagged_period_column_is_mean_period_length(n, lam, timing):
+    """The third right-hand side is sum t * w over every window of the
+    period, delivered successes and continuations alike; the idle row waits
+    1/(2 N lambda) for the first arrival."""
+    model, _ = make_model(n, lam, timing)
+    rhs = model._tagged_system()[1]
+    for i in PAIR_STATES:
+        for lo, others in enumerate(model.others):
+            census = combined(i, others)
+            if census == (0, 0, 0):
+                want = 1.0 / (2 * n * lam * 1e-6) if lam > 0.0 else 0.0
+            else:
+                want = sum(t * w for windows in period_windows(model, census)
+                           for t, w in windows.items())
+            assert rhs[model._tidx(i, lo), 2] == pytest.approx(want, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("n", [2, 7])
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_row_mass_is_continuation_probability(n, lam, timing):
     model, _ = make_model(n, lam, timing)
-    for ci, census in enumerate(model.censuses):
-        if census != (0, 0, 0):
-            cont = sum(continuation_windows(model, census).values())
-            assert abs(model._renewal_m[ci].sum() - cont) <= 1e-14
+    m = model._tagged_system()[0]
     for i in PAIR_STATES:
         for lo, others in enumerate(model.others):
             if combined(i, others) != (0, 0, 0):
                 cont = sum(continuation_windows(model, combined(i, others)).values())
-                assert abs(model._tagged_m[model._tidx(i, lo)].sum() - cont) <= 1e-14
+                assert abs(m[model._tidx(i, lo)].sum() - cont) <= 1e-14
+
+
+def test_no_move_table_for_all_n_pairs(timing):
+    """Only the others' census space (n - 1 pairs) tabulates its moves."""
+    census_space.cache_clear()
+    make_model(5, 40.0, timing)
+    assert "_moves" in vars(census_space(4))
+    assert "_moves" not in vars(census_space(5))
+
+
+def test_renewal_identity_check_catches_a_wrong_pair_law(timing, monkeypatch):
+    """A tagged pair law that disagrees with the others' arrival law breaks
+    the lumping onto censuses: the tagged states of one census then give
+    different E[R], and the model refuses to pick one."""
+    exact = analysis._pair_law
+
+    def lossy(p):
+        f = exact(p)
+        f[S1, S3] *= 0.5  # an AP-only tagged pair fills at half the rate
+        return f
+
+    monkeypatch.setattr(analysis, "_pair_law", lossy)
+    with pytest.raises(ConsistencyError, match=r"E\[R\] differs by .* census \(0, 0, 1\)"):
+        make_model(2, 400.0, timing)
 
 
 # ------------------------------------------------------------- level sweep
 
-def levels(model):
-    """Nonempty-queue count of every renewal unknown and of every tagged
-    unknown (the tagged pair's own queues included), from the census tuples."""
+def tagged_levels(model):
+    """Nonempty-queue count of every tagged unknown, the tagged pair's own
+    queues included, from the census tuples."""
     of = lambda census: census[0] + census[1] + 2 * census[2]
-    renewal = np.array([of(c) for c in model.censuses])
-    tagged = np.array([own + of(c) for own in (0, 1, 1, 2) for c in model.others])
-    return renewal, tagged
+    return np.array([own + of(c) for own in (0, 1, 1, 2) for c in model.others])
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 10])
 @pytest.mark.parametrize("lam", [0.0, 40.0, 80.0])
 def test_every_move_raises_the_level(n, lam, timing):
     """Periods in M end without a success, so no queue empties: every
-    off-diagonal nonzero of both systems moves to a strictly higher level."""
+    off-diagonal nonzero of the tagged system moves to a strictly higher
+    level."""
     model, _ = make_model(n, lam, timing)
-    for m, level in zip((model._renewal_m, model._tagged_m), levels(model)):
-        src, dst = np.nonzero(m)
-        off = src != dst
-        assert (level[dst[off]] > level[src[off]]).all()
+    m, _, level = model._tagged_system()
+    assert np.array_equal(level, tagged_levels(model))
+    src, dst = np.nonzero(m)
+    off = src != dst
+    assert (level[dst[off]] > level[src[off]]).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_sweep_matches_dense_solve(n, lam, timing):
     model, _ = make_model(n, lam, timing)
-    # with no arrivals the empty census never ends: its E[R] is infinite
-    want = np.full(len(model.censuses), np.inf)
-    keep = np.ones(len(model.censuses), bool)
-    keep[model.cidx[(0, 0, 0)]] = lam > 0.0
-    want[keep] = dense_solve(model._renewal_m[np.ix_(keep, keep)], model._renewal_c[keep])
-    got = model.renewal_by_census
-    assert np.array_equal(np.isinf(got), np.isinf(want))
-    np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
-    want = dense_solve(model._tagged_m, model._tagged_rhs)
+    m, rhs, _ = model._tagged_system()
+    want = dense_solve(m, rhs)
     np.testing.assert_allclose(model.tagged_ap, want[:, 0], rtol=1e-12, atol=0)
     np.testing.assert_allclose(model.tagged_sta, want[:, 1], rtol=1e-12, atol=0)
+    # E[R | census] is the period column at every tagged state of the census
+    got = model.renewal_by_census
+    for i in PAIR_STATES:
+        for lo, others in enumerate(model.others):
+            x = got[model.cidx[combined(i, others)]]
+            if np.isinf(x):  # no arrivals: the empty census never ends
+                assert lam == 0.0 and combined(i, others) == (0, 0, 0)
+            else:
+                assert x == pytest.approx(want[model._tidx(i, lo), 2], rel=1e-12, abs=0)
 
 
 def test_sweep_solves_hand_example():
