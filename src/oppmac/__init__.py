@@ -9,7 +9,6 @@ from .core import (
     ParameterError,
     SystemConfig,
     TimerPolicy,
-    draw_timer,
     state_from_timer,
     state_probabilities,
 )
@@ -24,7 +23,7 @@ from .analysis import (
 
 __all__ = [
     "AP", "STA", "ChannelSpace", "MacTiming", "ParameterError", "SystemConfig",
-    "TimerPolicy", "draw_timer", "state_from_timer", "state_probabilities",
+    "TimerPolicy", "state_from_timer", "state_probabilities",
     "ConsistencyError", "KernelTable", "build_kernels", "AnalysisSolution",
     "CycleModel", "OccupancyPrior", "capacity_search", "fixed_point",
 ]

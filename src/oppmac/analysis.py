@@ -259,7 +259,8 @@ class CycleModel:
         probability that all those pairs survive past k.  Per census of all n
         pairs: clean-win mass succ[c, k, winner state] and collision col[c, k]."""
         kt, others = self.kernels, self.others_space
-        surv = np.stack([kt.survival_row(j) for j in PAIR_STATES])
+        # P(tau_min^j > k - 1) and P(tau_min^j > k) at k = 0..t_max
+        before, surv = kt._surv[:, :-1], kt._surv[:, 1:]
         cnt = others.counts[:, :, None]
         share = np.zeros((len(self.others), self.kmax + 1))
         for x, w in zip(*_gl_nodes(self.n - 1)):
@@ -275,9 +276,7 @@ class CycleModel:
             succ[c] += ci * self._ap_by_state[i] * share[:, :, None]
             succ[c] += ci * self._sta_by_state[i] * alone[:, :, None]
         cnt = counts[:, :, None]
-        before = np.prod(np.stack([[kt.survival(j, k - 1) for k in range(self.kmax + 1)]
-                                   for j in PAIR_STATES]) ** cnt, axis=1)
-        col = before - np.prod(surv ** cnt, axis=1) - succ.sum(axis=2)
+        col = np.prod(before ** cnt, axis=1) - np.prod(surv ** cnt, axis=1) - succ.sum(axis=2)
         bad = np.flatnonzero(col.min(axis=1) < -1e-9)
         if len(bad):
             raise ConsistencyError(f"negative collision mass {col[bad[0]].min()} "

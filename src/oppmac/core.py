@@ -21,7 +21,6 @@ import numpy as np
 
 AP = "ap"
 STA = "sta"
-SIDES = (AP, STA)
 
 
 class ParameterError(ValueError):
@@ -121,6 +120,8 @@ class TimerPolicy:
 
     def slot_probs(self, state: int, side: str) -> dict[int, float]:
         """Timer pmf over backoff slots for one side in one channel state."""
+        if side not in (AP, STA):
+            raise ParameterError(f"side must be {AP!r} or {STA!r}, got {side!r}")
         b = self.base_slot(state)
         p_even = self.p if side == AP else 1.0 - self.p
         return {b: p_even, b + 1: 1.0 - p_even}
@@ -128,15 +129,6 @@ class TimerPolicy:
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.num_states:
             raise ParameterError(f"state {state} outside 0..{self.num_states - 1}")
-
-
-def draw_timer(policy: TimerPolicy, state: int, side: str, rng: np.random.Generator) -> int:
-    """Sample a backoff timer (in slots) for one queue."""
-    if side not in SIDES:
-        raise ParameterError(f"side must be one of {SIDES}, got {side!r}")
-    b = policy.base_slot(state)
-    p_even = policy.p if side == AP else 1.0 - policy.p
-    return b if rng.random() < p_even else b + 1
 
 
 def state_from_timer(policy: TimerPolicy, slots: int) -> int:

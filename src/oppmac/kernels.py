@@ -8,14 +8,24 @@ probability q = 1 - exp(-lambda * delta).  The two queues of a pair share
 one channel state per period (reciprocity), drawn when the first of them
 sets a timer.  A queue's expiry slot is its set slot plus its timer draw.
 
-This module tabulates, for each pair occupancy state s_i:
+Once the pair's channel state h is fixed the two timers are independent, so
+each kernel is a product of two one-queue expiry laws.  A queue's law is
 
-  * P^{s_i}(k; l; AP)      AP queue expires strictly first within its pair,
-                           at slot k, having drawn a timer of l slots,
-  * P^{s_i}(k; l; STA)     same for the STA queue,
-  * P^{s_i}(k; l; AP+STA)  both queues of the pair expire together at k
-                           (l records the AP draw),
-  * S_i(k) = P(tau_min^i > k), the pair survival function.
+  e[k, l] = P(set slot = k - l) * P(timer = l | h),
+
+with the set-slot pmf a point mass at 0 for a nonempty queue and the
+geometric joiner law for an empty one, and the timer pmf taken from
+``TimerPolicy.slot_probs``.  For each pair occupancy state s_i this module
+tabulates, summed over h with weight pi_h:
+
+  * P^{s_i}(k; l; AP)      = e_AP[k, l] * P(STA expiry > k): the AP queue
+                           expires strictly first, at slot k, having drawn
+                           a timer of l slots,
+  * P^{s_i}(k; l; STA)     = e_STA[k, l] * P(AP expiry > k),
+  * P^{s_i}(k; l; AP+STA)  = e_AP[k, l] * P(STA expiry = k): both queues
+                           expire together at k (l records the AP draw),
+  * S_i(k) = P(tau_min^i > k) = 1 - (first-expiry mass up to k), the pair
+    survival function.
 
 ``analysis.CycleModel`` combines them into the system-level success,
 collision, tagged-minislot and transition probabilities of a census.
@@ -31,7 +41,7 @@ import math
 
 import numpy as np
 
-from .core import ParameterError, TimerPolicy, state_from_timer
+from .core import AP, STA, ParameterError, TimerPolicy, state_from_timer
 
 S0, S1, S2, S3 = 0, 1, 2, 3
 PAIR_STATES = (S0, S1, S2, S3)
@@ -71,15 +81,13 @@ class KernelTable:
         """P(tau_min^i > k) for k in -1 .. t_max."""
         return float(self._surv[i, k + 1])
 
-    def survival_row(self, i: int) -> np.ndarray:
-        """Survival values at k = 0 .. t_max."""
-        return self._surv[i, 1:]
-
 
 def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> KernelTable:
-    """Enumerate the exact within-pair expiry kernels for all pair states.
+    """Tabulate the within-pair expiry kernels for all pair states.
 
-    The vulnerability window is the policy slot ``delta_us``.
+    Given the pair's channel state h the two queues expire independently, so
+    each kernel is pi_h times a product of the two queues' expiry laws,
+    summed over h.  The vulnerability window is the policy slot ``delta_us``.
     """
     pi = np.asarray(pi, dtype=float)
     if len(pi) != policy.num_states:
@@ -91,71 +99,31 @@ def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> Ker
     kmax = policy.t_max
     q = -math.expm1(-(lambda_pps * 1e-6) * policy.delta_us)  # per-slot join probability
 
-    # set-slot pmfs: a queue nonempty at tau sets at slot 0; an empty queue
-    # joins at slot m >= 1 with geometric probability, or never (tail).
-    head = ([(0, 1.0)], 0.0)
-    if q > 0.0:
-        joiner_pmf = [(m, q * (1.0 - q) ** (m - 1)) for m in range(1, kmax + 1)]
-        joiner = (joiner_pmf, (1.0 - q) ** kmax)
-    else:
-        joiner = ([], 1.0)
-    sets_by_state = {
-        S0: (joiner, joiner),
-        S1: (head, joiner),
-        S2: (joiner, head),
-        S3: (head, head),
-    }
+    # set-slot pmf and P(set slot > j), j = 0..kmax: a queue nonempty at tau
+    # sets at slot 0; an empty queue joins at slot m >= 1 with geometric law
+    j = np.arange(kmax + 1)
+    later = (1.0 - q) ** j
+    head = (np.eye(1, kmax + 1)[0], np.zeros(kmax + 1))
+    joiner = (np.append(0.0, q * later[:-1]), later)
+    lag = kmax + j[:, None] - j  # [k, l] -> k - l, offset past kmax padding entries
 
-    ap = np.zeros((4, kmax + 1, kmax + 1))
-    sta = np.zeros((4, kmax + 1, kmax + 1))
-    both = np.zeros((4, kmax + 1, kmax + 1))
-    surv = np.zeros((4, kmax + 2))
+    def expiry(sets: tuple, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """One side's [s, h, k, l] = P(set at k - l) P(timer l) in state h,
+        and [s, h, k] = P(expiry > k), for the set laws of pair states s."""
+        timer = np.array([[policy.slot_probs(h, side).get(l, 0.0) for l in range(kmax + 1)]
+                          for h in range(policy.num_states)])[None, :, None, :]
+        pmf = np.stack([np.append(np.zeros(kmax), f)[lag] for f, _ in sets])
+        tail = np.stack([np.append(np.ones(kmax), g)[lag] for _, g in sets])
+        return pmf[:, None] * timer, (tail[:, None] * timer).sum(axis=3)
 
-    for s in PAIR_STATES:
-        (ap_set, ap_tail), (sta_set, sta_tail) = sets_by_state[s]
-        first_expiry = np.zeros(kmax + 1)  # pmf of min expiry over 0..kmax
-        for h in range(policy.num_states):
-            b = policy.base_slot(h)
-            ap_draws = ((b, policy.p), (b + 1, 1.0 - policy.p))
-            sta_draws = ((b, 1.0 - policy.p), (b + 1, policy.p))
-            for m_a, w_ma in ap_set:
-                for l_a, w_la in ap_draws:
-                    k_a = m_a + l_a
-                    w_a = w_ma * w_la
-                    # both queues set timers
-                    for m_s, w_ms in sta_set:
-                        for l_s, w_ls in sta_draws:
-                            k_s = m_s + l_s
-                            w = pi[h] * w_a * w_ms * w_ls
-                            lo = min(k_a, k_s)
-                            if lo <= kmax:
-                                if k_a < k_s:
-                                    ap[s, k_a, l_a] += w
-                                elif k_s < k_a:
-                                    sta[s, k_s, l_s] += w
-                                else:
-                                    both[s, k_a, l_a] += w
-                                first_expiry[lo] += w
-                    # AP finite, STA never sets a timer
-                    w = pi[h] * w_a * sta_tail
-                    if k_a <= kmax:
-                        ap[s, k_a, l_a] += w
-                        first_expiry[k_a] += w
-            # STA finite, AP never
-            for m_s, w_ms in sta_set:
-                for l_s, w_ls in sta_draws:
-                    k_s = m_s + l_s
-                    w = pi[h] * ap_tail * w_ms * w_ls
-                    if k_s <= kmax:
-                        sta[s, k_s, l_s] += w
-                        first_expiry[k_s] += w
-            # mass with no expiry inside the horizon stays in the survival tail
-
-        expired_by = np.cumsum(first_expiry)  # P(min <= k), k = 0..kmax
-        surv[s, 0] = 1.0
-        for k in range(kmax + 1):
-            surv[s, k + 1] = max(0.0, 1.0 - float(expired_by[k]))
-
+    ap_at, ap_later = expiry((joiner, head, joiner, head), AP)
+    sta_at, sta_later = expiry((joiner, joiner, head, head), STA)
+    ap = np.einsum("h,shkl,shk->skl", pi, ap_at, sta_later)
+    sta = np.einsum("h,shkl,shk->skl", pi, sta_at, ap_later)
+    both = np.einsum("h,shkl,shk->skl", pi, ap_at, sta_at.sum(axis=3))
+    # mass with no expiry inside the horizon stays in the survival tail
+    expired_by = np.cumsum((ap + sta + both).sum(axis=2), axis=1)  # P(min <= k)
+    surv = np.hstack([np.ones((4, 1)), np.maximum(0.0, 1.0 - expired_by)])
     return KernelTable(policy, pi, lambda_pps, ap, sta, both, surv)
 
 

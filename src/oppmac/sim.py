@@ -67,6 +67,8 @@ EV_MARK = 3
 DRAW_BLOCK = 64
 ARRIVAL_BLOCK = 16
 
+WARMUP_FRAC = 0.05  # warmup share of the duration, or else of the renewal budget
+
 
 class InvariantError(RuntimeError):
     """An internal simulator invariant failed (a bug, not a bad input)."""
@@ -243,7 +245,7 @@ def _gap_draws(rng, mean_us: float):
 
 def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
          start, join, resolve, end, duration_us: float | None,
-         max_renewals: int | None, warmup_frac: float, trace_path,
+         max_renewals: int | None, trace_path,
          queue_name, ap_queue_ids) -> SimReport:
     """The event loop both MACs share; the MAC is the four hooks (see the
     module docstring).  ``next_gap[q]`` gives queue q's inter-arrival gaps
@@ -258,9 +260,9 @@ def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
     budget = max_renewals if max_renewals is not None else math.inf
     warm_target = None
     if duration_us is not None:
-        push(heap, (warmup_frac * duration_us, EV_MARK, -1))
+        push(heap, (WARMUP_FRAC * duration_us, EV_MARK, -1))
     else:
-        warm_target = max(1, math.ceil(warmup_frac * max_renewals))
+        warm_target = max(1, math.ceil(WARMUP_FRAC * max_renewals))
     trace_rows = []
 
     # phase: vacant (idle, nothing queued), contention, busy (transaction
@@ -338,7 +340,6 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
                       timing: MacTiming, space: ChannelSpace,
                       duration_us: float | None = None,
                       max_renewals: int | None = None,
-                      warmup_frac: float = 0.05,
                       trace_path=None) -> SimReport:
     """Simulate the opportunistic MAC for a wall-clock duration and/or a
     renewal budget (at least one must be given)."""
@@ -440,7 +441,7 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
 
     report = _run(
         "opportunistic", config, tally, next_gap, start, join, resolve, end,
-        duration_us, max_renewals, warmup_frac, trace_path,
+        duration_us, max_renewals, trace_path,
         queue_name=lambda q: f"{'ap' if q % 2 == 0 else 'sta'}{q // 2}",
         ap_queue_ids=[q for q in range(nq) if q % 2 == 0])
     if duration_us is not None and report.renewal_count < 1000:
@@ -547,8 +548,7 @@ class _ArfState:
 
 def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             rate_adaptation: str = "arf",
-            duration_us: float | None = None,
-            warmup_frac: float = 0.05) -> SimReport:
+            duration_us: float | None = None) -> SimReport:
     """802.11 DCF baseline: one aggregate AP queue plus N STA queues, binary
     exponential backoff (CW 15..1023), per-attempt rate adaptation.
 
@@ -676,6 +676,6 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         return ridx, AP if st == 0 else STA
 
     return _run(f"dcf-{rate_adaptation}", config, tally, next_gap,
-                start, join, resolve, end, duration_us, None, warmup_frac, None,
+                start, join, resolve, end, duration_us, None, None,
                 queue_name=lambda st: "ap" if st == 0 else f"sta{st - 1}",
                 ap_queue_ids=[0])

@@ -6,8 +6,9 @@ timer draws, first-expiry resolution with AP-side merging) without touching
 the analytic kernel code.  The AP's uniform pick among simultaneously
 expired AP queues and the packet error coin are averaged analytically within
 each sampled trial, which lowers variance without coupling the oracle to the
-implementation under test.  The exact scalar references at the end evaluate
-the census-level probabilities term by term from the kernel tables; the
+implementation under test.  The exact kernel enumeration lists every joint
+outcome of one pair.  The exact scalar references after it evaluate the
+census-level probabilities term by term from the kernel tables; the
 occupancy priors, the dense renewal system built from the scalar arrival law
 and the dense linear solve are references for the model's census vectors and
 its level sweep.
@@ -157,14 +158,96 @@ def z_scores(analytic, empirical, trials):
 
 
 # ---------------------------------------------------------------------------
+# Exact per-pair kernels, by enumerating every outcome of one pair.
+
+PAIR_STATES = S0, S1, S2, S3 = (0, 1, 2, 3)
+
+
+def kernel_enumeration(policy, pi, lambda_pps):
+    """Exact (ap, sta, both, surv) per-pair kernel arrays, shaped as in
+    ``KernelTable``, by enumerating every joint (AP set slot, AP timer, STA
+    set slot, STA timer) outcome of one contention period in each channel
+    state.  Writes the timer law out from its definition: the AP side takes
+    the even slot of state h with probability p, the STA side with 1 - p."""
+    pi = np.asarray(pi, dtype=float)
+    kmax = policy.t_max
+    q = -math.expm1(-(lambda_pps * 1e-6) * policy.delta_us)  # per-slot join probability
+
+    # set-slot pmfs: a queue nonempty at tau sets at slot 0; an empty queue
+    # joins at slot m >= 1 with geometric probability, or never (tail).
+    head = ([(0, 1.0)], 0.0)
+    if q > 0.0:
+        joiner_pmf = [(m, q * (1.0 - q) ** (m - 1)) for m in range(1, kmax + 1)]
+        joiner = (joiner_pmf, (1.0 - q) ** kmax)
+    else:
+        joiner = ([], 1.0)
+    sets_by_state = {
+        S0: (joiner, joiner),
+        S1: (head, joiner),
+        S2: (joiner, head),
+        S3: (head, head),
+    }
+
+    ap = np.zeros((4, kmax + 1, kmax + 1))
+    sta = np.zeros((4, kmax + 1, kmax + 1))
+    both = np.zeros((4, kmax + 1, kmax + 1))
+    surv = np.zeros((4, kmax + 2))
+
+    for s in PAIR_STATES:
+        (ap_set, ap_tail), (sta_set, sta_tail) = sets_by_state[s]
+        first_expiry = np.zeros(kmax + 1)  # pmf of min expiry over 0..kmax
+        for h in range(policy.num_states):
+            b = policy.base_slot(h)
+            ap_draws = ((b, policy.p), (b + 1, 1.0 - policy.p))
+            sta_draws = ((b, 1.0 - policy.p), (b + 1, policy.p))
+            for m_a, w_ma in ap_set:
+                for l_a, w_la in ap_draws:
+                    k_a = m_a + l_a
+                    w_a = w_ma * w_la
+                    # both queues set timers
+                    for m_s, w_ms in sta_set:
+                        for l_s, w_ls in sta_draws:
+                            k_s = m_s + l_s
+                            w = pi[h] * w_a * w_ms * w_ls
+                            lo = min(k_a, k_s)
+                            if lo <= kmax:
+                                if k_a < k_s:
+                                    ap[s, k_a, l_a] += w
+                                elif k_s < k_a:
+                                    sta[s, k_s, l_s] += w
+                                else:
+                                    both[s, k_a, l_a] += w
+                                first_expiry[lo] += w
+                    # AP finite, STA never sets a timer
+                    w = pi[h] * w_a * sta_tail
+                    if k_a <= kmax:
+                        ap[s, k_a, l_a] += w
+                        first_expiry[k_a] += w
+            # STA finite, AP never
+            for m_s, w_ms in sta_set:
+                for l_s, w_ls in sta_draws:
+                    k_s = m_s + l_s
+                    w = pi[h] * ap_tail * w_ms * w_ls
+                    if k_s <= kmax:
+                        sta[s, k_s, l_s] += w
+                        first_expiry[k_s] += w
+            # mass with no expiry inside the horizon stays in the survival tail
+
+        expired_by = np.cumsum(first_expiry)  # P(min <= k), k = 0..kmax
+        surv[s, 0] = 1.0
+        for k in range(kmax + 1):
+            surv[s, k + 1] = max(0.0, 1.0 - float(expired_by[k]))
+
+    return ap, sta, both, surv
+
+
+# ---------------------------------------------------------------------------
 # Exact scalar references.  One term at a time, from the definitions, for a
 # census given as counts (n0, n1, n2, n3) of pairs per occupancy state: the
 # per-(i, k, l) success and collision probabilities, the tagged minislot win,
 # and the occupancy transition law over a window.  ``CycleModel`` computes
 # the same quantities as arrays; the tests compare it against these exactly.
 # They read the per-pair kernel tables and nothing else of the analysis.
-
-PAIR_STATES = (0, 1, 2, 3)
 
 
 def _others_of(counts, i):

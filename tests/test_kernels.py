@@ -21,6 +21,7 @@ from oppmac.kernels import PAIR_STATES
 
 from conftest import LAMBDA_GRID, P_GRID, PI_GRID
 from oracles import (
+    kernel_enumeration,
     kernel_oracle,
     p_col,
     p_hat_minislot,
@@ -60,6 +61,22 @@ def lone_queue_law(p_even, pi=(0.25,) * 4):
 
 
 # ---------------------------------------------------------------- kernels
+
+@pytest.mark.parametrize("lam", (0.0, 1.0, 50.0, 5e3, 1e6))
+@pytest.mark.parametrize("num_states", (1, 2, 4))
+@pytest.mark.parametrize("p", (0.0, 0.3, 0.5, 1.0))
+def test_kernels_match_enumeration(p, num_states, lam):
+    """The product of per-queue expiry laws gives the exact kernels that the
+    enumeration of every joint outcome of a pair gives, for uniform and
+    one-hot channel laws."""
+    policy = TimerPolicy(p=p, delta_us=9.0, num_states=num_states)
+    for pi in (np.full(num_states, 1.0 / num_states), *np.eye(num_states)):
+        kt = build_kernels(policy, pi, lam)
+        for got, want in zip((kt.ap, kt.sta, kt.both, kt._surv),
+                             kernel_enumeration(policy, pi, lam)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15
+
 
 @pytest.mark.parametrize("pi", PI_GRID)
 @pytest.mark.parametrize("lam", LAMBDA_GRID)
