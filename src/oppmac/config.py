@@ -181,14 +181,11 @@ def _build_setup(v: dict) -> WlanSetup:
                                      v["timing.collision_rate_mbps"], float),
             slot_us=policy.delta_us,
         )
+        config.resolve_pi(space)  # checks the pi and PER lengths
     except ConfigError:
         raise
     except ParameterError as exc:
         raise ConfigError(_FIELD_KEYS.get(exc.field, "<setup>"), str(exc)) from exc
-    if config.pi is not None and len(config.pi) != space.num_states:
-        raise ConfigError("channel.pi", "length does not match channel states")
-    if len(config.per_state_per) != space.num_states:
-        raise ConfigError("system.per_state_per", "length does not match channel states")
     return WlanSetup(config=config, policy=policy, timing=timing, space=space)
 
 

@@ -270,9 +270,14 @@ class SystemConfig:
                                  "retry_limit")
 
     def resolve_pi(self, space: ChannelSpace) -> np.ndarray:
-        """State distribution implied by the configured channel mode."""
+        """State distribution implied by the configured channel mode.  Raises
+        ``ParameterError`` unless pi (when explicit) and the PER vector have
+        one entry per channel state of ``space``."""
+        if self.pi is not None and len(self.pi) != space.num_states:
+            raise ParameterError("pi length does not match channel space", "pi")
+        if len(self.per_state_per) != space.num_states:
+            raise ParameterError("PER vector length does not match channel space",
+                                 "per_state_per")
         if self.pi is not None:
-            if len(self.pi) != space.num_states:
-                raise ParameterError("pi length does not match channel space")
             return np.asarray(self.pi, dtype=float)
         return state_probabilities(space, self.mean_ebn0_db)

@@ -21,6 +21,10 @@ the renewal trace; and the report.  A MAC is four hooks it calls:
 - ``end(t)``: the transaction ends; apply the outcome through the shared
   ``_Tally`` and return ``(state, side)`` of a success, else None.
 
+Each contention is one pass over the backlogged queues: the opportunistic
+MAC keeps a running minimum of its timers, and DCF stores each backoff
+counter as the slot of a virtual idle clock at which it expires.
+
 The engine is strictly deterministic for a given (config, seed): every
 random stream has its own generator, whose draws may be served from blocks
 but are never reordered.  A transmission transaction spans the frame, its
@@ -37,6 +41,7 @@ import heapq
 import json
 import math
 import warnings
+from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -214,8 +219,18 @@ def _blocks(draw, size: int):
     """Endless iterator of Python scalars, drawn ``size`` at a time by
     ``draw(size=size)``.  numpy returns the same values, in the same order,
     for k draws in one call as for k scalar calls, so while nothing else
-    draws from the generator behind ``draw`` this is its scalar stream."""
+    draws from the generator behind ``draw`` this is its scalar stream.  The
+    one-pass contentions draw timers, states and backoffs (as idle-clock
+    expiries) queue by queue in queue order, so they take the same draws."""
     return chain.from_iterable(draw(size=size).tolist() for _ in repeat(None))
+
+
+def _backoff_draws(rng):
+    """Callable cw -> ``rng.integers(cw + 1)`` for cw + 1 a power of two: numpy's
+    bounded method (Lemire's) then never rejects and keeps the top bits of one
+    32-bit draw, so the draws are served from blocks of raw 32-bit words."""
+    words = _blocks(partial(rng.integers, 0, 1 << 32, dtype=np.uint32), DRAW_BLOCK)
+    return lambda cw: next(words) >> (32 - cw.bit_length())
 
 
 def _state_draws(config: SystemConfig, space: ChannelSpace, rng,
@@ -347,13 +362,12 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
         raise ParameterError("provide duration_us and/or max_renewals")
     if config.lambda_pps == 0.0 and duration_us is None:
         raise ParameterError("a renewal budget alone cannot bound a zero-rate run")
+    config.resolve_pi(space)  # checks the pi and PER lengths
     n = config.n_stations
     nq = 2 * n  # queue 2i = AP side of pair i, queue 2i+1 = STA side
     delta = policy.delta_us
     lam_us = config.lambda_pps * 1e-6
     per = [float(e) for e in config.per_state_per]
-    if len(per) != space.num_states:
-        raise ParameterError("PER vector length does not match channel space")
     states = range(space.num_states)
     base = [policy.base_slot(h) for h in states]
     p_even = (policy.p, 1.0 - policy.p)  # indexed by q & 1: AP side, STA side
@@ -370,54 +384,54 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     tally = _Tally(nq, space.num_states, config.retry_limit)
     backlogged = tally.backlogged
     tau = 0.0
-    timers: dict[int, int] = {}
     pair_state: list = [None] * n
-    k_star = 0
+    k_star, first = 0, []  # earliest expiry slot; the queues reaching it, ascending
     attempted, won_state, ok = [], None, False  # outcome of the last resolution
 
-    def timer_slots(q: int) -> int:
-        h = pair_state[q >> 1]
-        if h is None:
-            h = pair_state[q >> 1] = next_state()
-        return base[h] if next_timer_u() < p_even[q & 1] else base[h] + 1
-
     def start(t: float) -> float:
-        nonlocal tau, k_star
-        tau = t
-        timers.clear()
+        nonlocal tau, k_star, first
+        tau, k_star, first = t, math.inf, []
         pair_state[:] = [None] * n
         for q in sorted(backlogged):
-            timers[q] = timer_slots(q)
-        if not timers:
+            h = pair_state[q >> 1]
+            if h is None:
+                h = pair_state[q >> 1] = next_state()
+            k = base[h] if next_timer_u() < p_even[q & 1] else base[h] + 1
+            if k < k_star:
+                k_star, first = k, [q]
+            elif k == k_star:
+                first.append(q)
+        if not first:
             raise InvariantError("contention started with no backlogged queue")
-        k_star = min(timers.values())
         return tau + k_star * delta
 
     def join(q: int, t: float) -> float | None:
-        nonlocal k_star
+        nonlocal k_star, first
         m = max(1, math.ceil((t - tau) / delta - 1e-9))
         if m > k_star:
             return None
-        timers[q] = m + timer_slots(q)
-        if timers[q] >= k_star:
-            return None
-        k_star = timers[q]
-        return tau + k_star * delta
+        h = pair_state[q >> 1]
+        if h is None:
+            h = pair_state[q >> 1] = next_state()
+        k = m + (base[h] if next_timer_u() < p_even[q & 1] else base[h] + 1)
+        if k < k_star:
+            k_star, first = k, [q]
+            return tau + k_star * delta
+        if k == k_star:
+            insort(first, q)
+        return None
 
     def resolve(t: float) -> float:
         nonlocal attempted, won_state, ok
-        expired = sorted(q for q, e in timers.items() if e == k_star)
-        if not expired:
-            raise InvariantError("resolution with no expiring timer")
-        ap_exp = [q for q in expired if not q & 1]
-        if len(ap_exp) == len(expired) or len(expired) == 1:
+        ap_exp = [q for q in first if not q & 1]
+        if len(ap_exp) == len(first) or len(first) == 1:
             # AP expiries alone merge by a uniform pick; a lone STA wins
             if ap_exp:
                 winner = ap_exp[int(pick_rng.integers(len(ap_exp)))]
                 if len(ap_exp) > 1:
                     tally.ap_merges += 1
             else:
-                winner = expired[0]
+                winner = first[0]
             attempted = [winner]
             won_state = pair_state[winner >> 1]
             ok = next_coin() >= per[won_state]
@@ -426,8 +440,8 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
         # for the longest colliding frame.  The colliders drew good states,
         # so this is usually far shorter than the analysis' conservative
         # lowest-rate constant.
-        attempted, ok = expired, False
-        return max(air_us[pair_state[q >> 1]] for q in expired) + difs
+        attempted, ok = first, False
+        return max(air_us[pair_state[q >> 1]] for q in first) + difs
 
     def end(t: float):
         if ok:
@@ -562,6 +576,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         raise ParameterError("rate_adaptation must be 'arf' or 'threshold'")
     if duration_us is None:
         raise ParameterError("run_dcf requires a duration")
+    config.resolve_pi(space)  # checks the pi and PER lengths
     use_arf = rate_adaptation == "arf"
     n = config.n_stations
     ns = n + 1  # station 0 = AP
@@ -574,6 +589,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     next_state = _state_draws(config, space, chan_rng).__next__
     next_coin = _blocks(per_rng.random, DRAW_BLOCK).__next__
     next_dest = _blocks(partial(dest_rng.integers, n), DRAW_BLOCK).__next__
+    next_backoff = _backoff_draws(back_rng)
     per = [float(e) for e in config.per_state_per]
     airtime = [timing.data_airtime(s) for s in range(space.num_states)]
     next_gap = []
@@ -590,45 +606,54 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     arf = [_ArfState() for _ in range(2 * n)]
     last_seen = [0] * (2 * n)  # latest observed state per link
     cw = [CW_MIN] * ns
-    # backoff counter per station: None until drawn, and again after each
-    # attempt; only a backlogged station holds one
-    slots_left: list = [None] * ns
-    idle_t0 = 0.0
+    # idle clock value at which each backoff counter expires: None until
+    # drawn and again after each attempt; only a backlogged station holds
+    # one.  The clock counts the slots all contentions so far left idle.
+    expiry: list = [None] * ns
+    clock = soonest = 0  # soonest: the earliest held expiry
+    idle_t0 = 0.0  # instant the clock last advanced to
     attempts, ok = [], False  # outcome of the last resolution
 
     def normalize(t: float) -> None:
-        nonlocal idle_t0
+        nonlocal idle_t0, clock
         # slack absorbs float error of the t0 + k*delta event times
         elapsed = int(math.floor((t - idle_t0) / delta + 1e-7))
         if elapsed > 0:
-            slots_left[:] = [None if s is None else max(0, s - elapsed)
-                             for s in slots_left]
+            clock += elapsed
             idle_t0 += elapsed * delta
+        if soonest < clock:
+            raise InvariantError("a backoff counter fell behind the idle clock")
 
     def start(t: float) -> float:
-        nonlocal idle_t0
+        nonlocal idle_t0, soonest
         # frozen counters resume; fresh ones are drawn in station order
-        idle_t0 = t
+        idle_t0, soonest = t, math.inf
         for st in sorted(backlogged):
-            if slots_left[st] is None:
-                slots_left[st] = int(back_rng.integers(cw[st] + 1))
-        return idle_t0 + min(s for s in slots_left if s is not None) * delta
+            e = expiry[st]
+            if e is None:
+                e = expiry[st] = clock + next_backoff(cw[st])
+            if e < soonest:
+                soonest = e
+        return idle_t0 + (soonest - clock) * delta
 
     def join(st: int, t: float) -> float | None:
+        nonlocal soonest
         normalize(t)
-        soonest = min(s for s in slots_left if s is not None)
-        k = int(back_rng.integers(cw[st] + 1))
+        k = next_backoff(cw[st])
         if t > idle_t0:
             k += 1  # mid-slot joiner starts at the next boundary
-        slots_left[st] = k
-        return idle_t0 + k * delta if k < soonest else None
+        expiry[st] = clock + k
+        if clock + k < soonest:
+            soonest = clock + k
+            return idle_t0 + k * delta
+        return None
 
     def resolve(t: float) -> float:
         nonlocal ap_dest, attempts, ok
         normalize(t)
-        winners = [st for st in range(ns) if slots_left[st] == 0]
-        if not winners:
-            raise InvariantError("transmission event with no zero counter")
+        if soonest != clock:
+            raise InvariantError("transmission event with no expiring counter")
+        winners = [st for st, e in enumerate(expiry) if e == clock]
         attempts = []
         for st in winners:
             if st == 0:
@@ -641,7 +666,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             ridx = arf[link].rate if use_arf else last_seen[link]
             last_seen[link] = h  # known by the time of the next attempt
             attempts.append((st, link, h, ridx))
-            slots_left[st] = None  # fresh backoff after this attempt
+            expiry[st] = None  # fresh backoff after this attempt
         busy = max(airtime[r] for _, _, _, r in attempts)
         if len(winners) > 1:
             ok = False

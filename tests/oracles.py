@@ -11,7 +11,8 @@ outcome of one pair.  The exact scalar references after it evaluate the
 census-level probabilities term by term from the kernel tables; the
 occupancy priors, the dense renewal system built from the scalar arrival law
 and the dense linear solve are references for the model's census vectors and
-its level sweep.
+its level sweep.  Bianchi's saturation model is the reference for the DCF
+simulator.
 """
 
 from __future__ import annotations
@@ -510,3 +511,29 @@ def renewal_system(model):
         for t, w in cont.items():
             m[ci] += w * scalar_row(census, model.n, t, lam, model.cidx)
     return m, c
+
+
+def bianchi_saturation(n, w, m, t_s_us, t_c_us, slot_us):
+    """Saturation throughput (packets/s) of n 802.11 DCF stations with
+    minimum window w, m doubling stages and no retry limit, and the share of
+    busy periods that are collisions, from G. Bianchi, "Performance analysis
+    of the IEEE 802.11 distributed coordination function", IEEE JSAC 18(3),
+    2000.  The conditional collision probability p solves
+    p = 1 - (1 - tau(p))^(n-1) with tau(p) = 2 / (1 + w + p w sum_{i<m} (2p)^i),
+    the form of the paper's tau without its 0/0 at p = 1/2.  The left side
+    minus the right rises in p, so bisection finds the root."""
+    def tau(p):
+        return 2.0 / (1.0 + w + p * w * sum((2.0 * p) ** i for i in range(m)))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid < 1.0 - (1.0 - tau(mid)) ** (n - 1):
+            lo = mid
+        else:
+            hi = mid
+    t = tau(0.5 * (lo + hi))
+    p_tr = 1.0 - (1.0 - t) ** n  # some station transmits in a slot
+    p_s = n * t * (1.0 - t) ** (n - 1) / p_tr  # exactly one does
+    slot = (1.0 - p_tr) * slot_us + p_tr * (p_s * t_s_us + (1.0 - p_s) * t_c_us)
+    return p_tr * p_s / slot * 1e6, 1.0 - p_s

@@ -83,6 +83,8 @@ def test_config_nonfinite_names_key(key, value):
     ("channel.rates_mbps", "0,24,48,54"),          # a zero PHY rate
     ("timing.collision_rate_mbps", "0"),
     ("timing.payload_bytes", "0"),                 # not a tx-time ordering error
+    ("channel.pi", "0.5,0.5"),                     # one entry per channel state
+    ("system.per_state_per", "0.1,0.1,0.1,0.1,0.1"),
 ])
 def test_config_range_error_names_key(tmp_path, capsys, key, value):
     """An out-of-range value exits 2 naming its own key."""

@@ -9,12 +9,15 @@ import pytest
 
 from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_point
 from oppmac.sim import (
+    CW_MAX,
+    CW_MIN,
     EV_ARRIVAL,
     EV_END,
     EV_MARK,
     EV_RESOLVE,
     InvariantError,
     _ArfState,
+    _backoff_draws,
     _blocks,
     _build_report,
     _state_draws,
@@ -23,6 +26,8 @@ from oppmac.sim import (
     run_dcf,
     run_opportunistic,
 )
+
+from oracles import bianchi_saturation
 
 
 def quiet_run(*args, **kwargs):
@@ -258,6 +263,62 @@ def test_dcf_threshold_tracks_previous_state(timing, space):
     assert counts[2] > 0.95 * sum(counts)
 
 
+@pytest.mark.parametrize("n", [2, 7, 15])
+def test_dcf_matches_bianchi_saturation(n, timing, space):
+    """Saturated DCF on a clean, frozen top-rate channel with no retry limit
+    delivers Bianchi's saturation throughput for n + 1 stations (the AP
+    contends as one station) to within 3%, and its share of busy periods
+    that collide lies within 10% of the model's."""
+    cfg = SystemConfig(n_stations=n, lambda_pps=5000.0, pi=(0.0, 0.0, 0.0, 1.0),
+                       per_state_per=(0.0,) * 4, retry_limit=None, seed=41)
+    rep = quiet_dcf(cfg, timing, space, "threshold", duration_us=20e6)
+    eifs = timing.difs_us + timing.sifs_us + timing.ack_us
+    stages = ((CW_MAX + 1) // (CW_MIN + 1)).bit_length() - 1
+    pps, col_share = bianchi_saturation(n + 1, CW_MIN + 1, stages, timing.t_suc(3),
+                                        timing.data_airtime(3) + eifs, timing.slot_us)
+    assert abs(rep.system_pps / pps - 1.0) < 0.03
+    sim_share = rep.collisions / (rep.collisions + rep.renewal_count)
+    assert abs(sim_share / col_share - 1.0) < 0.10
+
+
+@pytest.mark.parametrize("mac", ["opportunistic", "dcf"])
+@pytest.mark.parametrize("lengths", [
+    dict(pi=(0.5, 0.5)),
+    dict(pi=(0.2,) * 5),
+    dict(pi=(0.25,) * 4, per_state_per=(0.1,) * 2),
+    dict(pi=(0.25,) * 4, per_state_per=(0.1,) * 6),
+    dict(mean_ebn0_db=28.0, per_state_per=(0.1,) * 6),
+])
+def test_simulators_reject_mismatched_lengths(mac, lengths, policy, timing, space):
+    """A pi or PER vector without one entry per channel state is refused at
+    entry, before any draw."""
+    cfg = SystemConfig(n_stations=2, lambda_pps=50.0, seed=3, **lengths)
+    with pytest.raises(ParameterError, match="length does not match"):
+        if mac == "opportunistic":
+            quiet_run(cfg, policy, timing, space, duration_us=1e6)
+        else:
+            quiet_dcf(cfg, timing, space, "arf", duration_us=1e6)
+
+
+def test_backoff_blocks_match_scalar_integers():
+    """Backoffs served from blocks of raw 32-bit draws equal, draw for draw,
+    ``Generator.integers(cw + 1)`` scalar calls over random windows in
+    CW_MIN..CW_MAX, which holds only while every cw + 1 is a power of two."""
+    assert (CW_MIN + 1) & CW_MIN == 0 and (CW_MAX + 1) & CW_MAX == 0
+    windows = [((CW_MIN + 1) << i) - 1
+               for i in range(((CW_MAX + 1) // (CW_MIN + 1)).bit_length())]
+    assert windows[0] == CW_MIN and windows[-1] == CW_MAX
+    for seed in range(5):
+        cws = [windows[i] for i in
+               np.random.Generator(np.random.PCG64(900 + seed))
+               .integers(len(windows), size=10_000).tolist()]
+        draw = _backoff_draws(np.random.Generator(np.random.PCG64(seed)))
+        ref = np.random.Generator(np.random.PCG64(seed))
+        got = [draw(cw) for cw in cws]
+        assert got == [int(ref.integers(cw + 1)) for cw in cws]
+        assert max(got) > 1000
+
+
 def test_heap_entry_ordering():
     """Heap entries (time_us, rank, tag) pop by time, then kind rank, then
     tag (an arrival's queue, a resolution's epoch); at one instant an arrival
@@ -419,6 +480,17 @@ GOLDEN_RUNS = [
     # zero rate: no arrival is ever scheduled
     ("arf", 3, 0.0, EXPLICIT, 7, dict(duration_us=1e6), False,
      "aab7169ae38ecbd14dde8379fad3f0a6dd35e3762fb452ddf9b18855df47ef6e"),
+    # N = 15 past saturation: retry-limit drops and DCF windows up to CW_MAX
+    ("opportunistic", 15, 300.0, RAYLEIGH, 7, dict(duration_us=1e6), True,
+     "17c52405b2afcb64e4a8e1e2e85b5e56f5d0a85632ff93758149e1c5cc0e76fc"),
+    ("arf", 15, 300.0, RAYLEIGH, 7, dict(duration_us=2e6), False,
+     "3f2cc25a053909f7f39bac3f13931c3a7ce059bbdd5f2d0fac5b96c431b195e4"),
+    ("threshold", 15, 300.0, RAYLEIGH, 7, dict(duration_us=2e6), False,
+     "6fc7455db58fadbe3882bad72dffd51bd12eea697a1c3ae09288ea01cba9ef4b"),
+    # N = 15 at moderate load: mid-contention joiners that tie the earliest
+    # pending expiry
+    ("opportunistic", 15, 40.0, RAYLEIGH, 7, dict(duration_us=2e6), True,
+     "3f3626d042dea0e885be64e94572d3c24448e79785a4112d72130bbd9ed94988"),
 ]
 
 
