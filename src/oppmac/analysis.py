@@ -9,14 +9,17 @@ of all N pairs, so the last column is E[R | census] (checked to agree over i).
 
 M holds only periods that end without a success; no queue empties in them, so
 off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3 plus the
-tagged pair's nonempty queues, and ``level_sweep`` solves it by level.
+tagged pair's nonempty queues, and ``block_sweep`` solves it by level.
 
 A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
 The destination, coefficient and exponents of p_t and 1 - p_t of each move
-out of a census are tabulated once per pair count (``CensusSpace``), so the
-others' part of a row of M is bincount(dest, coeff * sum_t w_t p_t^ep
-(1-p_t)^eq), with w_t scaled by the tagged pair's own 4x4 transition law.
+out of a census are tabulated once per pair count (``CensusSpace``), with
+the distinct (source, destination) cells of those moves as one
+``MovePattern``.  M is never formed densely: it is 4 x 4 blocks i -> j over
+the others' censuses, nonzero only for j >= i in S0 < S1, S2 < S3, and each
+of those is one value per cell, bincount(cell, coeff * sum_t w_t p_t^ep
+(1-p_t)^eq), with w_t scaled by the tagged pair's law f[i, j, t].
 Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
 fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
 multinomial census probabilities.
@@ -86,6 +89,44 @@ def enumerate_censuses(n: int) -> list[tuple[int, int, int]]:
             for k3 in range(n - k1 - k2 + 1)]
 
 
+class MovePattern:
+    """The distinct (source, destination) cells of the moves between the
+    censuses of one space, sorted by the source's ``level``, then source.
+    Every census has its diagonal cell, and every other cell must go
+    strictly up a level, or ``ConsistencyError`` is raised.
+
+    For the sweep, ``order`` lists the censuses by level and ``rank`` is its
+    inverse; ``levels[l]`` holds, for the censuses ``order[rows]`` of level
+    l, their ``cells`` (a slice of the pattern), each census's first cell
+    and its diagonal cell as offsets into ``cells``."""
+
+    def __init__(self, src, dst, level):
+        self.src, self.dst = src, dst = np.asarray(src), np.asarray(dst)
+        self.level = level = np.asarray(level)
+        up = (src == dst) | (level[dst] > level[src])
+        if not up.all():
+            s = src[np.argmin(up)]
+            raise ConsistencyError(f"census {s} has a move that does not leave "
+                                   f"level {level[s]} upwards")
+        from_level = level[src]
+        if (np.diff(from_level * len(level) + src) < 0).any():
+            raise ValueError("cells must be sorted by source level, then source")
+        if not (np.bincount(src[src == dst], minlength=len(level)) == 1).all():
+            raise ValueError("every census needs its diagonal cell")
+        self.order = np.argsort(level, kind="stable")
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(level))
+        self.to = self.rank[dst]
+        top = np.arange(level.max() + 2)
+        bounds = np.searchsorted(from_level, top)
+        row_bounds = np.searchsorted(level[self.order], top)
+        self.levels = []
+        for lv in top[:-1]:
+            rows, cells = slice(*row_bounds[lv:lv + 2]), slice(*bounds[lv:lv + 2])
+            first = np.searchsorted(src[cells], self.order[rows])
+            self.levels.append((rows, cells, first, np.flatnonzero(src[cells] == dst[cells])))
+
+
 class CensusSpace:
     """The censuses of ``n`` pairs and the arrival moves between them.
 
@@ -109,30 +150,43 @@ class CensusSpace:
 
     @functools.cached_property
     def _moves(self):
-        """Per move: flat (source, destination) cell of M, coefficient, and
-        flat (source, exponent of p, exponent of q) cell of the table
-        ``apply`` receives.  A move (a, b, c, d, e) fills a of the k1 AP-only
-        and b of the k2 STA-only pairs and turns c / d / e empty pairs
-        AP-only / STA-only / full."""
-        nc, ne = len(self.censuses), 2 * self.n + 1
+        """The ``MovePattern`` of the moves out of every census and, per level
+        of their source, per move: its cell (counted from the level's first
+        cell), coefficient and flat (source, exponent of p, exponent of q)
+        cell of the table ``cell_values`` receives.  A move (a, b, c, d, e)
+        fills a of the k1 AP-only and b of the k2 STA-only pairs and turns
+        c / d / e empty pairs AP-only / STA-only / full."""
+        ne = 2 * self.n + 1
         binom = np.array([[math.comb(r, k) for k in range(self.n + 1)]
                           for r in range(self.n + 1)], dtype=float)
-        cells, coeffs, terms = [], [], []
-        for src, (k1, k2, k3) in enumerate(self.censuses):
-            n0 = self.n - k1 - k2 - k3
-            fill = census_space(n0)
-            c, d, e = (x[None, :] for x in fill.counts[:, 1:].T)
-            a, b = (x.reshape(-1, 1) for x in np.indices((k1 + 1, k2 + 1)))
-            dest = self.lookup[k1 - a + c, k2 - b + d, k3 + a + b + e]
-            ep = a + b + c + d + 2 * e
-            eq = k1 - a + k2 - b + c + d + 2 * (n0 - c - d - e)
-            cells.append((src * nc + dest).ravel())
-            coeffs.append((binom[k1, a] * binom[k2, b] * fill.multinom).ravel())
-            terms.append(((src * ne + ep) * ne + eq).ravel())
-        moves = tuple(np.concatenate(x) for x in (cells, coeffs, terms))
-        for arr in moves:
+        srcs, dsts, by_level = [], [], []
+        for rows in (np.flatnonzero(self.level == lv) for lv in range(self.level.max() + 1)):
+            cells = coeffs = terms = ()
+            first = 0
+            for src in rows.tolist():
+                k1, k2, k3 = self.censuses[src]
+                n0 = self.n - k1 - k2 - k3
+                fill = census_space(n0)
+                c, d, e = (x[None, :] for x in fill.counts[:, 1:].T)
+                a, b = (x.reshape(-1, 1) for x in np.indices((k1 + 1, k2 + 1)))
+                dest = self.lookup[k1 - a + c, k2 - b + d, k3 + a + b + e]
+                ep = a + b + c + d + 2 * e
+                eq = k1 - a + k2 - b + c + d + 2 * (n0 - c - d - e)
+                dst, cell = np.unique(dest, return_inverse=True)
+                srcs.append(np.full(len(dst), src))
+                dsts.append(dst)
+                cells += (first + cell.ravel(),)
+                coeffs += ((binom[k1, a] * binom[k2, b] * fill.multinom).ravel(),)
+                terms += (((src * ne + ep) * ne + eq).ravel(),)
+                first += len(dst)
+            by_level.append(tuple(np.concatenate(x) for x in (cells, coeffs, terms)))
+        for arr in (arr for moves in by_level for arr in moves):
             arr.flags.writeable = False
-        return moves
+        return MovePattern(np.concatenate(srcs), np.concatenate(dsts), self.level), by_level
+
+    @property
+    def pattern(self) -> MovePattern:
+        return self._moves[0]
 
     def powers(self, p: np.ndarray) -> np.ndarray:
         """Table [t, e * (2n+1) + f] = p_t^e (1 - p_t)^f for e, f = 0..2n."""
@@ -140,14 +194,15 @@ class CensusSpace:
         pw, qw = p[:, None] ** e, (1.0 - p)[:, None] ** e
         return (pw[:, :, None] * qw[:, None, :]).reshape(len(p), -1)
 
-    def apply(self, table: np.ndarray) -> np.ndarray:
-        """Transition matrix whose row for census c sums
-        coeff * table[c, ep, eq] over the moves out of c, where ``table`` is
-        (per-census window weights) @ ``powers``."""
-        cells, coeffs, terms = self._moves
-        nc = len(self.censuses)
-        flat = np.bincount(cells, coeffs * table.ravel()[terms], minlength=nc * nc)
-        return flat.reshape(nc, nc)
+    def cell_values(self, table: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out``, per cell of ``pattern``, coeff * table[source,
+        ep, eq] summed over the cell's moves in move order, where ``table``
+        is (per-census window weights) @ ``powers``.  One level at a time."""
+        pattern, by_level = self._moves
+        for (_, cells, _, _), (cell, coeff, term) in zip(pattern.levels, by_level):
+            vals = table.ravel()[term]
+            vals *= coeff
+            out[cells] = np.bincount(cell, vals, minlength=cells.stop - cells.start)
 
     def prior(self, rho, scale: float = 1.0) -> np.ndarray:
         """``scale`` times the census probabilities when each pair is
@@ -167,24 +222,43 @@ def _tagged_prior_vec(prior: OccupancyPrior, n: int) -> np.ndarray:
     return np.concatenate([census_space(n - 1).prior(rho, r) for r in rho])
 
 
-def level_sweep(m: np.ndarray, c: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Solve x = c + m x where off its diagonal m moves strictly up in ``level``:
-    from the top level down, x_r = (c_r + m[r, higher] x) / (1 - m[r, r]).  A
-    move that does not go up, or m[r, r] >= 1, raises ``ConsistencyError``."""
-    x = np.zeros(c.shape)
-    for lv in range(level.max(), -1, -1):
-        rows = np.flatnonzero(level == lv)
-        block, on = m[rows], (np.arange(len(rows)), rows)  # m[rows] is a copy
-        stay = 1.0 - block[on]
-        block[on] = 0.0
-        low = block[:, level <= lv]
-        if low.any():
-            raise ConsistencyError(f"row {rows[np.argwhere(low)[0, 0]]} of m has a move "
-                                   f"that does not leave level {lv} upwards")
-        if not (stay > 0.0).all():
-            raise ConsistencyError(f"a diagonal entry of m at level {lv} is not below 1")
-        x[rows] = ((c[rows] + block @ x).T / stay).T  # x is 0 at this level and below
-    return x
+OWN_LEVEL = (0, 1, 1, 2)  # nonempty queues of a pair in state S0 .. S3
+
+
+def block_sweep(pattern: MovePattern, blocks: dict, rhs: np.ndarray,
+                own=OWN_LEVEL) -> np.ndarray:
+    """Solve y = rhs + M y over the states (i, o), o a census of ``pattern``'s
+    space, at level ``own[i] + level[o]``.  ``blocks[i]`` is (targets, values):
+    M's block i -> targets[r] holds values[r] on the pattern's cells; every
+    target is i or has a higher ``own``, so off its diagonal M moves strictly
+    up a level.  From the top level down, y[i, o] = (rhs[i, o] + M[(i, o),
+    higher] y) / (1 - M[(i, o), (i, o)]).  A block that does not raise
+    ``own`` or a diagonal entry not below 1 raises ``ConsistencyError``.
+    ``rhs`` is (states, censuses, columns), and so is y."""
+    for i, (targets, _) in blocks.items():
+        for j in targets:
+            if j != i and own[j] <= own[i]:
+                raise ConsistencyError(f"block {i} -> {j} does not raise the level")
+    n = len(pattern.level)
+    # one row per rhs column, the censuses by level: a level is a slice
+    rhs = np.moveaxis(rhs[:, pattern.order], 2, 0)
+    y = np.zeros((len(rhs), len(own) * n))
+    top = len(pattern.levels) - 1
+    for lv in range(max(own) + top, -1, -1):
+        for i, base in enumerate(own):
+            if not 0 <= lv - base <= top:
+                continue
+            targets, values = blocks[i]
+            rows, cells, first, on = pattern.levels[lv - base]
+            vals = values[:, cells]
+            stay = 1.0 - vals[targets.index(i), on] if i in targets else np.ones(len(on))
+            if not (stay > 0.0).all():
+                raise ConsistencyError(f"a diagonal entry at level {lv} is not below 1")
+            to = n * np.array(targets, dtype=np.intp)[:, None] + pattern.to[cells]
+            moved = np.einsum("jc,kjc->kc", vals, np.take(y, to, axis=1))  # 0 at this level
+            y[:, i * n + rows.start:i * n + rows.stop] = (
+                rhs[:, i, rows] + np.add.reduceat(moved, first, axis=1)) / stay
+    return np.moveaxis(y.reshape(len(rhs), len(own), n)[:, :, pattern.rank], 0, 2)
 
 
 def _pair_law(p: np.ndarray) -> np.ndarray:
@@ -286,8 +360,11 @@ class CycleModel:
     # ----- the tagged linear system ---------------------------------------
 
     def _tagged_system(self):
-        """(m, rhs, level) over the states (i, o); the rhs columns are the
-        tagged AP's and STA's win probability and the mean period length."""
+        """(blocks, rhs, idle) over the states (i, o).  blocks[i] holds M's
+        blocks i -> j on the others' move pattern for the states j that a
+        pair in state i can reach (see ``block_sweep``).  The rhs columns are
+        the tagged AP's and STA's win probability and the mean period length.
+        idle is M's closed-form row of (S0, empty census) as {(j, o): entry}."""
         others = self.others_space
         nc, nl = len(self.censuses), len(self.others)
         # weights[c, window]: the period ends without a success (errored
@@ -299,34 +376,41 @@ class CycleModel:
         pq = others.powers(self._p)
         law = _pair_law(self._p)
         delivered = 1.0 - self.per
-        m = np.zeros((4, nl, 4, nl))
+        blocks = {}
         rhs = np.zeros((4, nl, 3))
         for i in PAIR_STATES:
             w = weights[self._combined[i]]
-            for j in PAIR_STATES:
-                if law[i, j].any():
-                    m[i, :, j, :] = others.apply((w * law[i, j]) @ pq)
+            targets = [j for j in PAIR_STATES if law[i, j].any()]
+            blocks[i] = targets, np.empty((len(targets), len(others.pattern.src)))
+            for j, out in zip(*blocks[i]):
+                others.cell_values((w * law[i, j]) @ pq, out)
             rhs[i, :, 0] = self._others_share @ (self._ap_by_state[i] @ delivered)
             rhs[i, :, 1] = self._others_surv @ (self._sta_by_state[i] @ delivered)
             rhs[i, :, 2] = period[self._combined[i]]
         # idle system (closed form): wait for the first arrival, which lands
         # on the tagged AP, the tagged STA, or one of the other pairs' queues
-        idle = self.oidx[(0, 0, 0)]
-        m[S0, idle], rhs[S0, idle] = 0.0, 0.0
+        empty, idle = self.oidx[(0, 0, 0)], {}
+        rhs[S0, empty] = 0.0
         if self.lambda_pps > 0.0:
-            rhs[S0, idle, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
-            m[S0, idle, S1, idle] = m[S0, idle, S2, idle] = 1.0 / (2 * self.n)
+            rhs[S0, empty, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
+            idle[S1, empty] = idle[S2, empty] = 1.0 / (2 * self.n)
             if self.n > 1:
                 frac = (self.n - 1) / (2.0 * self.n)
-                m[S0, idle, S0, self.oidx[(1, 0, 0)]] = frac
-                m[S0, idle, S0, self.oidx[(0, 1, 0)]] = frac
-        # the level counts the tagged pair's own nonempty queues, 0/1/1/2
-        level = (np.array([0, 1, 1, 2])[:, None] + others.level).ravel()
-        return m.reshape(4 * nl, 4 * nl), rhs.reshape(4 * nl, 3), level
+                idle[S0, self.oidx[(1, 0, 0)]] = idle[S0, self.oidx[(0, 1, 0)]] = frac
+        return blocks, rhs, idle
 
     def _solve_tagged(self) -> None:
         nl = len(self.others)
-        y = level_sweep(*self._tagged_system())
+        blocks, rhs, idle = self._tagged_system()
+        pattern = self.others_space.pattern
+        if any(OWN_LEVEL[j] + pattern.level[o] <= 0 for j, o in idle):
+            raise ConsistencyError("the idle row has a move that does not leave level 0")
+        y = block_sweep(pattern, blocks, rhs)
+        # the idle state is the only one at level 0, so its closed-form row
+        # replaces the blocks' row after the sweep
+        empty = self.oidx[(0, 0, 0)]
+        y[S0, empty] = rhs[S0, empty] + sum(v * y[j, o] for (j, o), v in idle.items())
+        y = y.reshape(4 * nl, 3)
         if not np.all(np.isfinite(y)):
             raise ConsistencyError("tagged linear system produced non-finite values")
         self.tagged_ap, self.tagged_sta = y[:, 0], y[:, 1]

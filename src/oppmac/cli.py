@@ -84,11 +84,20 @@ def _write(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _fixed_point(setup: WlanSetup, pi, lam: float):
+    """``fixed_point`` at one rate; a model too large for memory is a
+    configuration error of the station count."""
+    try:
+        return fixed_point(lam, setup.config, setup.policy, pi, setup.timing)
+    except MemoryError:
+        raise ConfigError("system.n_stations", f"the analysis model of "
+                          f"{setup.config.n_stations} stations does not fit in memory") from None
+
+
 def cmd_analyze(spec: ExperimentSpec) -> int:
     setup = spec.setup
     pi = setup.resolve_pi()
-    sols = [fixed_point(lam, setup.config, setup.policy, pi, setup.timing)
-            for lam in spec.lambdas]
+    sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
     _write(spec.out_dir / "analysis.csv", analysis_csv_lines(sols, setup_hash(setup)))
     for s in sols:
         flag = "converged" if s.converged else "NOT CONVERGED"
@@ -174,8 +183,7 @@ def validation_rows(solutions, sim_aggregates, tolerance: float):
 def cmd_validate(spec: ExperimentSpec) -> int:
     setup = spec.setup
     pi = setup.resolve_pi()
-    sols = [fixed_point(lam, setup.config, setup.policy, pi, setup.timing)
-            for lam in spec.lambdas]
+    sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
     aggs = {}
     for lam in spec.lambdas:
         reports = [_simulate_one(spec, "opportunistic", lam, rep)
@@ -213,7 +221,7 @@ def cmd_compare(spec: ExperimentSpec) -> int:
                 if lam <= 0:
                     up = down = 0.0
                 else:
-                    sol = fixed_point(lam, setup.config, setup.policy, pi, setup.timing)
+                    sol = _fixed_point(setup, pi, lam)
                     n = setup.config.n_stations
                     up = n * sol.theta_sta_pps if sol.converged else float("nan")
                     down = n * sol.theta_ap_pps if sol.converged else float("nan")

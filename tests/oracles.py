@@ -456,6 +456,25 @@ def dense_solve(m, c):
     return np.linalg.solve(np.eye(len(m)) - m, c)
 
 
+def dense_tagged(model):
+    """Dense (m, rhs, level) of the tagged system y = rhs + m y over the
+    states (i, o) in ``model._tidx`` order, rebuilt from the model's blocks
+    on the others' move pattern and its closed-form idle row; level counts
+    every nonempty queue, the tagged pair's own included."""
+    blocks, rhs, idle = model._tagged_system()
+    pattern, nl = model.others_space.pattern, len(model.others)
+    m = np.zeros((4, nl, 4, nl))
+    for i, (targets, values) in blocks.items():
+        for j, vals in zip(targets, values):
+            m[i, pattern.src, j, pattern.dst] = vals
+    empty = model.oidx[(0, 0, 0)]
+    m[S0, empty] = 0.0
+    for (j, o), v in idle.items():
+        m[S0, empty, j, o] = v
+    level = (np.array([0, 1, 1, 2])[:, None] + pattern.level).ravel()
+    return m.reshape(4 * nl, 4 * nl), rhs.reshape(4 * nl, 3), level
+
+
 def period_windows(model, census):
     """({window t_us: probability the period ends in a delivered success
     after t}, {t: probability it ends without a success after t}) for a

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oppmac import cli
+from oppmac import analysis, cli
 from oppmac.cli import ExperimentSpec, main, validation_rows
 from oppmac.config import (
     ConfigError,
@@ -276,6 +276,19 @@ def test_nonfinite_slot_length_exit_code(tmp_path, capsys, monkeypatch, verb, de
                  "--out", str(tmp_path)]) == 2
     assert "timer.delta_us" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["analyze", "validate", "compare"])
+def test_model_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, verb):
+    """A model too large for memory names the station count and exits 2."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 15.7 GiB")
+    monkeypatch.setattr(analysis, "CycleModel", too_large)
+    args = [verb, "--lambda", "10", "--set", "system.n_stations=40", "--out", str(tmp_path)]
+    assert main(args + (["--scheme", "analysis"] if verb == "compare" else [])) == 2
+    err = capsys.readouterr().err
+    assert "system.n_stations" in err and "40 stations" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_zero_rate_exit_code(tmp_path, capsys):

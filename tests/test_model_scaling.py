@@ -1,0 +1,22 @@
+"""Smoke test of scripts/model_scaling.py at small N."""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "model_scaling.py"
+
+
+def test_model_scaling_smoke():
+    out = subprocess.run([sys.executable, str(SCRIPT), "--n", "2,3"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == [2, 3]
+    for n, build_s, peak_mb, moves, cells, unknowns in rows:
+        n = int(n)
+        assert float(build_s) > 0.0 and float(peak_mb) > 0.0
+        # moves out of the censuses of n - 1 pairs: C(n + 7, 8)
+        assert int(moves) == math.comb(n + 7, 8) and 0 < int(cells) <= int(moves)
+        assert int(unknowns) == 4 * math.comb(n + 2, 3)

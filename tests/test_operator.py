@@ -2,17 +2,20 @@
 right-hand side, level sweep) and the E[R | census] read off it, against the
 exact references in ``oracles``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oppmac import AP, STA, ConsistencyError, CycleModel, TimerPolicy, build_kernels
 from oppmac import analysis
-from oppmac.analysis import census_space, level_sweep
+from oppmac.analysis import MovePattern, block_sweep, census_space
 from oppmac.kernels import PAIR_STATES, S0, S1, S3
 
 from oracles import (
     continuation_windows,
     dense_solve,
+    dense_tagged,
     p_hat_minislot,
     pair_transition_probs,
     period_windows,
@@ -56,7 +59,7 @@ def test_renewal_rows_match_scalar_reference(n, lam, timing):
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_tagged_rows_match_scalar_reference(n, lam, timing):
     model, _ = make_model(n, lam, timing)
-    m = model._tagged_system()[0]
+    m = dense_tagged(model)[0]
     nl = len(model.others)
     for i in PAIR_STATES:
         for lo, others in enumerate(model.others):
@@ -74,7 +77,7 @@ def test_tagged_rows_match_scalar_reference(n, lam, timing):
 @pytest.mark.parametrize("lam", [0.0, 60.0])
 def test_tagged_rhs_matches_p_hat_minislot(n, lam, timing):
     model, kt = make_model(n, lam, timing)
-    rhs = model._tagged_system()[1]
+    rhs = dense_tagged(model)[1]
     for i in PAIR_STATES:
         for lo, others in enumerate(model.others):
             got = rhs[model._tidx(i, lo), :2]
@@ -93,7 +96,7 @@ def test_tagged_period_column_is_mean_period_length(n, lam, timing):
     period, delivered successes and continuations alike; the idle row waits
     1/(2 N lambda) for the first arrival."""
     model, _ = make_model(n, lam, timing)
-    rhs = model._tagged_system()[1]
+    rhs = dense_tagged(model)[1]
     for i in PAIR_STATES:
         for lo, others in enumerate(model.others):
             census = combined(i, others)
@@ -109,7 +112,7 @@ def test_tagged_period_column_is_mean_period_length(n, lam, timing):
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_row_mass_is_continuation_probability(n, lam, timing):
     model, _ = make_model(n, lam, timing)
-    m = model._tagged_system()[0]
+    m = dense_tagged(model)[0]
     for i in PAIR_STATES:
         for lo, others in enumerate(model.others):
             if combined(i, others) != (0, 0, 0):
@@ -123,6 +126,22 @@ def test_no_move_table_for_all_n_pairs(timing):
     make_model(5, 40.0, timing)
     assert "_moves" in vars(census_space(4))
     assert "_moves" not in vars(census_space(5))
+
+
+def test_model_build_memory_peak(timing):
+    """The tagged system is kept as blocks on the others' move pattern, never
+    as the dense M (56 MB alone at N = 15): an N = 15 model, move table
+    included, peaks below 40 MB of traced allocations."""
+    kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
+    census_space.cache_clear()
+    tracemalloc.start()
+    try:
+        CycleModel(kt, timing, PER, 50.0, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        census_space.cache_clear()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_renewal_identity_check_catches_a_wrong_pair_law(timing, monkeypatch):
@@ -157,7 +176,7 @@ def test_every_move_raises_the_level(n, lam, timing):
     off-diagonal nonzero of the tagged system moves to a strictly higher
     level."""
     model, _ = make_model(n, lam, timing)
-    m, _, level = model._tagged_system()
+    m, _, level = dense_tagged(model)
     assert np.array_equal(level, tagged_levels(model))
     src, dst = np.nonzero(m)
     off = src != dst
@@ -168,7 +187,7 @@ def test_every_move_raises_the_level(n, lam, timing):
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_sweep_matches_dense_solve(n, lam, timing):
     model, _ = make_model(n, lam, timing)
-    m, rhs, _ = model._tagged_system()
+    m, rhs, _ = dense_tagged(model)
     want = dense_solve(m, rhs)
     np.testing.assert_allclose(model.tagged_ap, want[:, 0], rtol=1e-12, atol=0)
     np.testing.assert_allclose(model.tagged_sta, want[:, 1], rtol=1e-12, atol=0)
@@ -183,32 +202,46 @@ def test_sweep_matches_dense_solve(n, lam, timing):
                 assert x == pytest.approx(want[model._tidx(i, lo), 2], rel=1e-12, abs=0)
 
 
+def hand_system(cells, level):
+    """A one-state system on a hand-built pattern: ``cells`` maps each
+    (source, destination) cell, sorted by source level, then source, to its
+    entry; every census has its diagonal cell."""
+    src, dst = np.array(list(cells)).T
+    return MovePattern(src, dst, np.array(level)), {0: ([0], np.array([list(cells.values())]))}
+
+
 def test_sweep_solves_hand_example():
-    m = np.array([[0.5, 0.25, 0.0],
-                  [0.0, 0.0, 0.5],
-                  [0.0, 0.0, 0.75]])
+    # m = [[0.5, 0.25, 0], [0, 0, 0.5], [0, 0, 0.75]]
+    pattern, blocks = hand_system({(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.0, (1, 2): 0.5,
+                                   (2, 2): 0.75}, [0, 1, 2])
     c = np.array([1.0, 2.0, 3.0])
-    level = np.array([0, 1, 2])
-    x = level_sweep(m, c, level)
+    x = block_sweep(pattern, blocks, c[None, :, None], own=(0,))[0, :, 0]
     # x2 = 3 / (1 - 0.75), x1 = 2 + 0.5 x2, x0 = (1 + 0.25 x1) / (1 - 0.5)
     np.testing.assert_allclose(x, [6.0, 8.0, 12.0], rtol=1e-15)
-    np.testing.assert_allclose(level_sweep(m, np.stack([c, 2 * c], 1), level),
+    np.testing.assert_allclose(block_sweep(pattern, blocks, np.stack([c, 2 * c], 1)[None],
+                                           own=(0,))[0],
                                np.stack([x, 2 * x], 1), rtol=1e-15)
 
 
 @pytest.mark.parametrize("level", [[0, 0, 1],   # 0 -> 1 inside level 0
                                    [1, 0, 2]])  # 0 -> 1 moves down a level
 def test_sweep_rejects_moves_that_do_not_raise_the_level(level):
-    m = np.array([[0.1, 0.2, 0.0],
-                  [0.0, 0.3, 0.4],
-                  [0.0, 0.0, 0.5]])
-    with pytest.raises(ConsistencyError, match="row 0 of m has a move that does not"):
-        level_sweep(m, np.ones(3), np.array(level))
+    # m = [[0.1, 0.2, 0], [0, 0.3, 0.4], [0, 0, 0.5]]
+    cells = {(0, 0): 0.1, (0, 1): 0.2, (1, 1): 0.3, (1, 2): 0.4, (2, 2): 0.5}
+    with pytest.raises(ConsistencyError, match="census 0 has a move that does not"):
+        hand_system(cells, level)
+
+
+def test_sweep_rejects_blocks_that_lower_the_own_level():
+    """Across tagged states, a block must raise the tagged pair's own level."""
+    pattern, blocks = hand_system({(0, 0): 0.1}, [0])
+    with pytest.raises(ConsistencyError, match="block 1 -> 0 does not raise the level"):
+        block_sweep(pattern, {1: ([0], blocks[0][1])}, np.ones((2, 1, 1)), own=(0, 1))
 
 
 @pytest.mark.parametrize("diag", [1.0, 1.5, np.nan])
 def test_sweep_rejects_diagonal_not_below_one(diag):
-    m = np.array([[0.1, 0.2],
-                  [0.0, diag]])
-    with pytest.raises(ConsistencyError, match="diagonal entry of m at level 1 is not"):
-        level_sweep(m, np.ones(2), np.array([0, 1]))
+    # m = [[0.1, 0.2], [0, diag]]
+    pattern, blocks = hand_system({(0, 0): 0.1, (0, 1): 0.2, (1, 1): diag}, [0, 1])
+    with pytest.raises(ConsistencyError, match="diagonal entry at level 1 is not"):
+        block_sweep(pattern, blocks, np.ones((1, 2, 1)), own=(0,))
