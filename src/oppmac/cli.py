@@ -63,10 +63,11 @@ def _run_seed(base: int, scheme: str, lam: float, rep: int) -> int:
     return (base + int.from_bytes(hashlib.sha256(tag).digest()[:4], "big")) % 2**63
 
 
-def _simulate_one(spec: ExperimentSpec, scheme: str, lam: float, rep: int) -> SimReport:
+def _simulate_one(spec: ExperimentSpec, scheme: str, lam: float, rep: int,
+                  **overrides) -> SimReport:
     setup = spec.setup
     cfg = replace(setup.config, lambda_pps=lam,
-                  seed=_run_seed(spec.base_seed, scheme, lam, rep))
+                  seed=_run_seed(spec.base_seed, scheme, lam, rep), **overrides)
     dur = spec.duration_s * 1e6
     import warnings
     with warnings.catch_warnings():
@@ -186,7 +187,8 @@ def cmd_validate(spec: ExperimentSpec) -> int:
     sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
     aggs = {}
     for lam in spec.lambdas:
-        reports = [_simulate_one(spec, "opportunistic", lam, rep)
+        # the analysis has no retry limit, so neither has its simulation
+        reports = [_simulate_one(spec, "opportunistic", lam, rep, retry_limit=None)
                    for rep in range(spec.reps)]
         agg = _aggregate(reports)
         aggs[lam] = {"p_a_hat": agg["p_a_hat"][0], "p_s_hat": agg["p_s_hat"][0],

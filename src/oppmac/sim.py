@@ -8,10 +8,12 @@ simultaneity involving an STA queue collides.  ``run_dcf`` is the 802.11
 DCF baseline with one aggregate AP queue, binary exponential backoff, and
 either ARF or threshold-based rate adaptation.
 
-Both run on ``_run``, which owns the heap of arrivals, contention
-resolutions, transaction ends and the warmup mark; the channel phase
-(vacant, contention, busy); stale-resolution skips; stopping, warmup and
-the renewal trace; and the report.  A MAC is four hooks it calls:
+Both run on ``_run``, which owns the event clock, the channel phase
+(vacant, contention, busy), stopping, warmup, the renewal trace and the
+report.  Only arrivals are heap entries: the channel's one pending event (a
+resolution or a transaction end) and the warmup mark are scalars, so no
+resolution goes stale.  At one instant arrivals (lower queue first) precede
+the channel event, which precedes the mark.  A MAC is four hooks:
 
 - ``start(t)``: a contention among the backlogged queues begins at t;
   return the time it resolves.
@@ -23,7 +25,9 @@ the renewal trace; and the report.  A MAC is four hooks it calls:
 
 Each contention is one pass over the backlogged queues: the opportunistic
 MAC keeps a running minimum of its timers, and DCF stores each backoff
-counter as the slot of a virtual idle clock at which it expires.
+counter as the slot of a virtual idle clock at which it expires.  Both keep
+the queues that reach the minimum, so a resolution reads its contenders
+without a scan.
 
 The engine is strictly deterministic for a given (config, seed): every
 random stream has its own generator, whose draws may be served from blocks
@@ -57,15 +61,6 @@ from .core import (
     SystemConfig,
     TimerPolicy,
 )
-
-# Heap entries are (time_us, rank, tag) tuples, so ties break on the kind
-# rank, then the tag: the queue of an arrival, the epoch of a resolution, -1
-# otherwise.  A queue has at most one pending arrival, and at most one END and
-# one MARK are ever pending, so no two entries compare equal.
-EV_ARRIVAL = 0
-EV_END = 1     # transaction (frame + ACK + trailing gap) ends; outcome applied
-EV_RESOLVE = 2
-EV_MARK = 3
 
 # Draws per block: small enough that the 2N arrival streams' blocks add no
 # measurable memory, large enough that the numpy call per block is amortised.
@@ -264,58 +259,58 @@ def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
          queue_name, ap_queue_ids) -> SimReport:
     """The event loop both MACs share; the MAC is the four hooks (see the
     module docstring).  ``next_gap[q]`` gives queue q's inter-arrival gaps
-    (empty at a zero rate)."""
-    qstat, backlogged = tally.q, tally.backlogged
-    heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
-    for q, gap in enumerate(next_gap):
-        push(heap, (gap(), EV_ARRIVAL, q))
+    (empty at a zero rate, which needs a duration).
 
-    end_time = duration_us if duration_us is not None else math.inf
-    budget = max_renewals if max_renewals is not None else math.inf
-    warm_target = None
+    The heap holds one ``(time_us, queue)`` entry per queue, its next
+    arrival, advanced by one ``heapreplace`` per arrival.  ``t_chan`` is the
+    channel's pending event: inf while vacant (idle, nothing queued), the
+    resolution while contending, the transaction end (including its trailing
+    interframe gap) while busy.  A join that brings the resolution forward
+    overwrites it, so a superseded resolution never fires.  ``t_mark`` is
+    the warmup mark.  Ties go to the arrival, then the channel event."""
+    qstat, backlogged = tally.q, tally.backlogged
+    inf = math.inf
+    heap = [(gap(), q) for q, gap in enumerate(next_gap)] or [(inf, -1)]
+    heapq.heapify(heap)
+    advance = heapq.heapreplace
+
+    budget = max_renewals if max_renewals is not None else inf
     if duration_us is not None:
-        push(heap, (WARMUP_FRAC * duration_us, EV_MARK, -1))
+        end_time, t_mark, warm_target = duration_us, WARMUP_FRAC * duration_us, None
     else:
-        warm_target = max(1, math.ceil(WARMUP_FRAC * max_renewals))
+        end_time, t_mark, warm_target = inf, inf, max(1, math.ceil(WARMUP_FRAC * max_renewals))
     trace_rows = []
 
-    # phase: vacant (idle, nothing queued), contention, busy (transaction
-    # in progress, including its trailing interframe gap)
-    phase = "vacant"
-    epoch = 0
-    now = 0.0
-    while heap:
-        now, rank, tag = pop(heap)
-        if now > end_time:
-            break
-
-        if rank == EV_ARRIVAL:
-            qs = qstat[tag]
+    t_chan, busy = inf, False
+    while True:
+        now, q = heap[0]
+        if now <= t_chan and now <= t_mark:
+            if now > end_time:
+                break
+            qs = qstat[q]
             qs.flush(now)
             qs.arrivals += 1
             qs.backlog += 1
-            push(heap, (now + next_gap[tag](), EV_ARRIVAL, tag))
+            advance(heap, (now + next_gap[q](), q))
             if qs.backlog == 1:
-                backlogged.add(tag)
-                if phase == "vacant":
-                    phase = "contention"
-                    epoch += 1
-                    push(heap, (start(now), EV_RESOLVE, epoch))
-                elif phase == "contention":
-                    t_res = join(tag, now)
+                backlogged.add(q)
+                if t_chan == inf:
+                    t_chan = start(now)
+                elif not busy:
+                    t_res = join(q, now)
                     if t_res is not None:
-                        epoch += 1
-                        push(heap, (t_res, EV_RESOLVE, epoch))
+                        t_chan = t_res
                 # while the channel is busy the queue just backlogs
 
-        elif rank == EV_RESOLVE:
-            if tag != epoch or phase != "contention":
+        elif t_chan <= t_mark:
+            now = t_chan
+            if now > end_time:
+                break
+            if not busy:
+                busy = True
+                t_chan = now + resolve(now)
                 continue
-            phase = "busy"
-            push(heap, (now + resolve(now), EV_END, -1))
-
-        elif rank == EV_END:
+            busy = False
             won = end(now)
             if won is not None:
                 state, side = won
@@ -328,14 +323,12 @@ def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
                 if tally.successes >= budget:
                     break
             # the trailing interframe gap elapsed inside the transaction
-            if backlogged:
-                phase = "contention"
-                epoch += 1
-                push(heap, (start(now), EV_RESOLVE, epoch))
-            else:
-                phase = "vacant"
+            t_chan = start(now) if backlogged else inf
 
-        else:  # EV_MARK
+        else:
+            now, t_mark = t_mark, inf
+            if now > end_time:
+                break
             tally.snapshot(now)
 
     final_t = now if tally.successes >= budget else end_time
@@ -581,7 +574,9 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     n = config.n_stations
     ns = n + 1  # station 0 = AP
     delta = timing.slot_us
-    eifs = timing.difs_us + timing.sifs_us + timing.ack_us
+    difs, sifs_ack = timing.difs_us, timing.sifs_us + timing.ack_us
+    eifs = difs + sifs_ack
+    top_rate = space.num_states - 1
     lam_us = config.lambda_pps * 1e-6
 
     arr_rngs, (chan_rng, back_rng, per_rng, _pick, dest_rng) = _rng_streams(
@@ -611,6 +606,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     # one.  The clock counts the slots all contentions so far left idle.
     expiry: list = [None] * ns
     clock = soonest = 0  # soonest: the earliest held expiry
+    expiring = []  # the stations holding soonest, ascending
     idle_t0 = 0.0  # instant the clock last advanced to
     attempts, ok = [], False  # outcome of the last resolution
 
@@ -625,27 +621,31 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             raise InvariantError("a backoff counter fell behind the idle clock")
 
     def start(t: float) -> float:
-        nonlocal idle_t0, soonest
+        nonlocal idle_t0, soonest, expiring
         # frozen counters resume; fresh ones are drawn in station order
-        idle_t0, soonest = t, math.inf
+        idle_t0, soonest, expiring = t, math.inf, []
         for st in sorted(backlogged):
             e = expiry[st]
             if e is None:
                 e = expiry[st] = clock + next_backoff(cw[st])
             if e < soonest:
-                soonest = e
+                soonest, expiring = e, [st]
+            elif e == soonest:
+                expiring.append(st)
         return idle_t0 + (soonest - clock) * delta
 
     def join(st: int, t: float) -> float | None:
-        nonlocal soonest
+        nonlocal soonest, expiring
         normalize(t)
         k = next_backoff(cw[st])
         if t > idle_t0:
             k += 1  # mid-slot joiner starts at the next boundary
-        expiry[st] = clock + k
-        if clock + k < soonest:
-            soonest = clock + k
+        e = expiry[st] = clock + k
+        if e < soonest:
+            soonest, expiring = e, [st]
             return idle_t0 + k * delta
+        if e == soonest:
+            insort(expiring, st)
         return None
 
     def resolve(t: float) -> float:
@@ -653,9 +653,8 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         normalize(t)
         if soonest != clock:
             raise InvariantError("transmission event with no expiring counter")
-        winners = [st for st, e in enumerate(expiry) if e == clock]
         attempts = []
-        for st in winners:
+        for st in expiring:
             if st == 0:
                 if ap_dest is None:
                     ap_dest = next_dest()
@@ -668,14 +667,14 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
             attempts.append((st, link, h, ridx))
             expiry[st] = None  # fresh backoff after this attempt
         busy = max(airtime[r] for _, _, _, r in attempts)
-        if len(winners) > 1:
+        if len(attempts) > 1:
             ok = False
             return busy + eifs
         _, _, h, ridx = attempts[0]
         # + ACK (or its timeout) + trailing DIFS / EIFS
-        busy += timing.sifs_us + timing.ack_us
+        busy += sifs_ack
         ok = next_coin() >= (per[ridx] if h >= ridx else 1.0)
-        return busy + (timing.difs_us if ok else eifs)
+        return busy + (difs if ok else eifs)
 
     def end(t: float):
         nonlocal ap_dest
@@ -692,7 +691,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
                 cw[st] = min(2 * cw[st] + 1, CW_MAX)
             if use_arf:
                 if ok:
-                    arf[link].on_success(space.num_states - 1)
+                    arf[link].on_success(top_rate)
                 else:
                     arf[link].on_failure()
         if not ok:

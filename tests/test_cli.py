@@ -188,6 +188,21 @@ def test_validate_small_system(tmp_path):
     assert all(r.endswith(",1") for r in rows[2:])
 
 
+def test_validate_ignores_retry_limit(tmp_path):
+    """The analysis has no retry limit, so validate simulates without one:
+    a config retry limit of 0 gives the rows an unlimited one gives."""
+    config = write_config(tmp_path)
+    rows = []
+    for retry in ("0", "unlimited"):
+        out = tmp_path / f"retry-{retry}"
+        main(["validate", "--config", str(config), "--lambda", "20,200",
+              "--duration-s", "2", "--set", f"system.retry_limit={retry}",
+              "--out", str(out)])
+        rows.append((out / "validate.csv").read_text().splitlines())
+    assert rows[0][0] != rows[1][0]  # the config hash differs
+    assert rows[0][1:] == rows[1][1:] and len(rows[0]) == 8
+
+
 def test_validate_breach_exit_code(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "breach"

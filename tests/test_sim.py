@@ -1,5 +1,4 @@
 import hashlib
-import heapq
 import json
 import warnings
 from functools import partial
@@ -11,15 +10,12 @@ from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_point
 from oppmac.sim import (
     CW_MAX,
     CW_MIN,
-    EV_ARRIVAL,
-    EV_END,
-    EV_MARK,
-    EV_RESOLVE,
     InvariantError,
     _ArfState,
     _backoff_draws,
     _blocks,
     _build_report,
+    _run,
     _state_draws,
     _Tally,
     SimReport,
@@ -319,19 +315,42 @@ def test_backoff_blocks_match_scalar_integers():
         assert max(got) > 1000
 
 
-def test_heap_entry_ordering():
-    """Heap entries (time_us, rank, tag) pop by time, then kind rank, then
-    tag (an arrival's queue, a resolution's epoch); at one instant an arrival
-    precedes a transaction end, which precedes a resolution and the warmup
-    mark."""
-    assert EV_ARRIVAL < EV_END < EV_RESOLVE < EV_MARK
-    want = [(5.0, EV_ARRIVAL, 2), (5.0, EV_ARRIVAL, 9), (5.0, EV_END, -1),
-            (5.0, EV_RESOLVE, 1), (5.0, EV_RESOLVE, 4), (5.0, EV_MARK, -1),
-            (6.0, EV_ARRIVAL, 0)]
-    heap = []
-    for entry in reversed(want):
-        heapq.heappush(heap, entry)
-    assert [heapq.heappop(heap) for _ in want] == want
+def test_heap_entry_ordering(space):
+    """Driven with stub hooks and fixed gaps, ``_run`` fires two arrivals, a
+    channel event and the warmup mark that share one instant in the order
+    arrival (lower queue first), channel event, mark; a join that returns an
+    earlier time supersedes the pending resolution, which never fires."""
+    calls = []
+
+    def start(t):
+        calls.append(("start", t))
+        return 8.0 if t == 1.0 else 500.0  # the second resolves past the end
+
+    def join(q, t):
+        calls.append(("join", q, t))
+        return 5.0 if q == 3 else None
+
+    def resolve(t):
+        calls.append(("resolve", t))
+        return 10.0
+
+    def end(t):
+        calls.append(("end", t))
+
+    # queue 2 arrives at 1, queue 3 at 3, queues 0 and 1 at 5 = the mark
+    first = [5.0, 5.0, 1.0, 3.0]
+    next_gap = [iter([g, 1e9]).__next__ for g in first]
+    cfg = SystemConfig(n_stations=2, lambda_pps=1.0, pi=(0.25,) * 4)
+    tally = _Tally(4, space.num_states, None)
+    snapshot = tally.snapshot
+    tally.snapshot = lambda t: (calls.append(("mark", t)), snapshot(t))
+    rep = _run("stub", cfg, tally, next_gap, start, join, resolve, end,
+               100.0, None, None, queue_name=str, ap_queue_ids=[0, 2])
+    assert calls == [("start", 1.0), ("join", 3, 3.0), ("join", 0, 5.0),
+                     ("join", 1, 5.0), ("resolve", 5.0), ("mark", 5.0),
+                     ("end", 15.0), ("start", 15.0)]
+    assert rep.warmup_us == 5.0 and rep.duration_us == 100.0
+    assert [rep.queues[str(q)]["backlog"] for q in range(4)] == [1] * 4
 
 
 def _gen():
@@ -491,6 +510,10 @@ GOLDEN_RUNS = [
     # pending expiry
     ("opportunistic", 15, 40.0, RAYLEIGH, 7, dict(duration_us=2e6), True,
      "3f3626d042dea0e885be64e94572d3c24448e79785a4112d72130bbd9ed94988"),
+    # DCF joiners that tie the earliest expiry (52 of them): colliders draw
+    # channel states in station order, which threshold rates remember
+    ("threshold", 15, 40.0, RAYLEIGH, 7, dict(duration_us=20e6), False,
+     "5cb88c096a37de50f404cc20652bb093129c2775b7990d8dba365bbe09b07d54"),
 ]
 
 
