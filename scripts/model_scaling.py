@@ -38,8 +38,7 @@ def child(n: int, max_gb: float | None) -> dict:
     kernels = build_kernels(setup.policy, setup.resolve_pi(), LAMBDA_PPS)
     start = time.perf_counter()
     try:
-        model = CycleModel(kernels, setup.timing, setup.config.per_state_per,
-                           LAMBDA_PPS, n)
+        model = CycleModel(kernels, setup.timing, setup.config.per_state_per, n)
     except MemoryError:
         return {"n": n, "error": "MemoryError"}
     build_s = time.perf_counter() - start

@@ -127,20 +127,23 @@ class MovePattern:
             self.levels.append((rows, cells, first, np.flatnonzero(src[cells] == dst[cells])))
 
 
+OWN_LEVEL = (0, 1, 1, 2)  # nonempty queues of a pair in state S0 .. S3
+
+
 class CensusSpace:
     """The censuses of ``n`` pairs and the arrival moves between them.
 
     Shared by every model with this ``n`` (see ``census_space``), so the
-    arrays are read-only.  ``counts`` holds (n0, k1, k2, k3) per census and
-    ``level`` its number of nonempty queues, k1 + k2 + 2 k3.
+    arrays are read-only.  ``counts`` holds (n0, k1, k2, k3) per census,
+    ``level`` its number of nonempty queues, k1 + k2 + 2 k3, and
+    ``lookup[k1, k2, k3]`` its index.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.censuses = tuple(enumerate_censuses(n))
-        self.index = {c: i for i, c in enumerate(self.censuses)}
         self.counts = np.array([(n - sum(c),) + c for c in self.censuses])
-        self.level = self.counts[:, 1:] @ np.array([1, 1, 2])
+        self.level = self.counts @ OWN_LEVEL
         self.multinom = np.array([math.factorial(n) / math.prod(map(math.factorial, k))
                                   for k in self.counts.tolist()])
         self.lookup = np.full((n + 1,) * 3, -1)
@@ -159,6 +162,7 @@ class CensusSpace:
         ne = 2 * self.n + 1
         binom = np.array([[math.comb(r, k) for k in range(self.n + 1)]
                           for r in range(self.n + 1)], dtype=float)
+        fills = [CensusSpace(m) for m in range(self.n + 1)]
         srcs, dsts, by_level = [], [], []
         for rows in (np.flatnonzero(self.level == lv) for lv in range(self.level.max() + 1)):
             cells = coeffs = terms = ()
@@ -166,7 +170,7 @@ class CensusSpace:
             for src in rows.tolist():
                 k1, k2, k3 = self.censuses[src]
                 n0 = self.n - k1 - k2 - k3
-                fill = census_space(n0)
+                fill = fills[n0]
                 c, d, e = (x[None, :] for x in fill.counts[:, 1:].T)
                 a, b = (x.reshape(-1, 1) for x in np.indices((k1 + 1, k2 + 1)))
                 dest = self.lookup[k1 - a + c, k2 - b + d, k3 + a + b + e]
@@ -213,16 +217,13 @@ class CensusSpace:
         return out
 
 
-census_space = functools.cache(CensusSpace)  # one shared space per pair count
+census_space = functools.lru_cache(maxsize=2)(CensusSpace)  # a model's n and n - 1 pairs
 
 
 def _tagged_prior_vec(prior: OccupancyPrior, n: int) -> np.ndarray:
-    """Tagged-state probabilities in ``CycleModel._tidx`` order."""
+    """Tagged-state probabilities in ``CycleModel.tagged_ap`` order."""
     rho = prior.pair_state_probs()
     return np.concatenate([census_space(n - 1).prior(rho, r) for r in rho])
-
-
-OWN_LEVEL = (0, 1, 1, 2)  # nonempty queues of a pair in state S0 .. S3
 
 
 def block_sweep(pattern: MovePattern, blocks: dict, rhs: np.ndarray,
@@ -276,18 +277,20 @@ def _pair_law(p: np.ndarray) -> np.ndarray:
 class CycleModel:
     """Solved tagged success probabilities and per-census renewal lengths.
 
-    Everything except the occupancy prior is fixed by (kernels, timing, per,
-    lambda, N); ``throughput`` aggregates the solved vectors under a prior.
+    Everything except the occupancy prior is fixed by the kernels (which
+    carry lambda), the timing, the per-state PER and N; ``throughput``
+    aggregates the solved vectors under a prior.  ``tagged_ap`` / ``_sta``
+    are indexed i * nl + o: tagged state i, census o of the nl censuses of
+    ``others_space``.
     """
 
-    def __init__(self, kernels: KernelTable, timing: MacTiming,
-                 per, lambda_pps: float, n: int):
+    def __init__(self, kernels: KernelTable, timing: MacTiming, per, n: int):
         if n < 1:
             raise ParameterError("need at least one pair")
         self.kernels = kernels
         self.timing = timing
         self.per = np.asarray(per, dtype=float)
-        self.lambda_pps = lambda_pps
+        self.lambda_pps = kernels.lambda_pps
         self.n = n
         self.kmax = kernels.t_max
         self.num_states = kernels.policy.num_states
@@ -299,23 +302,12 @@ class CycleModel:
                                  f"the timer slot {delta!r} us")
 
         self.space, self.others_space = census_space(n), census_space(n - 1)
-        self.censuses, self.cidx = self.space.censuses, self.space.index
-        self.others, self.oidx = self.others_space.censuses, self.others_space.index
-
-        # kernel mass regrouped by the channel state the timer length implies
-        k1 = self.kmax + 1
-        self._ap_by_state = np.zeros((4, k1, self.num_states))
-        self._sta_by_state = np.zeros((4, k1, self.num_states))
-        for l in range(k1):
-            s = kernels.state_of_l[l]
-            self._ap_by_state[:, :, s] += kernels.ap[:, :, l]
-            self._sta_by_state[:, :, s] += kernels.sta[:, :, l]
 
         # window [k, s]: resolution at slot k, then a success in state s or,
         # for s = num_states, a collision; p is the per-queue arrival chance
         tx = [timing.t_suc(s) for s in range(self.num_states)] + [timing.t_col()]
-        self._windows = (np.arange(k1) * delta)[:, None] + np.array(tx)
-        self._p = -np.expm1(-(lambda_pps * 1e-6) * self._windows.ravel())
+        self._windows = (np.arange(self.kmax + 1) * delta)[:, None] + np.array(tx)
+        self._p = -np.expm1(-(self.lambda_pps * 1e-6) * self._windows.ravel())
 
         # _combined[i, o]: the census of all N pairs when the tagged pair is
         # in state i and the others are in census o (one-to-one for each i)
@@ -334,27 +326,27 @@ class CycleModel:
         pairs: clean-win mass succ[c, k, winner state] and collision col[c, k]."""
         kt, others = self.kernels, self.others_space
         # P(tau_min^j > k - 1) and P(tau_min^j > k) at k = 0..t_max
-        before, surv = kt._surv[:, :-1], kt._surv[:, 1:]
+        before, surv = kt.surv[:, :-1], kt.surv[:, 1:]
         cnt = others.counts[:, :, None]
-        share = np.zeros((len(self.others), self.kmax + 1))
+        share = np.zeros((len(others.counts), self.kmax + 1))
         for x, w in zip(*_gl_nodes(self.n - 1)):
             share += w * np.prod((surv + x * kt.cum_ap) ** cnt, axis=1)
         alone = np.prod(surv ** cnt, axis=1)
         self._others_share, self._others_surv = share, alone
 
         counts = self.space.counts
-        succ = np.zeros((len(self.censuses), self.kmax + 1, self.num_states))
+        succ = np.zeros((len(counts), self.kmax + 1, self.num_states))
         for i in PAIR_STATES:  # the censuses with an s_i pair, and its others
             c = self._combined[i]
             ci = counts[c, i, None, None]
-            succ[c] += ci * self._ap_by_state[i] * share[:, :, None]
-            succ[c] += ci * self._sta_by_state[i] * alone[:, :, None]
+            succ[c] += ci * kt.ap_by_state[i] * share[:, :, None]
+            succ[c] += ci * kt.sta_by_state[i] * alone[:, :, None]
         cnt = counts[:, :, None]
         col = np.prod(before ** cnt, axis=1) - np.prod(surv ** cnt, axis=1) - succ.sum(axis=2)
         bad = np.flatnonzero(col.min(axis=1) < -1e-9)
         if len(bad):
             raise ConsistencyError(f"negative collision mass {col[bad[0]].min()} "
-                                   f"at census {self.censuses[bad[0]]}")
+                                   f"at census {self.space.censuses[bad[0]]}")
         self.succ, self.col = succ, np.clip(col, 0.0, None)
 
     # ----- the tagged linear system ---------------------------------------
@@ -365,8 +357,8 @@ class CycleModel:
         pair in state i can reach (see ``block_sweep``).  The rhs columns are
         the tagged AP's and STA's win probability and the mean period length.
         idle is M's closed-form row of (S0, empty census) as {(j, o): entry}."""
-        others = self.others_space
-        nc, nl = len(self.censuses), len(self.others)
+        others, kt = self.others_space, self.kernels
+        nc, nl = len(self.space.counts), len(others.counts)
         # weights[c, window]: the period ends without a success (errored
         # success or collision) after that window; period[c] is its mean length
         succ, col = self.succ, self.col
@@ -384,23 +376,23 @@ class CycleModel:
             blocks[i] = targets, np.empty((len(targets), len(others.pattern.src)))
             for j, out in zip(*blocks[i]):
                 others.cell_values((w * law[i, j]) @ pq, out)
-            rhs[i, :, 0] = self._others_share @ (self._ap_by_state[i] @ delivered)
-            rhs[i, :, 1] = self._others_surv @ (self._sta_by_state[i] @ delivered)
+            rhs[i, :, 0] = self._others_share @ (kt.ap_by_state[i] @ delivered)
+            rhs[i, :, 1] = self._others_surv @ (kt.sta_by_state[i] @ delivered)
             rhs[i, :, 2] = period[self._combined[i]]
         # idle system (closed form): wait for the first arrival, which lands
         # on the tagged AP, the tagged STA, or one of the other pairs' queues
-        empty, idle = self.oidx[(0, 0, 0)], {}
+        empty, idle = others.lookup[0, 0, 0], {}
         rhs[S0, empty] = 0.0
         if self.lambda_pps > 0.0:
             rhs[S0, empty, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
             idle[S1, empty] = idle[S2, empty] = 1.0 / (2 * self.n)
             if self.n > 1:
                 frac = (self.n - 1) / (2.0 * self.n)
-                idle[S0, self.oidx[(1, 0, 0)]] = idle[S0, self.oidx[(0, 1, 0)]] = frac
+                idle[S0, others.lookup[1, 0, 0]] = idle[S0, others.lookup[0, 1, 0]] = frac
         return blocks, rhs, idle
 
     def _solve_tagged(self) -> None:
-        nl = len(self.others)
+        nl = len(self.others_space.counts)
         blocks, rhs, idle = self._tagged_system()
         pattern = self.others_space.pattern
         if any(OWN_LEVEL[j] + pattern.level[o] <= 0 for j, o in idle):
@@ -408,24 +400,23 @@ class CycleModel:
         y = block_sweep(pattern, blocks, rhs)
         # the idle state is the only one at level 0, so its closed-form row
         # replaces the blocks' row after the sweep
-        empty = self.oidx[(0, 0, 0)]
+        empty = self.others_space.lookup[0, 0, 0]
         y[S0, empty] = rhs[S0, empty] + sum(v * y[j, o] for (j, o), v in idle.items())
         y = y.reshape(4 * nl, 3)
         if not np.all(np.isfinite(y)):
             raise ConsistencyError("tagged linear system produced non-finite values")
         self.tagged_ap, self.tagged_sta = y[:, 0], y[:, 1]
-        self._tidx = lambda i, lo: i * nl + lo
         # E[R | c] is the period column at every (i, c - e_i); they must agree
-        by_class = np.full((4, len(self.censuses)), np.nan)
+        by_class = np.full((4, len(self.space.counts)), np.nan)
         by_class[np.arange(4)[:, None], self._combined] = y[:, 2].reshape(4, nl)
         x = np.choose(np.argmax(self.space.counts > 0, axis=1), by_class)  # lowest i in c
         spread = np.nanmax(by_class, axis=0) - np.nanmin(by_class, axis=0)
         bad = np.flatnonzero(~(spread <= 1e-9 * x))
         if len(bad):
             raise ConsistencyError(f"E[R] differs by {spread[bad[0]]} between tagged "
-                                   f"states of census {self.censuses[bad[0]]}")
+                                   f"states of census {self.space.censuses[bad[0]]}")
         if self.lambda_pps == 0.0:  # no arrivals: the empty census never ends
-            x[self.cidx[(0, 0, 0)]] = np.inf
+            x[self.space.lookup[0, 0, 0]] = np.inf
         self.renewal_by_census = x
 
     # ----- aggregation ----------------------------------------------------
@@ -497,8 +488,7 @@ def fixed_point(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
     if lambda_pps <= 0.0:
         raise ParameterError("fixed point requires a positive arrival rate")
     kernels = build_kernels(policy, pi, lambda_pps)
-    model = CycleModel(kernels, timing, config.per_state_per, lambda_pps,
-                       config.n_stations)
+    model = CycleModel(kernels, timing, config.per_state_per, config.n_stations)
     pa = ps = 0.1
     prev_a = prev_s = None
     pinned = 0

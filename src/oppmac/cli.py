@@ -29,6 +29,9 @@ from .sim import SimReport, run_dcf, run_opportunistic
 
 SIM_SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
 ALL_SCHEMES = SIM_SCHEMES + ("analysis",)
+# the schemes each verb can run; the first is its default
+VERB_SCHEMES = {"analyze": ("analysis",), "simulate": SIM_SCHEMES,
+                "validate": ("opportunistic",), "compare": ALL_SCHEMES}
 
 
 @dataclass
@@ -133,8 +136,6 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
              "scheme,lambda_pps,reps," + ",".join(
                  f"{m}_mean,{m}_stderr" for m in _SIM_METRICS)]
     for scheme in spec.schemes:
-        if scheme == "analysis":
-            continue
         for lam in spec.lambdas:
             reports = []
             for rep in range(spec.reps):
@@ -251,6 +252,10 @@ def _parse_lambdas(text: str) -> tuple:
 
 
 def build_spec(args) -> ExperimentSpec:
+    runnable = VERB_SCHEMES[args.command]
+    schemes = tuple(s.strip() for s in args.scheme.split(",")) if args.scheme else runnable[:1]
+    if not set(schemes) <= set(runnable):
+        raise ConfigError("--scheme", f"{args.command} runs only {runnable}, got {schemes}")
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -261,8 +266,6 @@ def build_spec(args) -> ExperimentSpec:
         overrides["system.seed"] = str(args.seed)
     setup = (load_config(args.config, overrides) if args.config
              else default_setup(overrides))
-    schemes = tuple(s.strip() for s in args.scheme.split(",")) if args.scheme \
-        else ("opportunistic",)
     return ExperimentSpec(
         setup=setup,
         schemes=schemes,
@@ -287,7 +290,7 @@ def main(argv=None) -> int:
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated arrival rates, pkts/s per queue")
         p.add_argument("--scheme", default="",
-                       help=f"comma-separated subset of {ALL_SCHEMES}")
+                       help=f"comma-separated subset of {VERB_SCHEMES[name]}")
         p.add_argument("--reps", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="results")

@@ -27,8 +27,9 @@ tabulates, summed over h with weight pi_h:
   * S_i(k) = P(tau_min^i > k) = 1 - (first-expiry mass up to k), the pair
     survival function.
 
-``analysis.CycleModel`` combines them into the system-level success,
-collision, tagged-minislot and transition probabilities of a census.
+``analysis.CycleModel`` builds the success, collision, tagged-minislot and
+transition probabilities of a census from the survival functions and the
+per-state masses ``ap_by_state`` / ``sta_by_state`` [s, k, h].
 
 Pair states: s0 = both queues empty, s1 = AP-only nonempty, s2 = STA-only
 nonempty, s3 = both nonempty.
@@ -69,17 +70,18 @@ class KernelTable:
         self.ap = ap
         self.sta = sta
         self.both = both
-        self._surv = surv
+        self.surv = surv
         self.cum_ap = ap.sum(axis=2)
-        self.cum_sta = sta.sum(axis=2)
-        self.cum_both = both.sum(axis=2)
         # timer length -> channel state, used to weight PER / airtime by rate
         self.state_of_l = np.array(
             [state_from_timer(policy, l) for l in range(self.t_max + 1)])
+        # [s, k, h]: the AP / STA kernel mass grouped by the state h its timer implies
+        onehot = np.eye(policy.num_states)[self.state_of_l]
+        self.ap_by_state, self.sta_by_state = ap.dot(onehot), sta.dot(onehot)
 
     def survival(self, i: int, k: int) -> float:
         """P(tau_min^i > k) for k in -1 .. t_max."""
-        return float(self._surv[i, k + 1])
+        return float(self.surv[i, k + 1])
 
 
 def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> KernelTable:

@@ -343,7 +343,7 @@ def p_col(k, counts, kernels):
         for j in PAIR_STATES:
             if j != i:
                 sta_surv *= kernels.survival(j, k) ** counts[j]
-        success += counts[i] * kernels.cum_sta[i, k] * sta_surv
+        success += counts[i] * kernels.sta[i, k].sum() * sta_surv
     val = before - after - success
     if val < 0.0:
         if val < -1e-12:
@@ -458,16 +458,17 @@ def dense_solve(m, c):
 
 def dense_tagged(model):
     """Dense (m, rhs, level) of the tagged system y = rhs + m y over the
-    states (i, o) in ``model._tidx`` order, rebuilt from the model's blocks
+    states (i, o) in the order of ``model.tagged_ap``, rebuilt from the model's blocks
     on the others' move pattern and its closed-form idle row; level counts
     every nonempty queue, the tagged pair's own included."""
     blocks, rhs, idle = model._tagged_system()
-    pattern, nl = model.others_space.pattern, len(model.others)
+    others = model.others_space
+    pattern, nl = others.pattern, len(others.counts)
     m = np.zeros((4, nl, 4, nl))
     for i, (targets, values) in blocks.items():
         for j, vals in zip(targets, values):
             m[i, pattern.src, j, pattern.dst] = vals
-    empty = model.oidx[(0, 0, 0)]
+    empty = others.lookup[0, 0, 0]
     m[S0, empty] = 0.0
     for (j, o), v in idle.items():
         m[S0, empty, j, o] = v
@@ -480,7 +481,7 @@ def period_windows(model, census):
     after t}, {t: probability it ends without a success after t}) for a
     census (k1, k2, k3) of all ``model.n`` pairs, from the model's per-census
     summaries ``succ`` and ``col``."""
-    ci = model.cidx[census]
+    ci = model.space.lookup[census]
     succ, col = model.succ[ci], model.col[ci]
     delta, won, cont = model.timing.slot_us, {}, {}
     for k in range(model.kmax + 1):
@@ -498,15 +499,16 @@ def continuation_windows(model, census):
     return period_windows(model, census)[1]
 
 
-def scalar_row(census, n, t_us, lam, index):
-    """Destination law over censuses of n pairs after a window of t_us."""
-    row = np.zeros(len(index))
+def scalar_row(census, n, t_us, lam, lookup):
+    """Destination law over censuses of n pairs after a window of t_us;
+    ``lookup[k1, k2, k3]`` is the index of a census."""
+    row = np.zeros(math.comb(n + 3, 3))
     if n == 0:
         row[0] = 1.0
         return row
     counts = (n - sum(census),) + census
     for deltas, dest in transition_deltas(counts):
-        row[index[dest]] += transition_prob(counts, deltas, t_us, lam)
+        row[lookup[dest]] += transition_prob(counts, deltas, t_us, lam)
     return row
 
 
@@ -517,18 +519,19 @@ def renewal_system(model):
     period length.  The idle census waits 1/(2 N lambda) for the first
     arrival, which makes one pair AP-only or STA-only; with no arrivals its
     row stays empty (the model sets its E[R] to inf)."""
-    nc, lam = len(model.censuses), model.lambda_pps
+    space, lam = model.space, model.lambda_pps
+    nc = len(space.censuses)
     m, c = np.zeros((nc, nc)), np.zeros(nc)
-    for ci, census in enumerate(model.censuses):
+    for ci, census in enumerate(space.censuses):
         if census == (0, 0, 0):
             if lam > 0.0:
                 c[ci] = 1.0 / (2 * model.n * lam * 1e-6)
-                m[ci, model.cidx[(1, 0, 0)]] = m[ci, model.cidx[(0, 1, 0)]] = 0.5
+                m[ci, space.lookup[1, 0, 0]] = m[ci, space.lookup[0, 1, 0]] = 0.5
             continue
         won, cont = period_windows(model, census)
         c[ci] = sum(t * w for t, w in won.items()) + sum(t * w for t, w in cont.items())
         for t, w in cont.items():
-            m[ci] += w * scalar_row(census, model.n, t, lam, model.cidx)
+            m[ci] += w * scalar_row(census, model.n, t, lam, space.lookup)
     return m, c
 
 

@@ -335,7 +335,7 @@ def test_c6_renewal_identity():
     worst = 0.0
     for n, lam in ((1, 30.0), (2, 25.0), (3, 60.0), (7, 80.0)):
         kt = build_kernels(TimerPolicy(), np.asarray(UNIFORM), lam)
-        model = CycleModel(kt, timing, (0.1,) * 4, lam, n)
+        model = CycleModel(kt, timing, (0.1,) * 4, n)
         for pa in (0.02, 0.4, 0.9):
             for ps in (0.05, 0.5, 0.97):
                 a, s = model.tagged_success(OccupancyPrior(pa, ps))

@@ -23,7 +23,7 @@ from oracles import census_prior, renewal_system, tagged_prior
 def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
     policy = TimerPolicy(p=p, delta_us=9.0, num_states=4)
     kt = build_kernels(policy, np.asarray(pi), lam)
-    return CycleModel(kt, timing, per, lam, n)
+    return CycleModel(kt, timing, per, n)
 
 
 # ----------------------------------------------------------------- priors
@@ -78,8 +78,8 @@ def test_empty_census_idle_term(timing):
     n, lam = 7, 10.0
     model = make_model(n, lam, timing=timing)
     x = model.renewal_by_census
-    idle = (x[model.cidx[(0, 0, 0)]]
-            - 0.5 * x[model.cidx[(1, 0, 0)]] - 0.5 * x[model.cidx[(0, 1, 0)]])
+    at = model.space.lookup
+    idle = x[at[0, 0, 0]] - 0.5 * x[at[1, 0, 0]] - 0.5 * x[at[0, 1, 0]]
     assert abs(idle - 1.0 / (2 * n * lam * 1e-6)) < 1e-6
 
 
@@ -94,7 +94,7 @@ def test_single_queue_renewal_closed_form(timing):
         base = 2 * (4 - 1 - state)
         for slot, wp in ((base, p), (base + 1, 1 - p)):
             expect += weight * wp * (slot * 9.0 + timing.t_suc(state))
-    got = model.renewal_by_census[model.cidx[(1, 0, 0)]]
+    got = model.renewal_by_census[model.space.lookup[1, 0, 0]]
     assert abs(got - expect) < 1e-9
 
 
@@ -108,7 +108,7 @@ def test_single_queue_renewal_with_errors(timing):
         base = 2 * (4 - 1 - state)
         for slot, wp in ((base, 0.5), (base + 1, 0.5)):
             per_attempt += weight * wp * (slot * 9.0 + timing.t_suc(state))
-    got = model.renewal_by_census[model.cidx[(1, 0, 0)]]
+    got = model.renewal_by_census[model.space.lookup[1, 0, 0]]
     assert abs(got - per_attempt / (1 - e)) < 1e-9
 
 
@@ -117,12 +117,12 @@ def test_model_rejects_mismatched_slot(timing):
     slot length is refused rather than silently mixed in."""
     kt = build_kernels(TimerPolicy(delta_us=20.0), np.full(4, 0.25), 40.0)
     with pytest.raises(ParameterError, match="slot"):
-        CycleModel(kt, timing, (0.1,) * 4, 40.0, 2)
+        CycleModel(kt, timing, (0.1,) * 4, 2)
 
 
 def test_lambda_zero_empty_census_is_infinite(timing):
     model = make_model(2, 0.0, timing=timing)
-    vec = dict(zip(model.censuses, model.renewal_by_census.tolist()))
+    vec = dict(zip(model.space.censuses, model.renewal_by_census.tolist()))
     assert math.isinf(vec[(0, 0, 0)])
     # the prior puts mass on the empty census
     assert math.isinf(model.expected_renewal(OccupancyPrior(0.5, 0.5)))
@@ -137,14 +137,14 @@ def test_renewal_residuals_and_positivity(timing):
     assert np.abs(x - m @ x - c).max() < 1e-9
     assert (x > 0).all()
     # at light load the empty census dominates every other expectation
-    assert x[model.cidx[(0, 0, 0)]] == x.max()
+    assert x[model.space.lookup[0, 0, 0]] == x.max()
 
 
 def test_expected_renewal_prior_weighting(timing):
     model = make_model(3, 30.0, timing=timing)
     prior = OccupancyPrior(0.0, 0.0)
     assert abs(model.expected_renewal(prior)
-               - model.renewal_by_census[model.cidx[(0, 0, 0)]]) < 1e-9
+               - model.renewal_by_census[model.space.lookup[0, 0, 0]]) < 1e-9
 
 
 # ---------------------------------------------------------- tagged system
@@ -154,8 +154,8 @@ def test_tagged_single_pair_closed_forms(timing):
     retries; a lone AP queue eventually always wins."""
     p, e = 0.5, 0.1
     model = make_model(1, 0.0, p=p, per=(e,) * 4, timing=timing)
-    y_ap = {i: model.tagged_ap[model._tidx(i, 0)] for i in range(4)}
-    y_sta = {i: model.tagged_sta[model._tidx(i, 0)] for i in range(4)}
+    y_ap = dict(enumerate(model.tagged_ap))  # N = 1: one others' census
+    y_sta = dict(enumerate(model.tagged_sta))
     x3 = p * p * (1 - e) / (1 - e * (p * p + (1 - p) * (1 - p)) - 2 * p * (1 - p))
     assert abs(y_ap[3] - x3) < 1e-9
     assert abs(y_sta[3] - x3) < 1e-9  # symmetric at p = 1/2

@@ -293,6 +293,24 @@ def test_nonfinite_slot_length_exit_code(tmp_path, capsys, monkeypatch, verb, de
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("verb, scheme", [("simulate", "analysis"),
+                                           ("validate", "dcf-arf"),
+                                           ("analyze", "opportunistic")])
+def test_verb_rejects_scheme_it_cannot_run(tmp_path, capsys, monkeypatch, verb, scheme):
+    """simulate cannot run the analysis, validate checks only the
+    opportunistic MAC, analyze runs only the analysis: each refuses the other
+    schemes before any model or simulator starts or any file is written."""
+    def started(*args, **kwargs):
+        raise AssertionError("a model or simulator started")
+    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
+        monkeypatch.setattr(cli, name, started)
+    assert main([verb, "--lambda", "10", "--scheme", scheme, "--set",
+                 "system.n_stations=2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--scheme" in err and scheme in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("verb", ["analyze", "validate", "compare"])
 def test_model_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, verb):
     """A model too large for memory names the station count and exits 2."""

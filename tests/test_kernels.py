@@ -47,8 +47,8 @@ def q_of(lam, delta=9.0):
 
 def summaries(kt, timing, n):
     """{(k1, k2, k3): (succ[k, state], col[k])} over every census of n pairs."""
-    model = CycleModel(kt, timing, (0.1,) * 4, kt.lambda_pps, n)
-    return {c: (model.succ[ci], model.col[ci]) for ci, c in enumerate(model.censuses)}
+    model = CycleModel(kt, timing, (0.1,) * 4, n)
+    return {c: (model.succ[ci], model.col[ci]) for ci, c in enumerate(model.space.censuses)}
 
 
 def lone_queue_law(p_even, pi=(0.25,) * 4):
@@ -72,7 +72,7 @@ def test_kernels_match_enumeration(p, num_states, lam):
     policy = TimerPolicy(p=p, delta_us=9.0, num_states=num_states)
     for pi in (np.full(num_states, 1.0 / num_states), *np.eye(num_states)):
         kt = build_kernels(policy, pi, lam)
-        for got, want in zip((kt.ap, kt.sta, kt.both, kt._surv),
+        for got, want in zip((kt.ap, kt.sta, kt.both, kt.surv),
                              kernel_enumeration(policy, pi, lam)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15
@@ -102,9 +102,9 @@ def test_s3_masses_are_state_independent():
     """Within an s3 pair the tie/AP-first/STA-first split is set by p alone."""
     for p in (0.5, 0.2, 0.9):
         kt = make_kernels((0.1, 0.2, 0.3, 0.4), 2e4, p)
-        assert abs(kt.cum_both[3].sum() - 2 * p * (1 - p)) < 1e-12
+        assert abs(kt.both[3].sum() - 2 * p * (1 - p)) < 1e-12
         assert abs(kt.cum_ap[3].sum() - p * p) < 1e-12
-        assert abs(kt.cum_sta[3].sum() - (1 - p) * (1 - p)) < 1e-12
+        assert abs(kt.sta[3].sum() - (1 - p) * (1 - p)) < 1e-12
 
 
 def test_s1_no_arrivals_closed_form(policy):
@@ -130,7 +130,7 @@ def test_s1_joiner_tie_mass():
     kt = make_kernels(pi, lam, p)
     q = q_of(lam)
     expect = sum(pi[h] * (1 - p) * q * (1 - p) for h in range(4))
-    assert abs(kt.cum_both[1].sum() - expect) < 1e-12
+    assert abs(kt.both[1].sum() - expect) < 1e-12
 
 
 @pytest.mark.parametrize("tag", PAIR_STATES)
@@ -173,13 +173,13 @@ def test_p_suc_ap_matches_config_sum(n, timing):
     """The model's Gauss-Legendre tie-break share equals the explicit
     configuration sum (polynomial exactness)."""
     kt = make_kernels((0.1, 0.4, 0.3, 0.2), 2e4, 0.3)
-    model = CycleModel(kt, timing, (0.1,) * 4, kt.lambda_pps, n)
+    model = CycleModel(kt, timing, (0.1,) * 4, n)
     for counts in model.space.counts.tolist():
         for i in PAIR_STATES:
             if counts[i] == 0:
                 continue
             others = tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
-            share = model._others_share[model.oidx[others[1:]]]
+            share = model._others_share[model.others_space.lookup[others[1:]]]
             for k in (0, 3, 7):
                 for l in range(0, k + 1, 3):
                     a = counts[i] * kt.ap[i, k, l] * share[k]
@@ -193,7 +193,7 @@ def test_negative_collision_mass_names_first_census(inflate, timing):
     collision mass; the model refuses it and names the first such census."""
     kt = make_kernels((0.1, 0.4, 0.3, 0.2), 0.0, 0.3)
     bad = KernelTable(kt.policy, kt.pi, kt.lambda_pps, inflate * kt.ap, kt.sta,
-                      kt.both, kt._surv)
+                      kt.both, kt.surv)
 
     def collision_mass(counts, k):
         before = math.prod(bad.survival(j, k - 1) ** counts[j] for j in PAIR_STATES)
@@ -206,7 +206,7 @@ def test_negative_collision_mass_names_first_census(inflate, timing):
                  if min(collision_mass((3 - sum(c),) + c, k) for k in range(8)) < -1e-9)
     message = r"negative collision mass .* census " + re.escape(str(first))
     with pytest.raises(ConsistencyError, match=message):
-        CycleModel(bad, timing, (0.1,) * 4, 0.0, 3)
+        CycleModel(bad, timing, (0.1,) * 4, 3)
 
 
 def test_p_col_single_s3_is_tie_mass(timing):

@@ -29,7 +29,7 @@ PER = (0.1, 0.25, 0.0, 0.4)  # a zero-PER state has no errored-success windows
 
 def make_model(n, lam, timing):
     kt = build_kernels(TimerPolicy(), np.asarray(PI), lam)
-    return CycleModel(kt, timing, PER, lam, n), kt
+    return CycleModel(kt, timing, PER, n), kt
 
 
 def combined(i, others):
@@ -46,9 +46,9 @@ def test_renewal_rows_match_scalar_reference(n, lam, timing):
     no arrivals the empty census never ends and its E[R] is infinite."""
     model, _ = make_model(n, lam, timing)
     m, c = renewal_system(model)
-    want = np.full(len(model.censuses), np.inf)
-    keep = np.ones(len(model.censuses), bool)
-    keep[model.cidx[(0, 0, 0)]] = lam > 0.0
+    want = np.full(len(model.space.censuses), np.inf)
+    keep = np.ones(len(model.space.censuses), bool)
+    keep[model.space.lookup[0, 0, 0]] = lam > 0.0
     want[keep] = dense_solve(m[np.ix_(keep, keep)], c[keep])
     got = model.renewal_by_census
     assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -60,17 +60,17 @@ def test_renewal_rows_match_scalar_reference(n, lam, timing):
 def test_tagged_rows_match_scalar_reference(n, lam, timing):
     model, _ = make_model(n, lam, timing)
     m = dense_tagged(model)[0]
-    nl = len(model.others)
+    nl = len(model.others_space.censuses)
     for i in PAIR_STATES:
-        for lo, others in enumerate(model.others):
+        for lo, others in enumerate(model.others_space.censuses):
             if combined(i, others) == (0, 0, 0):
                 continue  # the idle row is closed form
             want = np.zeros(4 * nl)
             for t, w in continuation_windows(model, combined(i, others)).items():
-                orow = scalar_row(others, n - 1, t, lam, model.oidx)
+                orow = scalar_row(others, n - 1, t, lam, model.others_space.lookup)
                 for j, fj in pair_transition_probs(i, t, lam).items():
                     want[j * nl:(j + 1) * nl] += w * fj * orow
-            assert np.abs(m[model._tidx(i, lo)] - want).max() <= 1e-14
+            assert np.abs(m[i * nl + lo] - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -78,9 +78,10 @@ def test_tagged_rows_match_scalar_reference(n, lam, timing):
 def test_tagged_rhs_matches_p_hat_minislot(n, lam, timing):
     model, kt = make_model(n, lam, timing)
     rhs = dense_tagged(model)[1]
+    nl = len(model.others_space.censuses)
     for i in PAIR_STATES:
-        for lo, others in enumerate(model.others):
-            got = rhs[model._tidx(i, lo), :2]
+        for lo, others in enumerate(model.others_space.censuses):
+            got = rhs[i * nl + lo, :2]
             if combined(i, others) == (0, 0, 0):
                 assert (got == 0.0).all()
                 continue
@@ -97,15 +98,16 @@ def test_tagged_period_column_is_mean_period_length(n, lam, timing):
     1/(2 N lambda) for the first arrival."""
     model, _ = make_model(n, lam, timing)
     rhs = dense_tagged(model)[1]
+    nl = len(model.others_space.censuses)
     for i in PAIR_STATES:
-        for lo, others in enumerate(model.others):
+        for lo, others in enumerate(model.others_space.censuses):
             census = combined(i, others)
             if census == (0, 0, 0):
                 want = 1.0 / (2 * n * lam * 1e-6) if lam > 0.0 else 0.0
             else:
                 want = sum(t * w for windows in period_windows(model, census)
                            for t, w in windows.items())
-            assert rhs[model._tidx(i, lo), 2] == pytest.approx(want, rel=1e-13, abs=0)
+            assert rhs[i * nl + lo, 2] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n", [2, 7])
@@ -113,11 +115,12 @@ def test_tagged_period_column_is_mean_period_length(n, lam, timing):
 def test_row_mass_is_continuation_probability(n, lam, timing):
     model, _ = make_model(n, lam, timing)
     m = dense_tagged(model)[0]
+    nl = len(model.others_space.censuses)
     for i in PAIR_STATES:
-        for lo, others in enumerate(model.others):
+        for lo, others in enumerate(model.others_space.censuses):
             if combined(i, others) != (0, 0, 0):
                 cont = sum(continuation_windows(model, combined(i, others)).values())
-                assert abs(m[model._tidx(i, lo)].sum() - cont) <= 1e-14
+                assert abs(m[i * nl + lo].sum() - cont) <= 1e-14
 
 
 def test_no_move_table_for_all_n_pairs(timing):
@@ -128,6 +131,23 @@ def test_no_move_table_for_all_n_pairs(timing):
     assert "_moves" not in vars(census_space(5))
 
 
+def test_census_cache_keeps_two_spaces(timing):
+    """A model needs the spaces of n and n - 1 pairs only: the cache holds no
+    more, and a second model at the same n builds no space again."""
+    census_space.cache_clear()
+    try:
+        for n, lam in ((5, 30.0), (5, 60.0), (7, 30.0)):
+            misses = census_space.cache_info().misses
+            make_model(n, lam, timing)
+            info = census_space.cache_info()
+            assert info.currsize <= 2
+            if lam == 60.0:
+                assert info.misses == misses
+    finally:
+        census_space.cache_clear()
+    assert census_space.cache_info().maxsize == 2
+
+
 def test_model_build_memory_peak(timing):
     """The tagged system is kept as blocks on the others' move pattern, never
     as the dense M (56 MB alone at N = 15): an N = 15 model, move table
@@ -136,7 +156,7 @@ def test_model_build_memory_peak(timing):
     census_space.cache_clear()
     tracemalloc.start()
     try:
-        CycleModel(kt, timing, PER, 50.0, 15)
+        CycleModel(kt, timing, PER, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,7 +186,8 @@ def tagged_levels(model):
     """Nonempty-queue count of every tagged unknown, the tagged pair's own
     queues included, from the census tuples."""
     of = lambda census: census[0] + census[1] + 2 * census[2]
-    return np.array([own + of(c) for own in (0, 1, 1, 2) for c in model.others])
+    return np.array([own + of(c) for own in (0, 1, 1, 2)
+                     for c in model.others_space.censuses])
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 10])
@@ -193,13 +214,14 @@ def test_sweep_matches_dense_solve(n, lam, timing):
     np.testing.assert_allclose(model.tagged_sta, want[:, 1], rtol=1e-12, atol=0)
     # E[R | census] is the period column at every tagged state of the census
     got = model.renewal_by_census
+    nl = len(model.others_space.censuses)
     for i in PAIR_STATES:
-        for lo, others in enumerate(model.others):
-            x = got[model.cidx[combined(i, others)]]
+        for lo, others in enumerate(model.others_space.censuses):
+            x = got[model.space.lookup[combined(i, others)]]
             if np.isinf(x):  # no arrivals: the empty census never ends
                 assert lam == 0.0 and combined(i, others) == (0, 0, 0)
             else:
-                assert x == pytest.approx(want[model._tidx(i, lo), 2], rel=1e-12, abs=0)
+                assert x == pytest.approx(want[i * nl + lo, 2], rel=1e-12, abs=0)
 
 
 def hand_system(cells, level):
