@@ -5,9 +5,11 @@ Each N runs in a fresh interpreter with BLAS pinned to one thread.  The
 child builds the lambda = 50 pkts/s kernels of the default configuration
 with ``system.n_stations = N``, then times the ``CycleModel`` build, and
 reports the build time, its own peak RSS and the size of the others' move
-table and move pattern.  ``--max-gb`` caps each child's address space, so
-that an N too large for the machine fails with a ``MemoryError`` instead of
-exhausting it.
+table and move pattern.  The build starts with that move table (the moves
+out of the censuses of N - 1 pairs), so ``moves_s``, the time of that step
+alone, is part of ``build_s``.  ``--max-gb`` caps each child's address
+space, so that an N too large for the machine fails with a ``MemoryError``
+instead of exhausting it.
 
     PYTHONPATH=src python scripts/model_scaling.py [--n 2,7,10,15,20] [--max-gb 2]
 """
@@ -32,18 +34,21 @@ def child(n: int, max_gb: float | None) -> dict:
         cap = int(max_gb * 2**30)
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     from oppmac import CycleModel, build_kernels
+    from oppmac.analysis import census_space
     from oppmac.config import default_setup
 
     setup = default_setup({"system.n_stations": str(n)})
     kernels = build_kernels(setup.policy, setup.resolve_pi(), LAMBDA_PPS)
     start = time.perf_counter()
     try:
+        census_space(n - 1)._moves
+        moves_s = time.perf_counter() - start
         model = CycleModel(kernels, setup.timing, setup.config.per_state_per, n)
     except MemoryError:
         return {"n": n, "error": "MemoryError"}
     build_s = time.perf_counter() - start
     pattern, by_level = model.others_space._moves
-    return {"n": n, "build_s": build_s,
+    return {"n": n, "build_s": build_s, "moves_s": moves_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "moves": sum(len(moves[0]) for moves in by_level), "cells": len(pattern.src),
             "unknowns": len(model.tagged_ap)}
@@ -76,7 +81,7 @@ def main(argv=None) -> int:
         return 0
     print(f"lambda = {LAMBDA_PPS:g} pkts/s, one fresh interpreter per N, BLAS on one thread")
     print(f"{'N':>3} {'build_s':>8} {'peak_rss_mb':>12} {'moves':>10} {'cells':>9} "
-          f"{'unknowns':>9}")
+          f"{'unknowns':>9} {'moves_s':>8}")
     failed = False
     for n in (int(x) for x in args.n.split(",") if x.strip()):
         row = run(n, args.max_gb)
@@ -84,8 +89,9 @@ def main(argv=None) -> int:
             failed = True
             print(f"{n:>3} failed: {row['error']}")
             continue
-        print(f"{n:>3} {row['build_s']:>8.3f} {row['peak_rss_mb']:>12.1f} "
-              f"{row['moves']:>10} {row['cells']:>9} {row['unknowns']:>9}")
+        print(f"{n:>3} {row['build_s']:>8.4f} {row['peak_rss_mb']:>12.1f} "
+              f"{row['moves']:>10} {row['cells']:>9} {row['unknowns']:>9} "
+              f"{row['moves_s']:>8.4f}")
     return 1 if failed else 0
 
 

@@ -158,32 +158,47 @@ class CensusSpace:
         cell), coefficient and flat (source, exponent of p, exponent of q)
         cell of the table ``cell_values`` receives.  A move (a, b, c, d, e)
         fills a of the k1 AP-only and b of the k2 STA-only pairs and turns
-        c / d / e empty pairs AP-only / STA-only / full."""
-        ne = 2 * self.n + 1
-        binom = np.array([[math.comb(r, k) for k in range(self.n + 1)]
-                          for r in range(self.n + 1)], dtype=float)
-        fills = [CensusSpace(m) for m in range(self.n + 1)]
+        c / d / e empty pairs AP-only / STA-only / full.
+
+        One numpy pass per level: its sources' rows (source, a, b) expand into
+        the fills (c, d, e) of their n0 empty pairs, a slice of one table of
+        the fills of 0..n pairs, so each value is a row part plus (times) a
+        fill part; a (source, census) mask's cumsum numbers the level's cells.
+        Moves run by source, a, b, then fill: ``cell_values`` sums a cell in
+        that order.  Cells and flat cells (< C(n+3, 3) (2n+1)^2) are int32."""
+        n, ne, nc = self.n, 2 * self.n + 1, len(self.censuses)
+        binom = np.array([[math.comb(r, k) for k in range(n + 1)]
+                          for r in range(n + 1)], dtype=float)
+        fact = [math.factorial(m) for m in range(n + 1)]
+        fills = [(m,) + c for m in range(n + 1) for c in enumerate_censuses(m)]
+        fill_mult = np.array([fact[m] / (fact[m - c - d - e] * fact[c] * fact[d] * fact[e])
+                              for m, c, d, e in fills])
+        m, c, d, e = np.array(fills).T
+        fill_at = (c * (n + 1) + d) * (n + 1) + e  # offset into the flat lookup
+        fill_term = ((c + d + 2 * e) * ne + c + d + 2 * (m - c - d - e)).astype(np.int32)
         srcs, dsts, by_level = [], [], []
         for rows in (np.flatnonzero(self.level == lv) for lv in range(self.level.max() + 1)):
-            cells = coeffs = terms = ()
-            first = 0
-            for src in rows.tolist():
-                k1, k2, k3 = self.censuses[src]
-                n0 = self.n - k1 - k2 - k3
-                fill = fills[n0]
-                c, d, e = (x[None, :] for x in fill.counts[:, 1:].T)
-                a, b = (x.reshape(-1, 1) for x in np.indices((k1 + 1, k2 + 1)))
-                dest = self.lookup[k1 - a + c, k2 - b + d, k3 + a + b + e]
-                ep = a + b + c + d + 2 * e
-                eq = k1 - a + k2 - b + c + d + 2 * (n0 - c - d - e)
-                dst, cell = np.unique(dest, return_inverse=True)
-                srcs.append(np.full(len(dst), src))
-                dsts.append(dst)
-                cells += (first + cell.ravel(),)
-                coeffs += ((binom[k1, a] * binom[k2, b] * fill.multinom).ravel(),)
-                terms += (((src * ne + ep) * ne + eq).ravel(),)
-                first += len(dst)
-            by_level.append(tuple(np.concatenate(x) for x in (cells, coeffs, terms)))
+            ab = (self.counts[rows, 1] + 1) * (self.counts[rows, 2] + 1)
+            pos = np.repeat(np.arange(len(rows)), ab)  # per row, its source's position
+            n0, k1, k2, k3 = self.counts[rows[pos]].T
+            a, b = np.divmod(np.arange(len(pos)) - np.repeat(np.cumsum(ab) - ab, ab), k2 + 1)
+            size = (n0 + 1) * (n0 + 2) * (n0 + 3) // 6  # fills of n0 pairs, from C(n0 + 3, 4) on
+            fill = np.repeat(n0 * size // 4 - np.cumsum(size) + size, size) + np.arange(size.sum())
+            at = fill_at[fill]
+            at += np.repeat(((k1 - a) * (n + 1) + k2 - b) * (n + 1) + k3 + a + b, size)
+            key = self.lookup.ravel()[at]
+            key += np.repeat(pos * nc, size)
+            hit = np.zeros(len(rows) * nc, dtype=bool)
+            hit[key] = True
+            cell = (np.cumsum(hit, dtype=np.int32) - 1)[key]
+            src_pos, dst = np.divmod(np.flatnonzero(hit), nc)
+            srcs.append(rows[src_pos])
+            dsts.append(dst)
+            coeff, term = fill_mult[fill], fill_term[fill]
+            coeff *= np.repeat(binom[k1, a] * binom[k2, b], size)
+            row_term = (rows[pos] * ne + a + b) * ne + k1 - a + k2 - b
+            term += np.repeat(row_term.astype(np.int32), size)
+            by_level.append((cell, coeff, term))
         for arr in (arr for moves in by_level for arr in moves):
             arr.flags.writeable = False
         return MovePattern(np.concatenate(srcs), np.concatenate(dsts), self.level), by_level
@@ -204,7 +219,7 @@ class CensusSpace:
         is (per-census window weights) @ ``powers``.  One level at a time."""
         pattern, by_level = self._moves
         for (_, cells, _, _), (cell, coeff, term) in zip(pattern.levels, by_level):
-            vals = table.ravel()[term]
+            vals = table.ravel().take(term)
             vals *= coeff
             out[cells] = np.bincount(cell, vals, minlength=cells.stop - cells.start)
 

@@ -9,10 +9,10 @@ each sampled trial, which lowers variance without coupling the oracle to the
 implementation under test.  The exact kernel enumeration lists every joint
 outcome of one pair.  The exact scalar references after it evaluate the
 census-level probabilities term by term from the kernel tables; the
-occupancy priors, the dense renewal system built from the scalar arrival law
-and the dense linear solve are references for the model's census vectors and
-its level sweep.  Bianchi's saturation model is the reference for the DCF
-simulator.
+occupancy priors, the per-source move table, the dense renewal system built
+from the scalar arrival law and the dense linear solve are references for the
+model's census vectors, its move table and its level sweep.  Bianchi's
+saturation model is the reference for the DCF simulator.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from oppmac import AP, STA, ConsistencyError, ParameterError
+from oppmac.analysis import CensusSpace, MovePattern
 
 BIG = 1 << 20  # sentinel: no timer set within the horizon
 
@@ -510,6 +511,39 @@ def scalar_row(census, n, t_us, lam, lookup):
     for deltas, dest in transition_deltas(counts):
         row[lookup[dest]] += transition_prob(counts, deltas, t_us, lam)
     return row
+
+
+def move_table_reference(space):
+    """``CensusSpace._moves`` of ``space`` built one source at a time, each
+    source's distinct destinations found by its own ``np.unique``: the
+    (``MovePattern``, per-level (cell, coeff, term)) the vectorised build
+    must reproduce move for move."""
+    ne = 2 * space.n + 1
+    binom = np.array([[math.comb(r, k) for k in range(space.n + 1)]
+                      for r in range(space.n + 1)], dtype=float)
+    fills = [CensusSpace(m) for m in range(space.n + 1)]
+    srcs, dsts, by_level = [], [], []
+    for rows in (np.flatnonzero(space.level == lv) for lv in range(space.level.max() + 1)):
+        cells = coeffs = terms = ()
+        first = 0
+        for src in rows.tolist():
+            k1, k2, k3 = space.censuses[src]
+            n0 = space.n - k1 - k2 - k3
+            fill = fills[n0]
+            c, d, e = (x[None, :] for x in fill.counts[:, 1:].T)
+            a, b = (x.reshape(-1, 1) for x in np.indices((k1 + 1, k2 + 1)))
+            dest = space.lookup[k1 - a + c, k2 - b + d, k3 + a + b + e]
+            ep = a + b + c + d + 2 * e
+            eq = k1 - a + k2 - b + c + d + 2 * (n0 - c - d - e)
+            dst, cell = np.unique(dest, return_inverse=True)
+            srcs.append(np.full(len(dst), src))
+            dsts.append(dst)
+            cells += (first + cell.ravel(),)
+            coeffs += ((binom[k1, a] * binom[k2, b] * fill.multinom).ravel(),)
+            terms += (((src * ne + ep) * ne + eq).ravel(),)
+            first += len(dst)
+        by_level.append(tuple(np.concatenate(x) for x in (cells, coeffs, terms)))
+    return MovePattern(np.concatenate(srcs), np.concatenate(dsts), space.level), by_level
 
 
 def renewal_system(model):

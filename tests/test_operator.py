@@ -16,6 +16,7 @@ from oracles import (
     continuation_windows,
     dense_solve,
     dense_tagged,
+    move_table_reference,
     p_hat_minislot,
     pair_transition_probs,
     period_windows,
@@ -121,6 +122,23 @@ def test_row_mass_is_continuation_probability(n, lam, timing):
             if combined(i, others) != (0, 0, 0):
                 cont = sum(continuation_windows(model, combined(i, others)).values())
                 assert abs(m[i * nl + lo].sum() - cont) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [*range(9), 12])
+def test_move_table_matches_per_source_reference(n):
+    """The one-pass-per-level move table equals the per-source loop move for
+    move: the same cells, and per level the same cell and flat cell values
+    and bitwise the same coefficients, so every cell sums in the same order."""
+    space = analysis.CensusSpace(n)
+    pattern, by_level = space._moves
+    ref_pattern, ref_by_level = move_table_reference(space)
+    assert np.array_equal(pattern.src, ref_pattern.src)
+    assert np.array_equal(pattern.dst, ref_pattern.dst)
+    assert len(by_level) == len(ref_by_level)
+    for (cell, coeff, term), (ref_cell, ref_coeff, ref_term) in zip(by_level, ref_by_level):
+        assert np.array_equal(cell, ref_cell)
+        assert np.array_equal(term, ref_term)
+        assert coeff.dtype == ref_coeff.dtype and coeff.tobytes() == ref_coeff.tobytes()
 
 
 def test_no_move_table_for_all_n_pairs(timing):
