@@ -1,11 +1,14 @@
 """Experiment controller.
 
-Subcommands:
+Subcommands (all take --config, --lambda, --out and --set):
     analyze    fixed-point solutions over an arrival-rate grid -> analysis.csv
-    simulate   replicated simulator runs -> per-run JSON + simulate.csv
-    validate   analysis vs simulation deltas per rate -> validate.csv
-    compare    per-scheme throughput curves -> compare.csv
-
+    simulate   replicated simulator runs -> per-run JSON + simulate.csv;
+               also --scheme --reps --seed --duration-s
+    validate   analysis vs simulation deltas per rate -> validate.csv;
+               also --reps --seed --tolerance --duration-s
+    compare    per-scheme throughput curves -> compare.csv;
+               also --scheme --reps --seed --duration-s
+A verb refuses other flags; analyze and validate need rates > 0.
 Exit codes: 0 success, 1 validation tolerance breach, 2 configuration error.
 Outputs are deterministic for a given (config, seeds); every file carries a
 header naming the units and the configuration hash.
@@ -17,6 +20,7 @@ import argparse
 import hashlib
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,9 +33,8 @@ from .sim import SimReport, run_dcf, run_opportunistic
 
 SIM_SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
 ALL_SCHEMES = SIM_SCHEMES + ("analysis",)
-# the schemes each verb can run; the first is its default
-VERB_SCHEMES = {"analyze": ("analysis",), "simulate": SIM_SCHEMES,
-                "validate": ("opportunistic",), "compare": ALL_SCHEMES}
+# the schemes --scheme may name; without it a verb runs ExperimentSpec's default
+VERB_SCHEMES = {"simulate": SIM_SCHEMES, "compare": ALL_SCHEMES}
 
 
 @dataclass
@@ -42,7 +45,6 @@ class ExperimentSpec:
     schemes: tuple = ("opportunistic",)
     lambdas: tuple = ()
     reps: int = 1
-    base_seed: int = 1
     out_dir: Path = Path("results")
     tolerance: float = 0.10
     duration_s: float = 30.0
@@ -66,21 +68,23 @@ def _run_seed(base: int, scheme: str, lam: float, rep: int) -> int:
     return (base + int.from_bytes(hashlib.sha256(tag).digest()[:4], "big")) % 2**63
 
 
-def _simulate_one(spec: ExperimentSpec, scheme: str, lam: float, rep: int,
-                  **overrides) -> SimReport:
+def _replicate(spec: ExperimentSpec, scheme: str, lam: float, **overrides) -> list[SimReport]:
+    """The spec's ``reps`` runs of one scheme at one rate, seeded from the config seed."""
     setup = spec.setup
-    cfg = replace(setup.config, lambda_pps=lam,
-                  seed=_run_seed(spec.base_seed, scheme, lam, rep), **overrides)
     dur = spec.duration_s * 1e6
-    import warnings
+    reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if scheme == "opportunistic":
-            return run_opportunistic(cfg, setup.policy, setup.timing, setup.space,
-                                     duration_us=dur)
-        kind = scheme.split("-", 1)[1]
-        return run_dcf(cfg, setup.timing, setup.space, rate_adaptation=kind,
-                       duration_us=dur)
+        for rep in range(spec.reps):
+            cfg = replace(setup.config, lambda_pps=lam,
+                          seed=_run_seed(setup.config.seed, scheme, lam, rep), **overrides)
+            if scheme == "opportunistic":
+                reports.append(run_opportunistic(cfg, setup.policy, setup.timing,
+                                                 setup.space, duration_us=dur))
+            else:
+                reports.append(run_dcf(cfg, setup.timing, setup.space, duration_us=dur,
+                                       rate_adaptation=scheme.split("-", 1)[1]))
+    return reports
 
 
 def _write(path: Path, lines) -> None:
@@ -137,18 +141,15 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
                  f"{m}_mean,{m}_stderr" for m in _SIM_METRICS)]
     for scheme in spec.schemes:
         for lam in spec.lambdas:
-            reports = []
-            for rep in range(spec.reps):
-                rep_obj = _simulate_one(spec, scheme, lam, rep)
+            reports = _replicate(spec, scheme, lam)
+            for rep, report in enumerate(reports):
                 name = f"sim_{scheme}_lam{lam:g}_rep{rep}.json"
-                _write(spec.out_dir / name, [rep_obj.to_json(meta)])
-                reports.append(rep_obj)
+                _write(spec.out_dir / name, [report.to_json(meta)])
             agg = _aggregate(reports)
             cells = [scheme, repr(float(lam)), str(spec.reps)]
             for m in _SIM_METRICS:
                 mean, err = agg[m]
-                cells.append(repr(mean))
-                cells.append("" if err is None else repr(err))
+                cells += [repr(mean), "" if err is None else repr(err)]
             lines.append(",".join(cells))
             print(f"simulate {scheme} lambda={lam:g}: "
                   f"system={agg['system_pps'][0]:.1f} pps over {spec.reps} rep(s)")
@@ -189,11 +190,8 @@ def cmd_validate(spec: ExperimentSpec) -> int:
     aggs = {}
     for lam in spec.lambdas:
         # the analysis has no retry limit, so neither has its simulation
-        reports = [_simulate_one(spec, "opportunistic", lam, rep, retry_limit=None)
-                   for rep in range(spec.reps)]
-        agg = _aggregate(reports)
-        aggs[lam] = {"p_a_hat": agg["p_a_hat"][0], "p_s_hat": agg["p_s_hat"][0],
-                     "mean_renewal_us": agg["mean_renewal_us"][0]}
+        agg = _aggregate(_replicate(spec, "opportunistic", lam, retry_limit=None))
+        aggs[lam] = {m: agg[m][0] for m in ("p_a_hat", "p_s_hat", "mean_renewal_us")}
     rows, breached = validation_rows(sols, aggs, spec.tolerance)
     chash = setup_hash(setup)
     lines = [f"# schema=validate-v1 config_hash={chash} units: e_r_us=us "
@@ -220,19 +218,16 @@ def cmd_compare(spec: ExperimentSpec) -> int:
              "scheme,lambda_pps,uplink_pps,downlink_pps,system_pps"]
     for scheme in spec.schemes:
         for lam in spec.lambdas:
-            if scheme == "analysis":
-                if lam <= 0:
-                    up = down = 0.0
-                else:
-                    sol = _fixed_point(setup, pi, lam)
-                    n = setup.config.n_stations
-                    up = n * sol.theta_sta_pps if sol.converged else float("nan")
-                    down = n * sol.theta_ap_pps if sol.converged else float("nan")
+            if scheme != "analysis":
+                agg = _aggregate(_replicate(spec, scheme, lam))
+                up, down = agg["uplink_pps"][0], agg["downlink_pps"][0]
+            elif lam <= 0:
+                up = down = 0.0
             else:
-                reports = [_simulate_one(spec, scheme, lam, rep)
-                           for rep in range(spec.reps)]
-                up = float(np.mean([r.uplink_pps for r in reports]))
-                down = float(np.mean([r.downlink_pps for r in reports]))
+                sol = _fixed_point(setup, pi, lam)
+                n = setup.config.n_stations
+                up = n * sol.theta_sta_pps if sol.converged else float("nan")
+                down = n * sol.theta_ap_pps if sol.converged else float("nan")
             lines.append(",".join([scheme, repr(float(lam)), repr(up), repr(down),
                                    repr(up + down)]))
             print(f"compare {scheme} lambda={lam:g}: system={up + down:.1f} pps")
@@ -240,42 +235,43 @@ def cmd_compare(spec: ExperimentSpec) -> int:
     return 0
 
 
-def _parse_lambdas(text: str) -> tuple:
-    """Comma-separated arrival rates, each a finite number >= 0."""
+def _parse_lambdas(verb: str, text: str) -> tuple:
+    """Comma-separated arrival rates, each a finite number >= 0; > 0 for the
+    verbs that solve the analysis, and at least one for validate."""
     try:
         lams = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError("--lambda", str(exc)) from None
     if not all(math.isfinite(x) and x >= 0.0 for x in lams):
         raise ConfigError("--lambda", f"rates must be finite and >= 0, got {text!r}")
+    if verb in ("analyze", "validate") and 0.0 in lams:
+        raise ConfigError("--lambda", f"{verb} needs a positive arrival rate, got {text!r}")
+    if verb == "validate" and not lams:
+        raise ConfigError("--lambda", "validate needs at least one arrival rate")
     return lams
 
 
 def build_spec(args) -> ExperimentSpec:
-    runnable = VERB_SCHEMES[args.command]
-    schemes = tuple(s.strip() for s in args.scheme.split(",")) if args.scheme else runnable[:1]
-    if not set(schemes) <= set(runnable):
-        raise ConfigError("--scheme", f"{args.command} runs only {runnable}, got {schemes}")
+    # args holds only the flags its verb registered
+    plan = {k: getattr(args, k) for k in ("reps", "tolerance", "duration_s") if k in args}
+    if getattr(args, "scheme", ""):
+        runnable = VERB_SCHEMES[args.command]
+        schemes = tuple(s.strip() for s in args.scheme.split(","))
+        if not set(schemes) <= set(runnable):
+            raise ConfigError("--scheme", f"{args.command} runs only {runnable}, got {schemes}")
+        plan["schemes"] = schemes
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(item, "expected key=value in --set")
         k, _, v = item.partition("=")
         overrides[k.strip()] = v.strip()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["system.seed"] = str(args.seed)
     setup = (load_config(args.config, overrides) if args.config
              else default_setup(overrides))
-    return ExperimentSpec(
-        setup=setup,
-        schemes=schemes,
-        lambdas=_parse_lambdas(args.lam),
-        reps=args.reps,
-        base_seed=args.seed if args.seed is not None else setup.config.seed,
-        out_dir=Path(args.out),
-        tolerance=args.tolerance,
-        duration_s=args.duration_s,
-    )
+    return ExperimentSpec(setup=setup, lambdas=_parse_lambdas(args.command, args.lam),
+                          out_dir=Path(args.out), **plan)
 
 
 def main(argv=None) -> int:
@@ -289,14 +285,17 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="configuration file path")
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated arrival rates, pkts/s per queue")
-        p.add_argument("--scheme", default="",
-                       help=f"comma-separated subset of {VERB_SCHEMES[name]}")
-        p.add_argument("--reps", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None)
+        if name in VERB_SCHEMES:
+            p.add_argument("--scheme", default="",
+                           help=f"comma-separated subset of {VERB_SCHEMES[name]}")
+        if name != "analyze":  # the verbs that simulate
+            p.add_argument("--reps", type=int, default=ExperimentSpec.reps)
+            p.add_argument("--seed", type=int, default=None)
+            if name == "validate":
+                p.add_argument("--tolerance", type=float, default=ExperimentSpec.tolerance)
+            p.add_argument("--duration-s", type=float, default=ExperimentSpec.duration_s,
+                           help="simulated seconds per run")
         p.add_argument("--out", default="results")
-        p.add_argument("--tolerance", type=float, default=0.10)
-        p.add_argument("--duration-s", type=float, default=30.0,
-                       help="simulated seconds per run")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key")
         p.set_defaults(func=fn)

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,33 @@ def write_config(tmp_path):
     path = tmp_path / "n2.conf"
     path.write_text(CONFIG_TEXT)
     return path
+
+
+def exit_code(argv) -> int:
+    """``main``'s exit code, also where argparse exits on a flag it refuses."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def forbid_model_and_simulator(monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("a model or simulator started")
+    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
+        monkeypatch.setattr(cli, name, started)
+
+
+COMMON_FLAGS = {"--config", "--lambda", "--out", "--set"}
+# the flags each verb takes beyond COMMON_FLAGS
+VERB_FLAGS = {
+    "analyze": set(),
+    "simulate": {"--scheme", "--reps", "--seed", "--duration-s"},
+    "validate": {"--reps", "--seed", "--tolerance", "--duration-s"},
+    "compare": {"--scheme", "--reps", "--seed", "--duration-s"},
+}
+FLAG_VALUES = {"--scheme": "opportunistic", "--reps": "2", "--seed": "7",
+               "--tolerance": "0.1", "--duration-s": "2"}
 
 
 # ---------------------------------------------------------------- config
@@ -269,13 +298,15 @@ def test_bad_lambda_exit_code(tmp_path, capsys, verb, rates):
 ])
 def test_bad_duration_or_tolerance_exit_code(tmp_path, capsys, monkeypatch,
                                              verb, flag, value):
-    """Rejected while building the spec, before any model or simulator starts."""
-    def started(*args, **kwargs):
-        raise AssertionError("a model or simulator started")
-    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
-        monkeypatch.setattr(cli, name, started)
-    assert main([verb, "--lambda", "20", f"{flag}={value}", "--out", str(tmp_path)]) == 2
-    assert f"config key {flag!r}" in capsys.readouterr().err
+    """Rejected while building the spec, before any model or simulator starts;
+    simulate takes no --tolerance, so there the flag itself is refused."""
+    forbid_model_and_simulator(monkeypatch)
+    assert exit_code([verb, "--lambda", "20", f"{flag}={value}", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    if flag in VERB_FLAGS[verb]:
+        assert f"config key {flag!r}" in err
+    else:
+        assert f"unrecognized arguments: {flag}={value}" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -283,10 +314,7 @@ def test_bad_duration_or_tolerance_exit_code(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("delta_us", ["nan", "inf"])
 def test_nonfinite_slot_length_exit_code(tmp_path, capsys, monkeypatch, verb, delta_us):
     """Rejected while building the setup, before any model or simulator starts."""
-    def started(*args, **kwargs):
-        raise AssertionError("a model or simulator started")
-    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
-        monkeypatch.setattr(cli, name, started)
+    forbid_model_and_simulator(monkeypatch)
     assert main([verb, "--lambda", "10", "--set", f"timer.delta_us={delta_us}",
                  "--out", str(tmp_path)]) == 2
     assert "timer.delta_us" in capsys.readouterr().err
@@ -297,18 +325,80 @@ def test_nonfinite_slot_length_exit_code(tmp_path, capsys, monkeypatch, verb, de
                                            ("validate", "dcf-arf"),
                                            ("analyze", "opportunistic")])
 def test_verb_rejects_scheme_it_cannot_run(tmp_path, capsys, monkeypatch, verb, scheme):
-    """simulate cannot run the analysis, validate checks only the
-    opportunistic MAC, analyze runs only the analysis: each refuses the other
-    schemes before any model or simulator starts or any file is written."""
-    def started(*args, **kwargs):
-        raise AssertionError("a model or simulator started")
-    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
-        monkeypatch.setattr(cli, name, started)
-    assert main([verb, "--lambda", "10", "--scheme", scheme, "--set",
-                 "system.n_stations=2", "--out", str(tmp_path)]) == 2
+    """simulate cannot run the analysis, so it refuses that scheme; validate
+    checks only the opportunistic MAC and analyze runs only the analysis, so
+    both refuse the --scheme flag itself.  Either way before any model or
+    simulator starts or any file is written."""
+    forbid_model_and_simulator(monkeypatch)
+    assert exit_code([verb, "--lambda", "10", "--scheme", scheme, "--set",
+                      "system.n_stations=2", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "--scheme" in err and scheme in err
+    if verb != "simulate":
+        assert f"unrecognized arguments: --scheme {scheme}" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("verb, flag", sorted(
+    (verb, flag) for verb, flags in VERB_FLAGS.items()
+    for flag in set(FLAG_VALUES) - flags))
+def test_verb_refuses_flag_it_does_not_take(tmp_path, capsys, monkeypatch, verb, flag):
+    """A flag a verb would not read exits 2 naming it, before any model or
+    simulator starts or any file is written."""
+    forbid_model_and_simulator(monkeypatch)
+    assert exit_code([verb, "--lambda", "20", flag, FLAG_VALUES[flag],
+                      "--set", "system.n_stations=2", "--out", str(tmp_path)]) == 2
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+def test_verb_help_lists_its_flags(capsys, verb):
+    assert exit_code([verb, "--help"]) == 0
+    shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert shown == COMMON_FLAGS | VERB_FLAGS[verb] | {"--help"}
+
+
+@pytest.mark.parametrize("verb, rates", [("validate", ""), ("analyze", "0"),
+                                          ("validate", "0"), ("validate", "20,0")])
+def test_analysis_verbs_refuse_empty_or_zero_grid(tmp_path, capsys, monkeypatch,
+                                                  verb, rates):
+    """A validation over no rate would compare nothing and pass, and the
+    analysis has no fixed point at zero load: both are refused while parsing,
+    naming --lambda, before any model or simulator starts."""
+    forbid_model_and_simulator(monkeypatch)
+    assert main([verb, f"--lambda={rates}", "--set", "system.n_stations=2",
+                 "--out", str(tmp_path)]) == 2
+    assert "config key '--lambda'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def readme_cli_section() -> str:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_parse(monkeypatch):
+    """Every oppmac line of the README's CLI section gets through the parser
+    and build_spec; no model or simulator starts and nothing is written."""
+    forbid_model_and_simulator(monkeypatch)
+    specs = []
+    for verb in VERB_FLAGS:
+        monkeypatch.setattr(cli, f"cmd_{verb}", lambda spec: specs.append(spec) or 0)
+    text = readme_cli_section().replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.strip().startswith("oppmac ")]
+    assert sorted(argv[0] for argv in commands) == sorted(VERB_FLAGS)
+    for argv in commands:
+        assert exit_code(argv) == 0, argv
+    assert len(specs) == len(commands)
+
+
+def test_readme_flag_table_matches_parser():
+    """The README's per-verb flag table names the flags each verb takes."""
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme_cli_section(), re.M)
+    assert {verb: set(re.findall(r"--[a-z][a-z-]*", flags)) for verb, flags in rows} \
+        == VERB_FLAGS
 
 
 @pytest.mark.parametrize("verb", ["analyze", "validate", "compare"])
