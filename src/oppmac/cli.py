@@ -8,7 +8,10 @@ Subcommands (all take --config, --lambda, --out and --set):
                also --reps --seed --tolerance --duration-s
     compare    per-scheme throughput curves -> compare.csv;
                also --scheme --reps --seed --duration-s
-A verb refuses other flags; analyze and validate need rates > 0.
+A verb refuses other flags and repeated rates or schemes; analyze and
+validate need rates > 0.  The simulator runs of a verb spread over the CPUs
+of its affinity mask, one forked worker per CPU; ``taskset -c 0`` keeps them
+in-process.  The outputs do not depend on the number of CPUs.
 Exit codes: 0 success, 1 validation tolerance breach, 2 configuration error.
 Outputs are deterministic for a given (config, seeds); every file carries a
 header naming the units and the configuration hash.
@@ -19,8 +22,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -68,23 +73,65 @@ def _run_seed(base: int, scheme: str, lam: float, rep: int) -> int:
     return (base + int.from_bytes(hashlib.sha256(tag).digest()[:4], "big")) % 2**63
 
 
-def _replicate(spec: ExperimentSpec, scheme: str, lam: float, **overrides) -> list[SimReport]:
-    """The spec's ``reps`` runs of one scheme at one rate, seeded from the config seed."""
-    setup = spec.setup
-    dur = spec.duration_s * 1e6
-    reports = []
+def _simulate_one(job) -> SimReport:
+    """One simulator run; ``job`` is (setup, duration_s, overrides, scheme, lam, rep)."""
+    setup, duration_s, overrides, scheme, lam, rep = job
+    cfg = replace(setup.config, lambda_pps=lam,
+                  seed=_run_seed(setup.config.seed, scheme, lam, rep), **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for rep in range(spec.reps):
-            cfg = replace(setup.config, lambda_pps=lam,
-                          seed=_run_seed(setup.config.seed, scheme, lam, rep), **overrides)
-            if scheme == "opportunistic":
-                reports.append(run_opportunistic(cfg, setup.policy, setup.timing,
-                                                 setup.space, duration_us=dur))
-            else:
-                reports.append(run_dcf(cfg, setup.timing, setup.space, duration_us=dur,
-                                       rate_adaptation=scheme.split("-", 1)[1]))
-    return reports
+        if scheme == "opportunistic":
+            return run_opportunistic(cfg, setup.policy, setup.timing, setup.space,
+                                     duration_us=duration_s * 1e6)
+        return run_dcf(cfg, setup.timing, setup.space, duration_us=duration_s * 1e6,
+                       rate_adaptation=scheme.split("-", 1)[1])
+
+
+def _take_own_cpu(cpus: list) -> None:
+    """Pool initializer: moves this worker to a CPU of its own, then hands it
+    the whole mask back.  A forked worker starts on its parent's CPU, and the
+    kernel can leave two workers sharing one CPU for a second.  The workers of
+    a pool are consecutive children of the parent, numbered in their process
+    names, so they take consecutive CPUs of the mask."""
+    import multiprocessing
+    nth_child = int(multiprocessing.current_process().name.split("-")[-1].split(":")[-1])
+    try:
+        os.sched_setaffinity(0, [cpus[nth_child % len(cpus)]])
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # a CPU left the mask: stay where the kernel put this worker
+        pass
+
+
+@contextmanager
+def _simulations(spec: ExperimentSpec, pairs, **overrides):
+    """Starts the spec's ``reps`` runs of each (scheme, lambda) in ``pairs`` and
+    yields an iterator over their reports, one tuple per pair, in order.
+
+    The runs go to a fork pool with one worker per CPU of the affinity mask,
+    so they are under way when the block starts; with one run, one CPU or no
+    fork, the same function is mapped in-process, lazily.  Every run has its
+    own seed, so the reports do not depend on the path.  Fork, not spawn: a
+    spawned worker would import numpy and this package again, and the pool
+    forks all its workers before it starts its own thread.
+    """
+    jobs = [(spec.setup, spec.duration_s, overrides, scheme, lam, rep)
+            for scheme, lam in pairs for rep in range(spec.reps)]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    workers = min(len(jobs), len(cpus))
+    if workers < 2 or not hasattr(os, "fork"):
+        pool, reports = None, map(_simulate_one, jobs)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_take_own_cpu, initargs=(cpus,))
+        reports = pool.map(_simulate_one, jobs)
+    try:
+        # one iterator zipped with itself: each tuple takes the next reps reports
+        yield zip(*[reports] * spec.reps)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _write(path: Path, lines) -> None:
@@ -139,20 +186,21 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     lines = [f"# schema=simulate-v1 config_hash={chash} units: pps=pkts/s *_us=us",
              "scheme,lambda_pps,reps," + ",".join(
                  f"{m}_mean,{m}_stderr" for m in _SIM_METRICS)]
-    for scheme in spec.schemes:
-        for lam in spec.lambdas:
-            reports = _replicate(spec, scheme, lam)
-            for rep, report in enumerate(reports):
-                name = f"sim_{scheme}_lam{lam:g}_rep{rep}.json"
-                _write(spec.out_dir / name, [report.to_json(meta)])
-            agg = _aggregate(reports)
-            cells = [scheme, repr(float(lam)), str(spec.reps)]
-            for m in _SIM_METRICS:
-                mean, err = agg[m]
-                cells += [repr(mean), "" if err is None else repr(err)]
-            lines.append(",".join(cells))
-            print(f"simulate {scheme} lambda={lam:g}: "
-                  f"system={agg['system_pps'][0]:.1f} pps over {spec.reps} rep(s)")
+    pairs = [(scheme, lam) for scheme in spec.schemes for lam in spec.lambdas]
+    with _simulations(spec, pairs) as runs:
+        runs = list(runs)  # every run ends before any file is written
+    for (scheme, lam), reports in zip(pairs, runs):
+        for rep, report in enumerate(reports):
+            name = f"sim_{scheme}_lam{lam:g}_rep{rep}.json"
+            _write(spec.out_dir / name, [report.to_json(meta)])
+        agg = _aggregate(reports)
+        cells = [scheme, repr(float(lam)), str(spec.reps)]
+        for m in _SIM_METRICS:
+            mean, err = agg[m]
+            cells += [repr(mean), "" if err is None else repr(err)]
+        lines.append(",".join(cells))
+        print(f"simulate {scheme} lambda={lam:g}: "
+              f"system={agg['system_pps'][0]:.1f} pps over {spec.reps} rep(s)")
     _write(spec.out_dir / "simulate.csv", lines)
     return 0
 
@@ -186,12 +234,15 @@ def validation_rows(solutions, sim_aggregates, tolerance: float):
 def cmd_validate(spec: ExperimentSpec) -> int:
     setup = spec.setup
     pi = setup.resolve_pi()
-    sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
-    aggs = {}
-    for lam in spec.lambdas:
-        # the analysis has no retry limit, so neither has its simulation
-        agg = _aggregate(_replicate(spec, "opportunistic", lam, retry_limit=None))
-        aggs[lam] = {m: agg[m][0] for m in ("p_a_hat", "p_s_hat", "mean_renewal_us")}
+    # the analysis has no retry limit, so neither has its simulation
+    with _simulations(spec, [("opportunistic", lam) for lam in spec.lambdas],
+                      retry_limit=None) as runs:
+        sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
+        aggs = {lam: _aggregate(reports) for lam, reports in zip(spec.lambdas, runs)}
+    # a metric that no replication measured is None, not _aggregate's NaN
+    aggs = {lam: {m: None if math.isnan(agg[m][0]) else agg[m][0]
+                  for m in ("p_a_hat", "p_s_hat", "mean_renewal_us")}
+            for lam, agg in aggs.items()}
     rows, breached = validation_rows(sols, aggs, spec.tolerance)
     chash = setup_hash(setup)
     lines = [f"# schema=validate-v1 config_hash={chash} units: e_r_us=us "
@@ -204,8 +255,9 @@ def cmd_validate(spec: ExperimentSpec) -> int:
             "" if rel is None else repr(float(rel)), str(int(ok))]))
         state = "ok" if ok else "BREACH"
         rel_txt = "n/a" if rel is None else f"{rel:.2%}"
+        sim_txt = "n/a" if meas is None else f"{float(meas):.6g}"
         print(f"validate lambda={lam:g} {metric}: analysis={ana:.6g} "
-              f"sim={meas if meas is None else float(meas):.6g} err={rel_txt} [{state}]")
+              f"sim={sim_txt} err={rel_txt} [{state}]")
     _write(spec.out_dir / "validate.csv", lines)
     return 1 if breached else 0
 
@@ -216,15 +268,21 @@ def cmd_compare(spec: ExperimentSpec) -> int:
     pi = setup.resolve_pi() if "analysis" in spec.schemes else None
     lines = [f"# schema=compare-v1 config_hash={chash} units: pps=pkts/s",
              "scheme,lambda_pps,uplink_pps,downlink_pps,system_pps"]
+    pairs = [(scheme, lam) for scheme in spec.schemes if scheme != "analysis"
+             for lam in spec.lambdas]
+    with _simulations(spec, pairs) as runs:
+        sols = {lam: _fixed_point(setup, pi, lam) for lam in spec.lambdas
+                if pi is not None and lam > 0}
+        aggs = {pair: _aggregate(reports) for pair, reports in zip(pairs, runs)}
     for scheme in spec.schemes:
         for lam in spec.lambdas:
             if scheme != "analysis":
-                agg = _aggregate(_replicate(spec, scheme, lam))
+                agg = aggs[scheme, lam]
                 up, down = agg["uplink_pps"][0], agg["downlink_pps"][0]
             elif lam <= 0:
                 up = down = 0.0
             else:
-                sol = _fixed_point(setup, pi, lam)
+                sol = sols[lam]
                 n = setup.config.n_stations
                 up = n * sol.theta_sta_pps if sol.converged else float("nan")
                 down = n * sol.theta_ap_pps if sol.converged else float("nan")
@@ -244,6 +302,8 @@ def _parse_lambdas(verb: str, text: str) -> tuple:
         raise ConfigError("--lambda", str(exc)) from None
     if not all(math.isfinite(x) and x >= 0.0 for x in lams):
         raise ConfigError("--lambda", f"rates must be finite and >= 0, got {text!r}")
+    if len(set(lams)) < len(lams):
+        raise ConfigError("--lambda", f"a rate repeats in {text!r}")
     if verb in ("analyze", "validate") and 0.0 in lams:
         raise ConfigError("--lambda", f"{verb} needs a positive arrival rate, got {text!r}")
     if verb == "validate" and not lams:
@@ -259,6 +319,8 @@ def build_spec(args) -> ExperimentSpec:
         schemes = tuple(s.strip() for s in args.scheme.split(","))
         if not set(schemes) <= set(runnable):
             raise ConfigError("--scheme", f"{args.command} runs only {runnable}, got {schemes}")
+        if len(set(schemes)) < len(schemes):
+            raise ConfigError("--scheme", f"a scheme repeats in {args.scheme!r}")
         plan["schemes"] = schemes
     overrides = {}
     for item in args.set or []:

@@ -91,8 +91,11 @@ class ConfigError(ParameterError):
     """Malformed configuration file or overrides; carries the offending key."""
 
     def __init__(self, key: str, message: str):
-        self.key = key
+        self.key, self.message = key, message
         super().__init__(f"config key {key!r}: {message}")
+
+    def __reduce__(self):  # so that one raised in a worker process reaches the parent
+        return type(self), (self.key, self.message)
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> WlanSetup:

@@ -1,4 +1,6 @@
 import json
+import os
+import pickle
 import re
 import shlex
 from pathlib import Path
@@ -15,6 +17,7 @@ from oppmac.config import (
     parse_config_text,
     setup_hash,
 )
+from oppmac.core import ParameterError
 
 CONFIG_TEXT = """\
 # two stations, uniform channel, drop-free
@@ -141,6 +144,14 @@ def test_slot_length_has_one_source():
                                   default.timing.per_state_tx_us)] == [22.0] * 4
 
 
+def test_config_error_pickles():
+    """A ConfigError raised in a worker process reaches the parent whole."""
+    err = pickle.loads(pickle.dumps(ConfigError("channel.pi", "bad")))
+    assert type(err) is ConfigError
+    assert err.key == "channel.pi"
+    assert str(err) == "config key 'channel.pi': bad"
+
+
 def test_setup_hash_tracks_content():
     a = default_setup()
     b = default_setup({"system.lambda_pps": "61.0"})
@@ -239,6 +250,18 @@ def test_validate_breach_exit_code(tmp_path):
                  "--duration-s", "2", "--tolerance", "0.00001",
                  "--out", str(out)])
     assert code == 1
+
+
+def test_validate_reports_unmeasured_metric(tmp_path, capsys):
+    """A millisecond run ends no renewal: E[R] is unmeasured, so its cells
+    are blank, its line reads n/a, and the row breaches."""
+    out = tmp_path / "val"
+    assert main(["validate", "--lambda", "1", "--duration-s", "0.001",
+                 "--set", "system.n_stations=2", "--out", str(out)]) == 1
+    row = (out / "validate.csv").read_text().splitlines()[4].split(",")
+    assert row[:2] == ["1.0", "e_r_us"] and row[3:] == ["", "", "0"]
+    line = capsys.readouterr().out.splitlines()[2]
+    assert "e_r_us" in line and "sim=n/a err=n/a [BREACH]" in line
 
 
 def test_validation_rows_negative_control():
@@ -373,6 +396,22 @@ def test_analysis_verbs_refuse_empty_or_zero_grid(tmp_path, capsys, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("verb, flag, value", [
+    ("simulate", "--lambda", "20,20"), ("compare", "--lambda", "20,20.0"),
+    ("simulate", "--scheme", "opportunistic,opportunistic"),
+    ("compare", "--scheme", "analysis,dcf-arf,analysis"),
+])
+def test_repeated_rate_or_scheme_exit_code(tmp_path, capsys, monkeypatch, verb, flag, value):
+    """A repeated rate or scheme would rerun the same seeded runs and write
+    the same files again; it is refused naming its flag, before any model or
+    simulator starts or any file is written."""
+    forbid_model_and_simulator(monkeypatch)
+    assert main([verb, flag, value, "--set", "system.n_stations=2",
+                 "--out", str(tmp_path)]) == 2
+    assert f"config key {flag!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def readme_cli_section() -> str:
     readme = Path(__file__).resolve().parents[1] / "README.md"
     return readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
@@ -463,3 +502,79 @@ def test_compare_matches_committed_row(tmp_path):
     want = pinned.read_text().splitlines()
     assert got == want[:2] + [r for r in want[2:] if r.split(",")[1] == "10.0"]
     assert len(got) == 5
+
+
+# ---------------------------------------------------------------- process pool
+
+def force_cpus(monkeypatch, cpus) -> list:
+    """Makes the affinity mask read ``cpus``; returns the worker counts of the
+    pools that the CLI starts from then on."""
+    import concurrent.futures
+    pools = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return pools
+
+
+POOL_RUNS = {
+    "simulate": ["--scheme", "opportunistic,dcf-arf,dcf-threshold", "--lambda", "20,40",
+                 "--reps", "2"],
+    "validate": ["--lambda", "20,40", "--reps", "2"],
+    "compare": ["--scheme", "opportunistic,analysis,dcf-arf", "--lambda", "0,20",
+                "--reps", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(POOL_RUNS))
+def test_pool_and_serial_paths_same_bytes(tmp_path, capsys, monkeypatch, verb):
+    """One CPU runs the simulations in-process, two run them on a pool of two
+    workers, started before the parent solves any fixed point; every file,
+    the stdout and the exit code are the same."""
+    solving_while_pooled = []
+    real_fixed_point = cli.fixed_point
+
+    def fixed_point(*args, **kwargs):
+        solving_while_pooled.append(len(pools))
+        return real_fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fixed_point", fixed_point)
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        pools = force_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        code = main([verb, *POOL_RUNS[verb], "--duration-s", "1",
+                     "--set", "system.n_stations=2", "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((code, capsys.readouterr().out, files))
+        assert pools == ([] if len(cpus) == 1 else [2])
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == {"simulate": 13, "validate": 1, "compare": 1}[verb]
+    if verb != "simulate":  # one solve per positive rate and run
+        half = len(solving_while_pooled) // 2
+        assert half and solving_while_pooled == [0] * half + [1] * half
+
+
+@pytest.mark.parametrize("error", [ParameterError("no rate fits this channel"),
+                                   ConfigError("channel.rates_mbps", "no rate fits this channel")])
+def test_pooled_parameter_error_exit_code(tmp_path, capsys, monkeypatch, error):
+    """An error raised in a worker exits 2 with its message, as it would
+    in-process, and no run file is written."""
+    def bad_rate(*args, **kwargs):
+        raise error
+
+    pools = force_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(cli, "run_dcf", bad_rate)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scheme", "opportunistic,dcf-arf", "--lambda", "20",
+                 "--duration-s", "0.5", "--set", "system.n_stations=2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no rate fits this channel" in err and "Traceback" not in err
+    assert pools == [2]
+    assert not out.exists()
