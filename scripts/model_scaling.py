@@ -4,12 +4,12 @@
 Each N runs in a fresh interpreter with BLAS pinned to one thread.  The
 child builds the lambda = 50 pkts/s kernels of the default configuration
 with ``system.n_stations = N``, then times the ``CycleModel`` build, and
-reports the build time, its own peak RSS and the size of the others' move
-table and move pattern.  The build starts with that move table (the moves
-out of the censuses of N - 1 pairs), so ``moves_s``, the time of that step
-alone, is part of ``build_s``.  ``--max-gb`` caps each child's address
-space, so that an N too large for the machine fails with a ``MemoryError``
-instead of exhausting it.
+reports the build time, its own peak RSS and the number of cells of the
+others' move pattern.  The build starts with those cells (the moves out of
+the censuses of N - 1 pairs, one exponent pair and coefficient sum per
+cell), so ``cells_s``, the time of that step alone, is part of ``build_s``.
+``--max-gb`` caps each child's address space, so that an N too large for
+the machine fails with a ``MemoryError`` instead of exhausting it.
 
     PYTHONPATH=src python scripts/model_scaling.py [--n 2,7,10,15,20] [--max-gb 2]
 """
@@ -41,17 +41,15 @@ def child(n: int, max_gb: float | None) -> dict:
     kernels = build_kernels(setup.policy, setup.resolve_pi(), LAMBDA_PPS)
     start = time.perf_counter()
     try:
-        census_space(n - 1)._moves
-        moves_s = time.perf_counter() - start
+        census_space(n - 1)._cells
+        cells_s = time.perf_counter() - start
         model = CycleModel(kernels, setup.timing, setup.config.per_state_per, n)
     except MemoryError:
         return {"n": n, "error": "MemoryError"}
     build_s = time.perf_counter() - start
-    pattern, by_level = model.others_space._moves
-    return {"n": n, "build_s": build_s, "moves_s": moves_s,
+    return {"n": n, "build_s": build_s, "cells_s": cells_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "moves": sum(len(moves[0]) for moves in by_level), "cells": len(pattern.src),
-            "unknowns": len(model.tagged_ap)}
+            "cells": len(model.others_space.pattern.src), "unknowns": len(model.tagged_ap)}
 
 
 def run(n: int, max_gb: float | None) -> dict:
@@ -80,8 +78,8 @@ def main(argv=None) -> int:
         print(json.dumps(child(args.child, args.max_gb)))
         return 0
     print(f"lambda = {LAMBDA_PPS:g} pkts/s, one fresh interpreter per N, BLAS on one thread")
-    print(f"{'N':>3} {'build_s':>8} {'peak_rss_mb':>12} {'moves':>10} {'cells':>9} "
-          f"{'unknowns':>9} {'moves_s':>8}")
+    print(f"{'N':>3} {'build_s':>8} {'peak_rss_mb':>12} {'cells':>9} {'unknowns':>9} "
+          f"{'cells_s':>8}")
     failed = False
     for n in (int(x) for x in args.n.split(",") if x.strip()):
         row = run(n, args.max_gb)
@@ -90,8 +88,7 @@ def main(argv=None) -> int:
             print(f"{n:>3} failed: {row['error']}")
             continue
         print(f"{n:>3} {row['build_s']:>8.4f} {row['peak_rss_mb']:>12.1f} "
-              f"{row['moves']:>10} {row['cells']:>9} {row['unknowns']:>9} "
-              f"{row['moves_s']:>8.4f}")
+              f"{row['cells']:>9} {row['unknowns']:>9} {row['cells_s']:>8.4f}")
     return 1 if failed else 0
 
 

@@ -13,13 +13,13 @@ tagged pair's nonempty queues, and ``block_sweep`` solves it by level.
 
 A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
-The destination, coefficient and exponents of p_t and 1 - p_t of each move
-out of a census are tabulated once per pair count (``CensusSpace``), with
-the distinct (source, destination) cells of those moves as one
-``MovePattern``.  M is never formed densely: it is 4 x 4 blocks i -> j over
-the others' censuses, nonzero only for j >= i in S0 < S1, S2 < S3, and each
-of those is one value per cell, bincount(cell, coeff * sum_t w_t p_t^ep
-(1-p_t)^eq), with w_t scaled by the tagged pair's law f[i, j, t].
+The arrival moves between censuses are tabulated once per pair count
+(``CensusSpace``) as the (source, destination) cells of one ``MovePattern``:
+a move raises p_t to the levels it gains and 1 - p_t to the queues it leaves
+empty, so a cell keeps one exponent pair (ep, eq) and its moves' coefficient
+sum.  M is never formed densely: it is 4 x 4 blocks i -> j over the others'
+censuses, nonzero only for j >= i in S0 < S1, S2 < S3, and each of those is
+coeff * sum_t w_t p_t^ep (1-p_t)^eq per cell, w_t scaled by f[i, j, t].
 Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
 fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
 multinomial census probabilities.
@@ -152,20 +152,20 @@ class CensusSpace:
             arr.flags.writeable = False
 
     @functools.cached_property
-    def _moves(self):
-        """The ``MovePattern`` of the moves out of every census and, per level
-        of their source, per move: its cell (counted from the level's first
-        cell), coefficient and flat (source, exponent of p, exponent of q)
-        cell of the table ``cell_values`` receives.  A move (a, b, c, d, e)
-        fills a of the k1 AP-only and b of the k2 STA-only pairs and turns
-        c / d / e empty pairs AP-only / STA-only / full.
+    def _cells(self):
+        """(pattern, term, coeff): the ``MovePattern`` of the moves out of every
+        census and, per cell, the flat (source, exponent of p, exponent of q)
+        cell ``term`` of the table ``cell_values`` receives and the sum
+        ``coeff`` of its moves' coefficients.  A move (a, b, c, d, e) fills a
+        of the k1 AP-only and b of the k2 STA-only pairs and turns c / d / e
+        empty pairs AP-only / STA-only / full.
 
         One numpy pass per level: its sources' rows (source, a, b) expand into
         the fills (c, d, e) of their n0 empty pairs, a slice of one table of
         the fills of 0..n pairs, so each value is a row part plus (times) a
-        fill part; a (source, census) mask's cumsum numbers the level's cells.
-        Moves run by source, a, b, then fill: ``cell_values`` sums a cell in
-        that order.  Cells and flat cells (< C(n+3, 3) (2n+1)^2) are int32."""
+        fill part; a (source, census) mask's cumsum numbers the level's cells,
+        and a bincount sums each cell's coefficients by source, a, b, then
+        fill.  ``term`` (< C(n+3, 3) (2n+1)^2) is int32."""
         n, ne, nc = self.n, 2 * self.n + 1, len(self.censuses)
         binom = np.array([[math.comb(r, k) for k in range(n + 1)]
                           for r in range(n + 1)], dtype=float)
@@ -173,10 +173,9 @@ class CensusSpace:
         fills = [(m,) + c for m in range(n + 1) for c in enumerate_censuses(m)]
         fill_mult = np.array([fact[m] / (fact[m - c - d - e] * fact[c] * fact[d] * fact[e])
                               for m, c, d, e in fills])
-        m, c, d, e = np.array(fills).T
+        _, c, d, e = np.array(fills).T
         fill_at = (c * (n + 1) + d) * (n + 1) + e  # offset into the flat lookup
-        fill_term = ((c + d + 2 * e) * ne + c + d + 2 * (m - c - d - e)).astype(np.int32)
-        srcs, dsts, by_level = [], [], []
+        srcs, dsts, coeffs = [], [], []
         for rows in (np.flatnonzero(self.level == lv) for lv in range(self.level.max() + 1)):
             ab = (self.counts[rows, 1] + 1) * (self.counts[rows, 2] + 1)
             pos = np.repeat(np.arange(len(rows)), ab)  # per row, its source's position
@@ -194,18 +193,36 @@ class CensusSpace:
             src_pos, dst = np.divmod(np.flatnonzero(hit), nc)
             srcs.append(rows[src_pos])
             dsts.append(dst)
-            coeff, term = fill_mult[fill], fill_term[fill]
+            coeff = fill_mult[fill]
             coeff *= np.repeat(binom[k1, a] * binom[k2, b], size)
-            row_term = (rows[pos] * ne + a + b) * ne + k1 - a + k2 - b
-            term += np.repeat(row_term.astype(np.int32), size)
-            by_level.append((cell, coeff, term))
-        for arr in (arr for moves in by_level for arr in moves):
-            arr.flags.writeable = False
-        return MovePattern(np.concatenate(srcs), np.concatenate(dsts), self.level), by_level
+            coeffs.append(np.bincount(cell, coeff, minlength=len(dst)))
+        pattern = MovePattern(np.concatenate(srcs), np.concatenate(dsts), self.level)
+        reached = self.level[pattern.dst]
+        term = ((pattern.src * ne + reached - self.level[pattern.src]) * ne
+                + 2 * n - reached).astype(np.int32)
+        coeff = np.concatenate(coeffs)
+        self._check_arrival_sums(term, coeff)
+        term.flags.writeable = coeff.flags.writeable = False
+        return pattern, term, coeff
+
+    def _check_arrival_sums(self, term, coeff) -> None:
+        """Each of the 2n - level(o) empty queues of a census o gets an
+        arrival independently, so with p and 1 - p factored out its row sums
+        to 1 only if the coefficients of o's cells that gain g levels sum to
+        C(2n - level(o), g).  Raises ``ConsistencyError`` where they do not."""
+        ne = 2 * self.n + 1
+        sums = np.bincount(term // ne, coeff, minlength=len(self.level) * ne).reshape(-1, ne)
+        want = np.array([[math.comb(f, g) for g in range(ne)] for f in range(ne)],
+                        dtype=float)[2 * self.n - self.level]
+        bad = np.argwhere(np.abs(sums - want) > 1e-12 * want)
+        if len(bad):
+            o, g = bad[0]
+            raise ConsistencyError(f"the moves of census {self.censuses[o]} that gain {g} "
+                                   f"levels sum to {sums[o, g]}, not {want[o, g]}")
 
     @property
     def pattern(self) -> MovePattern:
-        return self._moves[0]
+        return self._cells[0]
 
     def powers(self, p: np.ndarray) -> np.ndarray:
         """Table [t, e * (2n+1) + f] = p_t^e (1 - p_t)^f for e, f = 0..2n."""
@@ -215,13 +232,9 @@ class CensusSpace:
 
     def cell_values(self, table: np.ndarray, out: np.ndarray) -> None:
         """Write into ``out``, per cell of ``pattern``, coeff * table[source,
-        ep, eq] summed over the cell's moves in move order, where ``table``
-        is (per-census window weights) @ ``powers``.  One level at a time."""
-        pattern, by_level = self._moves
-        for (_, cells, _, _), (cell, coeff, term) in zip(pattern.levels, by_level):
-            vals = table.ravel().take(term)
-            vals *= coeff
-            out[cells] = np.bincount(cell, vals, minlength=cells.stop - cells.start)
+        ep, eq], where ``table`` is (per-census window weights) @ ``powers``."""
+        _, term, coeff = self._cells
+        np.multiply(table.ravel().take(term), coeff, out=out)
 
     def prior(self, rho, scale: float = 1.0) -> np.ndarray:
         """``scale`` times the census probabilities when each pair is

@@ -9,7 +9,7 @@ Keys map one-to-one onto the domain types:
     system.retry_limit     = 7          # or "unlimited"
     system.seed            = 1
     channel.mode           = explicit   # or "rayleigh"
-    channel.pi             = 0.25, 0.25, 0.25, 0.25
+    channel.pi             = 0.25, 0.25, 0.25, 0.25   # explicit mode only
     channel.mean_ebn0_db   = 28.0       # rayleigh mode only
     channel.thresholds_db  = 0, 19.11, 26.90, 31.88
     channel.rates_mbps     = 12, 24, 48, 54
@@ -18,7 +18,8 @@ Keys map one-to-one onto the domain types:
     timing.payload_bytes   = 1500
     timing.collision_rate_mbps = 12     # analysis collision-cost rate
 
-Unknown keys are rejected by name.  Command-line flags override file keys.
+Unknown keys, and the channel key of the mode not chosen, are rejected by
+name.  Command-line flags override file keys.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ _FIELD_KEYS = {
 }
 
 
+# the channel key that each mode does not read; setting it is refused
+_INACTIVE_KEY = {"explicit": "channel.mean_ebn0_db", "rayleigh": "channel.pi"}
+
+
 class ConfigError(ParameterError):
     """Malformed configuration file or overrides; carries the offending key."""
 
@@ -99,7 +104,7 @@ class ConfigError(ParameterError):
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> WlanSetup:
-    values = dict(_DEFAULTS)
+    values, given = dict(_DEFAULTS), set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,10 +116,15 @@ def parse_config_text(text: str, overrides: dict | None = None) -> WlanSetup:
         if key not in values:
             raise ConfigError(key, "unknown key")
         values[key] = val
+        given.add(key)
     for key, val in (overrides or {}).items():
         if key not in values:
             raise ConfigError(key, "unknown override")
         values[key] = str(val)
+        given.add(key)
+    mode = values["channel.mode"]
+    if _INACTIVE_KEY.get(mode) in given:
+        raise ConfigError(_INACTIVE_KEY[mode], f"not read when channel.mode is {mode}")
     return _build_setup(values)
 
 

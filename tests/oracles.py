@@ -11,7 +11,7 @@ outcome of one pair.  The exact scalar references after it evaluate the
 census-level probabilities term by term from the kernel tables; the
 occupancy priors, the per-source move table, the dense renewal system built
 from the scalar arrival law and the dense linear solve are references for the
-model's census vectors, its move table and its level sweep.  Bianchi's
+model's census vectors, its cells and its level sweep.  Bianchi's
 saturation model is the reference for the DCF simulator.
 """
 
@@ -514,10 +514,11 @@ def scalar_row(census, n, t_us, lam, lookup):
 
 
 def move_table_reference(space):
-    """``CensusSpace._moves`` of ``space`` built one source at a time, each
-    source's distinct destinations found by its own ``np.unique``: the
-    (``MovePattern``, per-level (cell, coeff, term)) the vectorised build
-    must reproduce move for move."""
+    """The moves behind ``CensusSpace._cells`` of ``space``, built one source
+    at a time, each source's distinct destinations found by its own
+    ``np.unique``: the (``MovePattern``, per-level (cell, coeff, term) per
+    move) whose cells, terms and coefficient sums the vectorised build must
+    reproduce."""
     ne = 2 * space.n + 1
     binom = np.array([[math.comb(r, k) for k in range(space.n + 1)]
                       for r in range(space.n + 1)], dtype=float)

@@ -99,6 +99,24 @@ def test_config_rayleigh_mode():
     assert abs(pi.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("rayleigh", "channel.pi", "0.7,0.1"),  # wrong length, sums to 0.8
+    ("explicit", "channel.mean_ebn0_db", "20.0"),
+])
+def test_config_refuses_key_of_other_mode(tmp_path, capsys, monkeypatch, mode, key, value):
+    """A channel key that the chosen mode does not read is refused by name,
+    from a file and from --set alike, before any model starts."""
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"channel.mode = {mode}\n{key} = {value}\n")
+    assert err.value.key == key
+    forbid_model_and_simulator(monkeypatch)
+    assert main(["analyze", "--lambda", "20", "--set", "system.n_stations=2",
+                 "--set", f"channel.mode={mode}", "--set", f"{key}={value}",
+                 "--out", str(tmp_path)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key", ["system.lambda_pps", "timer.delta_us"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_config_nonfinite_names_key(key, value):

@@ -126,27 +126,42 @@ def test_row_mass_is_continuation_probability(n, lam, timing):
 
 @pytest.mark.parametrize("n", [*range(9), 12])
 def test_move_table_matches_per_source_reference(n):
-    """The one-pass-per-level move table equals the per-source loop move for
-    move: the same cells, and per level the same cell and flat cell values
-    and bitwise the same coefficients, so every cell sums in the same order."""
+    """The cells built one numpy pass per level match the per-source loop's
+    moves: the same cells; every move has its cell's term, so a cell keeps
+    one exponent pair; and per level each cell's coefficient sum is bitwise
+    the bincount of the moves' coefficients in move order."""
     space = analysis.CensusSpace(n)
-    pattern, by_level = space._moves
+    pattern, term, coeff = space._cells
     ref_pattern, ref_by_level = move_table_reference(space)
     assert np.array_equal(pattern.src, ref_pattern.src)
     assert np.array_equal(pattern.dst, ref_pattern.dst)
-    assert len(by_level) == len(ref_by_level)
-    for (cell, coeff, term), (ref_cell, ref_coeff, ref_term) in zip(by_level, ref_by_level):
-        assert np.array_equal(cell, ref_cell)
-        assert np.array_equal(term, ref_term)
-        assert coeff.dtype == ref_coeff.dtype and coeff.tobytes() == ref_coeff.tobytes()
+    assert term.dtype == np.int32 and len(term) == len(coeff) == len(pattern.src)
+    assert len(pattern.levels) == len(ref_by_level)
+    for (_, cells, _, _), (ref_cell, ref_coeff, ref_term) in zip(pattern.levels, ref_by_level):
+        assert np.array_equal(term[cells][ref_cell], ref_term)
+        want = np.bincount(ref_cell, ref_coeff, minlength=cells.stop - cells.start)
+        assert coeff.dtype == want.dtype and coeff[cells].tobytes() == want.tobytes()
+
+
+def test_cell_coefficients_sum_to_binomials():
+    """Per census and level gain g, the coefficient sums of its cells are
+    C(empty queues, g), so each transition row sums to 1; a single
+    coefficient off by 1e-10 relative is refused."""
+    space = analysis.CensusSpace(5)
+    _, term, coeff = space._cells
+    space._check_arrival_sums(term, coeff)
+    bad = coeff.copy()
+    bad[len(bad) // 2] *= 1.0 + 1e-10
+    with pytest.raises(ConsistencyError, match="sum to"):
+        space._check_arrival_sums(term, bad)
 
 
 def test_no_move_table_for_all_n_pairs(timing):
-    """Only the others' census space (n - 1 pairs) tabulates its moves."""
+    """Only the others' census space (n - 1 pairs) tabulates its cells."""
     census_space.cache_clear()
     make_model(5, 40.0, timing)
-    assert "_moves" in vars(census_space(4))
-    assert "_moves" not in vars(census_space(5))
+    assert "_cells" in vars(census_space(4))
+    assert "_cells" not in vars(census_space(5))
 
 
 def test_census_cache_keeps_two_spaces(timing):
@@ -168,7 +183,7 @@ def test_census_cache_keeps_two_spaces(timing):
 
 def test_model_build_memory_peak(timing):
     """The tagged system is kept as blocks on the others' move pattern, never
-    as the dense M (56 MB alone at N = 15): an N = 15 model, move table
+    as the dense M (56 MB alone at N = 15): an N = 15 model, its cells
     included, peaks below 40 MB of traced allocations."""
     kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
     census_space.cache_clear()
