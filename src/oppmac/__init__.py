@@ -17,7 +17,6 @@ from .analysis import (
     AnalysisSolution,
     CycleModel,
     OccupancyPrior,
-    capacity_search,
     fixed_point,
 )
 
@@ -25,7 +24,7 @@ __all__ = [
     "AP", "STA", "ChannelSpace", "MacTiming", "ParameterError", "SystemConfig",
     "TimerPolicy", "state_from_timer", "state_probabilities",
     "ConsistencyError", "KernelTable", "build_kernels", "AnalysisSolution",
-    "CycleModel", "OccupancyPrior", "capacity_search", "fixed_point",
+    "CycleModel", "OccupancyPrior", "fixed_point",
 ]
 
 __version__ = "0.1.0"

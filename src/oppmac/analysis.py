@@ -333,7 +333,7 @@ class CycleModel:
 
         # window [k, s]: resolution at slot k, then a success in state s or,
         # for s = num_states, a collision; p is the per-queue arrival chance
-        tx = [timing.t_suc(s) for s in range(self.num_states)] + [timing.t_col()]
+        tx = [timing.per_state_tx_us[s] for s in range(self.num_states)] + [timing.collision_us]
         self._windows = (np.arange(self.kmax + 1) * delta)[:, None] + np.array(tx)
         self._p = -np.expm1(-(self.lambda_pps * 1e-6) * self._windows.ravel())
 
@@ -547,17 +547,6 @@ def fixed_point(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
         pbar_a=pbar_a, pbar_s=pbar_s, theta_ap_pps=theta_ap,
         theta_sta_pps=theta_sta, converged=converged, iterations=iterations,
         identity_error=identity_err)
-
-
-def capacity_search(config: SystemConfig, policy: TimerPolicy, pi,
-                    timing: MacTiming, lambda_grid):
-    """Largest grid rate with a convergent fixed point, plus all solutions."""
-    grid = list(lambda_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("lambda grid must be strictly ascending")
-    solutions = [fixed_point(lam, config, policy, pi, timing) for lam in grid]
-    capacity = max((s.lambda_pps for s in solutions if s.converged), default=None)
-    return capacity, solutions
 
 
 ANALYSIS_COLUMNS = ("lambda_pps", "p_a", "p_s", "e_r_us", "pbar_a", "pbar_s",

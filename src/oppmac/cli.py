@@ -76,14 +76,14 @@ def _run_seed(base: int, scheme: str, lam: float, rep: int) -> int:
 def _simulate_one(job) -> SimReport:
     """One simulator run; ``job`` is (setup, duration_s, overrides, scheme, lam, rep)."""
     setup, duration_s, overrides, scheme, lam, rep = job
-    cfg = replace(setup.config, lambda_pps=lam,
-                  seed=_run_seed(setup.config.seed, scheme, lam, rep), **overrides)
+    cfg = replace(setup.config, seed=_run_seed(setup.config.seed, scheme, lam, rep),
+                  **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if scheme == "opportunistic":
-            return run_opportunistic(cfg, setup.policy, setup.timing, setup.space,
+            return run_opportunistic(lam, cfg, setup.policy, setup.timing, setup.space,
                                      duration_us=duration_s * 1e6)
-        return run_dcf(cfg, setup.timing, setup.space, duration_us=duration_s * 1e6,
+        return run_dcf(lam, cfg, setup.timing, setup.space, duration_us=duration_s * 1e6,
                        rate_adaptation=scheme.split("-", 1)[1])
 
 

@@ -4,14 +4,13 @@ Flat, human-readable ``section.key = value`` lines; ``#`` starts a comment.
 Keys map one-to-one onto the domain types:
 
     system.n_stations      = 7
-    system.lambda_pps      = 60.0
     system.per_state_per   = 0.1, 0.1, 0.1, 0.1
-    system.retry_limit     = 7          # or "unlimited"
+    system.retry_limit     = 7          # or "unlimited"; simulators only
     system.seed            = 1
     channel.mode           = explicit   # or "rayleigh"
     channel.pi             = 0.25, 0.25, 0.25, 0.25   # explicit mode only
     channel.mean_ebn0_db   = 28.0       # rayleigh mode only
-    channel.thresholds_db  = 0, 19.11, 26.90, 31.88
+    channel.thresholds_db  = 0, 19.11, 26.90, 31.88   # values: rayleigh mode only
     channel.rates_mbps     = 12, 24, 48, 54
     timer.p                = 0.5
     timer.delta_us         = 9.0        # backoff slot of both MACs and the analysis
@@ -19,7 +18,16 @@ Keys map one-to-one onto the domain types:
     timing.collision_rate_mbps = 12     # analysis collision-cost rate
 
 Unknown keys, and the channel key of the mode not chosen, are rejected by
-name.  Command-line flags override file keys.
+name.  Command-line flags override file keys.  The arrival rate is not a
+key: each verb takes its rates from ``--lambda``.
+
+Three keys act on part of the program only.  The values of
+``channel.thresholds_db`` are read in rayleigh mode only; explicit mode
+checks only that there is one per ``channel.rates_mbps`` entry, ascending
+from 0 dB.  The analysis does not model ``system.retry_limit`` (it drops no
+packet), and ``validate`` simulates with unlimited retries to match it.
+``timing.collision_rate_mbps`` sets the cost of a collision in the analysis
+only; the simulator blocks the channel for the longest colliding frame.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ class WlanSetup:
 
 _DEFAULTS = {
     "system.n_stations": "7",
-    "system.lambda_pps": "60.0",
     "system.per_state_per": "0.1, 0.1, 0.1, 0.1",
     "system.retry_limit": "7",
     "system.seed": "1",
@@ -77,7 +84,6 @@ _FIELD_KEYS = {
     "per_state_tx_us": "channel.rates_mbps",
     "pi": "channel.pi",
     "n_stations": "system.n_stations",
-    "lambda_pps": "system.lambda_pps",
     "per_state_per": "system.per_state_per",
     "retry_limit": "system.retry_limit",
     "p": "timer.p",
@@ -175,7 +181,6 @@ def _build_setup(v: dict) -> WlanSetup:
             "system.retry_limit", retry, int)
         config = SystemConfig(
             n_stations=_one("system.n_stations", v["system.n_stations"], int),
-            lambda_pps=_one("system.lambda_pps", v["system.lambda_pps"], float),
             per_state_per=_floats("system.per_state_per", v["system.per_state_per"]),
             pi=pi,
             mean_ebn0_db=mean,

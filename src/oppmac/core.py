@@ -69,6 +69,13 @@ class ChannelSpace:
         return np.asarray(edges)
 
 
+def check_rate(lambda_pps: float) -> None:
+    """Refuses an arrival rate that is negative or not finite."""
+    if not (math.isfinite(lambda_pps) and lambda_pps >= 0.0):
+        raise ParameterError(f"arrival rate must be finite and nonnegative, "
+                             f"got {lambda_pps!r}")
+
+
 def state_probabilities(space: ChannelSpace, mean_ebn0_db: float) -> np.ndarray:
     """State distribution for Rayleigh fading with the given mean Eb/N0.
 
@@ -174,9 +181,6 @@ class MacTiming:
     difs_us: float
     sifs_us: float
     ack_us: float
-    phy_overhead_us: float
-    payload_bytes: int
-    mac_header_bytes: int
     per_state_tx_us: tuple[float, ...]
     collision_us: float
 
@@ -219,18 +223,9 @@ class MacTiming:
             difs_us=difs,
             sifs_us=SIFS_US,
             ack_us=ack,
-            phy_overhead_us=PHY_OVERHEAD_US,
-            payload_bytes=payload_bytes,
-            mac_header_bytes=28,
             per_state_tx_us=tx,
             collision_us=col,
         )
-
-    def t_suc(self, state: int) -> float:
-        return self.per_state_tx_us[state]
-
-    def t_col(self) -> float:
-        return self.collision_us
 
     def data_airtime(self, state: int) -> float:
         """Airtime of the data frame alone in the given state (no gaps)."""
@@ -239,10 +234,10 @@ class MacTiming:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Scenario parameters: population, load, error model, channel mode."""
+    """Scenario parameters: population, error model, channel mode.  The
+    arrival rate is an argument of the model and of the simulators."""
 
     n_stations: int
-    lambda_pps: float
     per_state_per: tuple[float, ...] = (0.1, 0.1, 0.1, 0.1)
     pi: tuple[float, ...] | None = None
     mean_ebn0_db: float | None = None
@@ -252,9 +247,6 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_stations < 1:
             raise ParameterError("need at least one station", "n_stations")
-        if not (math.isfinite(self.lambda_pps) and self.lambda_pps >= 0):
-            raise ParameterError("arrival rate must be finite and nonnegative",
-                                 "lambda_pps")
         if any(not 0.0 <= e <= 1.0 for e in self.per_state_per):
             raise ParameterError("per-state PER values must lie in [0, 1]",
                                  "per_state_per")

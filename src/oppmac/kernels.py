@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .core import AP, STA, ParameterError, TimerPolicy, state_from_timer
+from .core import AP, STA, ParameterError, TimerPolicy, check_rate, state_from_timer
 
 S0, S1, S2, S3 = 0, 1, 2, 3
 PAIR_STATES = (S0, S1, S2, S3)
@@ -56,8 +56,8 @@ class KernelTable:
     """Per-pair-state timer-expiry kernels and survival functions.
 
     Arrays are indexed [pair_state, k, l] with 0 <= l <= k <= t_max; the
-    survival array carries one extra leading entry so that
-    ``survival(i, -1) == 1``.
+    survival array ``surv[i, k + 1]`` = P(tau_min^i > k) carries one extra
+    leading entry, ``surv[i, 0]`` = 1, for k = -1.
     """
 
     def __init__(self, policy: TimerPolicy, pi: np.ndarray, lambda_pps: float,
@@ -79,10 +79,6 @@ class KernelTable:
         onehot = np.eye(policy.num_states)[self.state_of_l]
         self.ap_by_state, self.sta_by_state = ap.dot(onehot), sta.dot(onehot)
 
-    def survival(self, i: int, k: int) -> float:
-        """P(tau_min^i > k) for k in -1 .. t_max."""
-        return float(self.surv[i, k + 1])
-
 
 def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> KernelTable:
     """Tabulate the within-pair expiry kernels for all pair states.
@@ -96,8 +92,7 @@ def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> Ker
         raise ParameterError("pi length does not match the timer policy")
     if abs(pi.sum() - 1.0) > 1e-9 or (pi < 0).any():
         raise ParameterError("pi must be a probability vector")
-    if lambda_pps < 0:
-        raise ParameterError("arrival rate must be nonnegative")
+    check_rate(lambda_pps)
     kmax = policy.t_max
     q = -math.expm1(-(lambda_pps * 1e-6) * policy.delta_us)  # per-slot join probability
 

@@ -60,6 +60,7 @@ from .core import (
     ParameterError,
     SystemConfig,
     TimerPolicy,
+    check_rate,
 )
 
 # Draws per block: small enough that the 2N arrival streams' blocks add no
@@ -107,12 +108,6 @@ class SimReport:
         if meta:
             data["_meta"] = meta
         return json.dumps(data, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimReport":
-        data = json.loads(text)
-        data.pop("_meta", None)
-        return cls(**data)
 
 
 class _QueueStat:
@@ -253,8 +248,8 @@ def _gap_draws(rng, mean_us: float):
     return _blocks(partial(rng.exponential, mean_us), ARRIVAL_BLOCK).__next__
 
 
-def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
-         start, join, resolve, end, duration_us: float | None,
+def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
+         next_gap: list, start, join, resolve, end, duration_us: float | None,
          max_renewals: int | None, trace_path,
          queue_name, ap_queue_ids) -> SimReport:
     """The event loop both MACs share; the MAC is the four hooks (see the
@@ -335,7 +330,8 @@ def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
     if tally.snap is None:
         tally.snapshot(0.0)
     tally.flush(final_t)
-    report = _build_report(scheme, config, tally, final_t, queue_name, ap_queue_ids)
+    report = _build_report(scheme, config, lambda_pps, tally, final_t, queue_name,
+                           ap_queue_ids)
     if trace_path is not None:
         with open(trace_path, "w") as fh:
             fh.write("renewal,length_us,winner_side,state,outcome\n")
@@ -344,27 +340,29 @@ def _run(scheme: str, config: SystemConfig, tally: _Tally, next_gap: list,
     return report
 
 
-def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
+def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
                       timing: MacTiming, space: ChannelSpace,
                       duration_us: float | None = None,
                       max_renewals: int | None = None,
                       trace_path=None) -> SimReport:
-    """Simulate the opportunistic MAC for a wall-clock duration and/or a
-    renewal budget (at least one must be given)."""
+    """Simulate the opportunistic MAC at ``lambda_pps`` packets/s per queue
+    for a wall-clock duration and/or a renewal budget (at least one must be
+    given)."""
     if duration_us is None and max_renewals is None:
         raise ParameterError("provide duration_us and/or max_renewals")
-    if config.lambda_pps == 0.0 and duration_us is None:
+    check_rate(lambda_pps)
+    if lambda_pps == 0.0 and duration_us is None:
         raise ParameterError("a renewal budget alone cannot bound a zero-rate run")
     config.resolve_pi(space)  # checks the pi and PER lengths
     n = config.n_stations
     nq = 2 * n  # queue 2i = AP side of pair i, queue 2i+1 = STA side
     delta = policy.delta_us
-    lam_us = config.lambda_pps * 1e-6
+    lam_us = lambda_pps * 1e-6
     per = [float(e) for e in config.per_state_per]
     states = range(space.num_states)
     base = [policy.base_slot(h) for h in states]
     p_even = (policy.p, 1.0 - policy.p)  # indexed by q & 1: AP side, STA side
-    tx_us = [timing.t_suc(h) for h in states]  # data + SIFS + ACK + trailing DIFS
+    tx_us = [timing.per_state_tx_us[h] for h in states]  # data + SIFS + ACK + trailing DIFS
     air_us = [timing.data_airtime(h) for h in states]
     difs = timing.difs_us
 
@@ -447,7 +445,7 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
         return None
 
     report = _run(
-        "opportunistic", config, tally, next_gap, start, join, resolve, end,
+        "opportunistic", config, lambda_pps, tally, next_gap, start, join, resolve, end,
         duration_us, max_renewals, trace_path,
         queue_name=lambda q: f"{'ap' if q % 2 == 0 else 'sta'}{q // 2}",
         ap_queue_ids=[q for q in range(nq) if q % 2 == 0])
@@ -457,7 +455,7 @@ def run_opportunistic(config: SystemConfig, policy: TimerPolicy,
     return report
 
 
-def _build_report(scheme, config, tally, final_t, queue_name,
+def _build_report(scheme, config, lambda_pps, tally, final_t, queue_name,
                   ap_queue_ids) -> SimReport:
     nq = len(tally.q)
     snap = tally.snap
@@ -499,7 +497,7 @@ def _build_report(scheme, config, tally, final_t, queue_name,
     return SimReport(
         scheme=scheme,
         n_stations=config.n_stations,
-        lambda_pps=config.lambda_pps,
+        lambda_pps=lambda_pps,
         seed=config.seed,
         retry_limit=config.retry_limit,
         duration_us=final_t,
@@ -553,11 +551,12 @@ class _ArfState:
             self.fail = 0
 
 
-def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
-            rate_adaptation: str = "arf",
+def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
+            space: ChannelSpace, rate_adaptation: str = "arf",
             duration_us: float | None = None) -> SimReport:
-    """802.11 DCF baseline: one aggregate AP queue plus N STA queues, binary
-    exponential backoff (CW 15..1023), per-attempt rate adaptation.
+    """802.11 DCF baseline at ``lambda_pps`` packets/s per STA queue and N
+    times that at the one aggregate AP queue: binary exponential backoff
+    (CW 15..1023), per-attempt rate adaptation.
 
     "threshold" picks the quantization-table rate for the channel state the
     link showed on its previous exchange; with fading that decorrelates
@@ -569,6 +568,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         raise ParameterError("rate_adaptation must be 'arf' or 'threshold'")
     if duration_us is None:
         raise ParameterError("run_dcf requires a duration")
+    check_rate(lambda_pps)
     config.resolve_pi(space)  # checks the pi and PER lengths
     use_arf = rate_adaptation == "arf"
     n = config.n_stations
@@ -577,7 +577,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
     difs, sifs_ack = timing.difs_us, timing.sifs_us + timing.ack_us
     eifs = difs + sifs_ack
     top_rate = space.num_states - 1
-    lam_us = config.lambda_pps * 1e-6
+    lam_us = lambda_pps * 1e-6
 
     arr_rngs, (chan_rng, back_rng, per_rng, _pick, dest_rng) = _rng_streams(
         config.seed, ns)
@@ -699,7 +699,7 @@ def run_dcf(config: SystemConfig, timing: MacTiming, space: ChannelSpace,
         st, _link, _h, ridx = attempts[0]
         return ridx, AP if st == 0 else STA
 
-    return _run(f"dcf-{rate_adaptation}", config, tally, next_gap,
+    return _run(f"dcf-{rate_adaptation}", config, lambda_pps, tally, next_gap,
                 start, join, resolve, end, duration_us, None, None,
                 queue_name=lambda st: "ap" if st == 0 else f"sta{st - 1}",
                 ap_queue_ids=[0])

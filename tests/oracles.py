@@ -11,7 +11,8 @@ outcome of one pair.  The exact scalar references after it evaluate the
 census-level probabilities term by term from the kernel tables; the
 occupancy priors, the per-source move table, the dense renewal system built
 from the scalar arrival law and the dense linear solve are references for the
-model's census vectors, its cells and its level sweep.  Bianchi's
+model's census vectors, its cells and its level sweep.  ``capacity_search``
+reads a capacity off the fixed point over a rate grid.  Bianchi's
 saturation model is the reference for the DCF simulator.
 """
 
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from oppmac import AP, STA, ConsistencyError, ParameterError
+from oppmac import AP, STA, ConsistencyError, ParameterError, fixed_point
 from oppmac.analysis import CensusSpace, MovePattern
 
 BIG = 1 << 20  # sentinel: no timer set within the horizon
@@ -252,6 +253,11 @@ def kernel_enumeration(policy, pi, lambda_pps):
 # They read the per-pair kernel tables and nothing else of the analysis.
 
 
+def survival(kernels, i, k):
+    """P(tau_min^i > k) for k in -1 .. t_max, as a Python float."""
+    return float(kernels.surv[i, k + 1])
+
+
 def _others_of(counts, i):
     """Counts of the pairs other than one s_i pair."""
     return tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
@@ -279,7 +285,7 @@ def tiebreak_weight(kernels, others, k):
         prod = 1.0
         for j in PAIR_STATES:
             if others[j]:
-                prod *= (kernels.survival(j, k) + x * kernels.cum_ap[j, k]) ** others[j]
+                prod *= (survival(kernels, j, k) + x * kernels.cum_ap[j, k]) ** others[j]
         total += w * prod
     return total
 
@@ -290,10 +296,10 @@ def p_suc_sta(i, k, l, counts, kernels):
     pair strictly past k."""
     if counts[i] == 0:
         return 0.0
-    val = counts[i] * kernels.sta[i, k, l] * kernels.survival(i, k) ** (counts[i] - 1)
+    val = counts[i] * kernels.sta[i, k, l] * survival(kernels, i, k) ** (counts[i] - 1)
     for j in PAIR_STATES:
         if j != i:
-            val *= kernels.survival(j, k) ** counts[j]
+            val *= survival(kernels, j, k) ** counts[j]
     return val
 
 
@@ -320,7 +326,7 @@ def p_suc_ap_config_sum(i, k, l, counts, kernels):
         for j in PAIR_STATES:
             w *= (math.comb(others[j], a[j])
                   * kernels.cum_ap[j, k] ** a[j]
-                  * kernels.survival(j, k) ** (others[j] - a[j]))
+                  * survival(kernels, j, k) ** (others[j] - a[j]))
         total += w
     return counts[i] * kernels.ap[i, k, l] * total
 
@@ -332,18 +338,18 @@ def p_col(k, counts, kernels):
         raise ParameterError(f"slot {k} outside 0..{kernels.t_max}")
     before = after = 1.0
     for j in PAIR_STATES:
-        before *= kernels.survival(j, k - 1) ** counts[j]
-        after *= kernels.survival(j, k) ** counts[j]
+        before *= survival(kernels, j, k - 1) ** counts[j]
+        after *= survival(kernels, j, k) ** counts[j]
     success = 0.0
     for i in PAIR_STATES:
         if counts[i] == 0:
             continue
         others = _others_of(counts, i)
         success += counts[i] * kernels.cum_ap[i, k] * tiebreak_weight(kernels, others, k)
-        sta_surv = kernels.survival(i, k) ** (counts[i] - 1)
+        sta_surv = survival(kernels, i, k) ** (counts[i] - 1)
         for j in PAIR_STATES:
             if j != i:
-                sta_surv *= kernels.survival(j, k) ** counts[j]
+                sta_surv *= survival(kernels, j, k) ** counts[j]
         success += counts[i] * kernels.sta[i, k].sum() * sta_surv
     val = before - after - success
     if val < 0.0:
@@ -372,7 +378,7 @@ def p_hat_minislot(side, i, others, kernels, per):
         elif side == STA:
             weight = 1.0
             for j in PAIR_STATES:
-                weight *= kernels.survival(j, k) ** others[j]
+                weight *= survival(kernels, j, k) ** others[j]
             row = kernels.sta[i, k, :k + 1]
         else:
             raise ParameterError(f"side must be 'ap' or 'sta', got {side!r}")
@@ -487,10 +493,10 @@ def period_windows(model, census):
     delta, won, cont = model.timing.slot_us, {}, {}
     for k in range(model.kmax + 1):
         for s in range(model.num_states):
-            t = k * delta + model.timing.t_suc(s)
+            t = k * delta + model.timing.per_state_tx_us[s]
             won[t] = won.get(t, 0.0) + succ[k, s] * (1.0 - model.per[s])
             cont[t] = cont.get(t, 0.0) + succ[k, s] * model.per[s]
-        t = k * delta + model.timing.t_col()
+        t = k * delta + model.timing.collision_us
         cont[t] = cont.get(t, 0.0) + col[k]
     return won, cont
 
@@ -568,6 +574,16 @@ def renewal_system(model):
         for t, w in cont.items():
             m[ci] += w * scalar_row(census, model.n, t, lam, space.lookup)
     return m, c
+
+
+def capacity_search(config, policy, pi, timing, lambda_grid):
+    """Largest grid rate with a convergent fixed point, plus all solutions."""
+    grid = list(lambda_grid)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError("lambda grid must be strictly ascending")
+    solutions = [fixed_point(lam, config, policy, pi, timing) for lam in grid]
+    capacity = max((s.lambda_pps for s in solutions if s.converged), default=None)
+    return capacity, solutions
 
 
 def bianchi_saturation(n, w, m, t_s_us, t_c_us, slot_us):

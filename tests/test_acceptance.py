@@ -19,7 +19,6 @@ from oppmac import (
     SystemConfig,
     TimerPolicy,
     build_kernels,
-    capacity_search,
     fixed_point,
 )
 from oppmac.cli import main
@@ -28,11 +27,13 @@ from oppmac.sim import run_dcf, run_opportunistic
 
 from conftest import LAMBDA_GRID, P_GRID, PI_GRID
 from oracles import (
+    capacity_search,
     kernel_oracle,
     p_col,
     p_hat_minislot,
     p_suc_ap,
     p_suc_sta,
+    survival,
     system_oracle,
     transition_deltas,
     transition_prob,
@@ -58,8 +59,8 @@ def sim_validation_means(n, lam, seeds, duration_s):
     timing = MacTiming.dot11a(space)
     pa, ps, er = [], [], []
     for seed in seeds:
-        cfg = SystemConfig(n_stations=n, lambda_pps=lam, seed=seed, **space_kwargs)
-        rep = run_opportunistic(cfg, policy, timing, space,
+        cfg = SystemConfig(n_stations=n, seed=seed, **space_kwargs)
+        rep = run_opportunistic(lam, cfg, policy, timing, space,
                                 duration_us=duration_s * 1e6)
         pa.append(rep.p_a_hat)
         ps.append(rep.p_s_hat)
@@ -71,7 +72,7 @@ def analysis_solution(n, lam):
     from oppmac import ChannelSpace, MacTiming
     space = ChannelSpace()
     timing = MacTiming.dot11a(space)
-    cfg = SystemConfig(n_stations=n, lambda_pps=lam, pi=UNIFORM, retry_limit=None)
+    cfg = SystemConfig(n_stations=n, pi=UNIFORM, retry_limit=None)
     return fixed_point(lam, cfg, TimerPolicy(), np.asarray(UNIFORM), timing)
 
 
@@ -103,11 +104,10 @@ def test_c1_agreement_n7(lam, tol, marks):
 
 def test_c1_agreement_n2():
     sol = analysis_solution(2, 20.0)
-    cfg = SystemConfig(n_stations=2, lambda_pps=20.0, pi=UNIFORM,
-                       retry_limit=None, seed=42)
+    cfg = SystemConfig(n_stations=2, pi=UNIFORM, retry_limit=None, seed=42)
     from oppmac import ChannelSpace, MacTiming
     space = ChannelSpace()
-    rep = run_opportunistic(cfg, TimerPolicy(), MacTiming.dot11a(space), space,
+    rep = run_opportunistic(20.0, cfg, TimerPolicy(), MacTiming.dot11a(space), space,
                             max_renewals=1_000_000)
     errs = {
         "P_A": abs(rep.p_a_hat - sol.p_a) / sol.p_a,
@@ -126,7 +126,7 @@ def test_c2_stability_boundary():
     from oppmac import ChannelSpace, MacTiming
     space = ChannelSpace()
     timing = MacTiming.dot11a(space)
-    cfg = SystemConfig(n_stations=7, lambda_pps=20.0, pi=UNIFORM)
+    cfg = SystemConfig(n_stations=7, pi=UNIFORM)
     grid = [float(v) for v in range(20, 125, 5)]
     cap, sols = capacity_search(cfg, TimerPolicy(), np.asarray(UNIFORM),
                                 timing, grid)
@@ -138,9 +138,8 @@ def test_c2_stability_boundary():
     # simulator side: drop-free run beyond the boundary accumulates backlog
     # roughly at the arrival-service deficit; below it the backlog stays flat
     def backlog_after(lam, seconds):
-        c = SystemConfig(n_stations=7, lambda_pps=lam, pi=UNIFORM,
-                         retry_limit=None, seed=1)
-        rep = run_opportunistic(c, TimerPolicy(), timing, space,
+        c = SystemConfig(n_stations=7, pi=UNIFORM, retry_limit=None, seed=1)
+        rep = run_opportunistic(lam, c, TimerPolicy(), timing, space,
                                 duration_us=seconds * 1e6)
         return sum(q["backlog"] for q in rep.queues.values()), rep.p_s_hat
 
@@ -162,13 +161,12 @@ def _peak_throughput(scheme, lams, duration_s=40.0, seed=5):
     timing = MacTiming.dot11a(space)
     best = 0.0
     for lam in lams:
-        cfg = SystemConfig(n_stations=7, lambda_pps=lam, mean_ebn0_db=28.0,
-                           retry_limit=7, seed=seed)
+        cfg = SystemConfig(n_stations=7, mean_ebn0_db=28.0, retry_limit=7, seed=seed)
         if scheme == "opportunistic":
-            rep = run_opportunistic(cfg, TimerPolicy(), timing, space,
+            rep = run_opportunistic(lam, cfg, TimerPolicy(), timing, space,
                                     duration_us=duration_s * 1e6)
         else:
-            rep = run_dcf(cfg, timing, space, scheme.split("-")[1],
+            rep = run_dcf(lam, cfg, timing, space, scheme.split("-")[1],
                           duration_us=duration_s * 1e6)
         best = max(best, rep.system_pps)
     return best
@@ -192,9 +190,8 @@ def test_c4_dcf_ap_share():
     from oppmac import ChannelSpace, MacTiming
     space = ChannelSpace()
     timing = MacTiming.dot11a(space)
-    cfg = SystemConfig(n_stations=7, lambda_pps=300.0, mean_ebn0_db=28.0,
-                       retry_limit=7, seed=11)
-    rep = run_dcf(cfg, timing, space, "threshold", duration_us=90e6)
+    cfg = SystemConfig(n_stations=7, mean_ebn0_db=28.0, retry_limit=7, seed=11)
+    rep = run_dcf(300.0, cfg, timing, space, "threshold", duration_us=90e6)
     share = rep.winner_side_counts["ap"] / sum(rep.winner_side_counts.values())
     ok = abs(share - 1.0 / 8.0) <= 0.01
     assert verdict("4 DCF AP share", ok, f"share={share:.4f} target 0.125+-0.01")
@@ -206,9 +203,8 @@ def _downlink_peak(scheme):
     timing = MacTiming.dot11a(space)
     best_lam, best = None, -1.0
     for lam in (30.0, 40.0, 50.0, 60.0, 70.0, 80.0):
-        cfg = SystemConfig(n_stations=7, lambda_pps=lam, mean_ebn0_db=28.0,
-                           retry_limit=7, seed=5)
-        rep = run_dcf(cfg, timing, space, scheme, duration_us=30e6)
+        cfg = SystemConfig(n_stations=7, mean_ebn0_db=28.0, retry_limit=7, seed=5)
+        rep = run_dcf(lam, cfg, timing, space, scheme, duration_us=30e6)
         if rep.downlink_pps > best:
             best_lam, best = lam, rep.downlink_pps
     return best_lam, best
@@ -229,9 +225,8 @@ def test_c4_opportunistic_symmetry():
     timing = MacTiming.dot11a(space)
     ratios = []
     for lam in (20.0, 60.0, 100.0):
-        cfg = SystemConfig(n_stations=7, lambda_pps=lam, mean_ebn0_db=28.0,
-                           retry_limit=7, seed=5)
-        rep = run_opportunistic(cfg, TimerPolicy(), timing, space,
+        cfg = SystemConfig(n_stations=7, mean_ebn0_db=28.0, retry_limit=7, seed=5)
+        rep = run_opportunistic(lam, cfg, TimerPolicy(), timing, space,
                                 duration_us=30e6)
         ratios.append(rep.uplink_pps / rep.downlink_pps)
     ok = all(0.9 <= r <= 1.1 for r in ratios)
@@ -277,7 +272,7 @@ def test_c5_kernel_oracles():
                                          + kt.both[tag, k].sum())
                         survival_worst = max(
                             survival_worst,
-                            abs(kt.survival(tag, k) - (1.0 - running)))
+                            abs(survival(kt, tag, k) - (1.0 - running)))
                 # system-level probabilities for every census of up to 3 pairs
                 for n in (1, 2, 3):
                     for census in all_censuses(n):

@@ -12,12 +12,11 @@ from oppmac import (
     SystemConfig,
     TimerPolicy,
     build_kernels,
-    capacity_search,
     fixed_point,
 )
 from oppmac.analysis import _tagged_prior_vec, analysis_csv_lines, census_space
 
-from oracles import census_prior, renewal_system, tagged_prior
+from oracles import capacity_search, census_prior, renewal_system, tagged_prior
 
 
 def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
@@ -93,7 +92,7 @@ def test_single_queue_renewal_closed_form(timing):
     for state, weight in enumerate(pi):
         base = 2 * (4 - 1 - state)
         for slot, wp in ((base, p), (base + 1, 1 - p)):
-            expect += weight * wp * (slot * 9.0 + timing.t_suc(state))
+            expect += weight * wp * (slot * 9.0 + timing.per_state_tx_us[state])
     got = model.renewal_by_census[model.space.lookup[1, 0, 0]]
     assert abs(got - expect) < 1e-9
 
@@ -107,7 +106,7 @@ def test_single_queue_renewal_with_errors(timing):
     for state, weight in enumerate(pi):
         base = 2 * (4 - 1 - state)
         for slot, wp in ((base, 0.5), (base + 1, 0.5)):
-            per_attempt += weight * wp * (slot * 9.0 + timing.t_suc(state))
+            per_attempt += weight * wp * (slot * 9.0 + timing.per_state_tx_us[state])
     got = model.renewal_by_census[model.space.lookup[1, 0, 0]]
     assert abs(got - per_attempt / (1 - e)) < 1e-9
 
@@ -190,7 +189,7 @@ def test_renewal_identity_every_prior(n, lam, timing):
 # ------------------------------------------------------------ fixed point
 
 def test_fixed_point_light_traffic(space, timing, uniform_pi):
-    cfg = SystemConfig(n_stations=7, lambda_pps=1.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=7, pi=(0.25,) * 4)
     sol = fixed_point(1.0, cfg, TimerPolicy(), uniform_pi, timing)
     assert sol.converged
     assert sol.p_a < 0.002 and sol.p_s < 0.002
@@ -202,20 +201,20 @@ def test_fixed_point_light_traffic(space, timing, uniform_pi):
 
 
 def test_fixed_point_rejects_zero_rate(space, timing, uniform_pi):
-    cfg = SystemConfig(n_stations=2, lambda_pps=0.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     with pytest.raises(ParameterError):
         fixed_point(0.0, cfg, TimerPolicy(), uniform_pi, timing)
 
 
 def test_fixed_point_deterministic(timing, uniform_pi):
-    cfg = SystemConfig(n_stations=3, lambda_pps=40.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=3, pi=(0.25,) * 4)
     a = fixed_point(40.0, cfg, TimerPolicy(), uniform_pi, timing)
     b = fixed_point(40.0, cfg, TimerPolicy(), uniform_pi, timing)
     assert a == b
 
 
 def test_fixed_point_monotone_occupancy(timing, uniform_pi):
-    cfg = SystemConfig(n_stations=7, lambda_pps=20.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=7, pi=(0.25,) * 4)
     sols = [fixed_point(lam, cfg, TimerPolicy(), uniform_pi, timing)
             for lam in (20.0, 40.0, 60.0, 80.0)]
     assert all(s.converged for s in sols)
@@ -236,7 +235,7 @@ def test_throughput_continuity_on_prior_grid(timing, uniform_pi):
 
 def test_capacity_search_reference_setup(timing, uniform_pi):
     """Converges through 80 and the failure onset sits in [85, 100]."""
-    cfg = SystemConfig(n_stations=7, lambda_pps=20.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=7, pi=(0.25,) * 4)
     cap, sols = capacity_search(cfg, TimerPolicy(), uniform_pi, timing,
                                 [20.0, 40.0, 60.0, 80.0])
     assert cap == 80.0
@@ -244,7 +243,7 @@ def test_capacity_search_reference_setup(timing, uniform_pi):
 
 
 def test_capacity_search_empty_grid(timing, uniform_pi):
-    cfg = SystemConfig(n_stations=2, lambda_pps=10.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     cap, sols = capacity_search(cfg, TimerPolicy(), uniform_pi, timing, [])
     assert cap is None and sols == []
 
@@ -254,14 +253,14 @@ def test_capacity_monotone_in_per(timing, uniform_pi):
     grid = [20.0, 40.0, 60.0, 80.0, 90.0]
     caps = {}
     for per in (0.1, 0.5):
-        cfg = SystemConfig(n_stations=3, lambda_pps=20.0, pi=(0.25,) * 4,
+        cfg = SystemConfig(n_stations=3, pi=(0.25,) * 4,
                            per_state_per=(per,) * 4)
         caps[per], _ = capacity_search(cfg, TimerPolicy(), uniform_pi, timing, grid)
     assert caps[0.5] is None or caps[0.5] <= caps[0.1]
 
 
 def test_analysis_csv_shape(timing, uniform_pi):
-    cfg = SystemConfig(n_stations=2, lambda_pps=10.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     sol = fixed_point(10.0, cfg, TimerPolicy(), uniform_pi, timing)
     lines = analysis_csv_lines([sol], "deadbeef0000")
     assert lines[0].startswith("# schema=analysis-v1 config_hash=deadbeef0000")

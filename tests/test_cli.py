@@ -11,6 +11,7 @@ import pytest
 from oppmac import analysis, cli
 from oppmac.cli import ExperimentSpec, main, validation_rows
 from oppmac.config import (
+    _DEFAULTS,
     ConfigError,
     default_setup,
     load_config,
@@ -22,7 +23,6 @@ from oppmac.core import ParameterError
 CONFIG_TEXT = """\
 # two stations, uniform channel, drop-free
 system.n_stations    = 2
-system.lambda_pps    = 20.0
 system.retry_limit   = unlimited
 system.seed          = 42
 channel.mode         = explicit
@@ -117,13 +117,31 @@ def test_config_refuses_key_of_other_mode(tmp_path, capsys, monkeypatch, mode, k
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("key", ["system.lambda_pps", "timer.delta_us"])
+@pytest.mark.parametrize("key", ["timer.delta_us"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_config_nonfinite_names_key(key, value):
     with pytest.raises(ConfigError) as err:
         default_setup({key: value})
     assert err.value.key == key
     assert key in str(err.value)
+
+
+@pytest.mark.parametrize("source", ["file", "--set"])
+def test_arrival_rate_is_not_a_config_key(tmp_path, capsys, monkeypatch, source):
+    """The rates come from --lambda alone: system.lambda_pps, in a file or
+    by --set, exits 2 naming the key before anything runs or is written."""
+    forbid_model_and_simulator(monkeypatch)
+    out = tmp_path / "out"
+    args = ["analyze", "--lambda", "20", "--out", str(out)]
+    if source == "file":
+        path = tmp_path / "rate.conf"
+        path.write_text(CONFIG_TEXT + "system.lambda_pps = 5\n")
+        args += ["--config", str(path)]
+    else:
+        args += ["--set", "system.lambda_pps=5"]
+    assert main(args) == 2
+    assert "config key 'system.lambda_pps'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -155,7 +173,7 @@ def test_slot_length_has_one_source():
     assert setup.timing.difs_us == 56.0  # SIFS + 2 slots
     default = default_setup()
     assert default.timing.slot_us == 9.0 and default.timing.difs_us == 34.0
-    assert setup_hash(default) == "bf996f81072c"
+    assert setup_hash(default) == "dae5312cd0da"
     # the per-success cost and the collision cost carry the same DIFS
     assert setup.timing.collision_us - default.timing.collision_us == 22.0
     assert [a - b for a, b in zip(setup.timing.per_state_tx_us,
@@ -172,9 +190,99 @@ def test_config_error_pickles():
 
 def test_setup_hash_tracks_content():
     a = default_setup()
-    b = default_setup({"system.lambda_pps": "61.0"})
+    b = default_setup({"timer.p": "0.4"})
     assert setup_hash(a) != setup_hash(b)
     assert setup_hash(a) == setup_hash(default_setup())
+
+
+# one perturbed value per config key; channel.mode=rayleigh reads the
+# default mean Eb/N0 and thresholds
+PERTURBED = {
+    "system.n_stations": "3",
+    "system.per_state_per": "0.2, 0.2, 0.2, 0.2",
+    "system.retry_limit": "0",  # unlimited drops nothing at this size
+    "system.seed": "2",
+    "channel.mode": "rayleigh",
+    "channel.pi": "0.1, 0.2, 0.3, 0.4",
+    "channel.mean_ebn0_db": "20.0",
+    "channel.thresholds_db": "0, 15, 25, 30",
+    "channel.rates_mbps": "6, 24, 48, 54",
+    "timer.p": "0.3",
+    "timer.delta_us": "10.0",
+    "timing.payload_bytes": "1000",
+    "timing.collision_rate_mbps": "24",
+}
+# the keys checked once more on a rayleigh-mode base
+RAYLEIGH_KEYS = ("channel.mean_ebn0_db", "channel.thresholds_db")
+# each verb at N = 2, lambda = 20; compare runs the analysis too
+KEY_RUNS = {
+    "analyze": [],
+    "simulate": ["--duration-s", "0.3"],
+    "validate": ["--duration-s", "0.3"],
+    "compare": ["--scheme", "opportunistic,analysis", "--duration-s", "0.3"],
+}
+# (mode, verb, key) whose perturbation moves only the config hash, and why
+HASH_ONLY = {
+    ("explicit", "analyze", "system.seed"): "the analysis draws no random number",
+    ("explicit", "analyze", "system.retry_limit"): "the analysis drops no packet",
+    ("explicit", "validate", "system.retry_limit"):
+        "validate simulates with unlimited retries, as the analysis assumes",
+    ("explicit", "simulate", "timing.collision_rate_mbps"):
+        "the simulator blocks the channel for the longest colliding frame instead",
+    **{("explicit", verb, "channel.thresholds_db"):
+       "explicit mode draws states from channel.pi; it checks only the thresholds' shape"
+       for verb in KEY_RUNS},
+}
+
+
+def key_outcome(tmp_path, capsys, verb, sets) -> tuple:
+    """(exit code, stderr, header lines, everything else) of one in-process
+    run of ``verb`` with the --set items ``sets``; a CSV's header is its
+    comment line, a JSON report's its ``_meta`` block."""
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    args = [verb, "--lambda", "20", *KEY_RUNS[verb], "--out", str(out)]
+    for item in ("system.n_stations=2", *sets):
+        args += ["--set", item]
+    code = main(args)
+    std = capsys.readouterr()
+    headers, body = {}, {"stdout": std.out}
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        text = path.read_text()
+        if path.suffix == ".json":
+            data = json.loads(text)
+            headers[path.name] = data.pop("_meta")
+            body[path.name] = data
+        else:
+            headers[path.name], _, body[path.name] = text.partition("\n")
+    return code, std.err, headers, body
+
+
+@pytest.mark.parametrize("verb", sorted(KEY_RUNS))
+def test_every_config_key_acts_or_is_listed(tmp_path, capsys, monkeypatch, verb):
+    """Each config key, perturbed, changes an output of the verb beyond the
+    headers, or exits 2 naming itself, or is listed in HASH_ONLY with the
+    reason it moves only the config hash.  A listed pair must still be
+    hash-only, so the list cannot go stale."""
+    assert set(PERTURBED) == set(_DEFAULTS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # in-process
+    found = {}
+    for mode in ("explicit", "rayleigh"):
+        base_sets = [] if mode == "explicit" else ["channel.mode=rayleigh"]
+        base = key_outcome(tmp_path, capsys, verb, base_sets)
+        assert base[0] in (0, 1), base[1]
+        keys = PERTURBED if mode == "explicit" else RAYLEIGH_KEYS
+        for key in keys:
+            code, err, headers, body = key_outcome(
+                tmp_path, capsys, verb, base_sets + [f"{key}={PERTURBED[key]}"])
+            if code == 2:
+                found[mode, verb, key] = "exit 2" if f"config key {key!r}" in err else err
+            elif (code, body) != (base[0], base[3]):
+                found[mode, verb, key] = "acts"
+            else:
+                found[mode, verb, key] = "hash only" if headers != base[2] else "no change"
+    listed = {k for k in HASH_ONLY if k[1] == verb}
+    assert {k for k, v in found.items() if v == "hash only"} == listed
+    assert all(v in ("acts", "exit 2") for k, v in found.items() if k not in listed), found
 
 
 def test_spec_validates_schemes(tmp_path):

@@ -29,6 +29,7 @@ from oracles import (
     p_suc_ap_config_sum,
     p_suc_sta,
     pair_transition_probs,
+    survival,
     system_oracle,
     transition_deltas,
     transition_prob,
@@ -84,18 +85,18 @@ def test_kernels_match_enumeration(p, num_states, lam):
 def test_survival_identity_and_bounds(pi, lam, p):
     kt = make_kernels(pi, lam, p)
     for s in PAIR_STATES:
-        assert kt.survival(s, -1) == 1.0
+        assert survival(kt, s, -1) == 1.0
         prev = 1.0
         running = 0.0
         for k in range(kt.t_max + 1):
             running += float(kt.ap[s, k, :k + 1].sum() + kt.sta[s, k, :k + 1].sum()
                              + kt.both[s, k, :k + 1].sum())
-            sk = kt.survival(s, k)
+            sk = survival(kt, s, k)
             assert abs(sk - (1.0 - running)) < 1e-12
             assert sk <= prev + 1e-15
             prev = sk
         assert ((kt.ap[s] >= -1e-15) & (kt.ap[s] <= 1 + 1e-15)).all()
-    assert abs(kt.survival(3, kt.t_max)) < 1e-12  # full pair must expire
+    assert abs(survival(kt, 3, kt.t_max)) < 1e-12  # full pair must expire
 
 
 def test_s3_masses_are_state_independent():
@@ -119,7 +120,7 @@ def test_s1_no_arrivals_closed_form(policy):
     assert kt.sta[1].sum() == 0.0
     assert kt.both[1].sum() == 0.0
     # s0 with no arrivals never expires at all
-    assert kt.survival(0, kt.t_max) == 1.0
+    assert survival(kt, 0, kt.t_max) == 1.0
 
 
 def test_s1_joiner_tie_mass():
@@ -146,7 +147,7 @@ def test_kernel_monte_carlo(tag):
                              ("both", both, kt.both[tag])):
         z = z_scores(exact, emp, trials)
         assert z.max() < 5.0, f"{name} kernel z={z.max():.2f}"
-    z = z_scores([kt.survival(tag, k) for k in range(8)], surv, trials)
+    z = z_scores([survival(kt, tag, k) for k in range(8)], surv, trials)
     assert z.max() < 5.0
 
 
@@ -196,8 +197,8 @@ def test_negative_collision_mass_names_first_census(inflate, timing):
                       kt.both, kt.surv)
 
     def collision_mass(counts, k):
-        before = math.prod(bad.survival(j, k - 1) ** counts[j] for j in PAIR_STATES)
-        after = math.prod(bad.survival(j, k) ** counts[j] for j in PAIR_STATES)
+        before = math.prod(survival(bad, j, k - 1) ** counts[j] for j in PAIR_STATES)
+        after = math.prod(survival(bad, j, k) ** counts[j] for j in PAIR_STATES)
         wins = sum(p_suc_ap(i, k, l, counts, bad) + p_suc_sta(i, k, l, counts, bad)
                    for i in PAIR_STATES for l in range(k + 1))
         return before - after - wins

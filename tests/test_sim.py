@@ -18,7 +18,6 @@ from oppmac.sim import (
     _run,
     _state_draws,
     _Tally,
-    SimReport,
     run_dcf,
     run_opportunistic,
 )
@@ -45,11 +44,11 @@ def assert_conservation(report):
 
 @pytest.mark.parametrize("mac", ["opportunistic", "dcf"])
 def test_zero_rate_run_is_empty(mac, policy, timing, space):
-    cfg = SystemConfig(n_stations=3, lambda_pps=0.0, pi=(0.25,) * 4, seed=9)
+    cfg = SystemConfig(n_stations=3, pi=(0.25,) * 4, seed=9)
     if mac == "opportunistic":
-        rep = quiet_run(cfg, policy, timing, space, duration_us=1e6)
+        rep = quiet_run(0.0, cfg, policy, timing, space, duration_us=1e6)
     else:
-        rep = quiet_dcf(cfg, timing, space, "arf", duration_us=1e6)
+        rep = quiet_dcf(0.0, cfg, timing, space, "arf", duration_us=1e6)
     assert rep.duration_us == 1e6
     assert rep.system_pps == 0.0
     assert rep.collisions_total == 0
@@ -60,35 +59,35 @@ def test_zero_rate_run_is_empty(mac, policy, timing, space):
 
 
 def test_budget_requires_some_bound(policy, timing, space):
-    cfg = SystemConfig(n_stations=1, lambda_pps=10.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4)
     with pytest.raises(ParameterError):
-        quiet_run(cfg, policy, timing, space)
-    cfg0 = SystemConfig(n_stations=1, lambda_pps=0.0, pi=(0.25,) * 4)
+        quiet_run(10.0, cfg, policy, timing, space)
     with pytest.raises(ParameterError):
-        quiet_run(cfg0, policy, timing, space, max_renewals=10)
+        quiet_run(0.0, cfg, policy, timing, space, max_renewals=10)
 
 
 def test_determinism_bit_identical(policy, timing, space):
-    cfg = SystemConfig(n_stations=4, lambda_pps=70.0, pi=(0.25,) * 4, seed=1234)
-    a = quiet_run(cfg, policy, timing, space, duration_us=3e6)
-    b = quiet_run(cfg, policy, timing, space, duration_us=3e6)
+    cfg = SystemConfig(n_stations=4, pi=(0.25,) * 4, seed=1234)
+    a = quiet_run(70.0, cfg, policy, timing, space, duration_us=3e6)
+    b = quiet_run(70.0, cfg, policy, timing, space, duration_us=3e6)
     assert a.to_json() == b.to_json()
-    c = quiet_run(SystemConfig(n_stations=4, lambda_pps=70.0, pi=(0.25,) * 4,
-                               seed=1235), policy, timing, space, duration_us=3e6)
+    c = quiet_run(70.0, SystemConfig(n_stations=4, pi=(0.25,) * 4, seed=1235),
+                  policy, timing, space, duration_us=3e6)
     assert c.to_json() != a.to_json()
 
 
 @pytest.mark.parametrize("seed", [3, 17, 91])
 def test_conservation_random_loads(seed, policy, timing, space):
     rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(1, 5))
+    lam = float(rng.uniform(5.0, 400.0))
     cfg = SystemConfig(
-        n_stations=int(rng.integers(1, 5)),
-        lambda_pps=float(rng.uniform(5.0, 400.0)),
+        n_stations=n,
         pi=(0.25,) * 4,
         retry_limit=int(rng.integers(0, 4)),
         seed=seed,
     )
-    rep = quiet_run(cfg, policy, timing, space, duration_us=4e6)
+    rep = quiet_run(lam, cfg, policy, timing, space, duration_us=4e6)
     assert_conservation(rep)
     assert rep.duration_us == 4e6
 
@@ -99,17 +98,16 @@ def test_parity_split_kills_pair_collisions(timing, space):
     principle tie across the parity split, but that needs an arrival in one
     specific slot and is unobservable at this rate)."""
     policy = TimerPolicy(p=1.0, delta_us=9.0, num_states=4)
-    cfg = SystemConfig(n_stations=1, lambda_pps=20.0, pi=(0.25,) * 4,
+    cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4,
                        per_state_per=(0.0,) * 4, retry_limit=None, seed=5)
-    rep = quiet_run(cfg, policy, timing, space, duration_us=30e6)
+    rep = quiet_run(20.0, cfg, policy, timing, space, duration_us=30e6)
     assert rep.collisions_total == 0
     assert rep.renewal_count > 500
 
 
 def test_saturated_occupancy(policy, timing, space):
-    cfg = SystemConfig(n_stations=2, lambda_pps=5000.0, pi=(0.25,) * 4,
-                       retry_limit=None, seed=2)
-    rep = quiet_run(cfg, policy, timing, space, duration_us=5e6)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, retry_limit=None, seed=2)
+    rep = quiet_run(5000.0, cfg, policy, timing, space, duration_us=5e6)
     assert rep.p_a_hat > 0.999 and rep.p_s_hat > 0.999
     assert rep.collisions > 0
     assert rep.ap_internal_merges > 0  # simultaneous AP expiries merged
@@ -119,9 +117,8 @@ def test_winner_rate_bias(policy, timing, space):
     """With several saturated pairs the winning states stochastically
     dominate the raw channel distribution."""
     pi = (0.25, 0.25, 0.25, 0.25)
-    cfg = SystemConfig(n_stations=3, lambda_pps=3000.0, pi=pi,
-                       retry_limit=None, seed=8)
-    rep = quiet_run(cfg, policy, timing, space, duration_us=20e6)
+    cfg = SystemConfig(n_stations=3, pi=pi, retry_limit=None, seed=8)
+    rep = quiet_run(3000.0, cfg, policy, timing, space, duration_us=20e6)
     counts = np.asarray(rep.winner_state_counts, dtype=float)
     emp_cdf = np.cumsum(counts / counts.sum())
     pi_cdf = np.cumsum(pi)
@@ -129,8 +126,8 @@ def test_winner_rate_bias(policy, timing, space):
 
 
 def test_renewal_budget_stop(policy, timing, space):
-    cfg = SystemConfig(n_stations=2, lambda_pps=100.0, pi=(0.25,) * 4, seed=3)
-    rep = quiet_run(cfg, policy, timing, space, max_renewals=2000)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=3)
+    rep = quiet_run(100.0, cfg, policy, timing, space, max_renewals=2000)
     assert rep.renewal_count + rep.warmup_us >= 0  # well-formed
     total_delivered = sum(q["delivered"] for q in rep.queues.values())
     assert total_delivered == 2000
@@ -139,10 +136,9 @@ def test_renewal_budget_stop(policy, timing, space):
 
 def test_matches_analysis_n2(policy, timing, space, uniform_pi):
     """Analysis cross-validation at desk scale: N=2, lambda=20."""
-    cfg = SystemConfig(n_stations=2, lambda_pps=20.0, pi=(0.25,) * 4,
-                       retry_limit=None, seed=42)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, retry_limit=None, seed=42)
     sol = fixed_point(20.0, cfg, TimerPolicy(), uniform_pi, timing)
-    rep = quiet_run(cfg, policy, timing, space, max_renewals=150_000)
+    rep = quiet_run(20.0, cfg, policy, timing, space, max_renewals=150_000)
     assert abs(rep.p_a_hat - sol.p_a) / sol.p_a < 0.02
     assert abs(rep.p_s_hat - sol.p_s) / sol.p_s < 0.02
     assert abs(rep.mean_renewal_us - sol.expected_renewal_us) \
@@ -150,30 +146,29 @@ def test_matches_analysis_n2(policy, timing, space, uniform_pi):
 
 
 def test_low_renewal_warning(policy, timing, space):
-    cfg = SystemConfig(n_stations=1, lambda_pps=5.0, pi=(0.25,) * 4, seed=1)
+    cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4, seed=1)
     with pytest.warns(UserWarning, match="renewals"):
-        run_opportunistic(cfg, policy, timing, space, duration_us=2e6)
+        run_opportunistic(5.0, cfg, policy, timing, space, duration_us=2e6)
 
 
 def test_estimators(policy, timing, space):
-    cfg = SystemConfig(n_stations=2, lambda_pps=50.0, pi=(0.25,) * 4, seed=6)
-    rep = quiet_run(cfg, policy, timing, space, duration_us=10e6)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=6)
+    rep = quiet_run(50.0, cfg, policy, timing, space, duration_us=10e6)
     assert 0.0 < rep.p_a_hat < 1.0 and 0.0 < rep.p_s_hat < 1.0
     assert rep.renewal_count > 0
     # mean renewal length = measured window / renewals, up to the partial
     # cycles at the window's two ends
     assert rep.mean_renewal_us == pytest.approx(rep.measured_us / rep.renewal_count,
                                                 rel=0.01)
-    empty = quiet_run(SystemConfig(n_stations=2, lambda_pps=0.0,
-                                   pi=(0.25,) * 4), policy, timing, space,
-                      duration_us=1e6)
+    empty = quiet_run(0.0, SystemConfig(n_stations=2, pi=(0.25,) * 4),
+                      policy, timing, space, duration_us=1e6)
     assert empty.mean_renewal_us is None
 
 
 def test_trace_csv(policy, timing, space, tmp_path):
     path = tmp_path / "trace.csv"
-    cfg = SystemConfig(n_stations=2, lambda_pps=80.0, pi=(0.25,) * 4, seed=4)
-    quiet_run(cfg, policy, timing, space, duration_us=5e6, trace_path=path)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=4)
+    quiet_run(80.0, cfg, policy, timing, space, duration_us=5e6, trace_path=path)
     lines = path.read_text().splitlines()
     assert lines[0] == "renewal,length_us,winner_side,state,outcome"
     assert len(lines) > 100
@@ -183,15 +178,16 @@ def test_trace_csv(policy, timing, space, tmp_path):
 
 
 def test_report_json_round_trip(policy, timing, space):
-    cfg = SystemConfig(n_stations=1, lambda_pps=30.0, pi=(0.25,) * 4, seed=11)
-    rep = quiet_run(cfg, policy, timing, space, duration_us=2e6)
-    again = SimReport.from_json(rep.to_json(meta={"config_hash": "abc"}))
-    assert again == rep
+    """The JSON holds every report field, unchanged, plus the meta block."""
+    cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4, seed=11)
+    rep = quiet_run(30.0, cfg, policy, timing, space, duration_us=2e6)
+    meta = {"config_hash": "abc"}
+    assert json.loads(rep.to_json(meta)) == {**rep.__dict__, "_meta": meta}
 
 
 def test_rayleigh_mode_runs(policy, timing, space):
-    cfg = SystemConfig(n_stations=2, lambda_pps=40.0, mean_ebn0_db=28.0, seed=13)
-    rep = quiet_run(cfg, policy, timing, space, duration_us=5e6)
+    cfg = SystemConfig(n_stations=2, mean_ebn0_db=28.0, seed=13)
+    rep = quiet_run(40.0, cfg, policy, timing, space, duration_us=5e6)
     assert rep.system_pps > 0
     assert_conservation(rep)
 
@@ -199,17 +195,17 @@ def test_rayleigh_mode_runs(policy, timing, space):
 # ------------------------------------------------------------------- DCF
 
 def test_dcf_requires_duration(timing, space):
-    cfg = SystemConfig(n_stations=2, lambda_pps=10.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     with pytest.raises(ParameterError):
-        run_dcf(cfg, timing, space, "arf")
+        run_dcf(10.0, cfg, timing, space, "arf")
     with pytest.raises(ParameterError):
-        run_dcf(cfg, timing, space, "bogus", duration_us=1e6)
+        run_dcf(10.0, cfg, timing, space, "bogus", duration_us=1e6)
 
 
 def test_dcf_determinism_and_conservation(timing, space):
-    cfg = SystemConfig(n_stations=3, lambda_pps=120.0, mean_ebn0_db=25.0, seed=77)
-    a = quiet_dcf(cfg, timing, space, "arf", duration_us=5e6)
-    b = quiet_dcf(cfg, timing, space, "arf", duration_us=5e6)
+    cfg = SystemConfig(n_stations=3, mean_ebn0_db=25.0, seed=77)
+    a = quiet_dcf(120.0, cfg, timing, space, "arf", duration_us=5e6)
+    b = quiet_dcf(120.0, cfg, timing, space, "arf", duration_us=5e6)
     assert a.to_json() == b.to_json()
     assert_conservation(a)
     assert set(a.queues) == {"ap", "sta0", "sta1", "sta2"}
@@ -219,13 +215,13 @@ def test_dcf_equal_access_share(timing, space):
     """Saturated DCF gives the AP 1/(N+1) of the successes even though it
     carries N times the load."""
     n = 3
-    cfg = SystemConfig(n_stations=n, lambda_pps=1500.0, pi=(0.25,) * 4,
-                       retry_limit=7, seed=21)
-    rep = quiet_dcf(cfg, timing, space, "threshold", duration_us=60e6)
+    lam = 1500.0
+    cfg = SystemConfig(n_stations=n, pi=(0.25,) * 4, retry_limit=7, seed=21)
+    rep = quiet_dcf(lam, cfg, timing, space, "threshold", duration_us=60e6)
     share = rep.winner_side_counts["ap"] / sum(rep.winner_side_counts.values())
     assert abs(share - 1.0 / (n + 1)) < 0.01
     # and the downlink is starved relative to its offered load
-    assert rep.downlink_pps < n * cfg.lambda_pps / 2
+    assert rep.downlink_pps < n * lam / 2
 
 
 def test_dcf_arf_counters():
@@ -242,9 +238,9 @@ def test_dcf_arf_counters():
 
 
 def test_dcf_arf_climbs_on_clean_channel(timing, space):
-    cfg = SystemConfig(n_stations=1, lambda_pps=400.0, pi=(0.0, 0.0, 0.0, 1.0),
+    cfg = SystemConfig(n_stations=1, pi=(0.0, 0.0, 0.0, 1.0),
                        per_state_per=(0.0,) * 4, retry_limit=7, seed=31)
-    rep = quiet_dcf(cfg, timing, space, "arf", duration_us=10e6)
+    rep = quiet_dcf(400.0, cfg, timing, space, "arf", duration_us=10e6)
     counts = rep.winner_state_counts
     assert counts[3] > 0.8 * sum(counts)  # reaches and stays at the top rate
 
@@ -252,9 +248,9 @@ def test_dcf_arf_climbs_on_clean_channel(timing, space):
 def test_dcf_threshold_tracks_previous_state(timing, space):
     """Stale-CSI threshold adaptation transmits at the previously observed
     state, so with a frozen channel it is exact from the second attempt on."""
-    cfg = SystemConfig(n_stations=1, lambda_pps=400.0, pi=(0.0, 0.0, 1.0, 0.0),
+    cfg = SystemConfig(n_stations=1, pi=(0.0, 0.0, 1.0, 0.0),
                        per_state_per=(0.0,) * 4, retry_limit=7, seed=33)
-    rep = quiet_dcf(cfg, timing, space, "threshold", duration_us=5e6)
+    rep = quiet_dcf(400.0, cfg, timing, space, "threshold", duration_us=5e6)
     counts = rep.winner_state_counts
     assert counts[2] > 0.95 * sum(counts)
 
@@ -265,12 +261,12 @@ def test_dcf_matches_bianchi_saturation(n, timing, space):
     delivers Bianchi's saturation throughput for n + 1 stations (the AP
     contends as one station) to within 3%, and its share of busy periods
     that collide lies within 10% of the model's."""
-    cfg = SystemConfig(n_stations=n, lambda_pps=5000.0, pi=(0.0, 0.0, 0.0, 1.0),
+    cfg = SystemConfig(n_stations=n, pi=(0.0, 0.0, 0.0, 1.0),
                        per_state_per=(0.0,) * 4, retry_limit=None, seed=41)
-    rep = quiet_dcf(cfg, timing, space, "threshold", duration_us=20e6)
+    rep = quiet_dcf(5000.0, cfg, timing, space, "threshold", duration_us=20e6)
     eifs = timing.difs_us + timing.sifs_us + timing.ack_us
     stages = ((CW_MAX + 1) // (CW_MIN + 1)).bit_length() - 1
-    pps, col_share = bianchi_saturation(n + 1, CW_MIN + 1, stages, timing.t_suc(3),
+    pps, col_share = bianchi_saturation(n + 1, CW_MIN + 1, stages, timing.per_state_tx_us[3],
                                         timing.data_airtime(3) + eifs, timing.slot_us)
     assert abs(rep.system_pps / pps - 1.0) < 0.03
     sim_share = rep.collisions / (rep.collisions + rep.renewal_count)
@@ -288,12 +284,27 @@ def test_dcf_matches_bianchi_saturation(n, timing, space):
 def test_simulators_reject_mismatched_lengths(mac, lengths, policy, timing, space):
     """A pi or PER vector without one entry per channel state is refused at
     entry, before any draw."""
-    cfg = SystemConfig(n_stations=2, lambda_pps=50.0, seed=3, **lengths)
+    cfg = SystemConfig(n_stations=2, seed=3, **lengths)
     with pytest.raises(ParameterError, match="length does not match"):
         if mac == "opportunistic":
-            quiet_run(cfg, policy, timing, space, duration_us=1e6)
+            quiet_run(50.0, cfg, policy, timing, space, duration_us=1e6)
         else:
-            quiet_dcf(cfg, timing, space, "arf", duration_us=1e6)
+            quiet_dcf(50.0, cfg, timing, space, "arf", duration_us=1e6)
+
+
+@pytest.mark.parametrize("mac", ["opportunistic", "dcf", "analysis"])
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_bad_rate_refused_at_entry(mac, lam, policy, timing, space, uniform_pi):
+    """An arrival rate that is negative or not finite is refused by both
+    simulators and by the analysis before any draw or solve."""
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
+    with pytest.raises(ParameterError, match="arrival rate"):
+        if mac == "opportunistic":
+            quiet_run(lam, cfg, policy, timing, space, duration_us=1e6)
+        elif mac == "dcf":
+            quiet_dcf(lam, cfg, timing, space, "arf", duration_us=1e6)
+        else:
+            fixed_point(lam, cfg, policy, uniform_pi, timing)
 
 
 def test_backoff_blocks_match_scalar_integers():
@@ -340,11 +351,11 @@ def test_heap_entry_ordering(space):
     # queue 2 arrives at 1, queue 3 at 3, queues 0 and 1 at 5 = the mark
     first = [5.0, 5.0, 1.0, 3.0]
     next_gap = [iter([g, 1e9]).__next__ for g in first]
-    cfg = SystemConfig(n_stations=2, lambda_pps=1.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     tally = _Tally(4, space.num_states, None)
     snapshot = tally.snapshot
     tally.snapshot = lambda t: (calls.append(("mark", t)), snapshot(t))
-    rep = _run("stub", cfg, tally, next_gap, start, join, resolve, end,
+    rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end,
                100.0, None, None, queue_name=str, ap_queue_ids=[0, 2])
     assert calls == [("start", 1.0), ("join", 3, 3.0), ("join", 0, 5.0),
                      ("join", 1, 5.0), ("resolve", 5.0), ("mark", 5.0),
@@ -378,7 +389,7 @@ def test_block_draws_match_scalar_calls(space):
     ref = _gen()
     want = [min(int(np.searchsorted(cum, ref.random(), side="right")), 3)
             for _ in range(k)]
-    explicit = SystemConfig(n_stations=1, lambda_pps=1.0, pi=pi)
+    explicit = SystemConfig(n_stations=1, pi=pi)
     assert served(_state_draws(explicit, space, _gen(), size=7)) == want
     assert len(set(want)) == 4
 
@@ -386,24 +397,24 @@ def test_block_draws_match_scalar_calls(space):
     ref = _gen()
     want = [int(np.searchsorted(edges, ref.exponential(10.0 ** 2.8), side="right"))
             for _ in range(k)]
-    rayleigh = SystemConfig(n_stations=1, lambda_pps=1.0, mean_ebn0_db=28.0)
+    rayleigh = SystemConfig(n_stations=1, mean_ebn0_db=28.0)
     assert served(_state_draws(rayleigh, space, _gen(), size=7)) == want
     assert len(set(want)) > 1
 
 
 def test_conservation_breach_raises():
     """The report refuses counters where a packet went missing."""
-    cfg = SystemConfig(n_stations=1, lambda_pps=10.0, pi=(0.25,) * 4)
+    cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4)
     tally = _Tally(2, 4, None)
     tally.snapshot(0.0)
     tally.q[1].arrivals = 3
     tally.q[1].delivered = 1
     tally.q[1].backlog = 1
     with pytest.raises(InvariantError, match="sta0 breaks conservation"):
-        _build_report("opportunistic", cfg, tally, 1e6,
+        _build_report("opportunistic", cfg, 10.0, tally, 1e6,
                       queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
     tally.q[1].dropped = 1
-    rep = _build_report("opportunistic", cfg, tally, 1e6,
+    rep = _build_report("opportunistic", cfg, 10.0, tally, 1e6,
                         queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
     assert rep.queues["sta0"]["arrivals"] == 3
 
@@ -458,9 +469,8 @@ def test_replication_consistency(policy, timing, space):
     """Distinct seeds give distinct but statistically consistent reports."""
     reps = []
     for seed in (1, 2, 3):
-        cfg = SystemConfig(n_stations=2, lambda_pps=60.0, pi=(0.25,) * 4,
-                           seed=seed)
-        reps.append(quiet_run(cfg, policy, timing, space, duration_us=20e6))
+        cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=seed)
+        reps.append(quiet_run(60.0, cfg, policy, timing, space, duration_us=20e6))
     blobs = {r.to_json() for r in reps}
     assert len(blobs) == 3
     rates = [r.system_pps for r in reps]
@@ -523,13 +533,13 @@ def test_golden_report_digests(policy, timing, space, tmp_path):
     retry-limit drops (AP-queue drops in DCF) and AP merges."""
     got, ap_drops, merges = [], 0, 0
     for i, (mac, n, lam, chan, retry, bounds, trace, _) in enumerate(GOLDEN_RUNS):
-        cfg = SystemConfig(n_stations=n, lambda_pps=lam, retry_limit=retry,
+        cfg = SystemConfig(n_stations=n, retry_limit=retry,
                            seed=11 + i, **chan)
         path = tmp_path / f"trace{i}.csv" if trace else None
         if mac == "opportunistic":
-            rep = quiet_run(cfg, policy, timing, space, trace_path=path, **bounds)
+            rep = quiet_run(lam, cfg, policy, timing, space, trace_path=path, **bounds)
         else:
-            rep = quiet_dcf(cfg, timing, space, mac, **bounds)
+            rep = quiet_dcf(lam, cfg, timing, space, mac, **bounds)
         digest = hashlib.sha256(rep.to_json().encode())
         if path is not None:
             digest.update(path.read_bytes())
