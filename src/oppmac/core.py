@@ -76,6 +76,13 @@ def check_rate(lambda_pps: float) -> None:
                              f"got {lambda_pps!r}")
 
 
+def check_duration(duration_us: float) -> None:
+    """Refuses a simulated duration that is not finite and positive."""
+    if not (math.isfinite(duration_us) and duration_us > 0.0):
+        raise ParameterError(f"duration must be finite and positive, "
+                             f"got {duration_us!r}")
+
+
 def state_probabilities(space: ChannelSpace, mean_ebn0_db: float) -> np.ndarray:
     """State distribution for Rayleigh fading with the given mean Eb/N0.
 

@@ -60,11 +60,9 @@ class KernelTable:
     leading entry, ``surv[i, 0]`` = 1, for k = -1.
     """
 
-    def __init__(self, policy: TimerPolicy, pi: np.ndarray, lambda_pps: float,
-                 ap: np.ndarray, sta: np.ndarray, both: np.ndarray,
-                 surv: np.ndarray):
+    def __init__(self, policy: TimerPolicy, lambda_pps: float, ap: np.ndarray,
+                 sta: np.ndarray, both: np.ndarray, surv: np.ndarray):
         self.policy = policy
-        self.pi = pi
         self.lambda_pps = lambda_pps
         self.t_max = policy.t_max
         self.ap = ap
@@ -121,7 +119,7 @@ def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> Ker
     # mass with no expiry inside the horizon stays in the survival tail
     expired_by = np.cumsum((ap + sta + both).sum(axis=2), axis=1)  # P(min <= k)
     surv = np.hstack([np.ones((4, 1)), np.maximum(0.0, 1.0 - expired_by)])
-    return KernelTable(policy, pi, lambda_pps, ap, sta, both, surv)
+    return KernelTable(policy, lambda_pps, ap, sta, both, surv)
 
 
 @functools.lru_cache(maxsize=None)

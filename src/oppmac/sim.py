@@ -9,10 +9,10 @@ DCF baseline with one aggregate AP queue, binary exponential backoff, and
 either ARF or threshold-based rate adaptation.
 
 Both run on ``_run``, which owns the event clock, the channel phase
-(vacant, contention, busy), stopping, warmup, the renewal trace and the
-report.  Only arrivals are heap entries: the channel's one pending event (a
-resolution or a transaction end) and the warmup mark are scalars, so no
-resolution goes stale.  At one instant arrivals (lower queue first) precede
+(vacant, contention, busy), the warmup mark, the stop at the run's duration
+and the report.  Only arrivals are heap entries: the channel's one pending
+event (a resolution or a transaction end) and the warmup mark are scalars, so
+no resolution goes stale.  At one instant arrivals (lower queue first) precede
 the channel event, which precedes the mark.  A MAC is four hooks:
 
 - ``start(t)``: a contention among the backlogged queues begins at t;
@@ -60,6 +60,7 @@ from .core import (
     ParameterError,
     SystemConfig,
     TimerPolicy,
+    check_duration,
     check_rate,
 )
 
@@ -68,7 +69,7 @@ from .core import (
 DRAW_BLOCK = 64
 ARRIVAL_BLOCK = 16
 
-WARMUP_FRAC = 0.05  # warmup share of the duration, or else of the renewal budget
+WARMUP_FRAC = 0.05  # warmup share of the duration
 
 
 class InvariantError(RuntimeError):
@@ -249,12 +250,13 @@ def _gap_draws(rng, mean_us: float):
 
 
 def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
-         next_gap: list, start, join, resolve, end, duration_us: float | None,
-         max_renewals: int | None, trace_path,
+         next_gap: list, start, join, resolve, end, duration_us: float,
          queue_name, ap_queue_ids) -> SimReport:
     """The event loop both MACs share; the MAC is the four hooks (see the
     module docstring).  ``next_gap[q]`` gives queue q's inter-arrival gaps
-    (empty at a zero rate, which needs a duration).
+    (empty at a zero rate).  The run ends at ``duration_us``, which the
+    caller checked is finite and positive, so the warmup mark at
+    ``WARMUP_FRAC`` of it fires first.
 
     The heap holds one ``(time_us, queue)`` entry per queue, its next
     arrival, advanced by one ``heapreplace`` per arrival.  ``t_chan`` is the
@@ -269,18 +271,11 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     heapq.heapify(heap)
     advance = heapq.heapreplace
 
-    budget = max_renewals if max_renewals is not None else inf
-    if duration_us is not None:
-        end_time, t_mark, warm_target = duration_us, WARMUP_FRAC * duration_us, None
-    else:
-        end_time, t_mark, warm_target = inf, inf, max(1, math.ceil(WARMUP_FRAC * max_renewals))
-    trace_rows = []
-
-    t_chan, busy = inf, False
+    t_chan, busy, t_mark = inf, False, WARMUP_FRAC * duration_us
     while True:
         now, q = heap[0]
         if now <= t_chan and now <= t_mark:
-            if now > end_time:
+            if now > duration_us:
                 break
             qs = qstat[q]
             qs.flush(now)
@@ -299,7 +294,7 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
 
         elif t_chan <= t_mark:
             now = t_chan
-            if now > end_time:
+            if now > duration_us:
                 break
             if not busy:
                 busy = True
@@ -308,51 +303,26 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
             busy = False
             won = end(now)
             if won is not None:
-                state, side = won
-                prev_t = tally.last_success_t
-                tally.on_success(now, state, side)
-                if trace_path is not None and prev_t is not None:
-                    trace_rows.append((tally.successes, now - prev_t, side, state))
-                if tally.successes == warm_target:
-                    tally.snapshot(now)
-                if tally.successes >= budget:
-                    break
+                tally.on_success(now, *won)
             # the trailing interframe gap elapsed inside the transaction
             t_chan = start(now) if backlogged else inf
 
-        else:
-            now, t_mark = t_mark, inf
-            if now > end_time:
-                break
-            tally.snapshot(now)
+        else:  # the mark precedes the end
+            tally.snapshot(t_mark)
+            t_mark = inf
 
-    final_t = now if tally.successes >= budget else end_time
-    if tally.snap is None:
-        tally.snapshot(0.0)
-    tally.flush(final_t)
-    report = _build_report(scheme, config, lambda_pps, tally, final_t, queue_name,
-                           ap_queue_ids)
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            fh.write("renewal,length_us,winner_side,state,outcome\n")
-            for idx, length, side, state in trace_rows:
-                fh.write(f"{idx},{length!r},{side},{state},success\n")
-    return report
+    tally.flush(duration_us)
+    return _build_report(scheme, config, lambda_pps, tally, duration_us, queue_name,
+                         ap_queue_ids)
 
 
 def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
                       timing: MacTiming, space: ChannelSpace,
-                      duration_us: float | None = None,
-                      max_renewals: int | None = None,
-                      trace_path=None) -> SimReport:
+                      duration_us: float) -> SimReport:
     """Simulate the opportunistic MAC at ``lambda_pps`` packets/s per queue
-    for a wall-clock duration and/or a renewal budget (at least one must be
-    given)."""
-    if duration_us is None and max_renewals is None:
-        raise ParameterError("provide duration_us and/or max_renewals")
+    for ``duration_us`` of simulated time."""
     check_rate(lambda_pps)
-    if lambda_pps == 0.0 and duration_us is None:
-        raise ParameterError("a renewal budget alone cannot bound a zero-rate run")
+    check_duration(duration_us)
     config.resolve_pi(space)  # checks the pi and PER lengths
     n = config.n_stations
     nq = 2 * n  # queue 2i = AP side of pair i, queue 2i+1 = STA side
@@ -446,10 +416,10 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
 
     report = _run(
         "opportunistic", config, lambda_pps, tally, next_gap, start, join, resolve, end,
-        duration_us, max_renewals, trace_path,
+        duration_us,
         queue_name=lambda q: f"{'ap' if q % 2 == 0 else 'sta'}{q // 2}",
         ap_queue_ids=[q for q in range(nq) if q % 2 == 0])
-    if duration_us is not None and report.renewal_count < 1000:
+    if report.renewal_count < 1000:
         warnings.warn(f"only {report.renewal_count} renewals in the measurement "
                       "window; estimates may be noisy", stacklevel=2)
     return report
@@ -476,14 +446,13 @@ def _build_report(scheme, config, lambda_pps, tally, final_t, queue_name,
             "dropped": qs.dropped,
             "backlog": qs.backlog,
             "delivered_measured": dmeas,
-            "throughput_pps": dmeas / meas_s if measured > 0 else 0.0,
+            "throughput_pps": dmeas / meas_s,
         }
     ap_ids = set(ap_queue_ids)
     down = sum(queues[queue_name(q)]["throughput_pps"] for q in ap_ids)
     up = sum(queues[queue_name(q)]["throughput_pps"] for q in range(nq)
              if q not in ap_ids)
-    occ = [(tally.q[q].occ_us - snap["occ"][q]) / measured if measured > 0 else 0.0
-           for q in range(nq)]
+    occ = [(tally.q[q].occ_us - snap["occ"][q]) / measured for q in range(nq)]
     sta_ids = [q for q in range(nq) if q not in ap_ids]
     p_a = sum(occ[q] for q in ap_ids) / len(ap_ids)
     p_s = sum(occ[q] for q in sta_ids) / len(sta_ids)
@@ -552,11 +521,12 @@ class _ArfState:
 
 
 def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
-            space: ChannelSpace, rate_adaptation: str = "arf",
-            duration_us: float | None = None) -> SimReport:
+            space: ChannelSpace, rate_adaptation: str,
+            duration_us: float) -> SimReport:
     """802.11 DCF baseline at ``lambda_pps`` packets/s per STA queue and N
-    times that at the one aggregate AP queue: binary exponential backoff
-    (CW 15..1023), per-attempt rate adaptation.
+    times that at the one aggregate AP queue, for ``duration_us`` of simulated
+    time: binary exponential backoff (CW 15..1023), per-attempt rate
+    adaptation.
 
     "threshold" picks the quantization-table rate for the channel state the
     link showed on its previous exchange; with fading that decorrelates
@@ -566,9 +536,8 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
     """
     if rate_adaptation not in ("arf", "threshold"):
         raise ParameterError("rate_adaptation must be 'arf' or 'threshold'")
-    if duration_us is None:
-        raise ParameterError("run_dcf requires a duration")
     check_rate(lambda_pps)
+    check_duration(duration_us)
     config.resolve_pi(space)  # checks the pi and PER lengths
     use_arf = rate_adaptation == "arf"
     n = config.n_stations
@@ -700,6 +669,6 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
         return ridx, AP if st == 0 else STA
 
     return _run(f"dcf-{rate_adaptation}", config, lambda_pps, tally, next_gap,
-                start, join, resolve, end, duration_us, None, None,
+                start, join, resolve, end, duration_us,
                 queue_name=lambda st: "ap" if st == 0 else f"sta{st - 1}",
                 ap_queue_ids=[0])

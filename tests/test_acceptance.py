@@ -108,7 +108,7 @@ def test_c1_agreement_n2():
     from oppmac import ChannelSpace, MacTiming
     space = ChannelSpace()
     rep = run_opportunistic(20.0, cfg, TimerPolicy(), MacTiming.dot11a(space), space,
-                            max_renewals=1_000_000)
+                            duration_us=12_500e6)
     errs = {
         "P_A": abs(rep.p_a_hat - sol.p_a) / sol.p_a,
         "P_S": abs(rep.p_s_hat - sol.p_s) / sol.p_s,

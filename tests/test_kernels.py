@@ -193,8 +193,8 @@ def test_negative_collision_mass_names_first_census(inflate, timing):
     """AP kernel mass inflated past the pair survival law leaves a negative
     collision mass; the model refuses it and names the first such census."""
     kt = make_kernels((0.1, 0.4, 0.3, 0.2), 0.0, 0.3)
-    bad = KernelTable(kt.policy, kt.pi, kt.lambda_pps, inflate * kt.ap, kt.sta,
-                      kt.both, kt.surv)
+    bad = KernelTable(kt.policy, kt.lambda_pps, inflate * kt.ap, kt.sta, kt.both,
+                      kt.surv)
 
     def collision_mass(counts, k):
         before = math.prod(survival(bad, j, k - 1) ** counts[j] for j in PAIR_STATES)

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_point
+from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_point, sim
 from oppmac.sim import (
     CW_MAX,
     CW_MIN,
@@ -58,12 +58,25 @@ def test_zero_rate_run_is_empty(mac, policy, timing, space):
     assert_conservation(rep)
 
 
-def test_budget_requires_some_bound(policy, timing, space):
-    cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4)
-    with pytest.raises(ParameterError):
-        quiet_run(10.0, cfg, policy, timing, space)
-    with pytest.raises(ParameterError):
-        quiet_run(0.0, cfg, policy, timing, space, max_renewals=10)
+@pytest.mark.parametrize("mac", ["opportunistic", "dcf"])
+@pytest.mark.parametrize("lam,duration_us", [
+    (20.0, float("nan")), (20.0, float("inf")), (20.0, -1e6), (20.0, 0.0),
+    (0.0, float("nan")),
+])
+def test_bad_duration_refused_at_entry(mac, lam, duration_us, policy, timing, space,
+                                       monkeypatch):
+    """A duration that is not finite and positive is refused by both
+    simulators before the event loop starts: it would hang (NaN, inf) or
+    return an all-zero report (negative, zero)."""
+    def started(*args, **kwargs):
+        raise AssertionError("the event loop started")
+    monkeypatch.setattr(sim, "_run", started)
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
+    with pytest.raises(ParameterError, match="duration"):
+        if mac == "opportunistic":
+            quiet_run(lam, cfg, policy, timing, space, duration_us=duration_us)
+        else:
+            quiet_dcf(lam, cfg, timing, space, "arf", duration_us=duration_us)
 
 
 def test_determinism_bit_identical(policy, timing, space):
@@ -125,20 +138,11 @@ def test_winner_rate_bias(policy, timing, space):
     assert (emp_cdf[:-1] < pi_cdf[:-1] - 0.05).all()
 
 
-def test_renewal_budget_stop(policy, timing, space):
-    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=3)
-    rep = quiet_run(100.0, cfg, policy, timing, space, max_renewals=2000)
-    assert rep.renewal_count + rep.warmup_us >= 0  # well-formed
-    total_delivered = sum(q["delivered"] for q in rep.queues.values())
-    assert total_delivered == 2000
-    assert_conservation(rep)
-
-
 def test_matches_analysis_n2(policy, timing, space, uniform_pi):
     """Analysis cross-validation at desk scale: N=2, lambda=20."""
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, retry_limit=None, seed=42)
     sol = fixed_point(20.0, cfg, TimerPolicy(), uniform_pi, timing)
-    rep = quiet_run(20.0, cfg, policy, timing, space, max_renewals=150_000)
+    rep = quiet_run(20.0, cfg, policy, timing, space, duration_us=1875e6)
     assert abs(rep.p_a_hat - sol.p_a) / sol.p_a < 0.02
     assert abs(rep.p_s_hat - sol.p_s) / sol.p_s < 0.02
     assert abs(rep.mean_renewal_us - sol.expected_renewal_us) \
@@ -165,18 +169,6 @@ def test_estimators(policy, timing, space):
     assert empty.mean_renewal_us is None
 
 
-def test_trace_csv(policy, timing, space, tmp_path):
-    path = tmp_path / "trace.csv"
-    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=4)
-    quiet_run(80.0, cfg, policy, timing, space, duration_us=5e6, trace_path=path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "renewal,length_us,winner_side,state,outcome"
-    assert len(lines) > 100
-    first = lines[1].split(",")
-    assert first[2] in ("ap", "sta") and first[4] == "success"
-    assert float(first[1]) > 0
-
-
 def test_report_json_round_trip(policy, timing, space):
     """The JSON holds every report field, unchanged, plus the meta block."""
     cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4, seed=11)
@@ -196,7 +188,7 @@ def test_rayleigh_mode_runs(policy, timing, space):
 
 def test_dcf_requires_duration(timing, space):
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(TypeError, match="duration_us"):
         run_dcf(10.0, cfg, timing, space, "arf")
     with pytest.raises(ParameterError):
         run_dcf(10.0, cfg, timing, space, "bogus", duration_us=1e6)
@@ -356,7 +348,7 @@ def test_heap_entry_ordering(space):
     snapshot = tally.snapshot
     tally.snapshot = lambda t: (calls.append(("mark", t)), snapshot(t))
     rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end,
-               100.0, None, None, queue_name=str, ap_queue_ids=[0, 2])
+               100.0, queue_name=str, ap_queue_ids=[0, 2])
     assert calls == [("start", 1.0), ("join", 3, 3.0), ("join", 0, 5.0),
                      ("join", 1, 5.0), ("resolve", 5.0), ("mark", 5.0),
                      ("end", 15.0), ("start", 15.0)]
@@ -482,68 +474,64 @@ def test_replication_consistency(policy, timing, space):
 EXPLICIT = dict(pi=(0.1, 0.2, 0.3, 0.4))
 RAYLEIGH = dict(mean_ebn0_db=28.0)
 
-# (mac, N, lambda, channel, retry limit, bounds, trace file, sha256 of the
-# report JSON followed by the trace CSV)
+# (mac, N, lambda, channel, retry limit, duration (us), sha256 of the report
+# JSON)
 GOLDEN_RUNS = [
-    ("opportunistic", 7, 400.0, EXPLICIT, 7, dict(duration_us=2e6), True,
-     "16b5f32042c0c52ea05dbe824c9586724e1877ef9cc0acdd9e6648e060ce154d"),
-    ("opportunistic", 2, 60.0, RAYLEIGH, None, dict(max_renewals=1500), False,
-     "604b28d56a00abccfb7ccdd2bb6955a2832bdbae305fe893f360a8ad4ddbe070"),
-    ("opportunistic", 7, 400.0, RAYLEIGH, 7, dict(duration_us=2e6, max_renewals=700),
-     True, "40d3b07f6a5cf8d02ba442bf90bf44d7060bbfa5022d108590bfef6e804b8a19"),
-    ("opportunistic", 2, 60.0, EXPLICIT, None, dict(duration_us=2e6, max_renewals=5000),
-     True, "3fe0cc4dad10f2a84be8101ed8cff4804116e60f67990982fb5bc6dcb43d946a"),
-    ("arf", 7, 400.0, EXPLICIT, 7, dict(duration_us=5e6), False,
+    ("opportunistic", 7, 400.0, EXPLICIT, 7, 2e6,
+     "91b02a601e8fcdc1a82c876904926ecd5f24bede3faf022731270bc64fa771e6"),
+    ("opportunistic", 2, 60.0, RAYLEIGH, None, 6e6,
+     "375405ae4d8dbf576401b4ab4a06b53dbf2cfde342977b235a04f5559bf885ed"),
+    ("opportunistic", 7, 400.0, RAYLEIGH, 7, 2e6,
+     "ec3b593159847b4549f7696a2ead540b951ef4961ecab0671b196cb485c1a1f6"),
+    ("opportunistic", 2, 60.0, EXPLICIT, None, 2e6,
+     "1eb9c6146bace105c38df0be727d4be1f1ab751a25cd7dc3ba60a363c65c83c6"),
+    ("arf", 7, 400.0, EXPLICIT, 7, 5e6,
      "d59b82a9a2477cb842c6933b225d5480d542dc201b1b3713a8a3a59b371358ef"),
-    ("arf", 2, 60.0, RAYLEIGH, None, dict(duration_us=5e6), False,
+    ("arf", 2, 60.0, RAYLEIGH, None, 5e6,
      "fd55163dc468933d7f4f0c32b578e3bc0cbab83d6865da6a9488de042aebb8a3"),
-    ("threshold", 7, 400.0, RAYLEIGH, 7, dict(duration_us=5e6), False,
+    ("threshold", 7, 400.0, RAYLEIGH, 7, 5e6,
      "98f7259d6272b1130622385e8b382a2ea6b37e3be6c4bfa452963c3db9ea7caa"),
-    ("threshold", 2, 60.0, EXPLICIT, None, dict(duration_us=5e6), False,
+    ("threshold", 2, 60.0, EXPLICIT, None, 5e6,
      "2538dfbb63fa9a2b1a81e4fce6139912acbca202e2d42d9a2d04fed0a4451fd9"),
     # retry limit 0: every failed attempt drops its packet
-    ("opportunistic", 7, 400.0, EXPLICIT, 0, dict(duration_us=2e6), True,
-     "b602a4ac7bb851b1d0c4a11611963ab848f563c974b107b90d000aa3264bbbf7"),
-    ("arf", 7, 400.0, RAYLEIGH, 0, dict(duration_us=5e6), False,
+    ("opportunistic", 7, 400.0, EXPLICIT, 0, 2e6,
+     "0e73f6ae8910a6c1fb40be833f37a06b296d8de7aa51344ba5d9b45524aa25fb"),
+    ("arf", 7, 400.0, RAYLEIGH, 0, 5e6,
      "e647de7da56ce2feed4b09267d5c2777754f77b0615ec39679cdeba2f7a6a7b5"),
     # zero rate: no arrival is ever scheduled
-    ("arf", 3, 0.0, EXPLICIT, 7, dict(duration_us=1e6), False,
+    ("arf", 3, 0.0, EXPLICIT, 7, 1e6,
      "aab7169ae38ecbd14dde8379fad3f0a6dd35e3762fb452ddf9b18855df47ef6e"),
     # N = 15 past saturation: retry-limit drops and DCF windows up to CW_MAX
-    ("opportunistic", 15, 300.0, RAYLEIGH, 7, dict(duration_us=1e6), True,
-     "17c52405b2afcb64e4a8e1e2e85b5e56f5d0a85632ff93758149e1c5cc0e76fc"),
-    ("arf", 15, 300.0, RAYLEIGH, 7, dict(duration_us=2e6), False,
+    ("opportunistic", 15, 300.0, RAYLEIGH, 7, 1e6,
+     "b3cc1c0a73a824a9c62c93b921bfa85d11c6b0e9431144c5c91c3c69dff29bf2"),
+    ("arf", 15, 300.0, RAYLEIGH, 7, 2e6,
      "3f2cc25a053909f7f39bac3f13931c3a7ce059bbdd5f2d0fac5b96c431b195e4"),
-    ("threshold", 15, 300.0, RAYLEIGH, 7, dict(duration_us=2e6), False,
+    ("threshold", 15, 300.0, RAYLEIGH, 7, 2e6,
      "6fc7455db58fadbe3882bad72dffd51bd12eea697a1c3ae09288ea01cba9ef4b"),
     # N = 15 at moderate load: mid-contention joiners that tie the earliest
     # pending expiry
-    ("opportunistic", 15, 40.0, RAYLEIGH, 7, dict(duration_us=2e6), True,
-     "3f3626d042dea0e885be64e94572d3c24448e79785a4112d72130bbd9ed94988"),
+    ("opportunistic", 15, 40.0, RAYLEIGH, 7, 2e6,
+     "d0b1b035796624760a416ba1d928a8a47931751dec3b95487d029de985bb9bf5"),
     # DCF joiners that tie the earliest expiry (52 of them): colliders draw
     # channel states in station order, which threshold rates remember
-    ("threshold", 15, 40.0, RAYLEIGH, 7, dict(duration_us=20e6), False,
+    ("threshold", 15, 40.0, RAYLEIGH, 7, 20e6,
      "5cb88c096a37de50f404cc20652bb093129c2775b7990d8dba365bbe09b07d54"),
 ]
 
 
-def test_golden_report_digests(policy, timing, space, tmp_path):
-    """Short runs of both simulators in every stopping mode reproduce their
-    pinned reports and renewal traces byte for byte, including runs with
-    retry-limit drops (AP-queue drops in DCF) and AP merges."""
+def test_golden_report_digests(policy, timing, space):
+    """Short runs of both simulators, at light load, past saturation and at
+    a zero rate, reproduce their pinned reports byte for byte, including
+    runs with retry-limit drops (AP-queue drops in DCF) and AP merges."""
     got, ap_drops, merges = [], 0, 0
-    for i, (mac, n, lam, chan, retry, bounds, trace, _) in enumerate(GOLDEN_RUNS):
+    for i, (mac, n, lam, chan, retry, duration_us, _) in enumerate(GOLDEN_RUNS):
         cfg = SystemConfig(n_stations=n, retry_limit=retry,
                            seed=11 + i, **chan)
-        path = tmp_path / f"trace{i}.csv" if trace else None
         if mac == "opportunistic":
-            rep = quiet_run(lam, cfg, policy, timing, space, trace_path=path, **bounds)
+            rep = quiet_run(lam, cfg, policy, timing, space, duration_us=duration_us)
         else:
-            rep = quiet_dcf(lam, cfg, timing, space, mac, **bounds)
-        digest = hashlib.sha256(rep.to_json().encode())
-        if path is not None:
-            digest.update(path.read_bytes())
-        got.append(digest.hexdigest())
+            rep = quiet_dcf(lam, cfg, timing, space, mac, duration_us=duration_us)
+        got.append(hashlib.sha256(rep.to_json().encode()).hexdigest())
         ap_drops += rep.queues.get("ap", {}).get("dropped", 0)
         merges += rep.ap_internal_merges
     assert got == [run[-1] for run in GOLDEN_RUNS]
