@@ -9,7 +9,6 @@ from .core import (
     ParameterError,
     SystemConfig,
     TimerPolicy,
-    state_from_timer,
     state_probabilities,
 )
 from .kernels import ConsistencyError, KernelTable, build_kernels
@@ -22,7 +21,7 @@ from .analysis import (
 
 __all__ = [
     "AP", "STA", "ChannelSpace", "MacTiming", "ParameterError", "SystemConfig",
-    "TimerPolicy", "state_from_timer", "state_probabilities",
+    "TimerPolicy", "state_probabilities",
     "ConsistencyError", "KernelTable", "build_kernels", "AnalysisSolution",
     "CycleModel", "OccupancyPrior", "fixed_point",
 ]

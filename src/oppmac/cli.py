@@ -24,7 +24,6 @@ import hashlib
 import math
 import os
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,9 +59,9 @@ class ExperimentSpec:
         bad = [s for s in self.schemes if s not in ALL_SCHEMES]
         if bad:
             raise ConfigError("--scheme", f"unknown scheme(s) {bad}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise ConfigError("--duration-s",
-                              f"must be finite and > 0, got {self.duration_s!r}")
+        if not (math.isfinite(self.duration_s * 1e6) and self.duration_s > 0.0):
+            raise ConfigError("--duration-s", f"must be > 0 and finite in microseconds, "
+                                              f"got {self.duration_s!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ConfigError("--tolerance",
                               f"must be finite and >= 0, got {self.tolerance!r}")
@@ -78,13 +77,11 @@ def _simulate_one(job) -> SimReport:
     setup, duration_s, overrides, scheme, lam, rep = job
     cfg = replace(setup.config, seed=_run_seed(setup.config.seed, scheme, lam, rep),
                   **overrides)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if scheme == "opportunistic":
-            return run_opportunistic(lam, cfg, setup.policy, setup.timing, setup.space,
-                                     duration_us=duration_s * 1e6)
-        return run_dcf(lam, cfg, setup.timing, setup.space, duration_us=duration_s * 1e6,
-                       rate_adaptation=scheme.split("-", 1)[1])
+    if scheme == "opportunistic":
+        return run_opportunistic(lam, cfg, setup.policy, setup.timing, setup.space,
+                                 duration_us=duration_s * 1e6)
+    return run_dcf(lam, cfg, setup.timing, setup.space, duration_us=duration_s * 1e6,
+                   rate_adaptation=scheme.split("-", 1)[1])
 
 
 def _take_own_cpu(cpus: list) -> None:

@@ -76,11 +76,16 @@ def check_rate(lambda_pps: float) -> None:
                              f"got {lambda_pps!r}")
 
 
+WARMUP_FRAC = 0.05  # warmup share of a simulated duration
+
+
 def check_duration(duration_us: float) -> None:
-    """Refuses a simulated duration that is not finite and positive."""
-    if not (math.isfinite(duration_us) and duration_us > 0.0):
-        raise ParameterError(f"duration must be finite and positive, "
-                             f"got {duration_us!r}")
+    """Refuses a simulated duration that is not finite or whose measured
+    window, the part after the warmup, is not positive in seconds."""
+    if not (math.isfinite(duration_us)
+            and (duration_us - WARMUP_FRAC * duration_us) * 1e-6 > 0.0):
+        raise ParameterError(f"duration must be finite and leave a positive "
+                             f"measured window, got {duration_us!r} us")
 
 
 def state_probabilities(space: ChannelSpace, mean_ebn0_db: float) -> np.ndarray:
@@ -143,13 +148,6 @@ class TimerPolicy:
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.num_states:
             raise ParameterError(f"state {state} outside 0..{self.num_states - 1}")
-
-
-def state_from_timer(policy: TimerPolicy, slots: int) -> int:
-    """Invert a timer length back to the channel state that produced it."""
-    if not 0 <= slots <= policy.t_max:
-        raise ParameterError(f"timer {slots} outside 0..{policy.t_max}")
-    return policy.num_states - 1 - slots // 2
 
 
 OFDM_SYMBOL_US = 4.0

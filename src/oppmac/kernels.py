@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .core import AP, STA, ParameterError, TimerPolicy, check_rate, state_from_timer
+from .core import AP, STA, ParameterError, TimerPolicy, check_rate
 
 S0, S1, S2, S3 = 0, 1, 2, 3
 PAIR_STATES = (S0, S1, S2, S3)
@@ -70,12 +70,11 @@ class KernelTable:
         self.both = both
         self.surv = surv
         self.cum_ap = ap.sum(axis=2)
-        # timer length -> channel state, used to weight PER / airtime by rate
-        self.state_of_l = np.array(
-            [state_from_timer(policy, l) for l in range(self.t_max + 1)])
-        # [s, k, h]: the AP / STA kernel mass grouped by the state h its timer implies
-        onehot = np.eye(policy.num_states)[self.state_of_l]
-        self.ap_by_state, self.sta_by_state = ap.dot(onehot), sta.dot(onehot)
+        # [s, k, h]: the AP / STA kernel mass grouped by the state h its timer
+        # implies; timers 2j and 2j + 1 mean state num_states - 1 - j
+        self.ap_by_state, self.sta_by_state = (
+            np.ascontiguousarray(x.reshape(4, self.t_max + 1, -1, 2).sum(axis=3)[:, :, ::-1])
+            for x in (ap, sta))
 
 
 def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> KernelTable:

@@ -21,7 +21,9 @@ the channel event, which precedes the mark.  A MAC is four hooks:
   earlier resolution time, or None if the pending one stands.
 - ``resolve(t)``: pick the outcome; return how long the channel is busy.
 - ``end(t)``: the transaction ends; apply the outcome through the shared
-  ``_Tally`` and return ``(state, side)`` of a success, else None.
+  ``_Tally``, the one record of the run, and return nothing.  A success is
+  the winner's delivery, so the report's success counts are sums of the
+  per-queue deliveries.
 
 Each contention is one pass over the backlogged queues: the opportunistic
 MAC keeps a running minimum of its timers, and DCF stores each backoff
@@ -44,7 +46,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import warnings
 from bisect import insort
 from dataclasses import dataclass
 from functools import partial
@@ -55,6 +56,7 @@ import numpy as np
 from .core import (
     AP,
     STA,
+    WARMUP_FRAC,
     ChannelSpace,
     MacTiming,
     ParameterError,
@@ -68,8 +70,6 @@ from .core import (
 # measurable memory, large enough that the numpy call per block is amortised.
 DRAW_BLOCK = 64
 ARRIVAL_BLOCK = 16
-
-WARMUP_FRAC = 0.05  # warmup share of the duration
 
 
 class InvariantError(RuntimeError):
@@ -131,30 +131,35 @@ class _QueueStat:
 
 
 class _Tally:
-    """Cumulative counters plus a warmup snapshot for windowed metrics, and
-    the per-queue bookkeeping both MACs share."""
+    """The one record of a run: the queues' names and sides, their counters
+    and the bookkeeping both MACs share, plus a warmup snapshot for windowed
+    metrics.  Success and side counts are sums of the per-queue deliveries."""
 
-    def __init__(self, n_queues: int, num_states: int, retry_limit: int | None):
-        self.q = [_QueueStat() for _ in range(n_queues)]
+    def __init__(self, names: list, ap_ids, num_states: int, retry_limit: int | None):
+        self.names = names
+        self.ap_ids = ap_ids  # the AP-side queues, ascending
+        self.q = [_QueueStat() for _ in names]
         self.retry_limit = retry_limit
         self.backlogged: set[int] = set()  # queues with backlog > 0
         self.collisions = 0
         self.ap_merges = 0
-        self.successes = 0
         self.last_success_t = None
         self.first_after_snap = None
         self.winner_states = [0] * num_states
-        self.winner_sides = {AP: 0, STA: 0}
         self.snap = None
 
     def flush(self, t: float) -> None:
         for qs in self.q:
             qs.flush(t)
 
-    def deliver(self, q: int, t: float) -> None:
-        """Queue q's head packet got through."""
+    def deliver(self, q: int, t: float, state: int) -> None:
+        """Queue q's head packet got through in (rate) state ``state``."""
         self.q[q].delivered += 1
         self._pop_head(q, t)
+        self.last_success_t = t
+        self.winner_states[state] += 1
+        if self.snap is not None and self.first_after_snap is None:
+            self.first_after_snap = t
 
     def fail(self, q: int, t: float) -> bool:
         """Queue q's head packet failed an attempt; return whether that
@@ -175,14 +180,6 @@ class _Tally:
         if not qs.backlog:
             self.backlogged.discard(q)
 
-    def on_success(self, t: float, state: int, side: str) -> None:
-        self.successes += 1
-        self.last_success_t = t
-        self.winner_states[state] += 1
-        self.winner_sides[side] += 1
-        if self.snap is not None and self.first_after_snap is None:
-            self.first_after_snap = t
-
     def snapshot(self, t: float) -> None:
         self.flush(t)
         self.first_after_snap = None
@@ -191,10 +188,8 @@ class _Tally:
             "delivered": [qs.delivered for qs in self.q],
             "occ": [qs.occ_us for qs in self.q],
             "collisions": self.collisions,
-            "successes": self.successes,
             "last_success_t": self.last_success_t,
             "winner_states": list(self.winner_states),
-            "winner_sides": dict(self.winner_sides),
         }
 
 
@@ -250,13 +245,14 @@ def _gap_draws(rng, mean_us: float):
 
 
 def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
-         next_gap: list, start, join, resolve, end, duration_us: float,
-         queue_name, ap_queue_ids) -> SimReport:
+         next_gap: list, start, join, resolve, end, duration_us: float) -> SimReport:
     """The event loop both MACs share; the MAC is the four hooks (see the
-    module docstring).  ``next_gap[q]`` gives queue q's inter-arrival gaps
-    (empty at a zero rate).  The run ends at ``duration_us``, which the
-    caller checked is finite and positive, so the warmup mark at
-    ``WARMUP_FRAC`` of it fires first.
+    module docstring), of which ``end`` returns nothing: ``tally`` holds
+    everything the report reads.  ``next_gap[q]`` gives queue q's
+    inter-arrival gaps (empty at a zero rate).  The run ends at
+    ``duration_us``, which the caller checked with ``check_duration``, so
+    the warmup mark at ``WARMUP_FRAC`` of it fires first and the measured
+    window is positive.
 
     The heap holds one ``(time_us, queue)`` entry per queue, its next
     arrival, advanced by one ``heapreplace`` per arrival.  ``t_chan`` is the
@@ -301,9 +297,7 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
                 t_chan = now + resolve(now)
                 continue
             busy = False
-            won = end(now)
-            if won is not None:
-                tally.on_success(now, *won)
+            end(now)
             # the trailing interframe gap elapsed inside the transaction
             t_chan = start(now) if backlogged else inf
 
@@ -312,8 +306,7 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
             t_mark = inf
 
     tally.flush(duration_us)
-    return _build_report(scheme, config, lambda_pps, tally, duration_us, queue_name,
-                         ap_queue_ids)
+    return _build_report(scheme, config, lambda_pps, tally, duration_us)
 
 
 def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
@@ -342,7 +335,8 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     next_coin = _blocks(per_rng.random, DRAW_BLOCK).__next__
     next_gap = [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs] if lam_us > 0.0 else []
 
-    tally = _Tally(nq, space.num_states, config.retry_limit)
+    tally = _Tally([f"{side}{i}" for i in range(n) for side in (AP, STA)],
+                   range(0, nq, 2), space.num_states, config.retry_limit)
     backlogged = tally.backlogged
     tau = 0.0
     pair_state: list = [None] * n
@@ -404,43 +398,32 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
         attempted, ok = first, False
         return max(air_us[pair_state[q >> 1]] for q in first) + difs
 
-    def end(t: float):
+    def end(t: float) -> None:
         if ok:
-            tally.deliver(attempted[0], t)
-            return won_state, STA if attempted[0] & 1 else AP
+            tally.deliver(attempted[0], t, won_state)
+            return
         if len(attempted) > 1:
             tally.collisions += 1
         for q in attempted:
             tally.fail(q, t)
-        return None
 
-    report = _run(
-        "opportunistic", config, lambda_pps, tally, next_gap, start, join, resolve, end,
-        duration_us,
-        queue_name=lambda q: f"{'ap' if q % 2 == 0 else 'sta'}{q // 2}",
-        ap_queue_ids=[q for q in range(nq) if q % 2 == 0])
-    if report.renewal_count < 1000:
-        warnings.warn(f"only {report.renewal_count} renewals in the measurement "
-                      "window; estimates may be noisy", stacklevel=2)
-    return report
+    return _run("opportunistic", config, lambda_pps, tally, next_gap, start, join,
+                resolve, end, duration_us)
 
 
-def _build_report(scheme, config, lambda_pps, tally, final_t, queue_name,
-                  ap_queue_ids) -> SimReport:
-    nq = len(tally.q)
+def _build_report(scheme, config, lambda_pps, tally, final_t) -> SimReport:
     snap = tally.snap
     measured = final_t - snap["t"]
     meas_s = measured * 1e-6
     queues = {}
-    for q in range(nq):
-        qs = tally.q[q]
+    for name, qs, before in zip(tally.names, tally.q, snap["delivered"]):
         if qs.arrivals != qs.delivered + qs.dropped + qs.backlog:
             raise InvariantError(
-                f"queue {queue_name(q)} breaks conservation: {qs.arrivals} arrivals "
+                f"queue {name} breaks conservation: {qs.arrivals} arrivals "
                 f"!= {qs.delivered} delivered + {qs.dropped} dropped "
                 f"+ {qs.backlog} backlog")
-        dmeas = qs.delivered - snap["delivered"][q]
-        queues[queue_name(q)] = {
+        dmeas = qs.delivered - before
+        queues[name] = {
             "arrivals": qs.arrivals,
             "delivered": qs.delivered,
             "dropped": qs.dropped,
@@ -448,15 +431,14 @@ def _build_report(scheme, config, lambda_pps, tally, final_t, queue_name,
             "delivered_measured": dmeas,
             "throughput_pps": dmeas / meas_s,
         }
-    ap_ids = set(ap_queue_ids)
-    down = sum(queues[queue_name(q)]["throughput_pps"] for q in ap_ids)
-    up = sum(queues[queue_name(q)]["throughput_pps"] for q in range(nq)
-             if q not in ap_ids)
-    occ = [(tally.q[q].occ_us - snap["occ"][q]) / measured for q in range(nq)]
-    sta_ids = [q for q in range(nq) if q not in ap_ids]
-    p_a = sum(occ[q] for q in ap_ids) / len(ap_ids)
-    p_s = sum(occ[q] for q in sta_ids) / len(sta_ids)
-    n_renew = tally.successes - snap["successes"]
+    rows = list(queues.values())
+    occ = [(qs.occ_us - before) / measured for qs, before in zip(tally.q, snap["occ"])]
+    sides = {AP: tally.ap_ids, STA: [q for q in range(len(rows)) if q not in tally.ap_ids]}
+    down, up = (sum(rows[q]["throughput_pps"] for q in ids) for ids in sides.values())
+    p_a, p_s = (sum(occ[q] for q in ids) / len(ids) for ids in sides.values())
+    side_counts = {side: sum(rows[q]["delivered_measured"] for q in ids)
+                   for side, ids in sides.items()}
+    n_renew = side_counts[AP] + side_counts[STA]
     mean_renewal = None
     if n_renew >= 1 and snap["last_success_t"] is not None:
         mean_renewal = (tally.last_success_t - snap["last_success_t"]) / n_renew
@@ -484,8 +466,7 @@ def _build_report(scheme, config, lambda_pps, tally, final_t, queue_name,
         mean_renewal_us=mean_renewal,
         winner_state_counts=[a - b for a, b in
                              zip(tally.winner_states, snap["winner_states"])],
-        winner_side_counts={k: tally.winner_sides[k] - snap["winner_sides"][k]
-                            for k in tally.winner_sides},
+        winner_side_counts=side_counts,
         ap_internal_merges=tally.ap_merges,
         dropped_total=sum(qs.dropped for qs in tally.q),
     )
@@ -561,7 +542,8 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
         next_gap = [_gap_draws(arr_rngs[0], 1.0 / (n * lam_us))]
         next_gap += [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs[1:]]
 
-    tally = _Tally(ns, space.num_states, config.retry_limit)
+    tally = _Tally([AP] + [f"{STA}{i}" for i in range(n)], [0], space.num_states,
+                   config.retry_limit)
     backlogged = tally.backlogged
     # destination of the AP's head packet, drawn at its first attempt; the
     # queue is FIFO, so the k-th head packet takes the stream's k-th draw
@@ -645,13 +627,13 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
         ok = next_coin() >= (per[ridx] if h >= ridx else 1.0)
         return busy + (difs if ok else eifs)
 
-    def end(t: float):
+    def end(t: float) -> None:
         nonlocal ap_dest
         if len(attempts) > 1:
             tally.collisions += 1
-        for st, link, _h, _r in attempts:
+        for st, link, _h, ridx in attempts:
             if ok:
-                tally.deliver(st, t)
+                tally.deliver(st, t, ridx)
             if ok or tally.fail(st, t):  # the head packet left the queue
                 cw[st] = CW_MIN
                 if st == 0:
@@ -663,12 +645,6 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
                     arf[link].on_success(top_rate)
                 else:
                     arf[link].on_failure()
-        if not ok:
-            return None
-        st, _link, _h, ridx = attempts[0]
-        return ridx, AP if st == 0 else STA
 
     return _run(f"dcf-{rate_adaptation}", config, lambda_pps, tally, next_gap,
-                start, join, resolve, end, duration_us,
-                queue_name=lambda st: "ap" if st == 0 else f"sta{st - 1}",
-                ap_queue_ids=[0])
+                start, join, resolve, end, duration_us)

@@ -384,7 +384,7 @@ def p_hat_minislot(side, i, others, kernels, per):
             raise ParameterError(f"side must be 'ap' or 'sta', got {side!r}")
         if weight == 0.0:
             continue
-        states = kernels.state_of_l[:k + 1]
+        states = kernels.policy.num_states - 1 - np.arange(k + 1) // 2
         total += weight * float(np.sum(row * (1.0 - per[states])))
     return total
 

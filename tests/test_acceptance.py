@@ -6,7 +6,6 @@ simulator cross-validation and the Monte-Carlo kernel grid (several minutes).
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -39,8 +38,6 @@ from oracles import (
     transition_prob,
     z_scores,
 )
-
-warnings.filterwarnings("ignore", message="only .* renewals")
 
 UNIFORM = (0.25, 0.25, 0.25, 0.25)
 MC_TRIALS = 1_000_000

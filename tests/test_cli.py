@@ -443,17 +443,19 @@ def test_bad_lambda_exit_code(tmp_path, capsys, verb, rates):
 @pytest.mark.parametrize("flag,value", [
     ("--duration-s", "nan"), ("--duration-s", "inf"),  # would never reach the end time
     ("--duration-s", "0"), ("--duration-s", "-1"),     # would report a silent zero
+    ("--duration-s", "1e+303"),                        # inf in microseconds
     ("--tolerance", "nan"), ("--tolerance", "-1"),     # would breach every row
 ])
 def test_bad_duration_or_tolerance_exit_code(tmp_path, capsys, monkeypatch,
                                              verb, flag, value):
-    """Rejected while building the spec, before any model or simulator starts;
-    simulate takes no --tolerance, so there the flag itself is refused."""
+    """Rejected while building the spec, naming the flag and the value given,
+    before any model or simulator starts; simulate takes no --tolerance, so
+    there the flag itself is refused."""
     forbid_model_and_simulator(monkeypatch)
     assert exit_code([verb, "--lambda", "20", f"{flag}={value}", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     if flag in VERB_FLAGS[verb]:
-        assert f"config key {flag!r}" in err
+        assert f"config key {flag!r}" in err and value in err
     else:
         assert f"unrecognized arguments: {flag}={value}" in err
     assert not any(tmp_path.iterdir())

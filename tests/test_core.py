@@ -13,7 +13,6 @@ from oppmac import (
     ParameterError,
     SystemConfig,
     TimerPolicy,
-    state_from_timer,
     state_probabilities,
 )
 from oppmac.core import ack_airtime_us, data_airtime_us
@@ -108,23 +107,6 @@ def test_timer_draw_frequency():
     assert pol.base_slot(2) == 2
     assert pol.slot_probs(2, AP) == {2: 0.3, 3: 0.7}
     assert pol.slot_probs(2, STA) == {2: 0.7, 3: 1.0 - 0.7}
-
-
-def test_state_from_timer_round_trip():
-    pol = TimerPolicy(p=0.4, delta_us=9.0, num_states=4)
-    for state in range(pol.num_states):
-        for side in (AP, STA):
-            for slots in pol.slot_probs(state, side):
-                assert state_from_timer(pol, slots) == state
-
-
-def test_state_from_timer_edges(policy):
-    assert state_from_timer(policy, 0) == 3
-    assert state_from_timer(policy, 1) == 3
-    assert state_from_timer(policy, 7) == 0
-    for bad in (-1, 8):
-        with pytest.raises(ParameterError):
-            state_from_timer(policy, bad)
 
 
 def test_airtime_hand_check():

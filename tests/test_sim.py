@@ -1,6 +1,5 @@
 import hashlib
 import json
-import warnings
 from functools import partial
 
 import numpy as np
@@ -25,18 +24,6 @@ from oppmac.sim import (
 from oracles import bianchi_saturation
 
 
-def quiet_run(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_opportunistic(*args, **kwargs)
-
-
-def quiet_dcf(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_dcf(*args, **kwargs)
-
-
 def assert_conservation(report):
     for name, q in report.queues.items():
         assert q["arrivals"] == q["delivered"] + q["dropped"] + q["backlog"], name
@@ -46,9 +33,9 @@ def assert_conservation(report):
 def test_zero_rate_run_is_empty(mac, policy, timing, space):
     cfg = SystemConfig(n_stations=3, pi=(0.25,) * 4, seed=9)
     if mac == "opportunistic":
-        rep = quiet_run(0.0, cfg, policy, timing, space, duration_us=1e6)
+        rep = run_opportunistic(0.0, cfg, policy, timing, space, duration_us=1e6)
     else:
-        rep = quiet_dcf(0.0, cfg, timing, space, "arf", duration_us=1e6)
+        rep = run_dcf(0.0, cfg, timing, space, "arf", duration_us=1e6)
     assert rep.duration_us == 1e6
     assert rep.system_pps == 0.0
     assert rep.collisions_total == 0
@@ -61,31 +48,32 @@ def test_zero_rate_run_is_empty(mac, policy, timing, space):
 @pytest.mark.parametrize("mac", ["opportunistic", "dcf"])
 @pytest.mark.parametrize("lam,duration_us", [
     (20.0, float("nan")), (20.0, float("inf")), (20.0, -1e6), (20.0, 0.0),
-    (0.0, float("nan")),
+    (0.0, float("nan")), (20.0, 5e-324),
 ])
 def test_bad_duration_refused_at_entry(mac, lam, duration_us, policy, timing, space,
                                        monkeypatch):
-    """A duration that is not finite and positive is refused by both
-    simulators before the event loop starts: it would hang (NaN, inf) or
-    return an all-zero report (negative, zero)."""
+    """A duration that is not finite and positive, or whose measured window
+    rounds to 0 s, is refused by both simulators before the event loop
+    starts: it would hang (NaN, inf), return an all-zero report (negative,
+    zero) or divide by a zero window (5e-324)."""
     def started(*args, **kwargs):
         raise AssertionError("the event loop started")
     monkeypatch.setattr(sim, "_run", started)
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     with pytest.raises(ParameterError, match="duration"):
         if mac == "opportunistic":
-            quiet_run(lam, cfg, policy, timing, space, duration_us=duration_us)
+            run_opportunistic(lam, cfg, policy, timing, space, duration_us=duration_us)
         else:
-            quiet_dcf(lam, cfg, timing, space, "arf", duration_us=duration_us)
+            run_dcf(lam, cfg, timing, space, "arf", duration_us=duration_us)
 
 
 def test_determinism_bit_identical(policy, timing, space):
     cfg = SystemConfig(n_stations=4, pi=(0.25,) * 4, seed=1234)
-    a = quiet_run(70.0, cfg, policy, timing, space, duration_us=3e6)
-    b = quiet_run(70.0, cfg, policy, timing, space, duration_us=3e6)
+    a = run_opportunistic(70.0, cfg, policy, timing, space, duration_us=3e6)
+    b = run_opportunistic(70.0, cfg, policy, timing, space, duration_us=3e6)
     assert a.to_json() == b.to_json()
-    c = quiet_run(70.0, SystemConfig(n_stations=4, pi=(0.25,) * 4, seed=1235),
-                  policy, timing, space, duration_us=3e6)
+    c = run_opportunistic(70.0, SystemConfig(n_stations=4, pi=(0.25,) * 4, seed=1235),
+                          policy, timing, space, duration_us=3e6)
     assert c.to_json() != a.to_json()
 
 
@@ -100,7 +88,7 @@ def test_conservation_random_loads(seed, policy, timing, space):
         retry_limit=int(rng.integers(0, 4)),
         seed=seed,
     )
-    rep = quiet_run(lam, cfg, policy, timing, space, duration_us=4e6)
+    rep = run_opportunistic(lam, cfg, policy, timing, space, duration_us=4e6)
     assert_conservation(rep)
     assert rep.duration_us == 4e6
 
@@ -113,14 +101,14 @@ def test_parity_split_kills_pair_collisions(timing, space):
     policy = TimerPolicy(p=1.0, delta_us=9.0, num_states=4)
     cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4,
                        per_state_per=(0.0,) * 4, retry_limit=None, seed=5)
-    rep = quiet_run(20.0, cfg, policy, timing, space, duration_us=30e6)
+    rep = run_opportunistic(20.0, cfg, policy, timing, space, duration_us=30e6)
     assert rep.collisions_total == 0
     assert rep.renewal_count > 500
 
 
 def test_saturated_occupancy(policy, timing, space):
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, retry_limit=None, seed=2)
-    rep = quiet_run(5000.0, cfg, policy, timing, space, duration_us=5e6)
+    rep = run_opportunistic(5000.0, cfg, policy, timing, space, duration_us=5e6)
     assert rep.p_a_hat > 0.999 and rep.p_s_hat > 0.999
     assert rep.collisions > 0
     assert rep.ap_internal_merges > 0  # simultaneous AP expiries merged
@@ -131,7 +119,7 @@ def test_winner_rate_bias(policy, timing, space):
     dominate the raw channel distribution."""
     pi = (0.25, 0.25, 0.25, 0.25)
     cfg = SystemConfig(n_stations=3, pi=pi, retry_limit=None, seed=8)
-    rep = quiet_run(3000.0, cfg, policy, timing, space, duration_us=20e6)
+    rep = run_opportunistic(3000.0, cfg, policy, timing, space, duration_us=20e6)
     counts = np.asarray(rep.winner_state_counts, dtype=float)
     emp_cdf = np.cumsum(counts / counts.sum())
     pi_cdf = np.cumsum(pi)
@@ -142,44 +130,38 @@ def test_matches_analysis_n2(policy, timing, space, uniform_pi):
     """Analysis cross-validation at desk scale: N=2, lambda=20."""
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, retry_limit=None, seed=42)
     sol = fixed_point(20.0, cfg, TimerPolicy(), uniform_pi, timing)
-    rep = quiet_run(20.0, cfg, policy, timing, space, duration_us=1875e6)
+    rep = run_opportunistic(20.0, cfg, policy, timing, space, duration_us=1875e6)
     assert abs(rep.p_a_hat - sol.p_a) / sol.p_a < 0.02
     assert abs(rep.p_s_hat - sol.p_s) / sol.p_s < 0.02
     assert abs(rep.mean_renewal_us - sol.expected_renewal_us) \
         / sol.expected_renewal_us < 0.02
 
 
-def test_low_renewal_warning(policy, timing, space):
-    cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4, seed=1)
-    with pytest.warns(UserWarning, match="renewals"):
-        run_opportunistic(5.0, cfg, policy, timing, space, duration_us=2e6)
-
-
 def test_estimators(policy, timing, space):
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=6)
-    rep = quiet_run(50.0, cfg, policy, timing, space, duration_us=10e6)
+    rep = run_opportunistic(50.0, cfg, policy, timing, space, duration_us=10e6)
     assert 0.0 < rep.p_a_hat < 1.0 and 0.0 < rep.p_s_hat < 1.0
     assert rep.renewal_count > 0
     # mean renewal length = measured window / renewals, up to the partial
     # cycles at the window's two ends
     assert rep.mean_renewal_us == pytest.approx(rep.measured_us / rep.renewal_count,
                                                 rel=0.01)
-    empty = quiet_run(0.0, SystemConfig(n_stations=2, pi=(0.25,) * 4),
-                      policy, timing, space, duration_us=1e6)
+    empty = run_opportunistic(0.0, SystemConfig(n_stations=2, pi=(0.25,) * 4),
+                              policy, timing, space, duration_us=1e6)
     assert empty.mean_renewal_us is None
 
 
 def test_report_json_round_trip(policy, timing, space):
     """The JSON holds every report field, unchanged, plus the meta block."""
     cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4, seed=11)
-    rep = quiet_run(30.0, cfg, policy, timing, space, duration_us=2e6)
+    rep = run_opportunistic(30.0, cfg, policy, timing, space, duration_us=2e6)
     meta = {"config_hash": "abc"}
     assert json.loads(rep.to_json(meta)) == {**rep.__dict__, "_meta": meta}
 
 
 def test_rayleigh_mode_runs(policy, timing, space):
     cfg = SystemConfig(n_stations=2, mean_ebn0_db=28.0, seed=13)
-    rep = quiet_run(40.0, cfg, policy, timing, space, duration_us=5e6)
+    rep = run_opportunistic(40.0, cfg, policy, timing, space, duration_us=5e6)
     assert rep.system_pps > 0
     assert_conservation(rep)
 
@@ -196,8 +178,8 @@ def test_dcf_requires_duration(timing, space):
 
 def test_dcf_determinism_and_conservation(timing, space):
     cfg = SystemConfig(n_stations=3, mean_ebn0_db=25.0, seed=77)
-    a = quiet_dcf(120.0, cfg, timing, space, "arf", duration_us=5e6)
-    b = quiet_dcf(120.0, cfg, timing, space, "arf", duration_us=5e6)
+    a = run_dcf(120.0, cfg, timing, space, "arf", duration_us=5e6)
+    b = run_dcf(120.0, cfg, timing, space, "arf", duration_us=5e6)
     assert a.to_json() == b.to_json()
     assert_conservation(a)
     assert set(a.queues) == {"ap", "sta0", "sta1", "sta2"}
@@ -209,7 +191,7 @@ def test_dcf_equal_access_share(timing, space):
     n = 3
     lam = 1500.0
     cfg = SystemConfig(n_stations=n, pi=(0.25,) * 4, retry_limit=7, seed=21)
-    rep = quiet_dcf(lam, cfg, timing, space, "threshold", duration_us=60e6)
+    rep = run_dcf(lam, cfg, timing, space, "threshold", duration_us=60e6)
     share = rep.winner_side_counts["ap"] / sum(rep.winner_side_counts.values())
     assert abs(share - 1.0 / (n + 1)) < 0.01
     # and the downlink is starved relative to its offered load
@@ -232,7 +214,7 @@ def test_dcf_arf_counters():
 def test_dcf_arf_climbs_on_clean_channel(timing, space):
     cfg = SystemConfig(n_stations=1, pi=(0.0, 0.0, 0.0, 1.0),
                        per_state_per=(0.0,) * 4, retry_limit=7, seed=31)
-    rep = quiet_dcf(400.0, cfg, timing, space, "arf", duration_us=10e6)
+    rep = run_dcf(400.0, cfg, timing, space, "arf", duration_us=10e6)
     counts = rep.winner_state_counts
     assert counts[3] > 0.8 * sum(counts)  # reaches and stays at the top rate
 
@@ -242,7 +224,7 @@ def test_dcf_threshold_tracks_previous_state(timing, space):
     state, so with a frozen channel it is exact from the second attempt on."""
     cfg = SystemConfig(n_stations=1, pi=(0.0, 0.0, 1.0, 0.0),
                        per_state_per=(0.0,) * 4, retry_limit=7, seed=33)
-    rep = quiet_dcf(400.0, cfg, timing, space, "threshold", duration_us=5e6)
+    rep = run_dcf(400.0, cfg, timing, space, "threshold", duration_us=5e6)
     counts = rep.winner_state_counts
     assert counts[2] > 0.95 * sum(counts)
 
@@ -255,7 +237,7 @@ def test_dcf_matches_bianchi_saturation(n, timing, space):
     that collide lies within 10% of the model's."""
     cfg = SystemConfig(n_stations=n, pi=(0.0, 0.0, 0.0, 1.0),
                        per_state_per=(0.0,) * 4, retry_limit=None, seed=41)
-    rep = quiet_dcf(5000.0, cfg, timing, space, "threshold", duration_us=20e6)
+    rep = run_dcf(5000.0, cfg, timing, space, "threshold", duration_us=20e6)
     eifs = timing.difs_us + timing.sifs_us + timing.ack_us
     stages = ((CW_MAX + 1) // (CW_MIN + 1)).bit_length() - 1
     pps, col_share = bianchi_saturation(n + 1, CW_MIN + 1, stages, timing.per_state_tx_us[3],
@@ -279,9 +261,9 @@ def test_simulators_reject_mismatched_lengths(mac, lengths, policy, timing, spac
     cfg = SystemConfig(n_stations=2, seed=3, **lengths)
     with pytest.raises(ParameterError, match="length does not match"):
         if mac == "opportunistic":
-            quiet_run(50.0, cfg, policy, timing, space, duration_us=1e6)
+            run_opportunistic(50.0, cfg, policy, timing, space, duration_us=1e6)
         else:
-            quiet_dcf(50.0, cfg, timing, space, "arf", duration_us=1e6)
+            run_dcf(50.0, cfg, timing, space, "arf", duration_us=1e6)
 
 
 @pytest.mark.parametrize("mac", ["opportunistic", "dcf", "analysis"])
@@ -292,9 +274,9 @@ def test_bad_rate_refused_at_entry(mac, lam, policy, timing, space, uniform_pi):
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     with pytest.raises(ParameterError, match="arrival rate"):
         if mac == "opportunistic":
-            quiet_run(lam, cfg, policy, timing, space, duration_us=1e6)
+            run_opportunistic(lam, cfg, policy, timing, space, duration_us=1e6)
         elif mac == "dcf":
-            quiet_dcf(lam, cfg, timing, space, "arf", duration_us=1e6)
+            run_dcf(lam, cfg, timing, space, "arf", duration_us=1e6)
         else:
             fixed_point(lam, cfg, policy, uniform_pi, timing)
 
@@ -344,11 +326,10 @@ def test_heap_entry_ordering(space):
     first = [5.0, 5.0, 1.0, 3.0]
     next_gap = [iter([g, 1e9]).__next__ for g in first]
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
-    tally = _Tally(4, space.num_states, None)
+    tally = _Tally(["0", "1", "2", "3"], [0, 2], space.num_states, None)
     snapshot = tally.snapshot
     tally.snapshot = lambda t: (calls.append(("mark", t)), snapshot(t))
-    rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end,
-               100.0, queue_name=str, ap_queue_ids=[0, 2])
+    rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end, 100.0)
     assert calls == [("start", 1.0), ("join", 3, 3.0), ("join", 0, 5.0),
                      ("join", 1, 5.0), ("resolve", 5.0), ("mark", 5.0),
                      ("end", 15.0), ("start", 15.0)]
@@ -397,22 +378,20 @@ def test_block_draws_match_scalar_calls(space):
 def test_conservation_breach_raises():
     """The report refuses counters where a packet went missing."""
     cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4)
-    tally = _Tally(2, 4, None)
+    tally = _Tally(["ap0", "sta0"], [0], 4, None)
     tally.snapshot(0.0)
     tally.q[1].arrivals = 3
     tally.q[1].delivered = 1
     tally.q[1].backlog = 1
     with pytest.raises(InvariantError, match="sta0 breaks conservation"):
-        _build_report("opportunistic", cfg, 10.0, tally, 1e6,
-                      queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
+        _build_report("opportunistic", cfg, 10.0, tally, 1e6)
     tally.q[1].dropped = 1
-    rep = _build_report("opportunistic", cfg, 10.0, tally, 1e6,
-                        queue_name=["ap0", "sta0"].__getitem__, ap_queue_ids=[0])
+    rep = _build_report("opportunistic", cfg, 10.0, tally, 1e6)
     assert rep.queues["sta0"]["arrivals"] == 3
 
 
 def _tally_with_backlog(retry_limit, backlog):
-    tally = _Tally(2, 4, retry_limit)
+    tally = _Tally(["ap0", "sta0"], [0], 4, retry_limit)
     qs = tally.q[1]
     qs.arrivals = qs.backlog = backlog
     tally.backlogged.add(1)
@@ -448,13 +427,14 @@ def test_tally_deliver_resets_retries(retry_limit):
     if retry_limit != 0:
         assert not tally.fail(1, 5.0)
         assert qs.retry == 1
-    tally.deliver(1, 20.0)
+    tally.deliver(1, 20.0, 3)
     assert (qs.retry, qs.backlog, qs.delivered, qs.dropped) == (0, 1, 1, 0)
     assert tally.backlogged == {1} and qs.occ_us == 20.0
-    tally.deliver(1, 30.0)
+    tally.deliver(1, 30.0, 0)
     assert (qs.backlog, qs.delivered) == (0, 2)
     assert tally.backlogged == set() and qs.occ_us == 30.0
     assert tally.q[0].delivered == 0
+    assert tally.winner_states == [1, 0, 0, 1] and tally.last_success_t == 30.0
 
 
 def test_replication_consistency(policy, timing, space):
@@ -462,7 +442,7 @@ def test_replication_consistency(policy, timing, space):
     reps = []
     for seed in (1, 2, 3):
         cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=seed)
-        reps.append(quiet_run(60.0, cfg, policy, timing, space, duration_us=20e6))
+        reps.append(run_opportunistic(60.0, cfg, policy, timing, space, duration_us=20e6))
     blobs = {r.to_json() for r in reps}
     assert len(blobs) == 3
     rates = [r.system_pps for r in reps]
@@ -528,11 +508,32 @@ def test_golden_report_digests(policy, timing, space):
         cfg = SystemConfig(n_stations=n, retry_limit=retry,
                            seed=11 + i, **chan)
         if mac == "opportunistic":
-            rep = quiet_run(lam, cfg, policy, timing, space, duration_us=duration_us)
+            rep = run_opportunistic(lam, cfg, policy, timing, space,
+                                    duration_us=duration_us)
         else:
-            rep = quiet_dcf(lam, cfg, timing, space, mac, duration_us=duration_us)
+            rep = run_dcf(lam, cfg, timing, space, mac, duration_us=duration_us)
         got.append(hashlib.sha256(rep.to_json().encode()).hexdigest())
         ap_drops += rep.queues.get("ap", {}).get("dropped", 0)
         merges += rep.ap_internal_merges
     assert got == [run[-1] for run in GOLDEN_RUNS]
     assert ap_drops > 0 and merges > 0
+
+
+@pytest.mark.parametrize("mac", ["opportunistic", "arf", "threshold"])
+@pytest.mark.parametrize("chan", [EXPLICIT, RAYLEIGH], ids=["explicit", "rayleigh"])
+def test_success_counts_are_delivery_sums(mac, chan, policy, timing, space):
+    """The renewal, winner-state and winner-side counts of a report are sums
+    of the per-queue post-warmup deliveries, the AP side's over the AP
+    queues.  The runs have retry-limit drops and collisions, so failed
+    attempts and drops count in none of them."""
+    cfg = SystemConfig(n_stations=4, retry_limit=1, seed=5, **chan)
+    if mac == "opportunistic":
+        rep = run_opportunistic(300.0, cfg, policy, timing, space, duration_us=2e6)
+    else:
+        rep = run_dcf(300.0, cfg, timing, space, mac, duration_us=2e6)
+    delivered = {name: q["delivered_measured"] for name, q in rep.queues.items()}
+    assert rep.renewal_count > 0 and rep.collisions > 0 and rep.dropped_total > 0
+    assert rep.renewal_count == sum(delivered.values()) \
+        == sum(rep.winner_state_counts) == sum(rep.winner_side_counts.values())
+    assert rep.winner_side_counts["ap"] == sum(
+        d for name, d in delivered.items() if name.startswith("ap"))
