@@ -4,10 +4,11 @@
 Each N runs in a fresh interpreter with BLAS pinned to one thread.  The
 child builds the lambda = 50 pkts/s kernels of the default configuration
 with ``system.n_stations = N``, then times the ``CycleModel`` build, and
-reports the build time, its own peak RSS and the number of cells of the
-others' move pattern.  The build starts with those cells (the moves out of
-the censuses of N - 1 pairs, one exponent pair and coefficient sum per
-cell), so ``cells_s``, the time of that step alone, is part of ``build_s``.
+reports the build time, its own peak RSS, the number of cells of the move
+pattern and the number of unknowns of the census system, C(N+3, 3).  The
+build starts with those cells (the moves out of the censuses of all N
+pairs, one exponent pair and coefficient sum per cell), so ``cells_s``, the
+time of that step alone, is part of ``build_s``.
 ``--max-gb`` caps each child's address space, so that an N too large for
 the machine fails with a ``MemoryError`` instead of exhausting it.
 
@@ -41,7 +42,7 @@ def child(n: int, max_gb: float | None) -> dict:
     kernels = build_kernels(setup.policy, setup.resolve_pi(), LAMBDA_PPS)
     start = time.perf_counter()
     try:
-        census_space(n - 1)._cells
+        census_space(n)._cells
         cells_s = time.perf_counter() - start
         model = CycleModel(kernels, setup.timing, setup.config.per_state_per, n)
     except MemoryError:
@@ -49,7 +50,7 @@ def child(n: int, max_gb: float | None) -> dict:
     build_s = time.perf_counter() - start
     return {"n": n, "build_s": build_s, "cells_s": cells_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "cells": len(model.others_space.pattern.src), "unknowns": len(model.tagged_ap)}
+            "cells": len(model.space.pattern.src), "unknowns": len(model.space.counts)}
 
 
 def run(n: int, max_gb: float | None) -> dict:

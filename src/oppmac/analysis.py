@@ -1,15 +1,16 @@
 """Renewal-reward throughput model for the opportunistic MAC.
 
 A renewal cycle runs between consecutive successful-transmission ends and
-contains exactly one success.  Conditioning on the state i of a tagged pair
-and the census o of the other N-1 pairs at the start of each contention
-period yields one linear system y = c + M y for P(tagged AP / STA wins the
-cycle) and the expected cycle length.  (i, o) lumps onto the census o + e_i
-of all N pairs, so the last column is E[R | census] (checked to agree over i).
+contains exactly one success.  The pairs are exchangeable, so conditioning
+on the census c of all N pairs at the start of each contention period
+yields one linear system Y = r + M Y for P(the AP side / the STA side wins
+the cycle | c) and E[R | c].  A tagged pair wins with 1/N of its side's
+probability, since rho_i P_{N-1}(c - e_i) = P_N(c) k_i / N; exactly one
+queue wins, so Y_AP + Y_STA = 1 at every census whose cycle ends (checked).
 
 M holds only periods that end without a success; no queue empties in them, so
-off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3 plus the
-tagged pair's nonempty queues, and ``block_sweep`` solves it by level.
+off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3, and
+``block_sweep`` solves it by level.
 
 A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
@@ -17,12 +18,11 @@ The arrival moves between censuses are tabulated once per pair count
 (``CensusSpace``) as the (source, destination) cells of one ``MovePattern``:
 a move raises p_t to the levels it gains and 1 - p_t to the queues it leaves
 empty, so a cell keeps one exponent pair (ep, eq) and its moves' coefficient
-sum.  M is never formed densely: it is 4 x 4 blocks i -> j over the others'
-censuses, nonzero only for j >= i in S0 < S1, S2 < S3, and each of those is
-coeff * sum_t w_t p_t^ep (1-p_t)^eq per cell, w_t scaled by f[i, j, t].
-Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
-fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
-multinomial census probabilities.
+sum.  M is never formed densely: it is coeff * sum_t w_t p_t^ep (1-p_t)^eq
+per cell, w_t the census's chance that the period ends without a success
+after window t.  Occupancy enters only through the i.i.d. per-queue prior
+(P_A, P_S): the fixed point lambda = Theta_AP = Theta_STA reweights the
+solved vectors by multinomial census probabilities.
 """
 
 from __future__ import annotations
@@ -34,17 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MacTiming, ParameterError, SystemConfig, TimerPolicy
-from .kernels import (
-    PAIR_STATES,
-    S0,
-    S1,
-    S2,
-    S3,
-    ConsistencyError,
-    KernelTable,
-    _gl_nodes,
-    build_kernels,
-)
+from .kernels import PAIR_STATES, ConsistencyError, KernelTable, _gl_nodes, build_kernels
 
 
 @dataclass(frozen=True)
@@ -127,9 +117,6 @@ class MovePattern:
             self.levels.append((rows, cells, first, np.flatnonzero(src[cells] == dst[cells])))
 
 
-OWN_LEVEL = (0, 1, 1, 2)  # nonempty queues of a pair in state S0 .. S3
-
-
 class CensusSpace:
     """The censuses of ``n`` pairs and the arrival moves between them.
 
@@ -143,7 +130,7 @@ class CensusSpace:
         self.n = n
         self.censuses = tuple(enumerate_censuses(n))
         self.counts = np.array([(n - sum(c),) + c for c in self.censuses])
-        self.level = self.counts @ OWN_LEVEL
+        self.level = self.counts @ (0, 1, 1, 2)  # nonempty queues of S0 .. S3
         self.multinom = np.array([math.factorial(n) / math.prod(map(math.factorial, k))
                                   for k in self.counts.tolist()])
         self.lookup = np.full((n + 1,) * 3, -1)
@@ -236,10 +223,10 @@ class CensusSpace:
         _, term, coeff = self._cells
         np.multiply(table.ravel().take(term), coeff, out=out)
 
-    def prior(self, rho, scale: float = 1.0) -> np.ndarray:
-        """``scale`` times the census probabilities when each pair is
-        independently in state j with probability rho[j]."""
-        out = scale * self.multinom
+    def prior(self, rho) -> np.ndarray:
+        """The census probabilities when each pair is independently in
+        state j with probability rho[j]."""
+        out = self.multinom
         for j in PAIR_STATES:
             out = out * rho[j] ** self.counts[:, j]
         return out
@@ -248,68 +235,33 @@ class CensusSpace:
 census_space = functools.lru_cache(maxsize=2)(CensusSpace)  # a model's n and n - 1 pairs
 
 
-def _tagged_prior_vec(prior: OccupancyPrior, n: int) -> np.ndarray:
-    """Tagged-state probabilities in ``CycleModel.tagged_ap`` order."""
-    rho = prior.pair_state_probs()
-    return np.concatenate([census_space(n - 1).prior(rho, r) for r in rho])
-
-
-def block_sweep(pattern: MovePattern, blocks: dict, rhs: np.ndarray,
-                own=OWN_LEVEL) -> np.ndarray:
-    """Solve y = rhs + M y over the states (i, o), o a census of ``pattern``'s
-    space, at level ``own[i] + level[o]``.  ``blocks[i]`` is (targets, values):
-    M's block i -> targets[r] holds values[r] on the pattern's cells; every
-    target is i or has a higher ``own``, so off its diagonal M moves strictly
-    up a level.  From the top level down, y[i, o] = (rhs[i, o] + M[(i, o),
-    higher] y) / (1 - M[(i, o), (i, o)]).  A block that does not raise
-    ``own`` or a diagonal entry not below 1 raises ``ConsistencyError``.
-    ``rhs`` is (states, censuses, columns), and so is y."""
-    for i, (targets, _) in blocks.items():
-        for j in targets:
-            if j != i and own[j] <= own[i]:
-                raise ConsistencyError(f"block {i} -> {j} does not raise the level")
-    n = len(pattern.level)
-    # one row per rhs column, the censuses by level: a level is a slice
-    rhs = np.moveaxis(rhs[:, pattern.order], 2, 0)
-    y = np.zeros((len(rhs), len(own) * n))
-    top = len(pattern.levels) - 1
-    for lv in range(max(own) + top, -1, -1):
-        for i, base in enumerate(own):
-            if not 0 <= lv - base <= top:
-                continue
-            targets, values = blocks[i]
-            rows, cells, first, on = pattern.levels[lv - base]
-            vals = values[:, cells]
-            stay = 1.0 - vals[targets.index(i), on] if i in targets else np.ones(len(on))
-            if not (stay > 0.0).all():
-                raise ConsistencyError(f"a diagonal entry at level {lv} is not below 1")
-            to = n * np.array(targets, dtype=np.intp)[:, None] + pattern.to[cells]
-            moved = np.einsum("jc,kjc->kc", vals, np.take(y, to, axis=1))  # 0 at this level
-            y[:, i * n + rows.start:i * n + rows.stop] = (
-                rhs[:, i, rows] + np.add.reduceat(moved, first, axis=1)) / stay
-    return np.moveaxis(y.reshape(len(rhs), len(own), n)[:, :, pattern.rank], 0, 2)
-
-
-def _pair_law(p: np.ndarray) -> np.ndarray:
-    """f[i, j, t]: probability that a pair in state i is in state j after
-    window t (queues only fill; a nonempty queue keeps its packet)."""
-    q = 1.0 - p
-    f = np.zeros((4, 4, len(p)))
-    f[S0] = q ** 2, p * q, q * p, p * p
-    f[S1, S1], f[S1, S3] = q, p
-    f[S2, S2], f[S2, S3] = q, p
-    f[S3, S3] = 1.0
-    return f
+def block_sweep(pattern: MovePattern, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve y = rhs + M y over the censuses of ``pattern``'s space, M
+    holding ``values`` on the pattern's cells; off its diagonal M moves
+    strictly up a level.  From the top level down, y[o] = (rhs[o] +
+    M[o, higher] y) / (1 - M[o, o]).  A diagonal entry not below 1 raises
+    ``ConsistencyError``.  ``rhs`` is (censuses, columns), and so is y."""
+    rhs = rhs[pattern.order].T  # one row per column, the censuses by level
+    y = np.zeros(rhs.shape)
+    for lv in range(len(pattern.levels) - 1, -1, -1):
+        rows, cells, first, on = pattern.levels[lv]
+        vals = values[cells]
+        stay = 1.0 - vals[on]
+        if not (stay > 0.0).all():
+            raise ConsistencyError(f"a diagonal entry at level {lv} is not below 1")
+        moved = vals * np.take(y, pattern.to[cells], axis=1)  # 0 at this level
+        y[:, rows] = (rhs[:, rows] + np.add.reduceat(moved, first, axis=1)) / stay
+    return y[:, pattern.rank].T
 
 
 class CycleModel:
-    """Solved tagged success probabilities and per-census renewal lengths.
+    """Solved per-census win probabilities and renewal lengths.
 
     Everything except the occupancy prior is fixed by the kernels (which
     carry lambda), the timing, the per-state PER and N; ``throughput``
-    aggregates the solved vectors under a prior.  ``tagged_ap`` / ``_sta``
-    are indexed i * nl + o: tagged state i, census o of the nl censuses of
-    ``others_space``.
+    aggregates the solved vectors under a prior.  ``win_by_census[c]`` holds
+    P(the AP side / the STA side wins the cycle | census c of ``space``) and
+    ``renewal_by_census[c]`` E[R | c].
     """
 
     def __init__(self, kernels: KernelTable, timing: MacTiming, per, n: int):
@@ -329,7 +281,7 @@ class CycleModel:
             raise ParameterError(f"timing slot {timing.slot_us!r} us differs from "
                                  f"the timer slot {delta!r} us")
 
-        self.space, self.others_space = census_space(n), census_space(n - 1)
+        self.space = census_space(n)
 
         # window [k, s]: resolution at slot k, then a success in state s or,
         # for s = num_states, a collision; p is the per-queue arrival chance
@@ -337,13 +289,8 @@ class CycleModel:
         self._windows = (np.arange(self.kmax + 1) * delta)[:, None] + np.array(tx)
         self._p = -np.expm1(-(self.lambda_pps * 1e-6) * self._windows.ravel())
 
-        # _combined[i, o]: the census of all N pairs when the tagged pair is
-        # in state i and the others are in census o (one-to-one for each i)
-        grown = self.others_space.counts[None, :, 1:] + np.eye(4, dtype=int)[:, None, 1:]
-        self._combined = self.space.lookup[tuple(np.moveaxis(grown, 2, 0))]
-
         self._summarise()
-        self._solve_tagged()
+        self._solve()
 
     # ----- contention summaries of every census -------------------------
 
@@ -351,8 +298,9 @@ class CycleModel:
         """Against each census of the other n-1 pairs, at k = 0..t_max: the
         expected uniform-pick share of one more AP queue expiring at k and the
         probability that all those pairs survive past k.  Per census of all n
-        pairs: clean-win mass succ[c, k, winner state] and collision col[c, k]."""
-        kt, others = self.kernels, self.others_space
+        pairs: clean-win mass succ[c, k, winner state], collision col[c, k]
+        and won[c] = P(an AP / a STA queue wins and delivers this period)."""
+        kt, others = self.kernels, census_space(self.n - 1)
         # P(tau_min^j > k - 1) and P(tau_min^j > k) at k = 0..t_max
         before, surv = kt.surv[:, :-1], kt.surv[:, 1:]
         cnt = others.counts[:, :, None]
@@ -360,97 +308,84 @@ class CycleModel:
         for x, w in zip(*_gl_nodes(self.n - 1)):
             share += w * np.prod((surv + x * kt.cum_ap) ** cnt, axis=1)
         alone = np.prod(surv ** cnt, axis=1)
-        self._others_share, self._others_surv = share, alone
+        self._others_share = share
 
+        # the census of all n pairs when one pair is in state i and the
+        # others are in census o (one-to-one for each i)
+        grown = others.counts[None, :, 1:] + np.eye(4, dtype=int)[:, None, 1:]
+        combined = self.space.lookup[tuple(np.moveaxis(grown, 2, 0))]
         counts = self.space.counts
+        delivered = 1.0 - self.per
         succ = np.zeros((len(counts), self.kmax + 1, self.num_states))
+        won = np.zeros((len(counts), 2))
         for i in PAIR_STATES:  # the censuses with an s_i pair, and its others
-            c = self._combined[i]
-            ci = counts[c, i, None, None]
-            succ[c] += ci * kt.ap_by_state[i] * share[:, :, None]
-            succ[c] += ci * kt.sta_by_state[i] * alone[:, :, None]
+            c = combined[i]
+            ci = counts[c, i]
+            succ[c] += ci[:, None, None] * kt.ap_by_state[i] * share[:, :, None]
+            succ[c] += ci[:, None, None] * kt.sta_by_state[i] * alone[:, :, None]
+            won[c, 0] += ci * (share @ (kt.ap_by_state[i] @ delivered))
+            won[c, 1] += ci * (alone @ (kt.sta_by_state[i] @ delivered))
         cnt = counts[:, :, None]
         col = np.prod(before ** cnt, axis=1) - np.prod(surv ** cnt, axis=1) - succ.sum(axis=2)
         bad = np.flatnonzero(col.min(axis=1) < -1e-9)
         if len(bad):
             raise ConsistencyError(f"negative collision mass {col[bad[0]].min()} "
                                    f"at census {self.space.censuses[bad[0]]}")
-        self.succ, self.col = succ, np.clip(col, 0.0, None)
+        self.succ, self.col, self._won = succ, np.clip(col, 0.0, None), won
 
-    # ----- the tagged linear system ---------------------------------------
+    # ----- the census linear system ---------------------------------------
 
-    def _tagged_system(self):
-        """(blocks, rhs, idle) over the states (i, o).  blocks[i] holds M's
-        blocks i -> j on the others' move pattern for the states j that a
-        pair in state i can reach (see ``block_sweep``).  The rhs columns are
-        the tagged AP's and STA's win probability and the mean period length.
-        idle is M's closed-form row of (S0, empty census) as {(j, o): entry}."""
-        others, kt = self.others_space, self.kernels
-        nc, nl = len(self.space.counts), len(others.counts)
+    def _census_system(self):
+        """(values, rhs): M's entries on the cells of ``space.pattern`` and the
+        rhs columns P(the AP side / the STA side wins this period) and the
+        mean period length.  The empty census's row is the idle closed form
+        that ``_solve`` applies after the sweep in place of its cells'
+        values, so its rhs holds only the wait for the first arrival."""
+        space = self.space
+        nc = len(space.counts)
         # weights[c, window]: the period ends without a success (errored
         # success or collision) after that window; period[c] is its mean length
         succ, col = self.succ, self.col
         weights = np.concatenate([succ * self.per, col[:, :, None]], 2).reshape(nc, -1)
         period = ((succ * self._windows[:, :-1]).reshape(nc, -1).sum(axis=1)
                   + (col * self._windows[:, -1]).sum(axis=1))
-        pq = others.powers(self._p)
-        law = _pair_law(self._p)
-        delivered = 1.0 - self.per
-        blocks = {}
-        rhs = np.zeros((4, nl, 3))
-        for i in PAIR_STATES:
-            w = weights[self._combined[i]]
-            targets = [j for j in PAIR_STATES if law[i, j].any()]
-            blocks[i] = targets, np.empty((len(targets), len(others.pattern.src)))
-            for j, out in zip(*blocks[i]):
-                others.cell_values((w * law[i, j]) @ pq, out)
-            rhs[i, :, 0] = self._others_share @ (kt.ap_by_state[i] @ delivered)
-            rhs[i, :, 1] = self._others_surv @ (kt.sta_by_state[i] @ delivered)
-            rhs[i, :, 2] = period[self._combined[i]]
-        # idle system (closed form): wait for the first arrival, which lands
-        # on the tagged AP, the tagged STA, or one of the other pairs' queues
-        empty, idle = others.lookup[0, 0, 0], {}
-        rhs[S0, empty] = 0.0
+        values = np.empty(len(space.pattern.src))
+        space.cell_values(weights @ space.powers(self._p), values)
+        rhs = np.column_stack([self._won, period])
+        # idle (closed form): wait 1/(2 N lambda) for the first arrival
+        empty = space.lookup[0, 0, 0]
+        rhs[empty] = 0.0
         if self.lambda_pps > 0.0:
-            rhs[S0, empty, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
-            idle[S1, empty] = idle[S2, empty] = 1.0 / (2 * self.n)
-            if self.n > 1:
-                frac = (self.n - 1) / (2.0 * self.n)
-                idle[S0, others.lookup[1, 0, 0]] = idle[S0, others.lookup[0, 1, 0]] = frac
-        return blocks, rhs, idle
+            rhs[empty, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
+        return values, rhs
 
-    def _solve_tagged(self) -> None:
-        nl = len(self.others_space.counts)
-        blocks, rhs, idle = self._tagged_system()
-        pattern = self.others_space.pattern
-        if any(OWN_LEVEL[j] + pattern.level[o] <= 0 for j, o in idle):
-            raise ConsistencyError("the idle row has a move that does not leave level 0")
-        y = block_sweep(pattern, blocks, rhs)
-        # the idle state is the only one at level 0, so its closed-form row
-        # replaces the blocks' row after the sweep
-        empty = self.others_space.lookup[0, 0, 0]
-        y[S0, empty] = rhs[S0, empty] + sum(v * y[j, o] for (j, o), v in idle.items())
-        y = y.reshape(4 * nl, 3)
+    def _solve(self) -> None:
+        values, rhs = self._census_system()
+        y = block_sweep(self.space.pattern, values, rhs)
+        # the empty census is the only one at level 0, so its closed-form row
+        # replaces the cells' row after the sweep: the first arrival makes
+        # one pair AP-only or STA-only with 1/2 each
+        at = self.space.lookup
+        empty = at[0, 0, 0]
+        if self.lambda_pps > 0.0:
+            y[empty] = rhs[empty] + 0.5 * y[at[1, 0, 0]] + 0.5 * y[at[0, 1, 0]]
         if not np.all(np.isfinite(y)):
-            raise ConsistencyError("tagged linear system produced non-finite values")
-        self.tagged_ap, self.tagged_sta = y[:, 0], y[:, 1]
-        # E[R | c] is the period column at every (i, c - e_i); they must agree
-        by_class = np.full((4, len(self.space.counts)), np.nan)
-        by_class[np.arange(4)[:, None], self._combined] = y[:, 2].reshape(4, nl)
-        x = np.choose(np.argmax(self.space.counts > 0, axis=1), by_class)  # lowest i in c
-        spread = np.nanmax(by_class, axis=0) - np.nanmin(by_class, axis=0)
-        bad = np.flatnonzero(~(spread <= 1e-9 * x))
-        if len(bad):
-            raise ConsistencyError(f"E[R] differs by {spread[bad[0]]} between tagged "
-                                   f"states of census {self.space.censuses[bad[0]]}")
+            raise ConsistencyError("census linear system produced non-finite values")
         if self.lambda_pps == 0.0:  # no arrivals: the empty census never ends
-            x[self.space.lookup[0, 0, 0]] = np.inf
-        self.renewal_by_census = x
+            y[empty, 2] = np.inf
+        # every cycle that ends has exactly one winner
+        err = np.abs(y[:, 0] + y[:, 1] - 1.0)
+        bad = np.flatnonzero((err > 1e-9) & np.isfinite(y[:, 2]))
+        if len(bad):
+            raise ConsistencyError(f"the win probabilities of census "
+                                   f"{self.space.censuses[bad[0]]} sum to "
+                                   f"{y[bad[0], 0] + y[bad[0], 1]}, not 1")
+        self.win_by_census, self.renewal_by_census = y[:, :2], y[:, 2]
 
     # ----- aggregation ----------------------------------------------------
 
-    # The sums below are Python's sum in state order, as in the scalar loop
-    # they replace: the fixed point amplifies a change of summation order.
+    # The sums below are Python's sum in census order: the fixed point
+    # amplifies a change of summation order.
 
     def expected_renewal(self, prior: OccupancyPrior) -> float:
         probs = self.space.prior(prior.pair_state_probs())
@@ -458,10 +393,12 @@ class CycleModel:
         return sum((probs[keep] * self.renewal_by_census[keep]).tolist())
 
     def tagged_success(self, prior: OccupancyPrior) -> tuple[float, float]:
-        probs = _tagged_prior_vec(prior, self.n)
+        """(pbar_a, pbar_s): P(a given pair's AP / STA queue wins the cycle)."""
+        probs = self.space.prior(prior.pair_state_probs())
         keep = probs > 0.0
-        return (sum((probs[keep] * self.tagged_ap[keep]).tolist()),
-                sum((probs[keep] * self.tagged_sta[keep]).tolist()))
+        ap, sta = self.win_by_census[keep].T
+        return (sum((probs[keep] * ap).tolist()) / self.n,
+                sum((probs[keep] * sta).tolist()) / self.n)
 
     def throughput(self, prior: OccupancyPrior):
         """(theta_ap_pps, theta_sta_pps, e_r_us, pbar_a, pbar_s) at a prior."""

@@ -27,7 +27,7 @@ tabulates, summed over h with weight pi_h:
   * S_i(k) = P(tau_min^i > k) = 1 - (first-expiry mass up to k), the pair
     survival function.
 
-``analysis.CycleModel`` builds the success, collision, tagged-minislot and
+``analysis.CycleModel`` builds the success, collision, per-side win and
 transition probabilities of a census from the survival functions and the
 per-state masses ``ap_by_state`` / ``sta_by_state`` [s, k, h].
 

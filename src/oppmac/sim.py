@@ -79,7 +79,14 @@ class InvariantError(RuntimeError):
 @dataclass
 class SimReport:
     """Run metrics.  Conservation counters cover the whole run; rates,
-    occupancy fractions, and event counts cover the post-warmup window."""
+    occupancy fractions, and event counts cover the post-warmup window.
+
+    ``winner_state_counts[h]`` counts measured successes by index h, which
+    means two things: for the opportunistic MAC, the channel state of the
+    winning link; for DCF, the rate index the winner transmitted at (ARF's
+    current rate or the threshold rule's last observed state), which may
+    differ from the link's state.  The two schemes' counts are therefore not
+    comparable as state histograms."""
 
     scheme: str
     n_stations: int

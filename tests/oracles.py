@@ -9,11 +9,12 @@ each sampled trial, which lowers variance without coupling the oracle to the
 implementation under test.  The exact kernel enumeration lists every joint
 outcome of one pair.  The exact scalar references after it evaluate the
 census-level probabilities term by term from the kernel tables; the
-occupancy priors, the per-source move table, the dense renewal system built
-from the scalar arrival law and the dense linear solve are references for the
-model's census vectors, its cells and its level sweep.  ``capacity_search``
-reads a capacity off the fixed point over a rate grid.  Bianchi's
-saturation model is the reference for the DCF simulator.
+occupancy priors, the per-source move table, the dense census system (win
+probabilities and renewal length) built from the scalar arrival law and the
+dense linear solve are references for the model's census vectors, its cells
+and its level sweep.  ``capacity_search`` reads a capacity off the fixed
+point over a rate grid.  Bianchi's saturation model is the reference for the
+DCF simulator.
 """
 
 from __future__ import annotations
@@ -463,24 +464,19 @@ def dense_solve(m, c):
     return np.linalg.solve(np.eye(len(m)) - m, c)
 
 
-def dense_tagged(model):
-    """Dense (m, rhs, level) of the tagged system y = rhs + m y over the
-    states (i, o) in the order of ``model.tagged_ap``, rebuilt from the model's blocks
-    on the others' move pattern and its closed-form idle row; level counts
-    every nonempty queue, the tagged pair's own included."""
-    blocks, rhs, idle = model._tagged_system()
-    others = model.others_space
-    pattern, nl = others.pattern, len(others.counts)
-    m = np.zeros((4, nl, 4, nl))
-    for i, (targets, values) in blocks.items():
-        for j, vals in zip(targets, values):
-            m[i, pattern.src, j, pattern.dst] = vals
-    empty = others.lookup[0, 0, 0]
-    m[S0, empty] = 0.0
-    for (j, o), v in idle.items():
-        m[S0, empty, j, o] = v
-    level = (np.array([0, 1, 1, 2])[:, None] + pattern.level).ravel()
-    return m.reshape(4 * nl, 4 * nl), rhs.reshape(4 * nl, 3), level
+def dense_census(model):
+    """Dense (m, rhs) of the census system Y = rhs + m Y over the censuses
+    of ``model.space``, rebuilt from the model's cell values and its
+    closed-form idle row."""
+    values, rhs = model._census_system()
+    space = model.space
+    m = np.zeros((len(space.counts),) * 2)
+    m[space.pattern.src, space.pattern.dst] = values
+    empty = space.lookup[0, 0, 0]
+    m[empty] = 0.0
+    if model.lambda_pps > 0.0:
+        m[empty, space.lookup[1, 0, 0]] = m[empty, space.lookup[0, 1, 0]] = 0.5
+    return m, rhs
 
 
 def period_windows(model, census):
@@ -553,24 +549,40 @@ def move_table_reference(space):
     return MovePattern(np.concatenate(srcs), np.concatenate(dsts), space.level), by_level
 
 
+def census_wins(model, census):
+    """[AP, STA]: the chance that a period from the census (k1, k2, k3) of
+    all ``model.n`` pairs ends in a delivered win of some AP / some STA
+    queue, the tagged minislot win ``p_hat_minislot`` times the pairs of
+    each occupied class."""
+    counts = (model.n - sum(census),) + census
+    return [sum(counts[i] * p_hat_minislot(side, i, _others_of(counts, i),
+                                           model.kernels, model.per)
+                for i in PAIR_STATES if counts[i])
+            for side in (AP, STA)]
+
+
 def renewal_system(model):
-    """Dense (m, c) of x = c + m x for E[R | census] over the censuses of all
-    ``model.n`` pairs.  A row of m sums the scalar destination laws of the
-    windows after which the period ends without a success; c is the mean
-    period length.  The idle census waits 1/(2 N lambda) for the first
+    """Dense (m, c) of x = c + m x over the censuses of all ``model.n``
+    pairs, whose three columns are P(an AP queue wins the cycle | census),
+    P(a STA queue wins it | census) and E[R | census].  A row of m sums the
+    scalar destination laws of the windows after which the period ends
+    without a success.  c holds the chance that this period ends in a
+    delivered win of some AP / some STA queue (``census_wins``) and the
+    mean period length.  The idle census waits 1/(2 N lambda) for the first
     arrival, which makes one pair AP-only or STA-only; with no arrivals its
     row stays empty (the model sets its E[R] to inf)."""
     space, lam = model.space, model.lambda_pps
     nc = len(space.censuses)
-    m, c = np.zeros((nc, nc)), np.zeros(nc)
+    m, c = np.zeros((nc, nc)), np.zeros((nc, 3))
     for ci, census in enumerate(space.censuses):
         if census == (0, 0, 0):
             if lam > 0.0:
-                c[ci] = 1.0 / (2 * model.n * lam * 1e-6)
+                c[ci, 2] = 1.0 / (2 * model.n * lam * 1e-6)
                 m[ci, space.lookup[1, 0, 0]] = m[ci, space.lookup[0, 1, 0]] = 0.5
             continue
+        c[ci, :2] = census_wins(model, census)
         won, cont = period_windows(model, census)
-        c[ci] = sum(t * w for t, w in won.items()) + sum(t * w for t, w in cont.items())
+        c[ci, 2] = sum(t * w for t, w in won.items()) + sum(t * w for t, w in cont.items())
         for t, w in cont.items():
             m[ci] += w * scalar_row(census, model.n, t, lam, space.lookup)
     return m, c

@@ -14,7 +14,7 @@ from oppmac import (
     build_kernels,
     fixed_point,
 )
-from oppmac.analysis import _tagged_prior_vec, analysis_csv_lines, census_space
+from oppmac.analysis import analysis_csv_lines, census_space
 
 from oracles import capacity_search, census_prior, renewal_system, tagged_prior
 
@@ -55,12 +55,19 @@ def test_census_prior_normalizes_and_marginals(p_a, p_s, n):
 
 
 def test_tagged_prior_consistency():
+    """A tagged pair in state i with the others in census o lumps onto the
+    census c = o + e_i of all pairs with probability P_N(c) k_i / N, so the
+    model weights its per-census win vectors by P_N(c) / N alone."""
     prior = OccupancyPrior(0.3, 0.6)
     probs = tagged_prior(prior, 7)
-    # the model's vector is in (pair state, others' census) order
-    np.testing.assert_allclose(_tagged_prior_vec(prior, 7), list(probs.values()),
-                               rtol=1e-13, atol=0)
     assert abs(sum(probs.values()) - 1.0) < 1e-12
+    space = census_space(7)
+    lumped = np.zeros((4, len(space.censuses)))
+    for (i, *others), p in probs.items():
+        census = [others[j - 1] + (j == i) for j in (1, 2, 3)]
+        lumped[i, space.lookup[tuple(census)]] += p
+    want = space.prior(prior.pair_state_probs()) * space.counts.T / 7
+    np.testing.assert_allclose(lumped, want, rtol=1e-13, atol=1e-300)
     by_class = {}
     for (i, *_), p in probs.items():
         by_class[i] = by_class.get(i, 0.0) + p
@@ -131,9 +138,11 @@ def test_lambda_zero_empty_census_is_infinite(timing):
 def test_renewal_residuals_and_positivity(timing):
     model = make_model(4, 45.0, timing=timing)
     x = model.renewal_by_census
-    # residual against the scalar renewal system E[R] = c + M E[R]
+    # residual against the scalar census system Y = c + M Y, whose columns
+    # are the two sides' win probabilities and E[R]
     m, c = renewal_system(model)
-    assert np.abs(x - m @ x - c).max() < 1e-9
+    y = np.column_stack([model.win_by_census, x])
+    assert np.abs(y - m @ y - c).max() < 1e-9
     assert (x > 0).all()
     # at light load the empty census dominates every other expectation
     assert x[model.space.lookup[0, 0, 0]] == x.max()
@@ -146,15 +155,16 @@ def test_expected_renewal_prior_weighting(timing):
                - model.renewal_by_census[model.space.lookup[0, 0, 0]]) < 1e-9
 
 
-# ---------------------------------------------------------- tagged system
+# ------------------------------------------------------ win probabilities
 
 def test_tagged_single_pair_closed_forms(timing):
     """N=1, no arrivals: the full pair splits wins by parity with error
     retries; a lone AP queue eventually always wins."""
     p, e = 0.5, 0.1
     model = make_model(1, 0.0, p=p, per=(e,) * 4, timing=timing)
-    y_ap = dict(enumerate(model.tagged_ap))  # N = 1: one others' census
-    y_sta = dict(enumerate(model.tagged_sta))
+    # N = 1: the census is the one pair's state
+    of_state = [model.space.lookup[c] for c in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    y_ap, y_sta = model.win_by_census[of_state].T
     x3 = p * p * (1 - e) / (1 - e * (p * p + (1 - p) * (1 - p)) - 2 * p * (1 - p))
     assert abs(y_ap[3] - x3) < 1e-9
     assert abs(y_sta[3] - x3) < 1e-9  # symmetric at p = 1/2
@@ -184,6 +194,19 @@ def test_renewal_identity_every_prior(n, lam, timing):
         for p_s in (0.1, 0.6, 0.95):
             pa, ps = model.tagged_success(OccupancyPrior(p_a, p_s))
             assert abs(n * (pa + ps) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 7, 15])
+@pytest.mark.parametrize("lam", [0.0, 80.0, 400.0])
+def test_win_probabilities_sum_to_one_per_census(n, lam, timing):
+    """Exactly one queue wins each cycle that ends, so the two sides' win
+    probabilities sum to 1 at every census, far inside the model's 1e-9
+    check; with no arrivals the empty census never ends and nobody wins."""
+    model = make_model(n, lam, per=(0.1, 0.25, 0.0, 0.4), timing=timing)
+    total = model.win_by_census.sum(axis=1)
+    ends = np.isfinite(model.renewal_by_census)
+    assert np.abs(total[ends] - 1.0).max() <= 1e-13
+    assert total[~ends].tolist() == ([0.0] if lam == 0.0 else [])
 
 
 # ------------------------------------------------------------ fixed point

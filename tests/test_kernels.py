@@ -16,7 +16,7 @@ from oppmac import (
     TimerPolicy,
     build_kernels,
 )
-from oppmac.analysis import enumerate_censuses
+from oppmac.analysis import census_space, enumerate_censuses
 from oppmac.kernels import PAIR_STATES
 
 from conftest import LAMBDA_GRID, P_GRID, PI_GRID
@@ -180,7 +180,7 @@ def test_p_suc_ap_matches_config_sum(n, timing):
             if counts[i] == 0:
                 continue
             others = tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
-            share = model._others_share[model.others_space.lookup[others[1:]]]
+            share = model._others_share[census_space(n - 1).lookup[others[1:]]]
             for k in (0, 3, 7):
                 for l in range(0, k + 1, 3):
                     a = counts[i] * kt.ap[i, k, l] * share[k]

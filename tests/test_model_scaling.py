@@ -23,6 +23,6 @@ def test_model_scaling_smoke():
         assert float(build_s) > 0.0 and float(peak_mb) > 0.0
         # the others' cells are built first, inside the timed build
         assert 0.0 < float(cells_s) <= float(build_s)
-        # the cells of the moves out of the censuses of n - 1 pairs
-        assert int(cells) == len(move_table_reference(CensusSpace(n - 1))[0].src)
-        assert int(unknowns) == 4 * math.comb(n + 2, 3)
+        # the cells of the moves out of the censuses of all n pairs
+        assert int(cells) == len(move_table_reference(CensusSpace(n))[0].src)
+        assert int(unknowns) == math.comb(n + 3, 3)

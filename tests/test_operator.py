@@ -1,27 +1,24 @@
-"""The tagged system of ``CycleModel`` (census transition operator,
-right-hand side, level sweep) and the E[R | census] read off it, against the
-exact references in ``oracles``."""
+"""The census system of ``CycleModel`` (census transition operator,
+right-hand side, level sweep) and the win probabilities and E[R | census]
+read off it, against the exact references in ``oracles``."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oppmac import AP, STA, ConsistencyError, CycleModel, TimerPolicy, build_kernels
+from oppmac import ConsistencyError, CycleModel, TimerPolicy, build_kernels
 from oppmac import analysis
 from oppmac.analysis import MovePattern, block_sweep, census_space
-from oppmac.kernels import PAIR_STATES, S0, S1, S3
 
 from oracles import (
+    census_wins,
     continuation_windows,
+    dense_census,
     dense_solve,
-    dense_tagged,
     move_table_reference,
-    p_hat_minislot,
-    pair_transition_probs,
     period_windows,
     renewal_system,
-    scalar_row,
 )
 
 PI = (0.1, 0.2, 0.3, 0.4)
@@ -33,62 +30,55 @@ def make_model(n, lam, timing):
     return CycleModel(kt, timing, PER, n), kt
 
 
-def combined(i, others):
-    k = list(others)
-    if i != S0:
-        k[i - 1] += 1
-    return tuple(k)
+def solved(model):
+    """The model's (win AP, win STA, E[R]) per census, as one array."""
+    return np.column_stack([model.win_by_census, model.renewal_by_census])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_renewal_rows_match_scalar_reference(n, lam, timing):
-    """E[R | census] against a dense solve of the scalar renewal system; with
-    no arrivals the empty census never ends and its E[R] is infinite."""
+    """The win probabilities and E[R | census] against a dense solve of the
+    scalar census system; with no arrivals the empty census never ends: no
+    side wins and its E[R] is infinite."""
     model, _ = make_model(n, lam, timing)
     m, c = renewal_system(model)
-    want = np.full(len(model.space.censuses), np.inf)
+    empty = model.space.lookup[0, 0, 0]
     keep = np.ones(len(model.space.censuses), bool)
-    keep[model.space.lookup[0, 0, 0]] = lam > 0.0
-    want[keep] = dense_solve(m[np.ix_(keep, keep)], c[keep])
-    got = model.renewal_by_census
-    assert np.array_equal(np.isinf(got), np.isinf(want))
-    np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
+    keep[empty] = lam > 0.0
+    got = solved(model)
+    np.testing.assert_allclose(got[keep], dense_solve(m[np.ix_(keep, keep)], c[keep]),
+                               rtol=1e-12, atol=0)
+    if lam == 0.0:
+        assert got[empty].tolist() == [0.0, 0.0, np.inf]
+    else:
+        assert np.isfinite(got).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_tagged_rows_match_scalar_reference(n, lam, timing):
+    """Every row of the census system, the idle row included, is the scalar
+    row that sums the windows' destination laws, to 1e-14."""
     model, _ = make_model(n, lam, timing)
-    m = dense_tagged(model)[0]
-    nl = len(model.others_space.censuses)
-    for i in PAIR_STATES:
-        for lo, others in enumerate(model.others_space.censuses):
-            if combined(i, others) == (0, 0, 0):
-                continue  # the idle row is closed form
-            want = np.zeros(4 * nl)
-            for t, w in continuation_windows(model, combined(i, others)).items():
-                orow = scalar_row(others, n - 1, t, lam, model.others_space.lookup)
-                for j, fj in pair_transition_probs(i, t, lam).items():
-                    want[j * nl:(j + 1) * nl] += w * fj * orow
-            assert np.abs(m[i * nl + lo] - want).max() <= 1e-14
+    m = dense_census(model)[0]
+    want = renewal_system(model)[0]
+    assert np.abs(m - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 @pytest.mark.parametrize("lam", [0.0, 60.0])
 def test_tagged_rhs_matches_p_hat_minislot(n, lam, timing):
-    model, kt = make_model(n, lam, timing)
-    rhs = dense_tagged(model)[1]
-    nl = len(model.others_space.censuses)
-    for i in PAIR_STATES:
-        for lo, others in enumerate(model.others_space.censuses):
-            got = rhs[i * nl + lo, :2]
-            if combined(i, others) == (0, 0, 0):
-                assert (got == 0.0).all()
-                continue
-            counts = (n - 1 - sum(others),) + others
-            want = [p_hat_minislot(side, i, counts, kt, PER) for side in (AP, STA)]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    """The win columns of the rhs are the tagged minislot wins summed over
+    the pairs of each occupied class; the idle row has none."""
+    model, _ = make_model(n, lam, timing)
+    rhs = dense_census(model)[1]
+    for ci, census in enumerate(model.space.censuses):
+        got = rhs[ci, :2]
+        if census == (0, 0, 0):
+            assert (got == 0.0).all()
+            continue
+        np.testing.assert_allclose(got, census_wins(model, census), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -98,30 +88,25 @@ def test_tagged_period_column_is_mean_period_length(n, lam, timing):
     period, delivered successes and continuations alike; the idle row waits
     1/(2 N lambda) for the first arrival."""
     model, _ = make_model(n, lam, timing)
-    rhs = dense_tagged(model)[1]
-    nl = len(model.others_space.censuses)
-    for i in PAIR_STATES:
-        for lo, others in enumerate(model.others_space.censuses):
-            census = combined(i, others)
-            if census == (0, 0, 0):
-                want = 1.0 / (2 * n * lam * 1e-6) if lam > 0.0 else 0.0
-            else:
-                want = sum(t * w for windows in period_windows(model, census)
-                           for t, w in windows.items())
-            assert rhs[i * nl + lo, 2] == pytest.approx(want, rel=1e-13, abs=0)
+    rhs = dense_census(model)[1]
+    for ci, census in enumerate(model.space.censuses):
+        if census == (0, 0, 0):
+            want = 1.0 / (2 * n * lam * 1e-6) if lam > 0.0 else 0.0
+        else:
+            want = sum(t * w for windows in period_windows(model, census)
+                       for t, w in windows.items())
+        assert rhs[ci, 2] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n", [2, 7])
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_row_mass_is_continuation_probability(n, lam, timing):
     model, _ = make_model(n, lam, timing)
-    m = dense_tagged(model)[0]
-    nl = len(model.others_space.censuses)
-    for i in PAIR_STATES:
-        for lo, others in enumerate(model.others_space.censuses):
-            if combined(i, others) != (0, 0, 0):
-                cont = sum(continuation_windows(model, combined(i, others)).values())
-                assert abs(m[i * nl + lo].sum() - cont) <= 1e-14
+    m = dense_census(model)[0]
+    for ci, census in enumerate(model.space.censuses):
+        if census != (0, 0, 0):
+            cont = sum(continuation_windows(model, census).values())
+            assert abs(m[ci].sum() - cont) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [*range(9), 12])
@@ -156,12 +141,13 @@ def test_cell_coefficients_sum_to_binomials():
         space._check_arrival_sums(term, bad)
 
 
-def test_no_move_table_for_all_n_pairs(timing):
-    """Only the others' census space (n - 1 pairs) tabulates its cells."""
+def test_move_table_only_for_all_n_pairs(timing):
+    """Only the census space of all n pairs tabulates its cells; the space
+    of n - 1 pairs serves the contention summaries alone."""
     census_space.cache_clear()
     make_model(5, 40.0, timing)
-    assert "_cells" in vars(census_space(4))
-    assert "_cells" not in vars(census_space(5))
+    assert "_cells" in vars(census_space(5))
+    assert "_cells" not in vars(census_space(4))
 
 
 def test_census_cache_keeps_two_spaces(timing):
@@ -182,9 +168,9 @@ def test_census_cache_keeps_two_spaces(timing):
 
 
 def test_model_build_memory_peak(timing):
-    """The tagged system is kept as blocks on the others' move pattern, never
-    as the dense M (56 MB alone at N = 15): an N = 15 model, its cells
-    included, peaks below 40 MB of traced allocations."""
+    """The census system is kept as one value per cell of the move pattern,
+    never as the dense M: an N = 15 model, its cells included, peaks below
+    40 MB of traced allocations."""
     kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
     census_space.cache_clear()
     tracemalloc.start()
@@ -197,41 +183,34 @@ def test_model_build_memory_peak(timing):
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_renewal_identity_check_catches_a_wrong_pair_law(timing, monkeypatch):
-    """A tagged pair law that disagrees with the others' arrival law breaks
-    the lumping onto censuses: the tagged states of one census then give
-    different E[R], and the model refuses to pick one."""
-    exact = analysis._pair_law
+def test_renewal_identity_check_catches_a_wrong_operator(timing, monkeypatch):
+    """An operator that loses continuation mass lets a cycle end without a
+    winner: the win probabilities of a census then sum to less than 1, and
+    the model refuses them."""
+    exact = analysis.CensusSpace.cell_values
 
-    def lossy(p):
-        f = exact(p)
-        f[S1, S3] *= 0.5  # an AP-only tagged pair fills at half the rate
-        return f
+    def lossy(self, table, out):
+        exact(self, table, out)
+        out *= 0.5
 
-    monkeypatch.setattr(analysis, "_pair_law", lossy)
-    with pytest.raises(ConsistencyError, match=r"E\[R\] differs by .* census \(0, 0, 1\)"):
+    monkeypatch.setattr(analysis.CensusSpace, "cell_values", lossy)
+    with pytest.raises(ConsistencyError,
+                       match=r"win probabilities of census \(0, 0, 0\) sum to 0\.\d+, not 1"):
         make_model(2, 400.0, timing)
 
 
 # ------------------------------------------------------------- level sweep
 
-def tagged_levels(model):
-    """Nonempty-queue count of every tagged unknown, the tagged pair's own
-    queues included, from the census tuples."""
-    of = lambda census: census[0] + census[1] + 2 * census[2]
-    return np.array([own + of(c) for own in (0, 1, 1, 2)
-                     for c in model.others_space.censuses])
-
-
 @pytest.mark.parametrize("n", [2, 4, 7, 10])
 @pytest.mark.parametrize("lam", [0.0, 40.0, 80.0])
 def test_every_move_raises_the_level(n, lam, timing):
     """Periods in M end without a success, so no queue empties: every
-    off-diagonal nonzero of the tagged system moves to a strictly higher
-    level."""
+    off-diagonal nonzero of the census system moves to a strictly higher
+    level, the nonempty-queue count of the census tuple."""
     model, _ = make_model(n, lam, timing)
-    m, _, level = dense_tagged(model)
-    assert np.array_equal(level, tagged_levels(model))
+    m = dense_census(model)[0]
+    level = model.space.level
+    assert level.tolist() == [k1 + k2 + 2 * k3 for k1, k2, k3 in model.space.censuses]
     src, dst = np.nonzero(m)
     off = src != dst
     assert (level[dst[off]] > level[src[off]]).all()
@@ -241,40 +220,32 @@ def test_every_move_raises_the_level(n, lam, timing):
 @pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
 def test_sweep_matches_dense_solve(n, lam, timing):
     model, _ = make_model(n, lam, timing)
-    m, rhs, _ = dense_tagged(model)
-    want = dense_solve(m, rhs)
-    np.testing.assert_allclose(model.tagged_ap, want[:, 0], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(model.tagged_sta, want[:, 1], rtol=1e-12, atol=0)
-    # E[R | census] is the period column at every tagged state of the census
-    got = model.renewal_by_census
-    nl = len(model.others_space.censuses)
-    for i in PAIR_STATES:
-        for lo, others in enumerate(model.others_space.censuses):
-            x = got[model.space.lookup[combined(i, others)]]
-            if np.isinf(x):  # no arrivals: the empty census never ends
-                assert lam == 0.0 and combined(i, others) == (0, 0, 0)
-            else:
-                assert x == pytest.approx(want[i * nl + lo, 2], rel=1e-12, abs=0)
+    want = dense_solve(*dense_census(model))
+    got = solved(model)
+    if lam == 0.0:  # no arrivals: the empty census never ends
+        empty = model.space.lookup[0, 0, 0]
+        assert got[empty, 2] == np.inf
+        got[empty, 2] = want[empty, 2]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def hand_system(cells, level):
-    """A one-state system on a hand-built pattern: ``cells`` maps each
-    (source, destination) cell, sorted by source level, then source, to its
-    entry; every census has its diagonal cell."""
+    """A system on a hand-built pattern: ``cells`` maps each (source,
+    destination) cell, sorted by source level, then source, to its entry;
+    every census has its diagonal cell."""
     src, dst = np.array(list(cells)).T
-    return MovePattern(src, dst, np.array(level)), {0: ([0], np.array([list(cells.values())]))}
+    return MovePattern(src, dst, np.array(level)), np.array(list(cells.values()))
 
 
 def test_sweep_solves_hand_example():
     # m = [[0.5, 0.25, 0], [0, 0, 0.5], [0, 0, 0.75]]
-    pattern, blocks = hand_system({(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.0, (1, 2): 0.5,
+    pattern, values = hand_system({(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.0, (1, 2): 0.5,
                                    (2, 2): 0.75}, [0, 1, 2])
     c = np.array([1.0, 2.0, 3.0])
-    x = block_sweep(pattern, blocks, c[None, :, None], own=(0,))[0, :, 0]
+    x = block_sweep(pattern, values, c[:, None])[:, 0]
     # x2 = 3 / (1 - 0.75), x1 = 2 + 0.5 x2, x0 = (1 + 0.25 x1) / (1 - 0.5)
     np.testing.assert_allclose(x, [6.0, 8.0, 12.0], rtol=1e-15)
-    np.testing.assert_allclose(block_sweep(pattern, blocks, np.stack([c, 2 * c], 1)[None],
-                                           own=(0,))[0],
+    np.testing.assert_allclose(block_sweep(pattern, values, np.stack([c, 2 * c], 1)),
                                np.stack([x, 2 * x], 1), rtol=1e-15)
 
 
@@ -287,16 +258,9 @@ def test_sweep_rejects_moves_that_do_not_raise_the_level(level):
         hand_system(cells, level)
 
 
-def test_sweep_rejects_blocks_that_lower_the_own_level():
-    """Across tagged states, a block must raise the tagged pair's own level."""
-    pattern, blocks = hand_system({(0, 0): 0.1}, [0])
-    with pytest.raises(ConsistencyError, match="block 1 -> 0 does not raise the level"):
-        block_sweep(pattern, {1: ([0], blocks[0][1])}, np.ones((2, 1, 1)), own=(0, 1))
-
-
 @pytest.mark.parametrize("diag", [1.0, 1.5, np.nan])
 def test_sweep_rejects_diagonal_not_below_one(diag):
     # m = [[0.1, 0.2], [0, diag]]
-    pattern, blocks = hand_system({(0, 0): 0.1, (0, 1): 0.2, (1, 1): diag}, [0, 1])
+    pattern, values = hand_system({(0, 0): 0.1, (0, 1): 0.2, (1, 1): diag}, [0, 1])
     with pytest.raises(ConsistencyError, match="diagonal entry at level 1 is not"):
-        block_sweep(pattern, blocks, np.ones((1, 2, 1)), own=(0,))
+        block_sweep(pattern, values, np.ones((2, 1)))
