@@ -7,10 +7,13 @@ with ``system.n_stations = N``, then times the ``CycleModel`` build, and
 reports the build time, its own peak RSS, the number of cells of the move
 pattern and the number of unknowns of the census system, C(N+3, 3).  The
 build starts with those cells (the moves out of the censuses of all N
-pairs, one exponent pair and coefficient sum per cell), so ``cells_s``, the
-time of that step alone, is part of ``build_s``.
+pairs, one level gain and coefficient sum per cell, in int32 arrays sized by
+the closed-form cell count), so ``cells_s``, the time of that step alone,
+is part of ``build_s``.  The rest is the contention summaries, the arrival
+table (one column per level gain), one value per cell and the level sweep.
 ``--max-gb`` caps each child's address space, so that an N too large for
-the machine fails with a ``MemoryError`` instead of exhausting it.
+the machine fails with a ``MemoryError`` instead of exhausting it (on a
+2-vCPU Linux box with numpy 2.4, N = 40 builds under a 1.3 GiB cap).
 
     PYTHONPATH=src python scripts/model_scaling.py [--n 2,7,10,15,20] [--max-gb 2]
 """

@@ -16,13 +16,16 @@ A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
 The arrival moves between censuses are tabulated once per pair count
 (``CensusSpace``) as the (source, destination) cells of one ``MovePattern``:
-a move raises p_t to the levels it gains and 1 - p_t to the queues it leaves
-empty, so a cell keeps one exponent pair (ep, eq) and its moves' coefficient
-sum.  M is never formed densely: it is coeff * sum_t w_t p_t^ep (1-p_t)^eq
-per cell, w_t the census's chance that the period ends without a success
-after window t.  Occupancy enters only through the i.i.d. per-queue prior
-(P_A, P_S): the fixed point lambda = Theta_AP = Theta_STA reweights the
-solved vectors by multinomial census probabilities.
+a move raises p_t to the g levels it gains and 1 - p_t to the 2n - L - g
+queues it leaves empty, L the source's level, so a cell keeps its gain and
+its moves' coefficient sum.  M is never formed densely: it is coeff *
+sum_t w_t p_t^g (1-p_t)^(2n-L-g) per cell, w_t the census's chance that the
+period ends without a success after window t, read from one (source,
+gain) table built by one small product per level.  The cells and their
+int32 pattern are written into arrays sized by the closed-form cell count.
+Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
+fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
+multinomial census probabilities.
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ def enumerate_censuses(n: int) -> list[tuple[int, int, int]]:
             for k3 in range(n - k1 - k2 + 1)]
 
 
+_CHUNK = 1 << 20  # cells per pass of the pattern checks and of ``cell_values``
+_CHUNK_MOVES = 1 << 16  # moves per pass of the cell build, within one level
+
+
 class MovePattern:
     """The distinct (source, destination) cells of the moves between the
     censuses of one space, sorted by the source's ``level``, then source.
@@ -86,32 +93,38 @@ class MovePattern:
     strictly up a level, or ``ConsistencyError`` is raised.
 
     For the sweep, ``order`` lists the censuses by level and ``rank`` is its
-    inverse; ``levels[l]`` holds, for the censuses ``order[rows]`` of level
-    l, their ``cells`` (a slice of the pattern), each census's first cell
-    and its diagonal cell as offsets into ``cells``."""
+    inverse; ``to`` is the rank of each cell's destination; ``levels[l]``
+    holds, for the censuses ``order[rows]`` of level l, their ``cells`` (a
+    slice of the pattern), each census's first cell and its diagonal cell as
+    offsets into ``cells``.  The per-cell arrays are int32, and the checks
+    run over ``_CHUNK`` cells at a time."""
 
     def __init__(self, src, dst, level):
-        self.src, self.dst = src, dst = np.asarray(src), np.asarray(dst)
+        self.src, self.dst = src, dst = np.asarray(src, np.int32), np.asarray(dst, np.int32)
         self.level = level = np.asarray(level)
-        up = (src == dst) | (level[dst] > level[src])
-        if not up.all():
-            s = src[np.argmin(up)]
-            raise ConsistencyError(f"census {s} has a move that does not leave "
-                                   f"level {level[s]} upwards")
-        from_level = level[src]
-        if (np.diff(from_level * len(level) + src) < 0).any():
-            raise ValueError("cells must be sorted by source level, then source")
-        if not (np.bincount(src[src == dst], minlength=len(level)) == 1).all():
-            raise ValueError("every census needs its diagonal cell")
-        self.order = np.argsort(level, kind="stable")
+        self.order = np.argsort(level, kind="stable").astype(np.int32)
         self.rank = np.empty_like(self.order)
         self.rank[self.order] = np.arange(len(level))
-        self.to = self.rank[dst]
-        top = np.arange(level.max() + 2)
-        bounds = np.searchsorted(from_level, top)
-        row_bounds = np.searchsorted(level[self.order], top)
+        self.to = np.empty_like(dst)
+        per_level, diagonal = np.zeros(level.max() + 1, int), np.zeros(len(level), int)
+        for at in range(0, len(src), _CHUNK):
+            s, d = src[at:at + _CHUNK], dst[at:at + _CHUNK]
+            up = (s == d) | (level[d] > level[s])
+            if not up.all():
+                o = s[np.argmin(up)]
+                raise ConsistencyError(f"census {o} has a move that does not leave "
+                                       f"level {level[o]} upwards")
+            if (np.diff(self.rank[src[max(at - 1, 0):at + _CHUNK]]) < 0).any():
+                raise ValueError("cells must be sorted by source level, then source")
+            np.take(self.rank, d, out=self.to[at:at + _CHUNK])
+            per_level += np.bincount(level[s], minlength=len(per_level))
+            diagonal += np.bincount(s[s == d], minlength=len(level))
+        if not (diagonal == 1).all():
+            raise ValueError("every census needs its diagonal cell")
+        bounds = np.concatenate([[0], np.cumsum(per_level)])
+        row_bounds = np.searchsorted(level[self.order], np.arange(len(per_level) + 1))
         self.levels = []
-        for lv in top[:-1]:
+        for lv in range(len(per_level)):
             rows, cells = slice(*row_bounds[lv:lv + 2]), slice(*bounds[lv:lv + 2])
             first = np.searchsorted(src[cells], self.order[rows])
             self.levels.append((rows, cells, first, np.flatnonzero(src[cells] == dst[cells])))
@@ -141,18 +154,22 @@ class CensusSpace:
     @functools.cached_property
     def _cells(self):
         """(pattern, term, coeff): the ``MovePattern`` of the moves out of every
-        census and, per cell, the flat (source, exponent of p, exponent of q)
-        cell ``term`` of the table ``cell_values`` receives and the sum
-        ``coeff`` of its moves' coefficients.  A move (a, b, c, d, e) fills a
-        of the k1 AP-only and b of the k2 STA-only pairs and turns c / d / e
-        empty pairs AP-only / STA-only / full.
+        census and, per cell, its entry ``term`` = source * (2n+1) + gain of
+        the (source, level gain) table that ``cell_values`` receives and the
+        sum ``coeff`` of its moves' coefficients.  A move (a, b, c, d, e) fills
+        a of the k1 AP-only and b of the k2 STA-only pairs and turns c / d / e
+        empty pairs AP-only / STA-only / full; it gains a + b + c + d + 2e
+        levels, and the other 2n - level - gain empty queues stay empty.
 
-        One numpy pass per level: its sources' rows (source, a, b) expand into
-        the fills (c, d, e) of their n0 empty pairs, a slice of one table of
-        the fills of 0..n pairs, so each value is a row part plus (times) a
-        fill part; a (source, census) mask's cumsum numbers the level's cells,
-        and a bincount sums each cell's coefficients by source, a, b, then
-        fill.  ``term`` (< C(n+3, 3) (2n+1)^2) is int32."""
+        One numpy pass per level, or per chunk of about ``_CHUNK_MOVES`` moves
+        of a larger level: its sources' rows (source, a, b) expand into the
+        fills (c, d, e) of their n0 empty pairs, a slice of one table of the
+        fills of 0..n pairs, so each value is a row part plus (times) a fill
+        part; a (source, census) mask's cumsum numbers the chunk's cells, and
+        a bincount sums each cell's coefficients by source, a, b, then fill.
+        Each chunk writes its cells into arrays sized by ``_cell_counts``, so
+        no per-chunk part is kept; ``term`` (< C(n+3, 3) (2n+1)) is int32,
+        like the pattern."""
         n, ne, nc = self.n, 2 * self.n + 1, len(self.censuses)
         binom = np.array([[math.comb(r, k) for k in range(n + 1)]
                           for r in range(n + 1)], dtype=float)
@@ -162,8 +179,14 @@ class CensusSpace:
                               for m, c, d, e in fills])
         _, c, d, e = np.array(fills).T
         fill_at = (c * (n + 1) + d) * (n + 1) + e  # offset into the flat lookup
-        srcs, dsts, coeffs = [], [], []
-        for rows in (np.flatnonzero(self.level == lv) for lv in range(self.level.max() + 1)):
+        n0, k1, k2, _ = self.counts.T
+        order = np.argsort(self.level, kind="stable")
+        moves = np.cumsum(((k1 + 1) * (k2 + 1) * (n0 + 1) * (n0 + 2) * (n0 + 3) // 6)[order])
+        ends = np.flatnonzero(np.diff(moves // _CHUNK_MOVES) | np.diff(self.level[order])) + 1
+        bounds = np.concatenate([[0], np.cumsum(self._cell_counts()[order])])
+        src, dst, term = (np.empty(bounds[-1], np.int32) for _ in range(3))
+        coeff = np.empty(bounds[-1])
+        for lo, rows in zip(np.concatenate([[0], ends]), np.split(order, ends)):
             ab = (self.counts[rows, 1] + 1) * (self.counts[rows, 2] + 1)
             pos = np.repeat(np.arange(len(rows)), ab)  # per row, its source's position
             n0, k1, k2, k3 = self.counts[rows[pos]].T
@@ -177,20 +200,37 @@ class CensusSpace:
             hit = np.zeros(len(rows) * nc, dtype=bool)
             hit[key] = True
             cell = (np.cumsum(hit, dtype=np.int32) - 1)[key]
-            src_pos, dst = np.divmod(np.flatnonzero(hit), nc)
-            srcs.append(rows[src_pos])
-            dsts.append(dst)
-            coeff = fill_mult[fill]
-            coeff *= np.repeat(binom[k1, a] * binom[k2, b], size)
-            coeffs.append(np.bincount(cell, coeff, minlength=len(dst)))
-        pattern = MovePattern(np.concatenate(srcs), np.concatenate(dsts), self.level)
-        reached = self.level[pattern.dst]
-        term = ((pattern.src * ne + reached - self.level[pattern.src]) * ne
-                + 2 * n - reached).astype(np.int32)
-        coeff = np.concatenate(coeffs)
+            found = np.flatnonzero(hit)
+            out = slice(bounds[lo], bounds[lo + len(rows)])
+            if len(found) != out.stop - out.start:
+                raise ConsistencyError(f"censuses {rows[0]}..{rows[-1]} have {len(found)} "
+                                       f"cells, not the {out.stop - out.start} counted")
+            src_pos, to = np.divmod(found, nc)
+            source = rows[src_pos]
+            src[out], dst[out] = source, to
+            term[out] = source * ne + self.level[to] - self.level[source]
+            move_coeff = fill_mult[fill]
+            move_coeff *= np.repeat(binom[k1, a] * binom[k2, b], size)
+            coeff[out] = np.bincount(cell, move_coeff, minlength=len(to))
         self._check_arrival_sums(term, coeff)
         term.flags.writeable = coeff.flags.writeable = False
-        return pattern, term, coeff
+        return MovePattern(src, dst, self.level), term, coeff
+
+    def _cell_counts(self) -> np.ndarray:
+        """The number of cells of each census (k1, k2, k3), in closed form:
+        it reaches (u, v, k3 + j) iff the pairs that became full, j, cover
+        the AP-only and STA-only pairs it lost, max(0, k1 - u) + max(0, k2 -
+        v) <= j, and u + v + j <= n - k3; summed over v and j, one u at a
+        time."""
+        n = self.n
+        _, k1, k2, k3 = self.counts.T
+        j = np.arange(n + 1)
+        count = np.zeros(len(k1), int)
+        for u in range(n + 1):
+            left = j - np.maximum(k1 - u, 0)[:, None]  # full pairs past the lost AP-only ones
+            room = (n - k3 - u)[:, None] - j - np.maximum(k2[:, None] - left, 0) + 1
+            count += np.where(left >= 0, np.maximum(room, 0), 0).sum(axis=1)
+        return count
 
     def _check_arrival_sums(self, term, coeff) -> None:
         """Each of the 2n - level(o) empty queues of a census o gets an
@@ -198,7 +238,7 @@ class CensusSpace:
         to 1 only if the coefficients of o's cells that gain g levels sum to
         C(2n - level(o), g).  Raises ``ConsistencyError`` where they do not."""
         ne = 2 * self.n + 1
-        sums = np.bincount(term // ne, coeff, minlength=len(self.level) * ne).reshape(-1, ne)
+        sums = np.bincount(term, coeff, minlength=len(self.level) * ne).reshape(-1, ne)
         want = np.array([[math.comb(f, g) for g in range(ne)] for f in range(ne)],
                         dtype=float)[2 * self.n - self.level]
         bad = np.argwhere(np.abs(sums - want) > 1e-12 * want)
@@ -211,17 +251,28 @@ class CensusSpace:
     def pattern(self) -> MovePattern:
         return self._cells[0]
 
-    def powers(self, p: np.ndarray) -> np.ndarray:
-        """Table [t, e * (2n+1) + f] = p_t^e (1 - p_t)^f for e, f = 0..2n."""
-        e = np.arange(2 * self.n + 1)
-        pw, qw = p[:, None] ** e, (1.0 - p)[:, None] ** e
-        return (pw[:, :, None] * qw[:, None, :]).reshape(len(p), -1)
+    def arrival_table(self, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Table [o, g] = sum_t weights[o, t] p_t^g (1 - p_t)^(2n - L - g) for
+        a census o at level L and g = 0..2n - L (0 for larger g): the chance
+        that g of o's 2n - L empty queues get an arrival in window t, one
+        (censuses at L, windows) @ (windows, 2n + 1 - L) product per level."""
+        ne = 2 * self.n + 1
+        g = np.arange(ne)
+        pw, qw = p[:, None] ** g, (1.0 - p)[:, None] ** g
+        table = np.zeros((len(self.level), ne))
+        for lv in range(ne):
+            rows = np.flatnonzero(self.level == lv)
+            table[rows, :ne - lv] = weights[rows] @ (pw[:, :ne - lv] * qw[:, ne - lv - 1::-1])
+        return table
 
     def cell_values(self, table: np.ndarray, out: np.ndarray) -> None:
         """Write into ``out``, per cell of ``pattern``, coeff * table[source,
-        ep, eq], where ``table`` is (per-census window weights) @ ``powers``."""
+        gain], where ``table`` is an ``arrival_table``."""
         _, term, coeff = self._cells
-        np.multiply(table.ravel().take(term), coeff, out=out)
+        flat = table.ravel()
+        for at in range(0, len(term), _CHUNK):  # take copies its indices as int64
+            cells = slice(at, at + _CHUNK)
+            np.multiply(flat.take(term[cells]), coeff[cells], out=out[cells])
 
     def prior(self, rho) -> np.ndarray:
         """The census probabilities when each pair is independently in
@@ -350,7 +401,7 @@ class CycleModel:
         period = ((succ * self._windows[:, :-1]).reshape(nc, -1).sum(axis=1)
                   + (col * self._windows[:, -1]).sum(axis=1))
         values = np.empty(len(space.pattern.src))
-        space.cell_values(weights @ space.powers(self._p), values)
+        space.cell_values(space.arrival_table(weights, self._p), values)
         rhs = np.column_stack([self._won, period])
         # idle (closed form): wait 1/(2 N lambda) for the first arrival
         empty = space.lookup[0, 0, 0]

@@ -151,10 +151,12 @@ def cmd_analyze(spec: ExperimentSpec) -> int:
     pi = setup.resolve_pi()
     sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
     _write(spec.out_dir / "analysis.csv", analysis_csv_lines(sols, setup_hash(setup)))
+    retry = setup.config.retry_limit
+    note = "" if retry is None else f" (the model ignores system.retry_limit={retry})"
     for s in sols:
         flag = "converged" if s.converged else "NOT CONVERGED"
         print(f"analyze lambda={s.lambda_pps:g}: {flag} "
-              f"P_A={s.p_a:.4f} P_S={s.p_s:.4f}")
+              f"P_A={s.p_a:.4f} P_S={s.p_s:.4f}{note}")
     return 0
 
 

@@ -25,7 +25,8 @@ Three keys act on part of the program only.  The values of
 ``channel.thresholds_db`` are read in rayleigh mode only; explicit mode
 checks only that there is one per ``channel.rates_mbps`` entry, ascending
 from 0 dB.  The analysis does not model ``system.retry_limit`` (it drops no
-packet), and ``validate`` simulates with unlimited retries to match it.
+packet; a finite limit is named in ``analyze``'s row lines), and
+``validate`` simulates with unlimited retries to match it.
 ``timing.collision_rate_mbps`` sets the cost of a collision in the analysis
 only; the simulator blocks the channel for the longest colliding frame.
 """

@@ -387,11 +387,11 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
         nonlocal attempted, won_state, ok
         ap_exp = [q for q in first if not q & 1]
         if len(ap_exp) == len(first) or len(first) == 1:
-            # AP expiries alone merge by a uniform pick; a lone STA wins
-            if ap_exp:
+            # AP expiries alone merge by a uniform pick; a lone queue wins
+            # without one (integers(1) would return 0 and draw nothing)
+            if len(ap_exp) > 1:
                 winner = ap_exp[int(pick_rng.integers(len(ap_exp)))]
-                if len(ap_exp) > 1:
-                    tally.ap_merges += 1
+                tally.ap_merges += 1
             else:
                 winner = first[0]
             attempted = [winner]

@@ -518,16 +518,16 @@ def scalar_row(census, n, t_us, lam, lookup):
 def move_table_reference(space):
     """The moves behind ``CensusSpace._cells`` of ``space``, built one source
     at a time, each source's distinct destinations found by its own
-    ``np.unique``: the (``MovePattern``, per-level (cell, coeff, term) per
-    move) whose cells, terms and coefficient sums the vectorised build must
-    reproduce."""
-    ne = 2 * space.n + 1
+    ``np.unique``: the (``MovePattern``, per-level (cell, coeff, source, ep,
+    eq) per move) whose cells, terms and coefficient sums the vectorised
+    build must reproduce; a move raises p to the ep levels it gains and
+    1 - p to the eq empty queues it leaves empty."""
     binom = np.array([[math.comb(r, k) for k in range(space.n + 1)]
                       for r in range(space.n + 1)], dtype=float)
     fills = [CensusSpace(m) for m in range(space.n + 1)]
     srcs, dsts, by_level = [], [], []
     for rows in (np.flatnonzero(space.level == lv) for lv in range(space.level.max() + 1)):
-        cells = coeffs = terms = ()
+        cells = coeffs = sources = eps = eqs = ()
         first = 0
         for src in rows.tolist():
             k1, k2, k3 = space.censuses[src]
@@ -543,10 +543,21 @@ def move_table_reference(space):
             dsts.append(dst)
             cells += (first + cell.ravel(),)
             coeffs += ((binom[k1, a] * binom[k2, b] * fill.multinom).ravel(),)
-            terms += (((src * ne + ep) * ne + eq).ravel(),)
+            sources += (np.full(ep.size, src),)
+            eps += (ep.ravel(),)
+            eqs += (eq.ravel(),)
             first += len(dst)
-        by_level.append(tuple(np.concatenate(x) for x in (cells, coeffs, terms)))
+        by_level.append(tuple(np.concatenate(x) for x in (cells, coeffs, sources, eps, eqs)))
     return MovePattern(np.concatenate(srcs), np.concatenate(dsts), space.level), by_level
+
+
+def powers(n, p):
+    """The dense table [t, e * (2n+1) + f] = p_t^e (1 - p_t)^f for e, f =
+    0..2n: every exponent pair a move between censuses of n pairs can take,
+    whose gathers ``CensusSpace.arrival_table`` must reproduce."""
+    e = np.arange(2 * n + 1)
+    pw, qw = p[:, None] ** e, (1.0 - p)[:, None] ** e
+    return (pw[:, :, None] * qw[:, None, :]).reshape(len(p), -1)
 
 
 def census_wins(model, census):

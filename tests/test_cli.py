@@ -224,7 +224,6 @@ KEY_RUNS = {
 # (mode, verb, key) whose perturbation moves only the config hash, and why
 HASH_ONLY = {
     ("explicit", "analyze", "system.seed"): "the analysis draws no random number",
-    ("explicit", "analyze", "system.retry_limit"): "the analysis drops no packet",
     ("explicit", "validate", "system.retry_limit"):
         "validate simulates with unlimited retries, as the analysis assumes",
     ("explicit", "simulate", "timing.collision_rate_mbps"):

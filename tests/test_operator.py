@@ -18,6 +18,7 @@ from oracles import (
     dense_solve,
     move_table_reference,
     period_windows,
+    powers,
     renewal_system,
 )
 
@@ -111,21 +112,80 @@ def test_row_mass_is_continuation_probability(n, lam, timing):
 
 @pytest.mark.parametrize("n", [*range(9), 12])
 def test_move_table_matches_per_source_reference(n):
-    """The cells built one numpy pass per level match the per-source loop's
-    moves: the same cells; every move has its cell's term, so a cell keeps
-    one exponent pair; and per level each cell's coefficient sum is bitwise
-    the bincount of the moves' coefficients in move order."""
+    """The cells built one numpy pass per level match the per-source
+    loop's moves: the same cells, as int32; every move leaves
+    empty the 2n - level(source) - ep queues it does not fill, so its cell's
+    term source * (2n+1) + ep fixes both exponents; and per level each
+    cell's coefficient sum is bitwise the bincount of the moves'
+    coefficients in move order."""
     space = analysis.CensusSpace(n)
     pattern, term, coeff = space._cells
     ref_pattern, ref_by_level = move_table_reference(space)
     assert np.array_equal(pattern.src, ref_pattern.src)
     assert np.array_equal(pattern.dst, ref_pattern.dst)
-    assert term.dtype == np.int32 and len(term) == len(coeff) == len(pattern.src)
+    for arr in (pattern.src, pattern.dst, pattern.rank, pattern.to, term):
+        assert arr.dtype == np.int32
+    assert len(term) == len(coeff) == len(pattern.src)
     assert len(pattern.levels) == len(ref_by_level)
-    for (_, cells, _, _), (ref_cell, ref_coeff, ref_term) in zip(pattern.levels, ref_by_level):
-        assert np.array_equal(term[cells][ref_cell], ref_term)
+    for (_, cells, _, _), (ref_cell, ref_coeff, src, ep, eq) in zip(pattern.levels,
+                                                                     ref_by_level):
+        assert np.array_equal(ep + eq, 2 * n - space.level[src])
+        assert np.array_equal(term[cells][ref_cell], src * (2 * n + 1) + ep)
         want = np.bincount(ref_cell, ref_coeff, minlength=cells.stop - cells.start)
         assert coeff.dtype == want.dtype and coeff[cells].tobytes() == want.tobytes()
+
+
+def test_chunked_build_matches_one_pass(monkeypatch):
+    """Chunks of a few cells and moves, which split levels, give the
+    pattern, terms, coefficients and cell values of one pass per level; the
+    order check also holds across a chunk boundary."""
+    whole = analysis.CensusSpace(8)
+    monkeypatch.setattr(analysis, "_CHUNK", 97)
+    monkeypatch.setattr(analysis, "_CHUNK_MOVES", 50)
+    chunked = analysis.CensusSpace(8)
+    (pw, *rest_w), (pc, *rest_c) = whole._cells, chunked._cells
+    for a, b in zip([pw.src, pw.dst, pw.rank, pw.to, *rest_w],
+                    [pc.src, pc.dst, pc.rank, pc.to, *rest_c]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for lw, lc in zip(pw.levels, pc.levels):
+        assert lw[:2] == lc[:2] and all(np.array_equal(x, y) for x, y in zip(lw[2:], lc[2:]))
+    table = np.random.default_rng(8).random((len(whole.counts), 17))
+    got, want = np.empty(len(pc.src)), np.empty(len(pw.src))
+    chunked.cell_values(table, got)
+    whole.cell_values(table, want)
+    assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(analysis, "_CHUNK", 2)
+    with pytest.raises(ValueError, match="sorted by source level"):
+        hand_system({(1, 1): 0.0, (1, 2): 0.5, (0, 0): 0.5, (0, 1): 0.25, (2, 2): 0.75},
+                    [0, 1, 2])
+
+
+def test_cell_counts_match_the_built_cells():
+    """The closed-form count of each census's cells, which sizes the cell
+    build, is the number of cells the build finds per source."""
+    for n in (1, 2, 5, 9, 13):
+        space = analysis.CensusSpace(n)
+        built = np.bincount(space.pattern.src, minlength=len(space.counts))
+        assert np.array_equal(space._cell_counts(), built)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
+@pytest.mark.parametrize("lam", [0.0, 35.0, 400.0])
+def test_arrival_table_matches_dense_powers(n, lam, timing):
+    """The per-level arrival table at the model's window probabilities is
+    the dense (2n+1)^2 table of every exponent pair, weighted by the same
+    window weights and gathered at (source, gain, 2n - level - gain), to
+    1e-14 relative, and zero past the source's empty queues."""
+    model, _ = make_model(n, lam, timing)
+    space = model.space
+    weights = np.random.default_rng(n).random((len(space.counts), model._p.size))
+    table = space.arrival_table(weights, model._p)
+    ne = 2 * n + 1
+    dense = (weights @ powers(n, model._p)).reshape(-1, ne, ne)
+    src, gain = np.nonzero(np.arange(ne) <= 2 * n - space.level[:, None])
+    want = dense[src, gain, 2 * n - space.level[src] - gain]
+    np.testing.assert_allclose(table[src, gain], want, rtol=1e-14, atol=0)
+    assert (table[np.arange(ne) > 2 * n - space.level[:, None]] == 0.0).all()
 
 
 def test_cell_coefficients_sum_to_binomials():
@@ -181,6 +241,25 @@ def test_model_build_memory_peak(timing):
         tracemalloc.stop()
         census_space.cache_clear()
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_model_build_memory_peak_on_cached_cells(timing):
+    """Past its cells, an N = 15 model allocates its contention summaries,
+    one value per cell and the per-level arrival table, whose columns are
+    the level gains rather than every exponent pair.  Measured at 4.46 MB
+    of traced allocations (10.25 MB with the dense table of every exponent
+    pair); the bound leaves about 10%."""
+    kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
+    census_space.cache_clear()
+    census_space(15)._cells
+    tracemalloc.start()
+    try:
+        CycleModel(kt, timing, PER, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        census_space.cache_clear()
+    assert peak < 4.9 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_renewal_identity_check_catches_a_wrong_operator(timing, monkeypatch):

@@ -341,6 +341,17 @@ def _gen():
     return np.random.Generator(np.random.PCG64(2024))
 
 
+def test_integers_of_one_value_draws_nothing():
+    """``Generator.integers(1)`` returns 0 without advancing the stream, so
+    ``run_opportunistic`` may skip the uniform pick of a lone AP expiry and
+    keep every later draw of ``pick_rng``."""
+    gen, ref = _gen(), _gen()
+    state = gen.bit_generator.state
+    assert [int(gen.integers(1)) for _ in range(5)] == [0] * 5
+    assert gen.bit_generator.state == state
+    assert gen.integers(7, size=9).tolist() == ref.integers(7, size=9).tolist()
+
+
 def test_block_draws_match_scalar_calls(space):
     """A stream served in blocks of 7 gives, across three block boundaries,
     the same Python scalars in the same order as one scalar call per draw."""
