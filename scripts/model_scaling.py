@@ -6,14 +6,16 @@ child builds the lambda = 50 pkts/s kernels of the default configuration
 with ``system.n_stations = N``, then times the ``CycleModel`` build, and
 reports the build time, its own peak RSS, the number of cells of the move
 pattern and the number of unknowns of the census system, C(N+3, 3).  The
-build starts with those cells (the moves out of the censuses of all N
-pairs, one level gain and coefficient sum per cell, in int32 arrays sized by
-the closed-form cell count), so ``cells_s``, the time of that step alone,
-is part of ``build_s``.  The rest is the contention summaries, the arrival
-table (one column per level gain), one value per cell and the level sweep.
+build starts with that pattern, ``census_space(N).pattern`` (the moves out
+of the censuses of all N pairs, one record per cell: the destination's
+rank, the (source, level gain) table entry and the coefficient sum, in
+arrays sized by the closed-form cell count), so ``cells_s``, the time of
+that step alone, is part of ``build_s``.  The rest is the contention
+summaries, the arrival table (one column per level gain) and the level
+sweep, which forms M's entries one level at a time.
 ``--max-gb`` caps each child's address space, so that an N too large for
 the machine fails with a ``MemoryError`` instead of exhausting it (on a
-2-vCPU Linux box with numpy 2.4, N = 40 builds under a 1.3 GiB cap).
+2-vCPU Linux box with numpy 2.4, N = 40 builds under a 0.8 GiB cap).
 
     PYTHONPATH=src python scripts/model_scaling.py [--n 2,7,10,15,20] [--max-gb 2]
 """
@@ -45,7 +47,7 @@ def child(n: int, max_gb: float | None) -> dict:
     kernels = build_kernels(setup.policy, setup.resolve_pi(), LAMBDA_PPS)
     start = time.perf_counter()
     try:
-        census_space(n)._cells
+        pattern = census_space(n).pattern
         cells_s = time.perf_counter() - start
         model = CycleModel(kernels, setup.timing, setup.config.per_state_per, n)
     except MemoryError:
@@ -53,7 +55,7 @@ def child(n: int, max_gb: float | None) -> dict:
     build_s = time.perf_counter() - start
     return {"n": n, "build_s": build_s, "cells_s": cells_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "cells": len(model.space.pattern.src), "unknowns": len(model.space.counts)}
+            "cells": len(pattern.term), "unknowns": len(model.space.counts)}
 
 
 def run(n: int, max_gb: float | None) -> dict:

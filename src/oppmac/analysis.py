@@ -15,14 +15,16 @@ off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3, and
 A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
 The arrival moves between censuses are tabulated once per pair count
-(``CensusSpace``) as the (source, destination) cells of one ``MovePattern``:
-a move raises p_t to the g levels it gains and 1 - p_t to the 2n - L - g
-queues it leaves empty, L the source's level, so a cell keeps its gain and
-its moves' coefficient sum.  M is never formed densely: it is coeff *
-sum_t w_t p_t^g (1-p_t)^(2n-L-g) per cell, w_t the census's chance that the
-period ends without a success after window t, read from one (source,
-gain) table built by one small product per level.  The cells and their
-int32 pattern are written into arrays sized by the closed-form cell count.
+(``CensusSpace``) as the cells of one ``MovePattern``, one record per
+(source, destination): a move raises p_t to the g levels it gains and
+1 - p_t to the 2n - L - g queues it leaves empty, L the source's level, so
+a cell keeps its destination, its (source, gain) entry and its moves'
+coefficient sum.  M is never stored: ``block_sweep`` forms coeff *
+sum_t w_t p_t^g (1-p_t)^(2n-L-g) per cell one level at a time, w_t the
+census's chance that the period ends without a success after window t,
+read from one (source, gain) table built by one small product per level.
+The cells are grouped by source in sweep order, in arrays sized by the
+closed-form cell count.
 Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
 fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
 multinomial census probabilities.
@@ -82,52 +84,52 @@ def enumerate_censuses(n: int) -> list[tuple[int, int, int]]:
             for k3 in range(n - k1 - k2 + 1)]
 
 
-_CHUNK = 1 << 20  # cells per pass of the pattern checks and of ``cell_values``
 _CHUNK_MOVES = 1 << 16  # moves per pass of the cell build, within one level
 
 
 class MovePattern:
-    """The distinct (source, destination) cells of the moves between the
-    censuses of one space, sorted by the source's ``level``, then source.
-    Every census has its diagonal cell, and every other cell must go
-    strictly up a level, or ``ConsistencyError`` is raised.
+    """The cells of M, one record each: ``to``, the rank of its destination;
+    ``term``, source * (2n+1) + level gain, the entry of an
+    ``arrival_table`` that M's entry multiplies; and ``coeff``, the sum of
+    its moves' coefficients, so M[cell] = coeff * table.flat[term].  The
+    cells are grouped by source, ``counts[o]`` of them for census o, the
+    sources in sweep order: ``order`` lists the censuses by ``level``, then
+    index, and ``rank`` is its inverse.  ``dst``, each cell's destination
+    census, becomes ``to`` in place.  Every census has one diagonal cell,
+    or ``ValueError`` is raised, and every other cell must go strictly up a
+    level, or ``ConsistencyError`` is raised.
 
-    For the sweep, ``order`` lists the censuses by level and ``rank`` is its
-    inverse; ``to`` is the rank of each cell's destination; ``levels[l]``
-    holds, for the censuses ``order[rows]`` of level l, their ``cells`` (a
-    slice of the pattern), each census's first cell and its diagonal cell as
-    offsets into ``cells``.  The per-cell arrays are int32, and the checks
-    run over ``_CHUNK`` cells at a time."""
+    ``levels[l]`` holds, for the censuses ``order[rows]`` of level l, their
+    ``cells`` (a slice of the pattern), each census's first cell and its
+    diagonal cell as offsets into ``cells``; the checks run one level at a
+    time."""
 
-    def __init__(self, src, dst, level):
-        self.src, self.dst = src, dst = np.asarray(src, np.int32), np.asarray(dst, np.int32)
-        self.level = level = np.asarray(level)
+    def __init__(self, level, counts, dst, term, coeff):
         self.order = np.argsort(level, kind="stable").astype(np.int32)
         self.rank = np.empty_like(self.order)
         self.rank[self.order] = np.arange(len(level))
-        self.to = np.empty_like(dst)
-        per_level, diagonal = np.zeros(level.max() + 1, int), np.zeros(len(level), int)
-        for at in range(0, len(src), _CHUNK):
-            s, d = src[at:at + _CHUNK], dst[at:at + _CHUNK]
-            up = (s == d) | (level[d] > level[s])
-            if not up.all():
-                o = s[np.argmin(up)]
-                raise ConsistencyError(f"census {o} has a move that does not leave "
-                                       f"level {level[o]} upwards")
-            if (np.diff(self.rank[src[max(at - 1, 0):at + _CHUNK]]) < 0).any():
-                raise ValueError("cells must be sorted by source level, then source")
-            np.take(self.rank, d, out=self.to[at:at + _CHUNK])
-            per_level += np.bincount(level[s], minlength=len(per_level))
-            diagonal += np.bincount(s[s == d], minlength=len(level))
-        if not (diagonal == 1).all():
-            raise ValueError("every census needs its diagonal cell")
-        bounds = np.concatenate([[0], np.cumsum(per_level)])
-        row_bounds = np.searchsorted(level[self.order], np.arange(len(per_level) + 1))
+        self.to, self.term, self.coeff = dst, term, coeff
+        counts = counts[self.order]
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        row_bounds = np.searchsorted(level[self.order], np.arange(level.max() + 2))
         self.levels = []
-        for lv in range(len(per_level)):
-            rows, cells = slice(*row_bounds[lv:lv + 2]), slice(*bounds[lv:lv + 2])
-            first = np.searchsorted(src[cells], self.order[rows])
-            self.levels.append((rows, cells, first, np.flatnonzero(src[cells] == dst[cells])))
+        for lv in range(level.max() + 1):
+            rows = slice(*row_bounds[lv:lv + 2])
+            cells = slice(bounds[rows.start], bounds[rows.stop])
+            src, d = np.repeat(self.order[rows], counts[rows]), dst[cells]
+            diagonal = src == d
+            up = diagonal | (level[d] > lv)
+            if not up.all():
+                o = src[np.argmin(up)]
+                raise ConsistencyError(f"census {o} has a move that does not leave "
+                                       f"level {lv} upwards")
+            on = np.flatnonzero(diagonal)
+            if not np.array_equal(src[on], self.order[rows]):
+                raise ValueError("every census needs its diagonal cell")
+            np.take(self.rank, d, out=self.to[cells])
+            self.levels.append((rows, cells, bounds[rows] - bounds[rows.start], on))
+        for arr in (self.to, term, coeff):
+            arr.flags.writeable = False
 
 
 class CensusSpace:
@@ -152,14 +154,12 @@ class CensusSpace:
             arr.flags.writeable = False
 
     @functools.cached_property
-    def _cells(self):
-        """(pattern, term, coeff): the ``MovePattern`` of the moves out of every
-        census and, per cell, its entry ``term`` = source * (2n+1) + gain of
-        the (source, level gain) table that ``cell_values`` receives and the
-        sum ``coeff`` of its moves' coefficients.  A move (a, b, c, d, e) fills
-        a of the k1 AP-only and b of the k2 STA-only pairs and turns c / d / e
-        empty pairs AP-only / STA-only / full; it gains a + b + c + d + 2e
-        levels, and the other 2n - level - gain empty queues stay empty.
+    def pattern(self) -> MovePattern:
+        """The ``MovePattern`` of the moves out of every census.  A move (a,
+        b, c, d, e) fills a of the k1 AP-only and b of the k2 STA-only pairs
+        and turns c / d / e empty pairs AP-only / STA-only / full; it gains a
+        + b + c + d + 2e levels, and the other 2n - level - gain empty queues
+        stay empty.
 
         One numpy pass per level, or per chunk of about ``_CHUNK_MOVES`` moves
         of a larger level: its sources' rows (source, a, b) expand into the
@@ -167,12 +167,11 @@ class CensusSpace:
         fills of 0..n pairs, so each value is a row part plus (times) a fill
         part; a (source, census) mask's cumsum numbers the chunk's cells, and
         a bincount sums each cell's coefficients by source, a, b, then fill.
-        Each chunk writes its cells into arrays sized by ``_cell_counts``, so
-        no per-chunk part is kept; ``term`` (< C(n+3, 3) (2n+1)) is int32,
-        like the pattern."""
+        Each chunk checks its coefficient sums and writes its cells, in sweep
+        order, into arrays sized by ``_cell_counts``, so no per-chunk part is
+        kept; ``term`` (< C(n+3, 3) (2n+1)) is int32, like the destinations."""
         n, ne, nc = self.n, 2 * self.n + 1, len(self.censuses)
-        binom = np.array([[math.comb(r, k) for k in range(n + 1)]
-                          for r in range(n + 1)], dtype=float)
+        binom = self._binomials
         fact = [math.factorial(m) for m in range(n + 1)]
         fills = [(m,) + c for m in range(n + 1) for c in enumerate_censuses(m)]
         fill_mult = np.array([fact[m] / (fact[m - c - d - e] * fact[c] * fact[d] * fact[e])
@@ -183,8 +182,9 @@ class CensusSpace:
         order = np.argsort(self.level, kind="stable")
         moves = np.cumsum(((k1 + 1) * (k2 + 1) * (n0 + 1) * (n0 + 2) * (n0 + 3) // 6)[order])
         ends = np.flatnonzero(np.diff(moves // _CHUNK_MOVES) | np.diff(self.level[order])) + 1
-        bounds = np.concatenate([[0], np.cumsum(self._cell_counts()[order])])
-        src, dst, term = (np.empty(bounds[-1], np.int32) for _ in range(3))
+        cell_counts = self._cell_counts()
+        bounds = np.concatenate([[0], np.cumsum(cell_counts[order])])
+        dst, term = np.empty(bounds[-1], np.int32), np.empty(bounds[-1], np.int32)
         coeff = np.empty(bounds[-1])
         for lo, rows in zip(np.concatenate([[0], ends]), np.split(order, ends)):
             ab = (self.counts[rows, 1] + 1) * (self.counts[rows, 2] + 1)
@@ -206,15 +206,19 @@ class CensusSpace:
                 raise ConsistencyError(f"censuses {rows[0]}..{rows[-1]} have {len(found)} "
                                        f"cells, not the {out.stop - out.start} counted")
             src_pos, to = np.divmod(found, nc)
-            source = rows[src_pos]
-            src[out], dst[out] = source, to
-            term[out] = source * ne + self.level[to] - self.level[source]
+            gain = self.level[to] - self.level[rows[src_pos]]
+            dst[out], term[out] = to, rows[src_pos] * ne + gain
             move_coeff = fill_mult[fill]
             move_coeff *= np.repeat(binom[k1, a] * binom[k2, b], size)
             coeff[out] = np.bincount(cell, move_coeff, minlength=len(to))
-        self._check_arrival_sums(term, coeff)
-        term.flags.writeable = coeff.flags.writeable = False
-        return MovePattern(src, dst, self.level), term, coeff
+            self._check_arrival_sums(rows, src_pos * ne + gain, coeff[out])
+        return MovePattern(self.level, cell_counts, dst, term, coeff)
+
+    @functools.cached_property
+    def _binomials(self) -> np.ndarray:
+        """C(r, k) for r, k = 0..2n, as floats (0 for k > r)."""
+        ne = 2 * self.n + 1
+        return np.array([[math.comb(r, k) for k in range(ne)] for r in range(ne)], dtype=float)
 
     def _cell_counts(self) -> np.ndarray:
         """The number of cells of each census (k1, k2, k3), in closed form:
@@ -232,24 +236,21 @@ class CensusSpace:
             count += np.where(left >= 0, np.maximum(room, 0), 0).sum(axis=1)
         return count
 
-    def _check_arrival_sums(self, term, coeff) -> None:
+    def _check_arrival_sums(self, rows, at, coeff) -> None:
         """Each of the 2n - level(o) empty queues of a census o gets an
         arrival independently, so with p and 1 - p factored out its row sums
         to 1 only if the coefficients of o's cells that gain g levels sum to
-        C(2n - level(o), g).  Raises ``ConsistencyError`` where they do not."""
+        C(2n - level(o), g).  ``at`` is, per cell of the censuses ``rows``,
+        its source's position in ``rows`` * (2n+1) + gain.  Raises
+        ``ConsistencyError`` where the sums are off."""
         ne = 2 * self.n + 1
-        sums = np.bincount(term, coeff, minlength=len(self.level) * ne).reshape(-1, ne)
-        want = np.array([[math.comb(f, g) for g in range(ne)] for f in range(ne)],
-                        dtype=float)[2 * self.n - self.level]
+        sums = np.bincount(at, coeff, minlength=len(rows) * ne).reshape(-1, ne)
+        want = self._binomials[2 * self.n - self.level[rows]]
         bad = np.argwhere(np.abs(sums - want) > 1e-12 * want)
         if len(bad):
             o, g = bad[0]
-            raise ConsistencyError(f"the moves of census {self.censuses[o]} that gain {g} "
-                                   f"levels sum to {sums[o, g]}, not {want[o, g]}")
-
-    @property
-    def pattern(self) -> MovePattern:
-        return self._cells[0]
+            raise ConsistencyError(f"the moves of census {self.censuses[rows[o]]} that gain "
+                                   f"{g} levels sum to {sums[o, g]}, not {want[o, g]}")
 
     def arrival_table(self, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Table [o, g] = sum_t weights[o, t] p_t^g (1 - p_t)^(2n - L - g) for
@@ -265,15 +266,6 @@ class CensusSpace:
             table[rows, :ne - lv] = weights[rows] @ (pw[:, :ne - lv] * qw[:, ne - lv - 1::-1])
         return table
 
-    def cell_values(self, table: np.ndarray, out: np.ndarray) -> None:
-        """Write into ``out``, per cell of ``pattern``, coeff * table[source,
-        gain], where ``table`` is an ``arrival_table``."""
-        _, term, coeff = self._cells
-        flat = table.ravel()
-        for at in range(0, len(term), _CHUNK):  # take copies its indices as int64
-            cells = slice(at, at + _CHUNK)
-            np.multiply(flat.take(term[cells]), coeff[cells], out=out[cells])
-
     def prior(self, rho) -> np.ndarray:
         """The census probabilities when each pair is independently in
         state j with probability rho[j]."""
@@ -286,17 +278,19 @@ class CensusSpace:
 census_space = functools.lru_cache(maxsize=2)(CensusSpace)  # a model's n and n - 1 pairs
 
 
-def block_sweep(pattern: MovePattern, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def block_sweep(pattern: MovePattern, table: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve y = rhs + M y over the censuses of ``pattern``'s space, M
-    holding ``values`` on the pattern's cells; off its diagonal M moves
-    strictly up a level.  From the top level down, y[o] = (rhs[o] +
-    M[o, higher] y) / (1 - M[o, o]).  A diagonal entry not below 1 raises
-    ``ConsistencyError``.  ``rhs`` is (censuses, columns), and so is y."""
+    holding coeff * table.flat[term] on the pattern's cells, formed one
+    level at a time; off its diagonal M moves strictly up a level.  From
+    the top level down, y[o] = (rhs[o] + M[o, higher] y) / (1 - M[o, o]).
+    A diagonal entry not below 1 raises ``ConsistencyError``.  ``rhs`` is
+    (censuses, columns), and so is y."""
+    flat = table.ravel()
     rhs = rhs[pattern.order].T  # one row per column, the censuses by level
     y = np.zeros(rhs.shape)
     for lv in range(len(pattern.levels) - 1, -1, -1):
         rows, cells, first, on = pattern.levels[lv]
-        vals = values[cells]
+        vals = flat.take(pattern.term[cells]) * pattern.coeff[cells]
         stay = 1.0 - vals[on]
         if not (stay > 0.0).all():
             raise ConsistencyError(f"a diagonal entry at level {lv} is not below 1")
@@ -387,11 +381,12 @@ class CycleModel:
     # ----- the census linear system ---------------------------------------
 
     def _census_system(self):
-        """(values, rhs): M's entries on the cells of ``space.pattern`` and the
-        rhs columns P(the AP side / the STA side wins this period) and the
-        mean period length.  The empty census's row is the idle closed form
-        that ``_solve`` applies after the sweep in place of its cells'
-        values, so its rhs holds only the wait for the first arrival."""
+        """(table, rhs): the ``arrival_table`` from which ``block_sweep``
+        forms M's entries on the cells of ``space.pattern``, and the rhs
+        columns P(the AP side / the STA side wins this period) and the mean
+        period length.  The empty census's row is the idle closed form that
+        ``_solve`` applies after the sweep in place of its cells' values, so
+        its rhs holds only the wait for the first arrival."""
         space = self.space
         nc = len(space.counts)
         # weights[c, window]: the period ends without a success (errored
@@ -400,19 +395,17 @@ class CycleModel:
         weights = np.concatenate([succ * self.per, col[:, :, None]], 2).reshape(nc, -1)
         period = ((succ * self._windows[:, :-1]).reshape(nc, -1).sum(axis=1)
                   + (col * self._windows[:, -1]).sum(axis=1))
-        values = np.empty(len(space.pattern.src))
-        space.cell_values(space.arrival_table(weights, self._p), values)
         rhs = np.column_stack([self._won, period])
         # idle (closed form): wait 1/(2 N lambda) for the first arrival
         empty = space.lookup[0, 0, 0]
         rhs[empty] = 0.0
         if self.lambda_pps > 0.0:
             rhs[empty, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
-        return values, rhs
+        return space.arrival_table(weights, self._p), rhs
 
     def _solve(self) -> None:
-        values, rhs = self._census_system()
-        y = block_sweep(self.space.pattern, values, rhs)
+        table, rhs = self._census_system()
+        y = block_sweep(self.space.pattern, table, rhs)
         # the empty census is the only one at level 0, so its closed-form row
         # replaces the cells' row after the sweep: the first arrival makes
         # one pair AP-only or STA-only with 1/2 each

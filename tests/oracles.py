@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from oppmac import AP, STA, ConsistencyError, ParameterError, fixed_point
-from oppmac.analysis import CensusSpace, MovePattern
+from oppmac.analysis import CensusSpace
 
 BIG = 1 << 20  # sentinel: no timer set within the horizon
 
@@ -466,12 +466,14 @@ def dense_solve(m, c):
 
 def dense_census(model):
     """Dense (m, rhs) of the census system Y = rhs + m Y over the censuses
-    of ``model.space``, rebuilt from the model's cell values and its
+    of ``model.space``, rebuilt from the model's arrival table on the cells
+    of its pattern (source term // (2n+1), destination order[to]) and its
     closed-form idle row."""
-    values, rhs = model._census_system()
+    table, rhs = model._census_system()
     space = model.space
+    p = space.pattern
     m = np.zeros((len(space.counts),) * 2)
-    m[space.pattern.src, space.pattern.dst] = values
+    m[p.term // (2 * space.n + 1), p.order[p.to]] = p.coeff * table.ravel()[p.term]
     empty = space.lookup[0, 0, 0]
     m[empty] = 0.0
     if model.lambda_pps > 0.0:
@@ -516,12 +518,13 @@ def scalar_row(census, n, t_us, lam, lookup):
 
 
 def move_table_reference(space):
-    """The moves behind ``CensusSpace._cells`` of ``space``, built one source
-    at a time, each source's distinct destinations found by its own
-    ``np.unique``: the (``MovePattern``, per-level (cell, coeff, source, ep,
-    eq) per move) whose cells, terms and coefficient sums the vectorised
-    build must reproduce; a move raises p to the ep levels it gains and
-    1 - p to the eq empty queues it leaves empty."""
+    """The moves behind ``CensusSpace.pattern`` of ``space``, built one
+    source at a time in sweep order, each source's distinct destinations
+    found by its own ``np.unique``: the (source, destination) of each cell
+    and, per level, (cell, coeff, source, ep, eq) per move, whose cells,
+    terms and coefficient sums the vectorised build must reproduce; a move
+    raises p to the ep levels it gains and 1 - p to the eq empty queues it
+    leaves empty."""
     binom = np.array([[math.comb(r, k) for k in range(space.n + 1)]
                       for r in range(space.n + 1)], dtype=float)
     fills = [CensusSpace(m) for m in range(space.n + 1)]
@@ -548,7 +551,7 @@ def move_table_reference(space):
             eqs += (eq.ravel(),)
             first += len(dst)
         by_level.append(tuple(np.concatenate(x) for x in (cells, coeffs, sources, eps, eqs)))
-    return MovePattern(np.concatenate(srcs), np.concatenate(dsts), space.level), by_level
+    return np.concatenate(srcs), np.concatenate(dsts), by_level
 
 
 def powers(n, p):

@@ -24,5 +24,5 @@ def test_model_scaling_smoke():
         # the others' cells are built first, inside the timed build
         assert 0.0 < float(cells_s) <= float(build_s)
         # the cells of the moves out of the censuses of all n pairs
-        assert int(cells) == len(move_table_reference(CensusSpace(n))[0].src)
+        assert int(cells) == len(move_table_reference(CensusSpace(n))[0])
         assert int(unknowns) == math.comb(n + 3, 3)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppmac import ConsistencyError, CycleModel, TimerPolicy, build_kernels
 from oppmac import analysis
@@ -119,13 +121,14 @@ def test_move_table_matches_per_source_reference(n):
     cell's coefficient sum is bitwise the bincount of the moves'
     coefficients in move order."""
     space = analysis.CensusSpace(n)
-    pattern, term, coeff = space._cells
-    ref_pattern, ref_by_level = move_table_reference(space)
-    assert np.array_equal(pattern.src, ref_pattern.src)
-    assert np.array_equal(pattern.dst, ref_pattern.dst)
-    for arr in (pattern.src, pattern.dst, pattern.rank, pattern.to, term):
+    pattern = space.pattern
+    term, coeff = pattern.term, pattern.coeff
+    ref_src, ref_dst, ref_by_level = move_table_reference(space)
+    assert np.array_equal(term // (2 * n + 1), ref_src)
+    assert np.array_equal(pattern.order[pattern.to], ref_dst)
+    for arr in (pattern.order, pattern.rank, pattern.to, term):
         assert arr.dtype == np.int32
-    assert len(term) == len(coeff) == len(pattern.src)
+    assert len(term) == len(coeff) == len(pattern.to)
     assert len(pattern.levels) == len(ref_by_level)
     for (_, cells, _, _), (ref_cell, ref_coeff, src, ep, eq) in zip(pattern.levels,
                                                                      ref_by_level):
@@ -136,28 +139,26 @@ def test_move_table_matches_per_source_reference(n):
 
 
 def test_chunked_build_matches_one_pass(monkeypatch):
-    """Chunks of a few cells and moves, which split levels, give the
-    pattern, terms, coefficients and cell values of one pass per level; the
-    order check also holds across a chunk boundary."""
-    whole = analysis.CensusSpace(8)
-    monkeypatch.setattr(analysis, "_CHUNK", 97)
+    """Chunks of a few moves, which split levels, give the pattern, terms
+    and coefficients of one pass per level."""
+    pw = analysis.CensusSpace(8).pattern
     monkeypatch.setattr(analysis, "_CHUNK_MOVES", 50)
-    chunked = analysis.CensusSpace(8)
-    (pw, *rest_w), (pc, *rest_c) = whole._cells, chunked._cells
-    for a, b in zip([pw.src, pw.dst, pw.rank, pw.to, *rest_w],
-                    [pc.src, pc.dst, pc.rank, pc.to, *rest_c]):
+    pc = analysis.CensusSpace(8).pattern
+    for a, b in zip([pw.order, pw.rank, pw.to, pw.term, pw.coeff],
+                    [pc.order, pc.rank, pc.to, pc.term, pc.coeff]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     for lw, lc in zip(pw.levels, pc.levels):
         assert lw[:2] == lc[:2] and all(np.array_equal(x, y) for x, y in zip(lw[2:], lc[2:]))
-    table = np.random.default_rng(8).random((len(whole.counts), 17))
-    got, want = np.empty(len(pc.src)), np.empty(len(pw.src))
-    chunked.cell_values(table, got)
-    whole.cell_values(table, want)
-    assert got.tobytes() == want.tobytes()
-    monkeypatch.setattr(analysis, "_CHUNK", 2)
-    with pytest.raises(ValueError, match="sorted by source level"):
-        hand_system({(1, 1): 0.0, (1, 2): 0.5, (0, 0): 0.5, (0, 1): 0.25, (2, 2): 0.75},
-                    [0, 1, 2])
+
+
+def test_cached_space_keeps_three_arrays_per_cell():
+    """Past its build, a space keeps per cell only the destination rank and
+    the table entry, both int32, and the coefficient sum: 16 bytes."""
+    space = analysis.CensusSpace(6)
+    pattern = space.pattern
+    per_cell = {name: arr.dtype for obj in (space, pattern) for name, arr in vars(obj).items()
+                if isinstance(arr, np.ndarray) and len(arr) == len(pattern.term)}
+    assert per_cell == {"to": np.int32, "term": np.int32, "coeff": np.float64}
 
 
 def test_cell_counts_match_the_built_cells():
@@ -165,7 +166,7 @@ def test_cell_counts_match_the_built_cells():
     build, is the number of cells the build finds per source."""
     for n in (1, 2, 5, 9, 13):
         space = analysis.CensusSpace(n)
-        built = np.bincount(space.pattern.src, minlength=len(space.counts))
+        built = np.bincount(space.pattern.term // (2 * n + 1), minlength=len(space.counts))
         assert np.array_equal(space._cell_counts(), built)
 
 
@@ -190,15 +191,23 @@ def test_arrival_table_matches_dense_powers(n, lam, timing):
 
 def test_cell_coefficients_sum_to_binomials():
     """Per census and level gain g, the coefficient sums of its cells are
-    C(empty queues, g), so each transition row sums to 1; a single
-    coefficient off by 1e-10 relative is refused."""
+    C(empty queues, g), so each transition row sums to 1; checked one level
+    at a time, as the build checks its chunks, a single coefficient off by
+    1e-10 relative is refused, naming its census."""
     space = analysis.CensusSpace(5)
-    _, term, coeff = space._cells
-    space._check_arrival_sums(term, coeff)
-    bad = coeff.copy()
-    bad[len(bad) // 2] *= 1.0 + 1e-10
-    with pytest.raises(ConsistencyError, match="sum to"):
-        space._check_arrival_sums(term, bad)
+    p, ne = space.pattern, 2 * space.n + 1
+    off = len(p.term) // 2
+    bad = p.coeff.copy()
+    bad[off] *= 1.0 + 1e-10
+    k1, k2, k3 = space.censuses[p.term[off] // ne]
+    for rows, cells, _, _ in p.levels:  # a level's sources at their positions in it
+        source, gain = np.divmod(p.term[cells], ne)
+        at = (p.rank[source] - rows.start) * ne + gain
+        space._check_arrival_sums(p.order[rows], at, p.coeff[cells])
+        if cells.start <= off < cells.stop:
+            with pytest.raises(ConsistencyError, match=rf"census \({k1}, {k2}, {k3}\) that "
+                                                       rf"gain \d+ levels sum to"):
+                space._check_arrival_sums(p.order[rows], at, bad[cells])
 
 
 def test_move_table_only_for_all_n_pairs(timing):
@@ -206,8 +215,8 @@ def test_move_table_only_for_all_n_pairs(timing):
     of n - 1 pairs serves the contention summaries alone."""
     census_space.cache_clear()
     make_model(5, 40.0, timing)
-    assert "_cells" in vars(census_space(5))
-    assert "_cells" not in vars(census_space(4))
+    assert "pattern" in vars(census_space(5))
+    assert "pattern" not in vars(census_space(4))
 
 
 def test_census_cache_keeps_two_spaces(timing):
@@ -228,9 +237,10 @@ def test_census_cache_keeps_two_spaces(timing):
 
 
 def test_model_build_memory_peak(timing):
-    """The census system is kept as one value per cell of the move pattern,
-    never as the dense M: an N = 15 model, its cells included, peaks below
-    40 MB of traced allocations."""
+    """The census system is kept as three arrays per cell of the move
+    pattern, never as the dense M: an N = 15 model, its cells included,
+    peaks at 6.94 MB of traced allocations (9.18 MB with the per-cell
+    source, destination and values kept); the bound leaves about 10%."""
     kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
     census_space.cache_clear()
     tracemalloc.start()
@@ -240,18 +250,19 @@ def test_model_build_memory_peak(timing):
     finally:
         tracemalloc.stop()
         census_space.cache_clear()
-    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 7.6 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_model_build_memory_peak_on_cached_cells(timing):
     """Past its cells, an N = 15 model allocates its contention summaries,
-    one value per cell and the per-level arrival table, whose columns are
-    the level gains rather than every exponent pair.  Measured at 4.46 MB
-    of traced allocations (10.25 MB with the dense table of every exponent
-    pair); the bound leaves about 10%."""
+    the per-level arrival table, whose columns are the level gains rather
+    than every exponent pair, and one level's entries of M at a time.
+    Measured at 1.62 MB of traced allocations (4.46 MB with one value per
+    cell, 10.25 MB with the dense table of every exponent pair); the bound
+    leaves about 10%."""
     kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
     census_space.cache_clear()
-    census_space(15)._cells
+    census_space(15).pattern
     tracemalloc.start()
     try:
         CycleModel(kt, timing, PER, 15)
@@ -259,20 +270,19 @@ def test_model_build_memory_peak_on_cached_cells(timing):
     finally:
         tracemalloc.stop()
         census_space.cache_clear()
-    assert peak < 4.9 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak < 1.8 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_renewal_identity_check_catches_a_wrong_operator(timing, monkeypatch):
     """An operator that loses continuation mass lets a cycle end without a
     winner: the win probabilities of a census then sum to less than 1, and
     the model refuses them."""
-    exact = analysis.CensusSpace.cell_values
+    exact = analysis.CensusSpace.arrival_table
 
-    def lossy(self, table, out):
-        exact(self, table, out)
-        out *= 0.5
+    def lossy(self, weights, p):
+        return 0.5 * exact(self, weights, p)
 
-    monkeypatch.setattr(analysis.CensusSpace, "cell_values", lossy)
+    monkeypatch.setattr(analysis.CensusSpace, "arrival_table", lossy)
     with pytest.raises(ConsistencyError,
                        match=r"win probabilities of census \(0, 0, 0\) sum to 0\.\d+, not 1"):
         make_model(2, 400.0, timing)
@@ -309,22 +319,28 @@ def test_sweep_matches_dense_solve(n, lam, timing):
 
 
 def hand_system(cells, level):
-    """A system on a hand-built pattern: ``cells`` maps each (source,
-    destination) cell, sorted by source level, then source, to its entry;
-    every census has its diagonal cell."""
-    src, dst = np.array(list(cells)).T
-    return MovePattern(src, dst, np.array(level)), np.array(list(cells.values()))
+    """(pattern, table) of a system on a hand-built pattern: ``cells`` maps
+    each (source, destination) cell to its entry.  The cells are grouped by
+    source in sweep order, each cell's term is its position and its
+    coefficient is 1, so the table is the entries as one column."""
+    level = np.array(level)
+    rank = np.argsort(np.argsort(level, kind="stable"))
+    grouped = sorted(cells.items(), key=lambda cell: rank[cell[0][0]])
+    src, dst = np.array([cell for cell, _ in grouped], dtype=np.int32).reshape(-1, 2).T
+    pattern = MovePattern(level, np.bincount(src, minlength=len(level)), dst,
+                          np.arange(len(grouped), dtype=np.int32), np.ones(len(grouped)))
+    return pattern, np.array([[value] for _, value in grouped])
 
 
 def test_sweep_solves_hand_example():
     # m = [[0.5, 0.25, 0], [0, 0, 0.5], [0, 0, 0.75]]
-    pattern, values = hand_system({(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.0, (1, 2): 0.5,
-                                   (2, 2): 0.75}, [0, 1, 2])
+    pattern, table = hand_system({(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.0, (1, 2): 0.5,
+                                  (2, 2): 0.75}, [0, 1, 2])
     c = np.array([1.0, 2.0, 3.0])
-    x = block_sweep(pattern, values, c[:, None])[:, 0]
+    x = block_sweep(pattern, table, c[:, None])[:, 0]
     # x2 = 3 / (1 - 0.75), x1 = 2 + 0.5 x2, x0 = (1 + 0.25 x1) / (1 - 0.5)
     np.testing.assert_allclose(x, [6.0, 8.0, 12.0], rtol=1e-15)
-    np.testing.assert_allclose(block_sweep(pattern, values, np.stack([c, 2 * c], 1)),
+    np.testing.assert_allclose(block_sweep(pattern, table, np.stack([c, 2 * c], 1)),
                                np.stack([x, 2 * x], 1), rtol=1e-15)
 
 
@@ -340,6 +356,52 @@ def test_sweep_rejects_moves_that_do_not_raise_the_level(level):
 @pytest.mark.parametrize("diag", [1.0, 1.5, np.nan])
 def test_sweep_rejects_diagonal_not_below_one(diag):
     # m = [[0.1, 0.2], [0, diag]]
-    pattern, values = hand_system({(0, 0): 0.1, (0, 1): 0.2, (1, 1): diag}, [0, 1])
+    pattern, table = hand_system({(0, 0): 0.1, (0, 1): 0.2, (1, 1): diag}, [0, 1])
     with pytest.raises(ConsistencyError, match="diagonal entry at level 1 is not"):
-        block_sweep(pattern, values, np.ones((2, 1)))
+        block_sweep(pattern, table, np.ones((2, 1)))
+
+
+@st.composite
+def upward_systems(draw):
+    """(cells, level, rhs): random levels, a diagonal entry below 1 per
+    census and random cells that go strictly up a level, each row's entries
+    summing to at most 1.  The rhs is positive, so every solved value is at
+    least its rhs and a relative tolerance holds for each of them."""
+    nc = draw(st.integers(1, 7))
+    level = draw(st.lists(st.integers(0, 4), min_size=nc, max_size=nc))
+    cells = {}
+    for o in range(nc):
+        diag = draw(st.floats(0.0, 0.9))
+        cells[(o, o)] = diag
+        ups = [d for d in range(nc) if level[d] > level[o]]
+        dests = draw(st.lists(st.sampled_from(ups), unique=True)) if ups else []
+        weights = [draw(st.floats(0.0, 1.0)) for _ in dests]
+        scale = (1.0 - diag) / max(1.0, sum(weights))
+        cells.update({(o, d): w * scale for d, w in zip(dests, weights)})
+    rhs = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2 * nc, max_size=2 * nc)))
+    return cells, level, rhs.reshape(nc, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(upward_systems(), st.data())
+def test_sweep_matches_dense_solve_on_random_patterns(system, data):
+    """Through ``MovePattern`` and ``block_sweep``, random upward cells with
+    one diagonal per census solve as the dense system does; one downward
+    cell raises ``ConsistencyError``, one missing diagonal ``ValueError``."""
+    cells, level, rhs = system
+    nc = len(level)
+    m = np.zeros((nc, nc))
+    for (o, d), value in cells.items():
+        m[o, d] = value
+    np.testing.assert_allclose(block_sweep(*hand_system(cells, level), rhs),
+                               dense_solve(m, rhs), rtol=1e-12, atol=0)
+    if nc > 1:
+        o = data.draw(st.sampled_from(range(nc)))
+        d = data.draw(st.sampled_from([d for d in range(nc) if d != o]))
+        if level[d] > level[o]:
+            o, d = d, o  # now level[d] <= level[o]: o -> d does not go up
+        with pytest.raises(ConsistencyError, match=f"census {o} has a move that does not"):
+            hand_system({**cells, (o, d): 0.5}, level)
+    lost = data.draw(st.sampled_from(range(nc)))
+    with pytest.raises(ValueError, match="every census needs its diagonal cell"):
+        hand_system({cell: v for cell, v in cells.items() if cell != (lost, lost)}, level)
