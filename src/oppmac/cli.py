@@ -10,8 +10,9 @@ Subcommands (all take --config, --lambda, --out and --set):
                also --scheme --reps --seed --duration-s
 A verb refuses other flags and repeated rates or schemes; analyze and
 validate need rates > 0.  The simulator runs of a verb spread over the CPUs
-of its affinity mask, one forked worker per CPU; ``taskset -c 0`` keeps them
-in-process.  The outputs do not depend on the number of CPUs.
+of its affinity mask: one child per CPU is forked, and run j goes to child
+j mod children; ``taskset -c 0`` keeps them in-process.  The outputs do not
+depend on the number of CPUs.
 Exit codes: 0 success, 1 validation tolerance breach, 2 configuration error.
 Outputs are deterministic for a given (config, seeds); every file carries a
 header naming the units and the configuration hash.
@@ -23,6 +24,8 @@ import argparse
 import hashlib
 import math
 import os
+import pickle
+import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -84,19 +87,52 @@ def _simulate_one(job) -> SimReport:
                    rate_adaptation=scheme.split("-", 1)[1])
 
 
-def _take_own_cpu(cpus: list) -> None:
-    """Pool initializer: moves this worker to a CPU of its own, then hands it
-    the whole mask back.  A forked worker starts on its parent's CPU, and the
-    kernel can leave two workers sharing one CPU for a second.  The workers of
-    a pool are consecutive children of the parent, numbered in their process
-    names, so they take consecutive CPUs of the mask."""
-    import multiprocessing
-    nth_child = int(multiprocessing.current_process().name.split("-")[-1].split(":")[-1])
+def _run_share(jobs, cpu: int, cpus: list, fd: int):
+    """Body of a forked child: moves to ``cpu``, then takes the whole mask
+    back (a forked child starts on its parent's CPU, and the kernel can leave
+    two children sharing one for a second), runs ``jobs`` and writes one
+    pickle to ``fd``: ``(True, reports)`` or ``(False, (exception, its
+    traceback))``.  It leaves through ``os._exit``, so it never unwinds into
+    its parent's stack."""
     try:
-        os.sched_setaffinity(0, [cpus[nth_child % len(cpus)]])
-        os.sched_setaffinity(0, cpus)
-    except OSError:  # a CPU left the mask: stay where the kernel put this worker
-        pass
+        try:
+            os.sched_setaffinity(0, [cpu])
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # a CPU left the mask: stay where the kernel put this child
+            pass
+        try:
+            payload = pickle.dumps((True, [_simulate_one(job) for job in jobs]))
+        except Exception as exc:
+            import traceback
+            payload = pickle.dumps((False, (exc, traceback.format_exc())))
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        os._exit(0)
+    finally:  # reached only when no report was written
+        os._exit(1)
+
+
+def _gather(children: list, n_jobs: int):
+    """Reads each child's pipe to EOF and reaps the child, in order, then
+    yields the reports in job order: job j ran on child j mod len(children)."""
+    shares = []
+    while children:
+        pid, fd = children[0]
+        with open(fd, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        del children[0]
+        os.close(fd)
+        if not payload:
+            raise RuntimeError(f"simulator child {pid} exited without a report "
+                               f"(exit status {os.waitstatus_to_exitcode(status)})")
+        ok, result = pickle.loads(payload)
+        if not ok:
+            exc, trace = result
+            raise exc from RuntimeError(f"in simulator child {pid}:\n{trace}")
+        shares.append(result)
+    for j in range(n_jobs):
+        yield shares[j % len(shares)][j // len(shares)]
 
 
 @contextmanager
@@ -104,31 +140,39 @@ def _simulations(spec: ExperimentSpec, pairs, **overrides):
     """Starts the spec's ``reps`` runs of each (scheme, lambda) in ``pairs`` and
     yields an iterator over their reports, one tuple per pair, in order.
 
-    The runs go to a fork pool with one worker per CPU of the affinity mask,
-    so they are under way when the block starts; with one run, one CPU or no
-    fork, the same function is mapped in-process, lazily.  Every run has its
-    own seed, so the reports do not depend on the path.  Fork, not spawn: a
-    spawned worker would import numpy and this package again, and the pool
-    forks all its workers before it starts its own thread.
+    With w = min(runs, CPUs of the affinity mask) >= 2, w children are forked
+    when the block starts, and child i runs jobs i, i + w, ...; the jobs are
+    in its memory already, so only the reports cross a pipe.  With one run,
+    one CPU or no fork, the same function is mapped in-process, lazily.  Every
+    run has its own seed, so the reports do not depend on the path.  On every
+    way out of the block, each child not yet reaped is killed and reaped.
     """
     jobs = [(spec.setup, spec.duration_s, overrides, scheme, lam, rep)
             for scheme, lam in pairs for rep in range(spec.reps)]
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
     workers = min(len(jobs), len(cpus))
-    if workers < 2 or not hasattr(os, "fork"):
-        pool, reports = None, map(_simulate_one, jobs)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_take_own_cpu, initargs=(cpus,))
-        reports = pool.map(_simulate_one, jobs)
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
+        if workers < 2 or not hasattr(os, "fork"):
+            reports = map(_simulate_one, jobs)
+        else:
+            # child w starts on CPU w + 1 of the mask: with CPU w, paired runs
+            # of the sim benchmarks on 2 CPUs were no faster and often slower
+            for w in range(workers):
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(jobs[w::workers], cpus[(w + 1) % len(cpus)], cpus, write_fd)
+                os.close(write_fd)
+                children.append((pid, read_fd))
+            reports = _gather(children, len(jobs))
         # one iterator zipped with itself: each tuple takes the next reps reports
         yield zip(*[reports] * spec.reps)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for pid, fd in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _write(path: Path, lines) -> None:

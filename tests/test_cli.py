@@ -3,6 +3,10 @@ import os
 import pickle
 import re
 import shlex
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -631,22 +635,29 @@ def test_compare_matches_committed_row(tmp_path):
     assert len(got) == 5
 
 
-# ---------------------------------------------------------------- process pool
+# ---------------------------------------------------------------- forked children
 
 def force_cpus(monkeypatch, cpus) -> list:
-    """Makes the affinity mask read ``cpus``; returns the worker counts of the
-    pools that the CLI starts from then on."""
-    import concurrent.futures
-    pools = []
+    """Makes the affinity mask read ``cpus``; returns the list to which each
+    child that the CLI forks from then on adds its pid."""
+    children = []
+    real_fork = os.fork
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    return pools
+    monkeypatch.setattr(os, "fork", fork)
+    return children
+
+
+def assert_no_child_left():
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 POOL_RUNS = {
@@ -660,42 +671,43 @@ POOL_RUNS = {
 
 @pytest.mark.parametrize("verb", sorted(POOL_RUNS))
 def test_pool_and_serial_paths_same_bytes(tmp_path, capsys, monkeypatch, verb):
-    """One CPU runs the simulations in-process, two run them on a pool of two
-    workers, started before the parent solves any fixed point; every file,
-    the stdout and the exit code are the same."""
-    solving_while_pooled = []
+    """One CPU runs the simulations in-process, two run them on two forked
+    children, forked before the parent solves any fixed point; every file,
+    the stdout and the exit code are the same, and no child is left."""
+    solving_while_forked = []
     real_fixed_point = cli.fixed_point
 
     def fixed_point(*args, **kwargs):
-        solving_while_pooled.append(len(pools))
+        solving_while_forked.append(len(children))
         return real_fixed_point(*args, **kwargs)
 
     monkeypatch.setattr(cli, "fixed_point", fixed_point)
     runs = []
     for cpus in ({0}, {0, 1}):
-        pools = force_cpus(monkeypatch, cpus)
+        children = force_cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{len(cpus)}"
         code = main([verb, *POOL_RUNS[verb], "--duration-s", "1",
                      "--set", "system.n_stations=2", "--out", str(out)])
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         runs.append((code, capsys.readouterr().out, files))
-        assert pools == ([] if len(cpus) == 1 else [2])
+        assert len(children) == (0 if len(cpus) == 1 else 2)
+        assert_no_child_left()
     assert runs[0] == runs[1]
     assert len(runs[0][2]) == {"simulate": 13, "validate": 1, "compare": 1}[verb]
     if verb != "simulate":  # one solve per positive rate and run
-        half = len(solving_while_pooled) // 2
-        assert half and solving_while_pooled == [0] * half + [1] * half
+        half = len(solving_while_forked) // 2
+        assert half and solving_while_forked == [0] * half + [2] * half
 
 
 @pytest.mark.parametrize("error", [ParameterError("no rate fits this channel"),
                                    ConfigError("channel.rates_mbps", "no rate fits this channel")])
 def test_pooled_parameter_error_exit_code(tmp_path, capsys, monkeypatch, error):
-    """An error raised in a worker exits 2 with its message, as it would
-    in-process, and no run file is written."""
+    """An error raised in a child exits 2 with its message, as it would
+    in-process, no run file is written and no child is left."""
     def bad_rate(*args, **kwargs):
         raise error
 
-    pools = force_cpus(monkeypatch, {0, 1})
+    children = force_cpus(monkeypatch, {0, 1})
     monkeypatch.setattr(cli, "run_dcf", bad_rate)
     out = tmp_path / "sim"
     assert main(["simulate", "--scheme", "opportunistic,dcf-arf", "--lambda", "20",
@@ -703,5 +715,63 @@ def test_pooled_parameter_error_exit_code(tmp_path, capsys, monkeypatch, error):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "no rate fits this channel" in err and "Traceback" not in err
-    assert pools == [2]
+    assert len(children) == 2
     assert not out.exists()
+    assert_no_child_left()
+
+
+def test_child_that_dies_without_a_report(tmp_path, monkeypatch):
+    """A child killed before it reports fails the verb with its exit status,
+    without a hang, and is reaped with its sibling."""
+    def killed(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    children = force_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(cli, "run_dcf", killed)
+    out = tmp_path / "sim"
+    with pytest.raises(RuntimeError, match=f"exit status {-signal.SIGKILL}"):
+        main(["simulate", "--scheme", "dcf-arf,opportunistic", "--lambda", "20",
+              "--duration-s", "0.5", "--set", "system.n_stations=2", "--out", str(out)])
+    assert len(children) == 2
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_interrupted_verb_kills_its_children(tmp_path, monkeypatch):
+    """An interrupt in the parent while the children still run kills and
+    reaps them at once."""
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    children = force_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(cli, "run_opportunistic", lambda *a, **k: time.sleep(60))
+    monkeypatch.setattr(cli, "fixed_point", interrupted)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["validate", "--lambda", "20", "--reps", "2", "--duration-s", "0.5",
+              "--set", "system.n_stations=2", "--out", str(tmp_path)])
+    assert len(children) == 2 and time.monotonic() - t0 < 30
+    assert_no_child_left()
+
+
+def test_pooled_verb_imports_no_process_pool(tmp_path):
+    """The forked path needs neither multiprocessing nor concurrent.futures:
+    a pooled simulate in a fresh interpreter leaves both unimported."""
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, real_fork = [], os.fork\n"
+        "def fork():\n"
+        "    forks.append(1)\n"
+        "    return real_fork()\n"
+        "os.fork = fork\n"
+        "from oppmac.cli import main\n"
+        f"code = main(['simulate', '--scheme', 'opportunistic,dcf-arf', '--lambda', '20',"
+        f" '--duration-s', '0.2', '--set', 'system.n_stations=2', '--out', {str(tmp_path)!r}])\n"
+        "print(code, len(forks), sorted({'multiprocessing', 'concurrent.futures'}"
+        " & set(sys.modules)))\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 2 []"
