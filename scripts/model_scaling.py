@@ -7,8 +7,8 @@ with ``system.n_stations = N``, then times the ``CycleModel`` build, and
 reports the build time, its own peak RSS, the number of cells of the move
 pattern and the number of unknowns of the census system, C(N+3, 3).  The
 build starts with that pattern, ``census_space(N).pattern`` (the moves out
-of the censuses of all N pairs, one record per cell: the destination's
-rank, the (source, level gain) table entry and the coefficient sum, in
+of the censuses of all N pairs, one record per cell: the destination
+census, the (source, level gain) table entry and the coefficient sum, in
 arrays sized by the closed-form cell count), so ``cells_s``, the time of
 that step alone, is part of ``build_s``.  The rest is the contention
 summaries, the arrival table (one column per level gain) and the level

@@ -15,7 +15,6 @@ from .kernels import ConsistencyError, KernelTable, build_kernels
 from .analysis import (
     AnalysisSolution,
     CycleModel,
-    OccupancyPrior,
     fixed_point,
 )
 
@@ -23,7 +22,7 @@ __all__ = [
     "AP", "STA", "ChannelSpace", "MacTiming", "ParameterError", "SystemConfig",
     "TimerPolicy", "state_probabilities",
     "ConsistencyError", "KernelTable", "build_kernels", "AnalysisSolution",
-    "CycleModel", "OccupancyPrior", "fixed_point",
+    "CycleModel", "fixed_point",
 ]
 
 __version__ = "0.1.0"

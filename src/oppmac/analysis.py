@@ -23,11 +23,13 @@ coefficient sum.  M is never stored: ``block_sweep`` forms coeff *
 sum_t w_t p_t^g (1-p_t)^(2n-L-g) per cell one level at a time, w_t the
 census's chance that the period ends without a success after window t,
 read from one (source, gain) table built by one small product per level.
-The cells are grouped by source in sweep order, in arrays sized by the
+The censuses are numbered in sweep order, by level, so a level's censuses
+are one range of indices and a cell's destination is its index in the
+solved vectors; the cells are grouped by source, in arrays sized by the
 closed-form cell count.
 Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
 fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
-multinomial census probabilities.
+multinomial census probabilities, in one pass per iterate.
 """
 
 from __future__ import annotations
@@ -40,23 +42,6 @@ import numpy as np
 
 from .core import MacTiming, ParameterError, SystemConfig, TimerPolicy
 from .kernels import PAIR_STATES, ConsistencyError, KernelTable, _gl_nodes, build_kernels
-
-
-@dataclass(frozen=True)
-class OccupancyPrior:
-    """Long-run probabilities that an AP queue / STA queue is nonempty."""
-
-    p_a: float
-    p_s: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_a <= 1.0 and 0.0 <= self.p_s <= 1.0):
-            raise ParameterError("occupancy probabilities must lie in [0, 1]")
-
-    def pair_state_probs(self) -> tuple[float, float, float, float]:
-        """(rho_0 .. rho_3): i.i.d. per-pair state probabilities."""
-        pa, ps = self.p_a, self.p_s
-        return ((1 - pa) * (1 - ps), pa * (1 - ps), (1 - pa) * ps, pa * ps)
 
 
 @dataclass(frozen=True)
@@ -77,46 +62,45 @@ class AnalysisSolution:
 
 
 def enumerate_censuses(n: int) -> list[tuple[int, int, int]]:
-    """All (k1, k2, k3) with k1 + k2 + k3 <= n, in lexicographic order."""
-    return [(k1, k2, k3)
-            for k1 in range(n + 1)
-            for k2 in range(n - k1 + 1)
-            for k3 in range(n - k1 - k2 + 1)]
+    """All (k1, k2, k3) with k1 + k2 + k3 <= n in sweep order: by level
+    k1 + k2 + 2 k3, then lexicographically."""
+    return sorted(((k1, k2, k3)
+                   for k1 in range(n + 1)
+                   for k2 in range(n - k1 + 1)
+                   for k3 in range(n - k1 - k2 + 1)), key=lambda c: c[0] + c[1] + 2 * c[2])
 
 
 _CHUNK_MOVES = 1 << 16  # moves per pass of the cell build, within one level
 
 
 class MovePattern:
-    """The cells of M, one record each: ``to``, the rank of its destination;
+    """The cells of M, one record each: ``to``, its destination census;
     ``term``, source * (2n+1) + level gain, the entry of an
     ``arrival_table`` that M's entry multiplies; and ``coeff``, the sum of
     its moves' coefficients, so M[cell] = coeff * table.flat[term].  The
-    cells are grouped by source, ``counts[o]`` of them for census o, the
-    sources in sweep order: ``order`` lists the censuses by ``level``, then
-    index, and ``rank`` is its inverse.  ``dst``, each cell's destination
-    census, becomes ``to`` in place.  Every census has one diagonal cell,
-    or ``ValueError`` is raised, and every other cell must go strictly up a
+    censuses are numbered in sweep order, so ``level`` must ascend, or
+    ``ValueError`` is raised; the cells are grouped by source, ``counts[o]``
+    of them for census o.  Every census has one diagonal cell, or
+    ``ValueError`` is raised, and every other cell must go strictly up a
     level, or ``ConsistencyError`` is raised.
 
-    ``levels[l]`` holds, for the censuses ``order[rows]`` of level l, their
-    ``cells`` (a slice of the pattern), each census's first cell and its
-    diagonal cell as offsets into ``cells``; the checks run one level at a
-    time."""
+    ``levels[l]`` holds, for the censuses ``rows`` of level l (a slice),
+    their ``cells`` (a slice of the pattern), each census's first cell and
+    its diagonal cell as offsets into ``cells``; the checks run one level
+    at a time."""
 
-    def __init__(self, level, counts, dst, term, coeff):
-        self.order = np.argsort(level, kind="stable").astype(np.int32)
-        self.rank = np.empty_like(self.order)
-        self.rank[self.order] = np.arange(len(level))
-        self.to, self.term, self.coeff = dst, term, coeff
-        counts = counts[self.order]
+    def __init__(self, level, counts, to, term, coeff):
+        if (np.diff(level) < 0).any():
+            raise ValueError("the censuses must be numbered by ascending level")
+        self.to, self.term, self.coeff = to, term, coeff
         bounds = np.concatenate([[0], np.cumsum(counts)])
-        row_bounds = np.searchsorted(level[self.order], np.arange(level.max() + 2))
+        row_bounds = np.searchsorted(level, np.arange(level.max() + 2))
         self.levels = []
         for lv in range(level.max() + 1):
             rows = slice(*row_bounds[lv:lv + 2])
             cells = slice(bounds[rows.start], bounds[rows.stop])
-            src, d = np.repeat(self.order[rows], counts[rows]), dst[cells]
+            census = np.arange(rows.start, rows.stop)
+            src, d = np.repeat(census, counts[rows]), to[cells]
             diagonal = src == d
             up = diagonal | (level[d] > lv)
             if not up.all():
@@ -124,11 +108,10 @@ class MovePattern:
                 raise ConsistencyError(f"census {o} has a move that does not leave "
                                        f"level {lv} upwards")
             on = np.flatnonzero(diagonal)
-            if not np.array_equal(src[on], self.order[rows]):
+            if not np.array_equal(src[on], census):
                 raise ValueError("every census needs its diagonal cell")
-            np.take(self.rank, d, out=self.to[cells])
             self.levels.append((rows, cells, bounds[rows] - bounds[rows.start], on))
-        for arr in (self.to, term, coeff):
+        for arr in (to, term, coeff):
             arr.flags.writeable = False
 
 
@@ -136,7 +119,8 @@ class CensusSpace:
     """The censuses of ``n`` pairs and the arrival moves between them.
 
     Shared by every model with this ``n`` (see ``census_space``), so the
-    arrays are read-only.  ``counts`` holds (n0, k1, k2, k3) per census,
+    arrays are read-only.  The censuses are in sweep order
+    (``enumerate_censuses``).  ``counts`` holds (n0, k1, k2, k3) per census,
     ``level`` its number of nonempty queues, k1 + k2 + 2 k3, and
     ``lookup[k1, k2, k3]`` its index.
     """
@@ -167,9 +151,10 @@ class CensusSpace:
         fills of 0..n pairs, so each value is a row part plus (times) a fill
         part; a (source, census) mask's cumsum numbers the chunk's cells, and
         a bincount sums each cell's coefficients by source, a, b, then fill.
-        Each chunk checks its coefficient sums and writes its cells, in sweep
-        order, into arrays sized by ``_cell_counts``, so no per-chunk part is
-        kept; ``term`` (< C(n+3, 3) (2n+1)) is int32, like the destinations."""
+        Each chunk checks its coefficient sums and writes its cells, by
+        source, then destination, into arrays sized by ``_cell_counts``, so
+        no per-chunk part is kept; ``term`` (< C(n+3, 3) (2n+1)) is int32,
+        like the destinations."""
         n, ne, nc = self.n, 2 * self.n + 1, len(self.censuses)
         binom = self._binomials
         fact = [math.factorial(m) for m in range(n + 1)]
@@ -179,17 +164,17 @@ class CensusSpace:
         _, c, d, e = np.array(fills).T
         fill_at = (c * (n + 1) + d) * (n + 1) + e  # offset into the flat lookup
         n0, k1, k2, _ = self.counts.T
-        order = np.argsort(self.level, kind="stable")
-        moves = np.cumsum(((k1 + 1) * (k2 + 1) * (n0 + 1) * (n0 + 2) * (n0 + 3) // 6)[order])
-        ends = np.flatnonzero(np.diff(moves // _CHUNK_MOVES) | np.diff(self.level[order])) + 1
+        moves = np.cumsum((k1 + 1) * (k2 + 1) * (n0 + 1) * (n0 + 2) * (n0 + 3) // 6)
+        cuts = np.flatnonzero(np.diff(moves // _CHUNK_MOVES) | np.diff(self.level)) + 1
         cell_counts = self._cell_counts()
-        bounds = np.concatenate([[0], np.cumsum(cell_counts[order])])
-        dst, term = np.empty(bounds[-1], np.int32), np.empty(bounds[-1], np.int32)
+        bounds = np.concatenate([[0], np.cumsum(cell_counts)])
+        to, term = np.empty(bounds[-1], np.int32), np.empty(bounds[-1], np.int32)
         coeff = np.empty(bounds[-1])
-        for lo, rows in zip(np.concatenate([[0], ends]), np.split(order, ends)):
+        for lo, hi in zip([0, *cuts], [*cuts, nc]):
+            rows = slice(lo, hi)
             ab = (self.counts[rows, 1] + 1) * (self.counts[rows, 2] + 1)
-            pos = np.repeat(np.arange(len(rows)), ab)  # per row, its source's position
-            n0, k1, k2, k3 = self.counts[rows[pos]].T
+            pos = np.repeat(np.arange(hi - lo), ab)  # per row, its source's position
+            n0, k1, k2, k3 = self.counts[lo + pos].T
             a, b = np.divmod(np.arange(len(pos)) - np.repeat(np.cumsum(ab) - ab, ab), k2 + 1)
             size = (n0 + 1) * (n0 + 2) * (n0 + 3) // 6  # fills of n0 pairs, from C(n0 + 3, 4) on
             fill = np.repeat(n0 * size // 4 - np.cumsum(size) + size, size) + np.arange(size.sum())
@@ -197,22 +182,22 @@ class CensusSpace:
             at += np.repeat(((k1 - a) * (n + 1) + k2 - b) * (n + 1) + k3 + a + b, size)
             key = self.lookup.ravel()[at]
             key += np.repeat(pos * nc, size)
-            hit = np.zeros(len(rows) * nc, dtype=bool)
+            hit = np.zeros((hi - lo) * nc, dtype=bool)
             hit[key] = True
             cell = (np.cumsum(hit, dtype=np.int32) - 1)[key]
             found = np.flatnonzero(hit)
-            out = slice(bounds[lo], bounds[lo + len(rows)])
+            out = slice(bounds[lo], bounds[hi])
             if len(found) != out.stop - out.start:
-                raise ConsistencyError(f"censuses {rows[0]}..{rows[-1]} have {len(found)} "
+                raise ConsistencyError(f"censuses {lo}..{hi - 1} have {len(found)} "
                                        f"cells, not the {out.stop - out.start} counted")
-            src_pos, to = np.divmod(found, nc)
-            gain = self.level[to] - self.level[rows[src_pos]]
-            dst[out], term[out] = to, rows[src_pos] * ne + gain
+            src_pos, dest = np.divmod(found, nc)
+            gain = self.level[dest] - self.level[lo + src_pos]
+            to[out], term[out] = dest, (lo + src_pos) * ne + gain
             move_coeff = fill_mult[fill]
             move_coeff *= np.repeat(binom[k1, a] * binom[k2, b], size)
-            coeff[out] = np.bincount(cell, move_coeff, minlength=len(to))
+            coeff[out] = np.bincount(cell, move_coeff, minlength=len(dest))
             self._check_arrival_sums(rows, src_pos * ne + gain, coeff[out])
-        return MovePattern(self.level, cell_counts, dst, term, coeff)
+        return MovePattern(self.level, cell_counts, to, term, coeff)
 
     @functools.cached_property
     def _binomials(self) -> np.ndarray:
@@ -240,16 +225,16 @@ class CensusSpace:
         """Each of the 2n - level(o) empty queues of a census o gets an
         arrival independently, so with p and 1 - p factored out its row sums
         to 1 only if the coefficients of o's cells that gain g levels sum to
-        C(2n - level(o), g).  ``at`` is, per cell of the censuses ``rows``,
-        its source's position in ``rows`` * (2n+1) + gain.  Raises
+        C(2n - level(o), g).  ``at`` is, per cell of the censuses ``rows`` (a
+        slice), its source's position in ``rows`` * (2n+1) + gain.  Raises
         ``ConsistencyError`` where the sums are off."""
-        ne = 2 * self.n + 1
-        sums = np.bincount(at, coeff, minlength=len(rows) * ne).reshape(-1, ne)
-        want = self._binomials[2 * self.n - self.level[rows]]
+        ne, level = 2 * self.n + 1, self.level[rows]
+        sums = np.bincount(at, coeff, minlength=len(level) * ne).reshape(-1, ne)
+        want = self._binomials[2 * self.n - level]
         bad = np.argwhere(np.abs(sums - want) > 1e-12 * want)
         if len(bad):
             o, g = bad[0]
-            raise ConsistencyError(f"the moves of census {self.censuses[rows[o]]} that gain "
+            raise ConsistencyError(f"the moves of census {self.censuses[rows][o]} that gain "
                                    f"{g} levels sum to {sums[o, g]}, not {want[o, g]}")
 
     def arrival_table(self, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -266,9 +251,12 @@ class CensusSpace:
             table[rows, :ne - lv] = weights[rows] @ (pw[:, :ne - lv] * qw[:, ne - lv - 1::-1])
         return table
 
-    def prior(self, rho) -> np.ndarray:
-        """The census probabilities when each pair is independently in
-        state j with probability rho[j]."""
+    def prior(self, p_a: float, p_s: float) -> np.ndarray:
+        """The census probabilities when every AP queue is nonempty with
+        probability p_a and every STA queue with p_s, all independently."""
+        if not (0.0 <= p_a <= 1.0 and 0.0 <= p_s <= 1.0):
+            raise ParameterError("occupancy probabilities must lie in [0, 1]")
+        rho = ((1 - p_a) * (1 - p_s), p_a * (1 - p_s), (1 - p_a) * p_s, p_a * p_s)
         out = self.multinom
         for j in PAIR_STATES:
             out = out * rho[j] ** self.counts[:, j]
@@ -282,11 +270,12 @@ def block_sweep(pattern: MovePattern, table: np.ndarray, rhs: np.ndarray) -> np.
     """Solve y = rhs + M y over the censuses of ``pattern``'s space, M
     holding coeff * table.flat[term] on the pattern's cells, formed one
     level at a time; off its diagonal M moves strictly up a level.  From
-    the top level down, y[o] = (rhs[o] + M[o, higher] y) / (1 - M[o, o]).
-    A diagonal entry not below 1 raises ``ConsistencyError``.  ``rhs`` is
-    (censuses, columns), and so is y."""
+    the top level down, y[o] = (rhs[o] + M[o, higher] y) / (1 - M[o, o])
+    for the censuses o of a level, one slice of y, the cells' ``to``
+    indexing y directly.  A diagonal entry not below 1 raises
+    ``ConsistencyError``.  ``rhs`` is (censuses, columns), and so is y."""
     flat = table.ravel()
-    rhs = rhs[pattern.order].T  # one row per column, the censuses by level
+    rhs = rhs.T  # one row per column
     y = np.zeros(rhs.shape)
     for lv in range(len(pattern.levels) - 1, -1, -1):
         rows, cells, first, on = pattern.levels[lv]
@@ -296,7 +285,7 @@ def block_sweep(pattern: MovePattern, table: np.ndarray, rhs: np.ndarray) -> np.
             raise ConsistencyError(f"a diagonal entry at level {lv} is not below 1")
         moved = vals * np.take(y, pattern.to[cells], axis=1)  # 0 at this level
         y[:, rows] = (rhs[:, rows] + np.add.reduceat(moved, first, axis=1)) / stay
-    return y[:, pattern.rank].T
+    return y.T
 
 
 class CycleModel:
@@ -428,29 +417,19 @@ class CycleModel:
 
     # ----- aggregation ----------------------------------------------------
 
-    # The sums below are Python's sum in census order: the fixed point
-    # amplifies a change of summation order.
-
-    def expected_renewal(self, prior: OccupancyPrior) -> float:
-        probs = self.space.prior(prior.pair_state_probs())
+    def throughput(self, p_a: float, p_s: float):
+        """(theta_ap_pps, theta_sta_pps, e_r_us, pbar_a, pbar_s) under the
+        occupancy prior (p_a, p_s), pbar_a / pbar_s being P(a given pair's
+        AP / STA queue wins the cycle).  The sums are Python's sum in census
+        order: the fixed point amplifies a change of summation order."""
+        probs = self.space.prior(p_a, p_s)
         keep = probs > 0.0  # E[R | empty] is inf when lambda = 0
-        return sum((probs[keep] * self.renewal_by_census[keep]).tolist())
-
-    def tagged_success(self, prior: OccupancyPrior) -> tuple[float, float]:
-        """(pbar_a, pbar_s): P(a given pair's AP / STA queue wins the cycle)."""
-        probs = self.space.prior(prior.pair_state_probs())
-        keep = probs > 0.0
+        probs = probs[keep]
+        e_r = sum((probs * self.renewal_by_census[keep]).tolist())
         ap, sta = self.win_by_census[keep].T
-        return (sum((probs[keep] * ap).tolist()) / self.n,
-                sum((probs[keep] * sta).tolist()) / self.n)
-
-    def throughput(self, prior: OccupancyPrior):
-        """(theta_ap_pps, theta_sta_pps, e_r_us, pbar_a, pbar_s) at a prior."""
-        e_r = self.expected_renewal(prior)
-        pbar_a, pbar_s = self.tagged_success(prior)
-        theta_ap = pbar_a / e_r * 1e6
-        theta_sta = pbar_s / e_r * 1e6
-        return theta_ap, theta_sta, e_r, pbar_a, pbar_s
+        pbar_a = sum((probs * ap).tolist()) / self.n
+        pbar_s = sum((probs * sta).tolist()) / self.n
+        return pbar_a / e_r * 1e6, pbar_s / e_r * 1e6, e_r, pbar_a, pbar_s
 
 
 FP_GAMMA = 0.5
@@ -506,8 +485,7 @@ def fixed_point(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
     iterations = 0
     theta_ap = theta_sta = e_r = pbar_a = pbar_s = math.nan
     for iterations in range(1, FP_MAX_ITER + 1):
-        theta_ap, theta_sta, e_r, pbar_a, pbar_s = model.throughput(
-            OccupancyPrior(pa, ps))
+        theta_ap, theta_sta, e_r, pbar_a, pbar_s = model.throughput(pa, ps)
         identity_err = max(identity_err,
                            abs(config.n_stations * (pbar_a + pbar_s) - 1.0))
         res_a = abs(theta_ap - lambda_pps) / lambda_pps

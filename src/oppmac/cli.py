@@ -8,11 +8,12 @@ Subcommands (all take --config, --lambda, --out and --set):
                also --reps --seed --tolerance --duration-s
     compare    per-scheme throughput curves -> compare.csv;
                also --scheme --reps --seed --duration-s
-A verb refuses other flags and repeated rates or schemes; analyze and
-validate need rates > 0.  The simulator runs of a verb spread over the CPUs
-of its affinity mask: one child per CPU is forked, and run j goes to child
-j mod children; ``taskset -c 0`` keeps them in-process.  The outputs do not
-depend on the number of CPUs.
+A verb refuses other flags, repeated rates or schemes and an --out that is,
+or lies beneath, a file; analyze and validate need rates > 0.  The
+simulator runs of a verb spread over the CPUs of its affinity mask: one
+child per CPU is forked, and run j goes to child j mod children;
+``taskset -c 0`` keeps them in-process.  On Linux a child dies with its
+parent.  The outputs do not depend on the number of CPUs.
 Exit codes: 0 success, 1 validation tolerance breach, 2 configuration error.
 Outputs are deterministic for a given (config, seeds); every file carries a
 header naming the units and the configuration hash.
@@ -21,6 +22,7 @@ header naming the units and the configuration hash.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import math
 import os
@@ -87,14 +89,21 @@ def _simulate_one(job) -> SimReport:
                    rate_adaptation=scheme.split("-", 1)[1])
 
 
-def _run_share(jobs, cpu: int, cpus: list, fd: int):
-    """Body of a forked child: moves to ``cpu``, then takes the whole mask
-    back (a forked child starts on its parent's CPU, and the kernel can leave
-    two children sharing one for a second), runs ``jobs`` and writes one
-    pickle to ``fd``: ``(True, reports)`` or ``(False, (exception, its
-    traceback))``.  It leaves through ``os._exit``, so it never unwinds into
-    its parent's stack."""
+def _run_share(jobs, cpu: int, cpus: list, fd: int, parent: int):
+    """Body of a forked child: on Linux, asks to be SIGKILLed when its
+    parent dies and exits at once if ``parent`` is already gone; moves to
+    ``cpu``, then takes the whole mask back (a forked child starts on its
+    parent's CPU, and the kernel can leave two children sharing one for a
+    second), runs ``jobs`` and writes one pickle to ``fd``: ``(True,
+    reports)`` or ``(False, (exception, its traceback))``.  It leaves
+    through ``os._exit``, so it never unwinds into its parent's stack."""
     try:
+        if sys.platform.startswith("linux"):
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            os._exit(1)
         try:
             os.sched_setaffinity(0, [cpu])
             os.sched_setaffinity(0, cpus)
@@ -145,7 +154,8 @@ def _simulations(spec: ExperimentSpec, pairs, **overrides):
     in its memory already, so only the reports cross a pipe.  With one run,
     one CPU or no fork, the same function is mapped in-process, lazily.  Every
     run has its own seed, so the reports do not depend on the path.  On every
-    way out of the block, each child not yet reaped is killed and reaped.
+    way out of the block, each child not yet reaped is killed and reaped; a
+    parent killed from outside takes its children along (``_run_share``).
     """
     jobs = [(spec.setup, spec.duration_s, overrides, scheme, lam, rep)
             for scheme, lam in pairs for rep in range(spec.reps)]
@@ -158,11 +168,13 @@ def _simulations(spec: ExperimentSpec, pairs, **overrides):
         else:
             # child w starts on CPU w + 1 of the mask: with CPU w, paired runs
             # of the sim benchmarks on 2 CPUs were no faster and often slower
+            parent = os.getpid()
             for w in range(workers):
                 read_fd, write_fd = os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(jobs[w::workers], cpus[(w + 1) % len(cpus)], cpus, write_fd)
+                    _run_share(jobs[w::workers], cpus[(w + 1) % len(cpus)], cpus, write_fd,
+                               parent)
                 os.close(write_fd)
                 children.append((pid, read_fd))
             reports = _gather(children, len(jobs))
@@ -375,8 +387,11 @@ def build_spec(args) -> ExperimentSpec:
         overrides["system.seed"] = str(args.seed)
     setup = (load_config(args.config, overrides) if args.config
              else default_setup(overrides))
+    out = Path(args.out)  # a verb could not write beneath a file once its runs are done
+    if any(os.path.lexists(p) and not p.is_dir() for p in (out, *out.parents)):
+        raise ConfigError("--out", f"{args.out!r} is, or lies beneath, a file")
     return ExperimentSpec(setup=setup, lambdas=_parse_lambdas(args.command, args.lam),
-                          out_dir=Path(args.out), **plan)
+                          out_dir=out, **plan)
 
 
 def main(argv=None) -> int:

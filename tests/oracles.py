@@ -436,10 +436,16 @@ def pair_transition_probs(state, t_us, lambda_pps):
     return {3: 1.0}
 
 
-def census_prior(prior, n):
+def pair_state_probs(p_a, p_s):
+    """(rho_0 .. rho_3): the chance that a pair is in state j when its AP
+    queue is nonempty with probability p_a and its STA queue with p_s."""
+    return ((1 - p_a) * (1 - p_s), p_a * (1 - p_s), (1 - p_a) * p_s, p_a * p_s)
+
+
+def census_prior(p_a, p_s, n):
     """Probability of each census (k1, k2, k3) of n pairs when each pair is
     independently in state j with probability rho_j: a multinomial term."""
-    rho = prior.pair_state_probs()
+    rho = pair_state_probs(p_a, p_s)
     out = {}
     for k1 in range(n + 1):
         for k2 in range(n - k1 + 1):
@@ -450,11 +456,11 @@ def census_prior(prior, n):
     return out
 
 
-def tagged_prior(prior, n):
+def tagged_prior(p_a, p_s, n):
     """Probability of each tagged state (s_i; l1, l2, l3): the tagged pair
     in state i and the census (l1, l2, l3) of the other n - 1 pairs."""
-    rho = prior.pair_state_probs()
-    others = census_prior(prior, n - 1)
+    rho = pair_state_probs(p_a, p_s)
+    others = census_prior(p_a, p_s, n - 1)
     return {(i,) + census: rho[i] * p
             for i in PAIR_STATES for census, p in others.items()}
 
@@ -467,13 +473,13 @@ def dense_solve(m, c):
 def dense_census(model):
     """Dense (m, rhs) of the census system Y = rhs + m Y over the censuses
     of ``model.space``, rebuilt from the model's arrival table on the cells
-    of its pattern (source term // (2n+1), destination order[to]) and its
+    of its pattern (source term // (2n+1), destination to) and its
     closed-form idle row."""
     table, rhs = model._census_system()
     space = model.space
     p = space.pattern
     m = np.zeros((len(space.counts),) * 2)
-    m[p.term // (2 * space.n + 1), p.order[p.to]] = p.coeff * table.ravel()[p.term]
+    m[p.term // (2 * space.n + 1), p.to] = p.coeff * table.ravel()[p.term]
     empty = space.lookup[0, 0, 0]
     m[empty] = 0.0
     if model.lambda_pps > 0.0:

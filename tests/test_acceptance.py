@@ -14,7 +14,6 @@ from oppmac import (
     AP,
     STA,
     CycleModel,
-    OccupancyPrior,
     SystemConfig,
     TimerPolicy,
     build_kernels,
@@ -330,7 +329,7 @@ def test_c6_renewal_identity():
         model = CycleModel(kt, timing, (0.1,) * 4, n)
         for pa in (0.02, 0.4, 0.9):
             for ps in (0.05, 0.5, 0.97):
-                a, s = model.tagged_success(OccupancyPrior(pa, ps))
+                a, s = model.throughput(pa, ps)[3:]
                 worst = max(worst, abs(n * (a + s) - 1.0))
     for lam in (20.0, 50.0, 80.0):
         sol = analysis_solution(7, lam)

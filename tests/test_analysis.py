@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oppmac import (
     CycleModel,
-    OccupancyPrior,
     ParameterError,
     SystemConfig,
     TimerPolicy,
@@ -16,7 +15,13 @@ from oppmac import (
 )
 from oppmac.analysis import analysis_csv_lines, census_space
 
-from oracles import capacity_search, census_prior, renewal_system, tagged_prior
+from oracles import (
+    capacity_search,
+    census_prior,
+    pair_state_probs,
+    renewal_system,
+    tagged_prior,
+)
 
 
 def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
@@ -27,26 +32,29 @@ def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
 
 # ----------------------------------------------------------------- priors
 
-def model_census_prior(prior, n):
+def model_census_prior(p_a, p_s, n):
     """{(k1, k2, k3): probability} as the model weights its census vectors."""
     space = census_space(n)
-    return dict(zip(space.censuses, space.prior(prior.pair_state_probs()).tolist()))
+    return dict(zip(space.censuses, space.prior(p_a, p_s).tolist()))
 
 
 def test_census_prior_corners():
     for probs in (census_prior, model_census_prior):
-        assert probs(OccupancyPrior(0.0, 0.0), 5)[(0, 0, 0)] == 1.0
-        assert probs(OccupancyPrior(1.0, 1.0), 5)[(0, 0, 5)] == 1.0
+        assert probs(0.0, 0.0, 5)[(0, 0, 0)] == 1.0
+        assert probs(1.0, 1.0, 5)[(0, 0, 5)] == 1.0
+    for p_a, p_s in ((-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5)):  # not probabilities
+        with pytest.raises(ParameterError, match="must lie in"):
+            model_census_prior(p_a, p_s, 3)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 7))
 @settings(max_examples=60, deadline=None)
 def test_census_prior_normalizes_and_marginals(p_a, p_s, n):
-    prior = OccupancyPrior(p_a, p_s)
-    probs = model_census_prior(prior, n)
-    want = census_prior(prior, n)
+    probs = model_census_prior(p_a, p_s, n)
+    want = census_prior(p_a, p_s, n)
     assert probs.keys() == want.keys()
-    np.testing.assert_allclose(list(probs.values()), list(want.values()),
+    censuses = list(want)  # compared census by census, whatever the model's order
+    np.testing.assert_allclose([probs[c] for c in censuses], [want[c] for c in censuses],
                                rtol=1e-13, atol=1e-300)
     assert abs(sum(probs.values()) - 1.0) < 1e-12
     # per-pair AP marginal: k1 + k3 occupied AP queues out of n
@@ -58,20 +66,19 @@ def test_tagged_prior_consistency():
     """A tagged pair in state i with the others in census o lumps onto the
     census c = o + e_i of all pairs with probability P_N(c) k_i / N, so the
     model weights its per-census win vectors by P_N(c) / N alone."""
-    prior = OccupancyPrior(0.3, 0.6)
-    probs = tagged_prior(prior, 7)
+    probs = tagged_prior(0.3, 0.6, 7)
     assert abs(sum(probs.values()) - 1.0) < 1e-12
     space = census_space(7)
     lumped = np.zeros((4, len(space.censuses)))
     for (i, *others), p in probs.items():
         census = [others[j - 1] + (j == i) for j in (1, 2, 3)]
         lumped[i, space.lookup[tuple(census)]] += p
-    want = space.prior(prior.pair_state_probs()) * space.counts.T / 7
+    want = space.prior(0.3, 0.6) * space.counts.T / 7
     np.testing.assert_allclose(lumped, want, rtol=1e-13, atol=1e-300)
     by_class = {}
     for (i, *_), p in probs.items():
         by_class[i] = by_class.get(i, 0.0) + p
-    rho = prior.pair_state_probs()
+    rho = pair_state_probs(0.3, 0.6)
     for i in range(4):
         assert abs(by_class[i] - rho[i]) < 1e-12
 
@@ -131,7 +138,7 @@ def test_lambda_zero_empty_census_is_infinite(timing):
     vec = dict(zip(model.space.censuses, model.renewal_by_census.tolist()))
     assert math.isinf(vec[(0, 0, 0)])
     # the prior puts mass on the empty census
-    assert math.isinf(model.expected_renewal(OccupancyPrior(0.5, 0.5)))
+    assert math.isinf(model.throughput(0.5, 0.5)[2])
     assert all(v > 0 for c, v in vec.items() if c != (0, 0, 0))
 
 
@@ -150,8 +157,7 @@ def test_renewal_residuals_and_positivity(timing):
 
 def test_expected_renewal_prior_weighting(timing):
     model = make_model(3, 30.0, timing=timing)
-    prior = OccupancyPrior(0.0, 0.0)
-    assert abs(model.expected_renewal(prior)
+    assert abs(model.throughput(0.0, 0.0)[2]
                - model.renewal_by_census[model.space.lookup[0, 0, 0]]) < 1e-9
 
 
@@ -180,8 +186,7 @@ def test_tagged_equal_split_n1(timing):
     """At p = 1/2 and a symmetric prior, a single pair splits wins evenly
     (no cross-pair AP merge exists at N = 1)."""
     model = make_model(1, 25.0, timing=timing)
-    prior = OccupancyPrior(0.4, 0.4)
-    pa, ps = model.tagged_success(prior)
+    pa, ps = model.throughput(0.4, 0.4)[3:]
     assert abs(pa - ps) < 1e-9
     assert abs(1 * (pa + ps) - 1.0) < 1e-6
 
@@ -192,7 +197,7 @@ def test_renewal_identity_every_prior(n, lam, timing):
     model = make_model(n, lam, timing=timing)
     for p_a in (0.05, 0.3, 0.8):
         for p_s in (0.1, 0.6, 0.95):
-            pa, ps = model.tagged_success(OccupancyPrior(p_a, p_s))
+            pa, ps = model.throughput(p_a, p_s)[3:]
             assert abs(n * (pa + ps) - 1.0) < 1e-6
 
 
@@ -249,7 +254,7 @@ def test_throughput_continuity_on_prior_grid(timing, uniform_pi):
     """Theta varies smoothly over the occupancy prior: each sample sits
     within 1% of the local linear trend (no solver-induced jumps)."""
     model = make_model(3, 50.0, timing=timing)
-    thetas = np.array([model.throughput(OccupancyPrior(0.2, float(ps)))[1]
+    thetas = np.array([model.throughput(0.2, float(ps))[1]
                        for ps in np.arange(0.05, 0.501, 0.01)])
     interp = (thetas[:-2] + thetas[2:]) / 2.0
     rel_kink = np.abs(thetas[1:-1] - interp) / thetas[1:-1]

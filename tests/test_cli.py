@@ -424,13 +424,28 @@ def test_compare_keeps_zero_rate_rows(tmp_path):
     assert all(float(r.split(",")[4]) == 0.0 for r in zero_rows)
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.conf"
     bad.write_text("system.n_stations = 2\nsystem.bogus_key = 1\n")
     assert main(["analyze", "--config", str(bad), "--lambda", "10",
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["analyze", "--lambda", "10", "--set", "nope=1",
                  "--out", str(tmp_path / "y")]) == 2
+    # an --out that is, or lies beneath, an existing file or a dangling link
+    # is refused before any model or simulator starts; nothing is created
+    # or changed
+    forbid_model_and_simulator(monkeypatch)
+    capsys.readouterr()
+    gone = tmp_path / "gone"
+    gone.symlink_to(tmp_path / "nowhere")
+    for verb in ("analyze", "simulate"):
+        for out in (bad, bad / "below", gone):
+            assert main([verb, "--lambda", "10", "--set", "system.n_stations=2",
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"config key '--out': {str(out)!r} is, or lies beneath, a file" in err
+    assert bad.read_text() == "system.n_stations = 2\nsystem.bogus_key = 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.conf", "gone"]
 
 
 @pytest.mark.parametrize("verb", ["analyze", "simulate"])
@@ -775,3 +790,56 @@ def test_pooled_verb_imports_no_process_pool(tmp_path):
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 2 []"
+
+
+def running(pid: int) -> bool:
+    """The process exists and has not ended; a zombie waiting for its
+    reaper has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the children ask Linux for a signal when their parent dies")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=lambda s: s.name)
+def test_killed_verb_takes_its_children_along(tmp_path, sig):
+    """A pooled simulate killed from outside, which runs no cleanup, takes
+    its two forked children along: within 10 s neither is still running,
+    though each had hours of simulated time left."""
+    code = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "real_fork = os.fork\n"
+        "def fork():\n"
+        "    pid = real_fork()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "from oppmac.cli import main\n"
+        f"main(['simulate', '--scheme', 'opportunistic,dcf-arf', '--lambda', '20',"
+        f" '--duration-s', '20000', '--set', 'system.n_stations=2', '--out', {str(tmp_path)!r}])\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    pids = []
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        time.sleep(0.5)  # the children are simulating
+        assert all(running(pid) for pid in pids)
+    finally:
+        proc.send_signal(sig)
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if running(pid)]
+    finally:
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)

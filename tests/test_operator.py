@@ -125,8 +125,8 @@ def test_move_table_matches_per_source_reference(n):
     term, coeff = pattern.term, pattern.coeff
     ref_src, ref_dst, ref_by_level = move_table_reference(space)
     assert np.array_equal(term // (2 * n + 1), ref_src)
-    assert np.array_equal(pattern.order[pattern.to], ref_dst)
-    for arr in (pattern.order, pattern.rank, pattern.to, term):
+    assert np.array_equal(pattern.to, ref_dst)
+    for arr in (pattern.to, term):
         assert arr.dtype == np.int32
     assert len(term) == len(coeff) == len(pattern.to)
     assert len(pattern.levels) == len(ref_by_level)
@@ -144,16 +144,15 @@ def test_chunked_build_matches_one_pass(monkeypatch):
     pw = analysis.CensusSpace(8).pattern
     monkeypatch.setattr(analysis, "_CHUNK_MOVES", 50)
     pc = analysis.CensusSpace(8).pattern
-    for a, b in zip([pw.order, pw.rank, pw.to, pw.term, pw.coeff],
-                    [pc.order, pc.rank, pc.to, pc.term, pc.coeff]):
+    for a, b in zip([pw.to, pw.term, pw.coeff], [pc.to, pc.term, pc.coeff]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     for lw, lc in zip(pw.levels, pc.levels):
         assert lw[:2] == lc[:2] and all(np.array_equal(x, y) for x, y in zip(lw[2:], lc[2:]))
 
 
 def test_cached_space_keeps_three_arrays_per_cell():
-    """Past its build, a space keeps per cell only the destination rank and
-    the table entry, both int32, and the coefficient sum: 16 bytes."""
+    """Past its build, a space keeps per cell only the destination census
+    and the table entry, both int32, and the coefficient sum: 16 bytes."""
     space = analysis.CensusSpace(6)
     pattern = space.pattern
     per_cell = {name: arr.dtype for obj in (space, pattern) for name, arr in vars(obj).items()
@@ -202,12 +201,12 @@ def test_cell_coefficients_sum_to_binomials():
     k1, k2, k3 = space.censuses[p.term[off] // ne]
     for rows, cells, _, _ in p.levels:  # a level's sources at their positions in it
         source, gain = np.divmod(p.term[cells], ne)
-        at = (p.rank[source] - rows.start) * ne + gain
-        space._check_arrival_sums(p.order[rows], at, p.coeff[cells])
+        at = (source - rows.start) * ne + gain
+        space._check_arrival_sums(rows, at, p.coeff[cells])
         if cells.start <= off < cells.stop:
             with pytest.raises(ConsistencyError, match=rf"census \({k1}, {k2}, {k3}\) that "
                                                        rf"gain \d+ levels sum to"):
-                space._check_arrival_sums(p.order[rows], at, bad[cells])
+                space._check_arrival_sums(rows, at, bad[cells])
 
 
 def test_move_table_only_for_all_n_pairs(timing):
@@ -320,14 +319,13 @@ def test_sweep_matches_dense_solve(n, lam, timing):
 
 def hand_system(cells, level):
     """(pattern, table) of a system on a hand-built pattern: ``cells`` maps
-    each (source, destination) cell to its entry.  The cells are grouped by
-    source in sweep order, each cell's term is its position and its
-    coefficient is 1, so the table is the entries as one column."""
-    level = np.array(level)
-    rank = np.argsort(np.argsort(level, kind="stable"))
-    grouped = sorted(cells.items(), key=lambda cell: rank[cell[0][0]])
+    each (source, destination) cell to its entry, the censuses numbered by
+    ``level``.  The cells are grouped by source, each cell's term is its
+    position and its coefficient is 1, so the table is the entries as one
+    column."""
+    grouped = sorted(cells.items())
     src, dst = np.array([cell for cell, _ in grouped], dtype=np.int32).reshape(-1, 2).T
-    pattern = MovePattern(level, np.bincount(src, minlength=len(level)), dst,
+    pattern = MovePattern(np.array(level), np.bincount(src, minlength=len(level)), dst,
                           np.arange(len(grouped), dtype=np.int32), np.ones(len(grouped)))
     return pattern, np.array([[value] for _, value in grouped])
 
@@ -344,13 +342,21 @@ def test_sweep_solves_hand_example():
                                np.stack([x, 2 * x], 1), rtol=1e-15)
 
 
-@pytest.mark.parametrize("level", [[0, 0, 1],   # 0 -> 1 inside level 0
-                                   [1, 0, 2]])  # 0 -> 1 moves down a level
-def test_sweep_rejects_moves_that_do_not_raise_the_level(level):
-    # m = [[0.1, 0.2, 0], [0, 0.3, 0.4], [0, 0, 0.5]]
-    cells = {(0, 0): 0.1, (0, 1): 0.2, (1, 1): 0.3, (1, 2): 0.4, (2, 2): 0.5}
-    with pytest.raises(ConsistencyError, match="census 0 has a move that does not"):
+@pytest.mark.parametrize("move,level", [((0, 1), [0, 0, 1]), ((1, 0), [0, 1, 2])],
+                         ids=["inside-level-0", "down-from-level-1"])
+def test_sweep_rejects_moves_that_do_not_raise_the_level(move, level):
+    # m = [[0.1, 0, 0], [0, 0.3, 0.4], [0, 0, 0.5]] plus 0.2 at ``move``
+    cells = {(0, 0): 0.1, (1, 1): 0.3, (1, 2): 0.4, (2, 2): 0.5, move: 0.2}
+    with pytest.raises(ConsistencyError, match=f"census {move[0]} has a move that does not"):
         hand_system(cells, level)
+
+
+def test_pattern_refuses_censuses_not_numbered_by_level():
+    """The census index is the sweep index: a pattern whose censuses do
+    not ascend in level is refused before any cell is read."""
+    cells = {(0, 0): 0.1, (0, 2): 0.2, (1, 1): 0.3, (1, 0): 0.4, (2, 2): 0.5}
+    with pytest.raises(ValueError, match="numbered by ascending level"):
+        hand_system(cells, [1, 0, 2])
 
 
 @pytest.mark.parametrize("diag", [1.0, 1.5, np.nan])
@@ -363,12 +369,13 @@ def test_sweep_rejects_diagonal_not_below_one(diag):
 
 @st.composite
 def upward_systems(draw):
-    """(cells, level, rhs): random levels, a diagonal entry below 1 per
-    census and random cells that go strictly up a level, each row's entries
-    summing to at most 1.  The rhs is positive, so every solved value is at
-    least its rhs and a relative tolerance holds for each of them."""
+    """(cells, level, rhs): random levels, ascending as the census numbers
+    do, a diagonal entry below 1 per census and random cells that go
+    strictly up a level, each row's entries summing to at most 1.  The rhs
+    is positive, so every solved value is at least its rhs and a relative
+    tolerance holds for each of them."""
     nc = draw(st.integers(1, 7))
-    level = draw(st.lists(st.integers(0, 4), min_size=nc, max_size=nc))
+    level = sorted(draw(st.lists(st.integers(0, 4), min_size=nc, max_size=nc)))
     cells = {}
     for o in range(nc):
         diag = draw(st.floats(0.0, 0.9))
