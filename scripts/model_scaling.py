@@ -3,19 +3,18 @@
 
 Each N runs in a fresh interpreter with BLAS pinned to one thread.  The
 child builds the lambda = 50 pkts/s kernels of the default configuration
-with ``system.n_stations = N``, then times the ``CycleModel`` build, and
-reports the build time, its own peak RSS, the number of cells of the move
-pattern and the number of unknowns of the census system, C(N+3, 3).  The
-build starts with that pattern, ``census_space(N).pattern`` (the moves out
-of the censuses of all N pairs, one record per cell: the destination
-census, the (source, level gain) table entry and the coefficient sum, in
-arrays sized by the closed-form cell count), so ``cells_s``, the time of
-that step alone, is part of ``build_s``.  The rest is the contention
-summaries, the arrival table (one column per level gain) and the level
-sweep, which forms M's entries one level at a time.
-``--max-gb`` caps each child's address space, so that an N too large for
-the machine fails with a ``MemoryError`` instead of exhausting it (on a
-2-vCPU Linux box with numpy 2.4, N = 40 builds under a 0.8 GiB cap).
+with ``system.n_stations = N``, then times ``cycle_models`` on them, and
+reports the build time, its own peak RSS, the number of cells of M, from
+their closed form ``cell_total(N)``, and the number of
+unknowns of the census system, C(N+3, 3).  The build is the contention
+summaries, the arrival table (one column per level gain) and one pass of
+the level sweep over the cells, which ``CensusSpace.cells`` streams a
+chunk at a time (one record per cell: the destination census, the
+(source, level gain) table entry and the coefficient sum), so no cell
+outlives its chunk.
+``--max-gb`` caps each child's address space, so that a temporary that
+grows past the cap fails with a ``MemoryError`` instead of exhausting the
+machine.
 
     PYTHONPATH=src python scripts/model_scaling.py [--n 2,7,10,15,20] [--max-gb 2]
 """
@@ -39,23 +38,21 @@ def child(n: int, max_gb: float | None) -> dict:
     if max_gb:
         cap = int(max_gb * 2**30)
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-    from oppmac import CycleModel, build_kernels
-    from oppmac.analysis import census_space
+    from oppmac import build_kernels, cycle_models
+    from oppmac.analysis import cell_total
     from oppmac.config import default_setup
 
     setup = default_setup({"system.n_stations": str(n)})
     kernels = build_kernels(setup.policy, setup.resolve_pi(), LAMBDA_PPS)
     start = time.perf_counter()
     try:
-        pattern = census_space(n).pattern
-        cells_s = time.perf_counter() - start
-        model = CycleModel(kernels, setup.timing, setup.config.per_state_per, n)
+        model, = cycle_models([kernels], setup.timing, setup.config.per_state_per, n)
     except MemoryError:
         return {"n": n, "error": "MemoryError"}
     build_s = time.perf_counter() - start
-    return {"n": n, "build_s": build_s, "cells_s": cells_s,
+    return {"n": n, "build_s": build_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "cells": len(pattern.term), "unknowns": len(model.space.counts)}
+            "cells": cell_total(n), "unknowns": len(model.space.counts)}
 
 
 def run(n: int, max_gb: float | None) -> dict:
@@ -84,8 +81,7 @@ def main(argv=None) -> int:
         print(json.dumps(child(args.child, args.max_gb)))
         return 0
     print(f"lambda = {LAMBDA_PPS:g} pkts/s, one fresh interpreter per N, BLAS on one thread")
-    print(f"{'N':>3} {'build_s':>8} {'peak_rss_mb':>12} {'cells':>9} {'unknowns':>9} "
-          f"{'cells_s':>8}")
+    print(f"{'N':>3} {'build_s':>8} {'peak_rss_mb':>12} {'cells':>9} {'unknowns':>9}")
     failed = False
     for n in (int(x) for x in args.n.split(",") if x.strip()):
         row = run(n, args.max_gb)
@@ -94,7 +90,7 @@ def main(argv=None) -> int:
             print(f"{n:>3} failed: {row['error']}")
             continue
         print(f"{n:>3} {row['build_s']:>8.4f} {row['peak_rss_mb']:>12.1f} "
-              f"{row['cells']:>9} {row['unknowns']:>9} {row['cells_s']:>8.4f}")
+              f"{row['cells']:>9} {row['unknowns']:>9}")
     return 1 if failed else 0
 
 

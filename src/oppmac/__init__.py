@@ -12,17 +12,13 @@ from .core import (
     state_probabilities,
 )
 from .kernels import ConsistencyError, KernelTable, build_kernels
-from .analysis import (
-    AnalysisSolution,
-    CycleModel,
-    fixed_point,
-)
+from .analysis import AnalysisSolution, CycleModel, cycle_models, fixed_points
 
 __all__ = [
     "AP", "STA", "ChannelSpace", "MacTiming", "ParameterError", "SystemConfig",
     "TimerPolicy", "state_probabilities",
     "ConsistencyError", "KernelTable", "build_kernels", "AnalysisSolution",
-    "CycleModel", "fixed_point",
+    "CycleModel", "cycle_models", "fixed_points",
 ]
 
 __version__ = "0.1.0"

@@ -14,19 +14,17 @@ off its diagonal M moves strictly up in level L = k1 + k2 + 2 k3, and
 
 A period that does not end the cycle lasts one of (t_max+1)(|H|+1) windows
 t, in which each empty queue gets an arrival with p_t = 1 - exp(-lambda t).
-The arrival moves between censuses are tabulated once per pair count
-(``CensusSpace``) as the cells of one ``MovePattern``, one record per
+The arrival moves between censuses are the cells of M, one record per
 (source, destination): a move raises p_t to the g levels it gains and
 1 - p_t to the 2n - L - g queues it leaves empty, L the source's level, so
 a cell keeps its destination, its (source, gain) entry and its moves'
-coefficient sum.  M is never stored: ``block_sweep`` forms coeff *
-sum_t w_t p_t^g (1-p_t)^(2n-L-g) per cell one level at a time, w_t the
+coefficient sum.  M is never stored: ``CensusSpace.cells`` streams the
+cells a chunk at a time from the top level down, and ``block_sweep`` forms
+coeff * sum_t w_t p_t^g (1-p_t)^(2n-L-g) per cell and solves the chunk's
+censuses at every rate of a grid at once (``cycle_models``), w_t the
 census's chance that the period ends without a success after window t,
-read from one (source, gain) table built by one small product per level.
-The censuses are numbered in sweep order, by level, so a level's censuses
-are one range of indices and a cell's destination is its index in the
-solved vectors; the cells are grouped by source, in arrays sized by the
-closed-form cell count.
+read from one (source, gain) table per rate.  The censuses are numbered in
+sweep order, by level, so a cell's destination is its index in y.
 Occupancy enters only through the i.i.d. per-queue prior (P_A, P_S): the
 fixed point lambda = Theta_AP = Theta_STA reweights the solved vectors by
 multinomial census probabilities, in one pass per iterate.
@@ -36,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,52 +73,27 @@ def enumerate_censuses(n: int) -> list[tuple[int, int, int]]:
 _CHUNK_MOVES = 1 << 16  # moves per pass of the cell build, within one level
 
 
-class MovePattern:
-    """The cells of M, one record each: ``to``, its destination census;
-    ``term``, source * (2n+1) + level gain, the entry of an
-    ``arrival_table`` that M's entry multiplies; and ``coeff``, the sum of
-    its moves' coefficients, so M[cell] = coeff * table.flat[term].  The
-    censuses are numbered in sweep order, so ``level`` must ascend, or
-    ``ValueError`` is raised; the cells are grouped by source, ``counts[o]``
-    of them for census o.  Every census has one diagonal cell, or
-    ``ValueError`` is raised, and every other cell must go strictly up a
-    level, or ``ConsistencyError`` is raised.
+def cell_total(n: int) -> int:
+    """The number of cells of M over the censuses of n pairs, a degree-6
+    polynomial in n, without enumerating a census."""
+    return sum(a * math.comb(n, k) for k, a in enumerate((1, 8, 26, 44, 41, 20, 4)))
 
-    ``levels[l]`` holds, for the censuses ``rows`` of level l (a slice),
-    their ``cells`` (a slice of the pattern), each census's first cell and
-    its diagonal cell as offsets into ``cells``; the checks run one level
-    at a time."""
 
-    def __init__(self, level, counts, to, term, coeff):
-        if (np.diff(level) < 0).any():
-            raise ValueError("the censuses must be numbered by ascending level")
-        self.to, self.term, self.coeff = to, term, coeff
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        row_bounds = np.searchsorted(level, np.arange(level.max() + 2))
-        self.levels = []
-        for lv in range(level.max() + 1):
-            rows = slice(*row_bounds[lv:lv + 2])
-            cells = slice(bounds[rows.start], bounds[rows.stop])
-            census = np.arange(rows.start, rows.stop)
-            src, d = np.repeat(census, counts[rows]), to[cells]
-            diagonal = src == d
-            up = diagonal | (level[d] > lv)
-            if not up.all():
-                o = src[np.argmin(up)]
-                raise ConsistencyError(f"census {o} has a move that does not leave "
-                                       f"level {lv} upwards")
-            on = np.flatnonzero(diagonal)
-            if not np.array_equal(src[on], census):
-                raise ValueError("every census needs its diagonal cell")
-            self.levels.append((rows, cells, bounds[rows] - bounds[rows.start], on))
-        for arr in (to, term, coeff):
-            arr.flags.writeable = False
+MAX_CELLS = cell_total(60)  # the largest census system an analysis takes on
+
+
+# The cells of M out of the censuses ``rows`` (a slice) of one ``level``, by
+# source, then destination ``to``: M[cell] = coeff * table.flat[term], term =
+# source * (2n+1) + level gain indexing an ``arrival_table``, coeff the sum of
+# the cell's moves' coefficients; ``first[i]`` is the first cell of census
+# rows.start + i.
+CellChunk = namedtuple("CellChunk", "level rows to term coeff first")
 
 
 class CensusSpace:
     """The censuses of ``n`` pairs and the arrival moves between them.
 
-    Shared by every model with this ``n`` (see ``census_space``), so the
+    Shared by the models of every rate of a grid (``cycle_models``), so the
     arrays are read-only.  The censuses are in sweep order
     (``enumerate_censuses``).  ``counts`` holds (n0, k1, k2, k3) per census,
     ``level`` its number of nonempty queues, k1 + k2 + 2 k3, and
@@ -137,13 +112,12 @@ class CensusSpace:
         for arr in (self.counts, self.level, self.multinom, self.lookup):
             arr.flags.writeable = False
 
-    @functools.cached_property
-    def pattern(self) -> MovePattern:
-        """The ``MovePattern`` of the moves out of every census.  A move (a,
-        b, c, d, e) fills a of the k1 AP-only and b of the k2 STA-only pairs
-        and turns c / d / e empty pairs AP-only / STA-only / full; it gains a
-        + b + c + d + 2e levels, and the other 2n - level - gain empty queues
-        stay empty.
+    def cells(self) -> Iterator[CellChunk]:
+        """The ``CellChunk``s of the moves out of every census, from the top
+        level down.  A move (a, b, c, d, e) fills a of the k1 AP-only and b
+        of the k2 STA-only pairs and turns c / d / e empty pairs AP-only /
+        STA-only / full; it gains a + b + c + d + 2e levels, and the other
+        2n - level - gain empty queues stay empty.
 
         One numpy pass per level, or per chunk of about ``_CHUNK_MOVES`` moves
         of a larger level: its sources' rows (source, a, b) expand into the
@@ -151,10 +125,8 @@ class CensusSpace:
         fills of 0..n pairs, so each value is a row part plus (times) a fill
         part; a (source, census) mask's cumsum numbers the chunk's cells, and
         a bincount sums each cell's coefficients by source, a, b, then fill.
-        Each chunk checks its coefficient sums and writes its cells, by
-        source, then destination, into arrays sized by ``_cell_counts``, so
-        no per-chunk part is kept; ``term`` (< C(n+3, 3) (2n+1)) is int32,
-        like the destinations."""
+        A chunk is yielded once its cell count and coefficient sums pass
+        their checks, and is not kept; ``to`` and ``term`` are int32."""
         n, ne, nc = self.n, 2 * self.n + 1, len(self.censuses)
         binom = self._binomials
         fact = [math.factorial(m) for m in range(n + 1)]
@@ -167,10 +139,7 @@ class CensusSpace:
         moves = np.cumsum((k1 + 1) * (k2 + 1) * (n0 + 1) * (n0 + 2) * (n0 + 3) // 6)
         cuts = np.flatnonzero(np.diff(moves // _CHUNK_MOVES) | np.diff(self.level)) + 1
         cell_counts = self._cell_counts()
-        bounds = np.concatenate([[0], np.cumsum(cell_counts)])
-        to, term = np.empty(bounds[-1], np.int32), np.empty(bounds[-1], np.int32)
-        coeff = np.empty(bounds[-1])
-        for lo, hi in zip([0, *cuts], [*cuts, nc]):
+        for lo, hi in reversed(list(zip([0, *cuts], [*cuts, nc]))):
             rows = slice(lo, hi)
             ab = (self.counts[rows, 1] + 1) * (self.counts[rows, 2] + 1)
             pos = np.repeat(np.arange(hi - lo), ab)  # per row, its source's position
@@ -186,18 +155,20 @@ class CensusSpace:
             hit[key] = True
             cell = (np.cumsum(hit, dtype=np.int32) - 1)[key]
             found = np.flatnonzero(hit)
-            out = slice(bounds[lo], bounds[hi])
-            if len(found) != out.stop - out.start:
+            counted = cell_counts[rows].sum()
+            if len(found) != counted:
                 raise ConsistencyError(f"censuses {lo}..{hi - 1} have {len(found)} "
-                                       f"cells, not the {out.stop - out.start} counted")
+                                       f"cells, not the {counted} counted")
             src_pos, dest = np.divmod(found, nc)
             gain = self.level[dest] - self.level[lo + src_pos]
-            to[out], term[out] = dest, (lo + src_pos) * ne + gain
             move_coeff = fill_mult[fill]
             move_coeff *= np.repeat(binom[k1, a] * binom[k2, b], size)
-            coeff[out] = np.bincount(cell, move_coeff, minlength=len(dest))
-            self._check_arrival_sums(rows, src_pos * ne + gain, coeff[out])
-        return MovePattern(self.level, cell_counts, to, term, coeff)
+            coeff = np.bincount(cell, move_coeff, minlength=len(dest))
+            self._check_arrival_sums(rows, src_pos * ne + gain, coeff)
+            del hit, key, at, fill, cell, move_coeff  # the sweep runs while this waits
+            yield CellChunk(int(self.level[lo]), rows, dest.astype(np.int32),
+                            ((lo + src_pos) * ne + gain).astype(np.int32), coeff,
+                            np.searchsorted(src_pos, np.arange(hi - lo)))
 
     @functools.cached_property
     def _binomials(self) -> np.ndarray:
@@ -263,59 +234,74 @@ class CensusSpace:
         return out
 
 
-census_space = functools.lru_cache(maxsize=2)(CensusSpace)  # a model's n and n - 1 pairs
+_OUT_OF_ORDER = "the cells must cover the censuses from the last down, a level at a time"
 
 
-def block_sweep(pattern: MovePattern, table: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve y = rhs + M y over the censuses of ``pattern``'s space, M
-    holding coeff * table.flat[term] on the pattern's cells, formed one
-    level at a time; off its diagonal M moves strictly up a level.  From
-    the top level down, y[o] = (rhs[o] + M[o, higher] y) / (1 - M[o, o])
-    for the censuses o of a level, one slice of y, the cells' ``to``
-    indexing y directly.  A diagonal entry not below 1 raises
-    ``ConsistencyError``.  ``rhs`` is (censuses, columns), and so is y."""
-    flat = table.ravel()
-    rhs = rhs.T  # one row per column
+def block_sweep(chunks: Iterable[CellChunk], tables: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve y = rhs + M y at every rate r at once, M holding coeff *
+    tables[r].flat[term] on the cells of ``chunks`` (as ``CensusSpace.cells``
+    yields them), formed one chunk at a time.  From the top level down,
+    y[o] = (rhs[o] + M[o, higher] y) / (1 - M[o, o]) for the censuses o of a
+    chunk, one slice of y; rhs[r] is (censuses, columns), and so is y[r].
+    Chunks that do not cover the censuses from the last down, a level at a
+    time, or a census without one diagonal cell raise ``ValueError``; a
+    cell that does not go up a level, or a diagonal entry not below 1,
+    ``ConsistencyError``."""
+    flat = tables.reshape(len(tables), -1)
+    rhs = rhs.transpose(0, 2, 1)  # (rates, columns, censuses)
     y = np.zeros(rhs.shape)
-    for lv in range(len(pattern.levels) - 1, -1, -1):
-        rows, cells, first, on = pattern.levels[lv]
-        vals = flat.take(pattern.term[cells]) * pattern.coeff[cells]
-        stay = 1.0 - vals[on]
+    level, bottom = math.inf, rhs.shape[2]
+    for chunk in chunks:
+        rows = chunk.rows
+        if chunk.level > level or rows.stop != bottom:
+            raise ValueError(_OUT_OF_ORDER)
+        if chunk.level < level:  # the censuses from ``above`` on are higher up
+            level, above = chunk.level, bottom
+        bottom = rows.start
+        census = np.arange(rows.start, rows.stop)
+        src = np.repeat(census, np.diff(chunk.first, append=len(chunk.to)))
+        on = np.flatnonzero(chunk.to == src)
+        if not np.array_equal(src[on], census):
+            raise ValueError("every census needs its diagonal cell")
+        up = (chunk.to >= above) | (chunk.to == src)
+        if not up.all():
+            raise ConsistencyError(f"census {src[np.argmin(up)]} has a move that does not "
+                                   f"leave level {level} upwards")
+        vals = flat.take(chunk.term, axis=1) * chunk.coeff
+        stay = 1.0 - vals[:, on]
         if not (stay > 0.0).all():
-            raise ConsistencyError(f"a diagonal entry at level {lv} is not below 1")
-        moved = vals * np.take(y, pattern.to[cells], axis=1)  # 0 at this level
-        y[:, rows] = (rhs[:, rows] + np.add.reduceat(moved, first, axis=1)) / stay
-    return y.T
+            raise ConsistencyError(f"a diagonal entry at level {level} is not below 1")
+        moved = vals[:, None] * y.take(chunk.to, axis=2)  # 0 at this level
+        y[:, :, rows] = (rhs[:, :, rows] + np.add.reduceat(moved, chunk.first, axis=2)) \
+            / stay[:, None]
+    if bottom != 0:
+        raise ValueError(_OUT_OF_ORDER)
+    return y.transpose(0, 2, 1)
 
 
 class CycleModel:
-    """Solved per-census win probabilities and renewal lengths.
+    """Per-census win probabilities and renewal lengths at one rate.
 
     Everything except the occupancy prior is fixed by the kernels (which
-    carry lambda), the timing, the per-state PER and N; ``throughput``
-    aggregates the solved vectors under a prior.  ``win_by_census[c]`` holds
-    P(the AP side / the STA side wins the cycle | census c of ``space``) and
-    ``renewal_by_census[c]`` E[R | c].
+    carry lambda), the timing, the per-state PER and the censuses of N and
+    N - 1 pairs.  Once ``cycle_models`` has solved the census system,
+    ``win_by_census[c]`` holds P(the AP side / the STA side wins the cycle |
+    census c of ``space``), ``renewal_by_census[c]`` E[R | c], and
+    ``throughput`` aggregates them under a prior.
     """
 
-    def __init__(self, kernels: KernelTable, timing: MacTiming, per, n: int):
-        if n < 1:
-            raise ParameterError("need at least one pair")
-        self.kernels = kernels
-        self.timing = timing
+    def __init__(self, kernels: KernelTable, timing: MacTiming, per, space: CensusSpace,
+                 others: CensusSpace):
+        self.kernels, self.timing, self.space, self._others = kernels, timing, space, others
         self.per = np.asarray(per, dtype=float)
-        self.lambda_pps = kernels.lambda_pps
-        self.n = n
-        self.kmax = kernels.t_max
-        self.num_states = kernels.policy.num_states
+        self.lambda_pps, self.n = kernels.lambda_pps, space.n
+        self.kmax, self.num_states = kernels.t_max, kernels.policy.num_states
         if len(self.per) != self.num_states:
             raise ParameterError("PER vector length does not match channel states")
         delta = kernels.policy.delta_us
         if timing.slot_us != delta:
             raise ParameterError(f"timing slot {timing.slot_us!r} us differs from "
                                  f"the timer slot {delta!r} us")
-
-        self.space = census_space(n)
 
         # window [k, s]: resolution at slot k, then a success in state s or,
         # for s = num_states, a collision; p is the per-queue arrival chance
@@ -324,7 +310,6 @@ class CycleModel:
         self._p = -np.expm1(-(self.lambda_pps * 1e-6) * self._windows.ravel())
 
         self._summarise()
-        self._solve()
 
     # ----- contention summaries of every census -------------------------
 
@@ -334,7 +319,7 @@ class CycleModel:
         probability that all those pairs survive past k.  Per census of all n
         pairs: clean-win mass succ[c, k, winner state], collision col[c, k]
         and won[c] = P(an AP / a STA queue wins and delivers this period)."""
-        kt, others = self.kernels, census_space(self.n - 1)
+        kt, others = self.kernels, self._others
         # P(tau_min^j > k - 1) and P(tau_min^j > k) at k = 0..t_max
         before, surv = kt.surv[:, :-1], kt.surv[:, 1:]
         cnt = others.counts[:, :, None]
@@ -371,10 +356,10 @@ class CycleModel:
 
     def _census_system(self):
         """(table, rhs): the ``arrival_table`` from which ``block_sweep``
-        forms M's entries on the cells of ``space.pattern``, and the rhs
+        forms M's entries on the cells of ``space.cells()``, and the rhs
         columns P(the AP side / the STA side wins this period) and the mean
         period length.  The empty census's row is the idle closed form that
-        ``_solve`` applies after the sweep in place of its cells' values, so
+        ``_settle`` applies after the sweep in place of its cells' values, so
         its rhs holds only the wait for the first arrival."""
         space = self.space
         nc = len(space.counts)
@@ -392,9 +377,8 @@ class CycleModel:
             rhs[empty, 2] = 1.0 / (2.0 * self.n * self.lambda_pps * 1e-6)
         return space.arrival_table(weights, self._p), rhs
 
-    def _solve(self) -> None:
-        table, rhs = self._census_system()
-        y = block_sweep(self.space.pattern, table, rhs)
+    def _settle(self, y: np.ndarray, rhs: np.ndarray) -> None:
+        """Keeps y, swept at right-hand side rhs, once it passes the checks."""
         # the empty census is the only one at level 0, so its closed-form row
         # replaces the cells' row after the sweep: the first arrival makes
         # one pair AP-only or STA-only with 1/2 each
@@ -464,30 +448,47 @@ def _next_occupancy(p, theta, lam, prev):
     return new_p, (lp, lt)
 
 
-def fixed_point(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
-                pi, timing: MacTiming) -> AnalysisSolution:
-    """Solve lambda = Theta_AP = Theta_STA for the occupancy pair (P_A, P_S).
+def cycle_models(kernels: Sequence[KernelTable], timing: MacTiming, per,
+                 n: int) -> list[CycleModel]:
+    """A solved ``CycleModel`` of n pairs per kernel table (one per arrival
+    rate), all from one pass over ``CensusSpace(n).cells()``."""
+    if n < 1:
+        raise ParameterError("need at least one pair")
+    if not kernels:
+        return []
+    space, others = CensusSpace(n), CensusSpace(n - 1)
+    models = [CycleModel(kt, timing, per, space, others) for kt in kernels]
+    tables, rhs = (np.stack(part) for part in zip(*(m._census_system() for m in models)))
+    for model, y, r in zip(models, block_sweep(space.cells(), tables, rhs), rhs):
+        model._settle(y, r)
+    return models
+
+
+def fixed_points(lambdas: Sequence[float], config: SystemConfig, policy: TimerPolicy,
+                 pi, timing: MacTiming) -> list[AnalysisSolution]:
+    """Solve lambda = Theta_AP = Theta_STA for the occupancy pair (P_A, P_S)
+    at each rate of ``lambdas``, their models from one ``cycle_models``.
 
     Damped multiplicative updates with a safeguarded secant acceleration;
     non-convergence (iteration cap, or either coordinate pinned at 1-eps for
     FP_PIN_LIMIT consecutive iterations) is reported as instability, never
     raised.
     """
-    if lambda_pps <= 0.0:
+    if any(lam <= 0.0 for lam in lambdas):
         raise ParameterError("fixed point requires a positive arrival rate")
-    kernels = build_kernels(policy, pi, lambda_pps)
-    model = CycleModel(kernels, timing, config.per_state_per, config.n_stations)
-    pa = ps = 0.1
-    prev_a = prev_s = None
-    pinned = 0
-    identity_err = 0.0
-    converged = False
-    iterations = 0
-    theta_ap = theta_sta = e_r = pbar_a = pbar_s = math.nan
+    kernels = [build_kernels(policy, pi, lam) for lam in lambdas]
+    return [_iterate(model) for model in
+            cycle_models(kernels, timing, config.per_state_per, config.n_stations)]
+
+
+def _iterate(model: CycleModel) -> AnalysisSolution:
+    """The fixed-point iterations of ``fixed_points`` at the model's rate."""
+    lambda_pps, n = model.lambda_pps, model.n
+    pa, ps, prev_a, prev_s = 0.1, 0.1, None, None
+    pinned, identity_err, converged = 0, 0.0, False
     for iterations in range(1, FP_MAX_ITER + 1):
         theta_ap, theta_sta, e_r, pbar_a, pbar_s = model.throughput(pa, ps)
-        identity_err = max(identity_err,
-                           abs(config.n_stations * (pbar_a + pbar_s) - 1.0))
+        identity_err = max(identity_err, abs(n * (pbar_a + pbar_s) - 1.0))
         res_a = abs(theta_ap - lambda_pps) / lambda_pps
         res_s = abs(theta_sta - lambda_pps) / lambda_pps
         if res_a < FP_TOL and res_s < FP_TOL:
@@ -495,12 +496,9 @@ def fixed_point(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
             break
         pa, prev_a = _next_occupancy(pa, theta_ap, lambda_pps, prev_a)
         ps, prev_s = _next_occupancy(ps, theta_sta, lambda_pps, prev_s)
-        if pa >= 1.0 - FP_EPS or ps >= 1.0 - FP_EPS:
-            pinned += 1
-            if pinned >= FP_PIN_LIMIT:
-                break
-        else:
-            pinned = 0
+        pinned = pinned + 1 if pa >= 1.0 - FP_EPS or ps >= 1.0 - FP_EPS else 0
+        if pinned >= FP_PIN_LIMIT:
+            break
     return AnalysisSolution(
         lambda_pps=lambda_pps, p_a=pa, p_s=ps, expected_renewal_us=e_r,
         pbar_a=pbar_a, pbar_s=pbar_s, theta_ap_pps=theta_ap,

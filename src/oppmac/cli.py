@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import analysis_csv_lines, fixed_point
+from .analysis import MAX_CELLS, analysis_csv_lines, cell_total, fixed_points
 from .config import ConfigError, WlanSetup, default_setup, load_config, setup_hash
 from .core import ParameterError
 from .sim import SimReport, run_dcf, run_opportunistic
@@ -192,11 +192,11 @@ def _write(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _fixed_point(setup: WlanSetup, pi, lam: float):
-    """``fixed_point`` at one rate; a model too large for memory is a
+def _fixed_points(setup: WlanSetup, pi, lambdas) -> list:
+    """``fixed_points`` over ``lambdas``; a model too large for memory is a
     configuration error of the station count."""
     try:
-        return fixed_point(lam, setup.config, setup.policy, pi, setup.timing)
+        return fixed_points(lambdas, setup.config, setup.policy, pi, setup.timing)
     except MemoryError:
         raise ConfigError("system.n_stations", f"the analysis model of "
                           f"{setup.config.n_stations} stations does not fit in memory") from None
@@ -205,7 +205,7 @@ def _fixed_point(setup: WlanSetup, pi, lam: float):
 def cmd_analyze(spec: ExperimentSpec) -> int:
     setup = spec.setup
     pi = setup.resolve_pi()
-    sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
+    sols = _fixed_points(setup, pi, spec.lambdas)
     _write(spec.out_dir / "analysis.csv", analysis_csv_lines(sols, setup_hash(setup)))
     retry = setup.config.retry_limit
     note = "" if retry is None else f" (the model ignores system.retry_limit={retry})"
@@ -292,7 +292,7 @@ def cmd_validate(spec: ExperimentSpec) -> int:
     # the analysis has no retry limit, so neither has its simulation
     with _simulations(spec, [("opportunistic", lam) for lam in spec.lambdas],
                       retry_limit=None) as runs:
-        sols = [_fixed_point(setup, pi, lam) for lam in spec.lambdas]
+        sols = _fixed_points(setup, pi, spec.lambdas)
         aggs = {lam: _aggregate(reports) for lam, reports in zip(spec.lambdas, runs)}
     # a metric that no replication measured is None, not _aggregate's NaN
     aggs = {lam: {m: None if math.isnan(agg[m][0]) else agg[m][0]
@@ -326,8 +326,8 @@ def cmd_compare(spec: ExperimentSpec) -> int:
     pairs = [(scheme, lam) for scheme in spec.schemes if scheme != "analysis"
              for lam in spec.lambdas]
     with _simulations(spec, pairs) as runs:
-        sols = {lam: _fixed_point(setup, pi, lam) for lam in spec.lambdas
-                if pi is not None and lam > 0}
+        rates = [lam for lam in spec.lambdas if pi is not None and lam > 0]
+        sols = dict(zip(rates, _fixed_points(setup, pi, rates)))
         aggs = {pair: _aggregate(reports) for pair, reports in zip(pairs, runs)}
     for scheme in spec.schemes:
         for lam in spec.lambdas:
@@ -390,6 +390,11 @@ def build_spec(args) -> ExperimentSpec:
     out = Path(args.out)  # a verb could not write beneath a file once its runs are done
     if any(os.path.lexists(p) and not p.is_dir() for p in (out, *out.parents)):
         raise ConfigError("--out", f"{args.out!r} is, or lies beneath, a file")
+    n = setup.config.n_stations  # an analysis too large is refused before it starts
+    if (args.command in ("analyze", "validate") or "analysis" in plan.get("schemes", ())) \
+            and cell_total(n) > MAX_CELLS:
+        raise ConfigError("system.n_stations", f"the analysis of {n} stations has "
+                          f"{cell_total(n):,} cells, more than the {MAX_CELLS:,} of 60 stations")
     return ExperimentSpec(setup=setup, lambdas=_parse_lambdas(args.command, args.lam),
                           out_dir=out, **plan)
 

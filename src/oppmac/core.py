@@ -258,9 +258,9 @@ class SystemConfig:
         if (self.pi is None) == (self.mean_ebn0_db is None):
             raise ParameterError("specify exactly one of pi / mean_ebn0_db", "pi")
         if self.pi is not None:
-            if any(w < 0 for w in self.pi):
+            if not all(w >= 0 for w in self.pi):  # NaN fails it too
                 raise ParameterError("state probabilities must be nonnegative", "pi")
-            if abs(sum(self.pi) - 1.0) > 1e-12:
+            if not abs(sum(self.pi) - 1.0) <= 1e-12:
                 raise ParameterError("explicit state probabilities must sum to 1", "pi")
         if self.retry_limit is not None and self.retry_limit < 0:
             raise ParameterError("retry limit must be nonnegative or None",

@@ -87,7 +87,7 @@ def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> Ker
     pi = np.asarray(pi, dtype=float)
     if len(pi) != policy.num_states:
         raise ParameterError("pi length does not match the timer policy")
-    if abs(pi.sum() - 1.0) > 1e-9 or (pi < 0).any():
+    if not (abs(pi.sum() - 1.0) <= 1e-9 and (pi >= 0).all()):  # NaN fails it too
         raise ParameterError("pi must be a probability vector")
     check_rate(lambda_pps)
     kmax = policy.t_max

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from oppmac import AP, STA, ConsistencyError, ParameterError, fixed_point
+from oppmac import AP, STA, ConsistencyError, ParameterError, fixed_points
 from oppmac.analysis import CensusSpace
 
 BIG = 1 << 20  # sentinel: no timer set within the horizon
@@ -473,13 +473,13 @@ def dense_solve(m, c):
 def dense_census(model):
     """Dense (m, rhs) of the census system Y = rhs + m Y over the censuses
     of ``model.space``, rebuilt from the model's arrival table on the cells
-    of its pattern (source term // (2n+1), destination to) and its
-    closed-form idle row."""
+    that ``space.cells()`` streams (source term // (2n+1), destination to)
+    and its closed-form idle row."""
     table, rhs = model._census_system()
     space = model.space
-    p = space.pattern
     m = np.zeros((len(space.counts),) * 2)
-    m[p.term // (2 * space.n + 1), p.to] = p.coeff * table.ravel()[p.term]
+    for chunk in space.cells():
+        m[chunk.term // (2 * space.n + 1), chunk.to] = chunk.coeff * table.ravel()[chunk.term]
     empty = space.lookup[0, 0, 0]
     m[empty] = 0.0
     if model.lambda_pps > 0.0:
@@ -524,7 +524,7 @@ def scalar_row(census, n, t_us, lam, lookup):
 
 
 def move_table_reference(space):
-    """The moves behind ``CensusSpace.pattern`` of ``space``, built one
+    """The moves behind ``CensusSpace.cells`` of ``space``, built one
     source at a time in sweep order, each source's distinct destinations
     found by its own ``np.unique``: the (source, destination) of each cell
     and, per level, (cell, coeff, source, ep, eq) per move, whose cells,
@@ -613,7 +613,7 @@ def capacity_search(config, policy, pi, timing, lambda_grid):
     grid = list(lambda_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("lambda grid must be strictly ascending")
-    solutions = [fixed_point(lam, config, policy, pi, timing) for lam in grid]
+    solutions = fixed_points(grid, config, policy, pi, timing)
     capacity = max((s.lambda_pps for s in solutions if s.converged), default=None)
     return capacity, solutions
 

@@ -13,11 +13,11 @@ import pytest
 from oppmac import (
     AP,
     STA,
-    CycleModel,
     SystemConfig,
     TimerPolicy,
     build_kernels,
-    fixed_point,
+    cycle_models,
+    fixed_points,
 )
 from oppmac.cli import main
 from oppmac.kernels import PAIR_STATES
@@ -69,7 +69,7 @@ def analysis_solution(n, lam):
     space = ChannelSpace()
     timing = MacTiming.dot11a(space)
     cfg = SystemConfig(n_stations=n, pi=UNIFORM, retry_limit=None)
-    return fixed_point(lam, cfg, TimerPolicy(), np.asarray(UNIFORM), timing)
+    return fixed_points([lam], cfg, TimerPolicy(), np.asarray(UNIFORM), timing)[0]
 
 
 # --- criterion 1: analysis-simulation agreement ---------------------------
@@ -326,7 +326,7 @@ def test_c6_renewal_identity():
     worst = 0.0
     for n, lam in ((1, 30.0), (2, 25.0), (3, 60.0), (7, 80.0)):
         kt = build_kernels(TimerPolicy(), np.asarray(UNIFORM), lam)
-        model = CycleModel(kt, timing, (0.1,) * 4, n)
+        model = cycle_models([kt], timing, (0.1,) * 4, n)[0]
         for pa in (0.02, 0.4, 0.9):
             for ps in (0.05, 0.5, 0.97):
                 a, s = model.throughput(pa, ps)[3:]

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppmac import (
-    CycleModel,
     ParameterError,
     SystemConfig,
     TimerPolicy,
     build_kernels,
-    fixed_point,
+    cycle_models,
+    fixed_points,
 )
-from oppmac.analysis import analysis_csv_lines, census_space
+from oppmac.analysis import CensusSpace, analysis_csv_lines
 
 from oracles import (
     capacity_search,
@@ -27,14 +27,14 @@ from oracles import (
 def make_model(n, lam, pi=(0.25,) * 4, p=0.5, per=(0.1,) * 4, timing=None):
     policy = TimerPolicy(p=p, delta_us=9.0, num_states=4)
     kt = build_kernels(policy, np.asarray(pi), lam)
-    return CycleModel(kt, timing, per, n)
+    return cycle_models([kt], timing, per, n)[0]
 
 
 # ----------------------------------------------------------------- priors
 
 def model_census_prior(p_a, p_s, n):
     """{(k1, k2, k3): probability} as the model weights its census vectors."""
-    space = census_space(n)
+    space = CensusSpace(n)
     return dict(zip(space.censuses, space.prior(p_a, p_s).tolist()))
 
 
@@ -68,7 +68,7 @@ def test_tagged_prior_consistency():
     model weights its per-census win vectors by P_N(c) / N alone."""
     probs = tagged_prior(0.3, 0.6, 7)
     assert abs(sum(probs.values()) - 1.0) < 1e-12
-    space = census_space(7)
+    space = CensusSpace(7)
     lumped = np.zeros((4, len(space.censuses)))
     for (i, *others), p in probs.items():
         census = [others[j - 1] + (j == i) for j in (1, 2, 3)]
@@ -130,7 +130,7 @@ def test_model_rejects_mismatched_slot(timing):
     slot length is refused rather than silently mixed in."""
     kt = build_kernels(TimerPolicy(delta_us=20.0), np.full(4, 0.25), 40.0)
     with pytest.raises(ParameterError, match="slot"):
-        CycleModel(kt, timing, (0.1,) * 4, 2)
+        cycle_models([kt], timing, (0.1,) * 4, 2)
 
 
 def test_lambda_zero_empty_census_is_infinite(timing):
@@ -218,7 +218,7 @@ def test_win_probabilities_sum_to_one_per_census(n, lam, timing):
 
 def test_fixed_point_light_traffic(space, timing, uniform_pi):
     cfg = SystemConfig(n_stations=7, pi=(0.25,) * 4)
-    sol = fixed_point(1.0, cfg, TimerPolicy(), uniform_pi, timing)
+    sol, = fixed_points([1.0], cfg, TimerPolicy(), uniform_pi, timing)
     assert sol.converged
     assert sol.p_a < 0.002 and sol.p_s < 0.002
     assert abs(sol.theta_ap_pps - 1.0) / 1.0 < 1e-3
@@ -231,20 +231,19 @@ def test_fixed_point_light_traffic(space, timing, uniform_pi):
 def test_fixed_point_rejects_zero_rate(space, timing, uniform_pi):
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     with pytest.raises(ParameterError):
-        fixed_point(0.0, cfg, TimerPolicy(), uniform_pi, timing)
+        fixed_points([0.0], cfg, TimerPolicy(), uniform_pi, timing)
 
 
 def test_fixed_point_deterministic(timing, uniform_pi):
     cfg = SystemConfig(n_stations=3, pi=(0.25,) * 4)
-    a = fixed_point(40.0, cfg, TimerPolicy(), uniform_pi, timing)
-    b = fixed_point(40.0, cfg, TimerPolicy(), uniform_pi, timing)
+    a = fixed_points([40.0], cfg, TimerPolicy(), uniform_pi, timing)
+    b = fixed_points([40.0], cfg, TimerPolicy(), uniform_pi, timing)
     assert a == b
 
 
 def test_fixed_point_monotone_occupancy(timing, uniform_pi):
     cfg = SystemConfig(n_stations=7, pi=(0.25,) * 4)
-    sols = [fixed_point(lam, cfg, TimerPolicy(), uniform_pi, timing)
-            for lam in (20.0, 40.0, 60.0, 80.0)]
+    sols = fixed_points((20.0, 40.0, 60.0, 80.0), cfg, TimerPolicy(), uniform_pi, timing)
     assert all(s.converged for s in sols)
     ps = [s.p_s for s in sols]
     assert all(b > a for a, b in zip(ps, ps[1:]))
@@ -289,7 +288,7 @@ def test_capacity_monotone_in_per(timing, uniform_pi):
 
 def test_analysis_csv_shape(timing, uniform_pi):
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
-    sol = fixed_point(10.0, cfg, TimerPolicy(), uniform_pi, timing)
+    sol, = fixed_points([10.0], cfg, TimerPolicy(), uniform_pi, timing)
     lines = analysis_csv_lines([sol], "deadbeef0000")
     assert lines[0].startswith("# schema=analysis-v1 config_hash=deadbeef0000")
     assert lines[1].split(",")[0] == "lambda_pps"

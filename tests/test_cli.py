@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pickle
@@ -51,7 +52,7 @@ def exit_code(argv) -> int:
 def forbid_model_and_simulator(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("a model or simulator started")
-    for name in ("fixed_point", "run_opportunistic", "run_dcf"):
+    for name in ("fixed_points", "run_opportunistic", "run_dcf"):
         monkeypatch.setattr(cli, name, started)
 
 
@@ -599,6 +600,33 @@ def test_model_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["analyze", "validate", "compare"])
+def test_analysis_past_the_cell_budget_exit_code(tmp_path, capsys, monkeypatch, verb):
+    """An analysis with more cells than at 60 stations is refused on the
+    station count, before any census is enumerated or any simulator child
+    forked, and leaves no --out; 60 stations pass the check."""
+    def enumerated(n):
+        raise AssertionError("a census was enumerated")
+
+    monkeypatch.setattr(analysis, "enumerate_censuses", enumerated)
+    forbid_model_and_simulator(monkeypatch)
+    children = force_cpus(monkeypatch, {0, 1})
+    extra = ["--scheme", "opportunistic,analysis"] if verb == "compare" else []
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    assert main([verb, "--lambda", "10", "--set", "system.n_stations=61",
+                 "--out", str(out), *extra]) == 2
+    assert time.monotonic() - t0 < 5
+    err = capsys.readouterr().err
+    assert "system.n_stations" in err and "61 stations" in err and "Traceback" not in err
+    assert not out.exists() and not children
+    for n, command in ((60, verb), (61, "simulate")):  # simulate solves no analysis
+        args = argparse.Namespace(command=command, config=None, lam="10",
+                                  set=[f"system.n_stations={n}"], out=str(out),
+                                  scheme="opportunistic,analysis" if command == "compare" else "")
+        assert cli.build_spec(args).setup.config.n_stations == n
+
+
 def test_analyze_zero_rate_exit_code(tmp_path, capsys):
     assert main(["analyze", "--lambda", "0", "--set", "system.n_stations=2",
                  "--out", str(tmp_path)]) == 2
@@ -690,13 +718,13 @@ def test_pool_and_serial_paths_same_bytes(tmp_path, capsys, monkeypatch, verb):
     children, forked before the parent solves any fixed point; every file,
     the stdout and the exit code are the same, and no child is left."""
     solving_while_forked = []
-    real_fixed_point = cli.fixed_point
+    real_fixed_points = cli.fixed_points
 
-    def fixed_point(*args, **kwargs):
-        solving_while_forked.append(len(children))
-        return real_fixed_point(*args, **kwargs)
+    def fixed_points(lambdas, *args, **kwargs):
+        solving_while_forked.append((len(children), tuple(lambdas)))
+        return real_fixed_points(lambdas, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "fixed_point", fixed_point)
+    monkeypatch.setattr(cli, "fixed_points", fixed_points)
     runs = []
     for cpus in ({0}, {0, 1}):
         children = force_cpus(monkeypatch, cpus)
@@ -709,9 +737,9 @@ def test_pool_and_serial_paths_same_bytes(tmp_path, capsys, monkeypatch, verb):
         assert_no_child_left()
     assert runs[0] == runs[1]
     assert len(runs[0][2]) == {"simulate": 13, "validate": 1, "compare": 1}[verb]
-    if verb != "simulate":  # one solve per positive rate and run
-        half = len(solving_while_forked) // 2
-        assert half and solving_while_forked == [0] * half + [2] * half
+    # one solve of all the positive rates per run
+    rates = {"simulate": None, "validate": (20.0, 40.0), "compare": (20.0,)}[verb]
+    assert solving_while_forked == ([] if rates is None else [(0, rates), (2, rates)])
 
 
 @pytest.mark.parametrize("error", [ParameterError("no rate fits this channel"),
@@ -760,7 +788,7 @@ def test_interrupted_verb_kills_its_children(tmp_path, monkeypatch):
 
     children = force_cpus(monkeypatch, {0, 1})
     monkeypatch.setattr(cli, "run_opportunistic", lambda *a, **k: time.sleep(60))
-    monkeypatch.setattr(cli, "fixed_point", interrupted)
+    monkeypatch.setattr(cli, "fixed_points", interrupted)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["validate", "--lambda", "20", "--reps", "2", "--duration-s", "0.5",

@@ -147,6 +147,14 @@ def test_system_config_validation():
     assert abs(pi.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("pi", [(math.nan, 0.5, 0.25, 0.25), (0.25, 0.25, 0.25, math.nan)])
+def test_system_config_refuses_nan_channel_law(pi):
+    """A NaN state probability fails the sign check and the sum check, both
+    written so that NaN does not pass them."""
+    with pytest.raises(ParameterError, match="state probabilities"):
+        SystemConfig(n_stations=2, pi=pi)
+
+
 def test_draw_timer_bad_side(policy):
     with pytest.raises(ParameterError, match="side"):
         policy.slot_probs(1, "apsta")

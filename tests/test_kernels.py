@@ -10,13 +10,13 @@ from oppmac import (
     AP,
     STA,
     ConsistencyError,
-    CycleModel,
     KernelTable,
     ParameterError,
     TimerPolicy,
     build_kernels,
+    cycle_models,
 )
-from oppmac.analysis import census_space, enumerate_censuses
+from oppmac.analysis import CensusSpace, enumerate_censuses
 from oppmac.kernels import PAIR_STATES
 
 from conftest import LAMBDA_GRID, P_GRID, PI_GRID
@@ -48,7 +48,7 @@ def q_of(lam, delta=9.0):
 
 def summaries(kt, timing, n):
     """{(k1, k2, k3): (succ[k, state], col[k])} over every census of n pairs."""
-    model = CycleModel(kt, timing, (0.1,) * 4, n)
+    model = cycle_models([kt], timing, (0.1,) * 4, n)[0]
     return {c: (model.succ[ci], model.col[ci]) for ci, c in enumerate(model.space.censuses)}
 
 
@@ -174,13 +174,13 @@ def test_p_suc_ap_matches_config_sum(n, timing):
     """The model's Gauss-Legendre tie-break share equals the explicit
     configuration sum (polynomial exactness)."""
     kt = make_kernels((0.1, 0.4, 0.3, 0.2), 2e4, 0.3)
-    model = CycleModel(kt, timing, (0.1,) * 4, n)
+    model = cycle_models([kt], timing, (0.1,) * 4, n)[0]
     for counts in model.space.counts.tolist():
         for i in PAIR_STATES:
             if counts[i] == 0:
                 continue
             others = tuple(counts[j] - (1 if j == i else 0) for j in PAIR_STATES)
-            share = model._others_share[census_space(n - 1).lookup[others[1:]]]
+            share = model._others_share[CensusSpace(n - 1).lookup[others[1:]]]
             for k in (0, 3, 7):
                 for l in range(0, k + 1, 3):
                     a = counts[i] * kt.ap[i, k, l] * share[k]
@@ -207,7 +207,14 @@ def test_negative_collision_mass_names_first_census(inflate, timing):
                  if min(collision_mass((3 - sum(c),) + c, k) for k in range(8)) < -1e-9)
     message = r"negative collision mass .* census " + re.escape(str(first))
     with pytest.raises(ConsistencyError, match=message):
-        CycleModel(bad, timing, (0.1,) * 4, 3)
+        cycle_models([bad], timing, (0.1,) * 4, 3)
+
+
+@pytest.mark.parametrize("pi", [(np.nan, 0.5, 0.25, 0.25), (0.25, 0.25, 0.25, np.nan)])
+def test_build_kernels_refuses_nan_channel_law(pi):
+    """A NaN entry of pi fails the probability-vector check."""
+    with pytest.raises(ParameterError, match="probability vector"):
+        make_kernels(pi, 20.0)
 
 
 def test_p_col_single_s3_is_tie_mass(timing):

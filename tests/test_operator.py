@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppmac import ConsistencyError, CycleModel, TimerPolicy, build_kernels
-from oppmac import analysis
-from oppmac.analysis import MovePattern, block_sweep, census_space
+from oppmac import ConsistencyError, SystemConfig, TimerPolicy, build_kernels, cycle_models
+from oppmac import analysis, fixed_points
+from oppmac.analysis import CellChunk, block_sweep, cell_total
 
 from oracles import (
     census_wins,
@@ -30,7 +30,7 @@ PER = (0.1, 0.25, 0.0, 0.4)  # a zero-PER state has no errored-success windows
 
 def make_model(n, lam, timing):
     kt = build_kernels(TimerPolicy(), np.asarray(PI), lam)
-    return CycleModel(kt, timing, PER, n), kt
+    return cycle_models([kt], timing, PER, n)[0], kt
 
 
 def solved(model):
@@ -112,6 +112,22 @@ def test_row_mass_is_continuation_probability(n, lam, timing):
             assert abs(m[ci].sum() - cont) <= 1e-14
 
 
+def stream(space):
+    """The chunks of ``space.cells()`` in census order, and the slice of
+    the concatenated cells that each level's chunks cover."""
+    chunks = list(space.cells())[::-1]
+    ends = np.cumsum([len(chunk.to) for chunk in chunks])
+    levels = {}
+    for chunk, end in zip(chunks, ends):
+        start = levels.get(chunk.level, slice(end - len(chunk.to), end)).start
+        levels[chunk.level] = slice(start, end)
+    return chunks, [levels[lv] for lv in sorted(levels)]
+
+
+def joined(chunks, field):
+    return np.concatenate([getattr(chunk, field) for chunk in chunks])
+
+
 @pytest.mark.parametrize("n", [*range(9), 12])
 def test_move_table_matches_per_source_reference(n):
     """The cells built one numpy pass per level match the per-source
@@ -121,17 +137,15 @@ def test_move_table_matches_per_source_reference(n):
     cell's coefficient sum is bitwise the bincount of the moves'
     coefficients in move order."""
     space = analysis.CensusSpace(n)
-    pattern = space.pattern
-    term, coeff = pattern.term, pattern.coeff
+    chunks, levels = stream(space)
+    to, term, coeff = (joined(chunks, field) for field in ("to", "term", "coeff"))
     ref_src, ref_dst, ref_by_level = move_table_reference(space)
     assert np.array_equal(term // (2 * n + 1), ref_src)
-    assert np.array_equal(pattern.to, ref_dst)
-    for arr in (pattern.to, term):
-        assert arr.dtype == np.int32
-    assert len(term) == len(coeff) == len(pattern.to)
-    assert len(pattern.levels) == len(ref_by_level)
-    for (_, cells, _, _), (ref_cell, ref_coeff, src, ep, eq) in zip(pattern.levels,
-                                                                     ref_by_level):
+    assert np.array_equal(to, ref_dst)
+    for chunk in chunks:
+        assert chunk.to.dtype == chunk.term.dtype == np.int32
+    assert len(levels) == len(ref_by_level)
+    for cells, (ref_cell, ref_coeff, src, ep, eq) in zip(levels, ref_by_level):
         assert np.array_equal(ep + eq, 2 * n - space.level[src])
         assert np.array_equal(term[cells][ref_cell], src * (2 * n + 1) + ep)
         want = np.bincount(ref_cell, ref_coeff, minlength=cells.stop - cells.start)
@@ -139,34 +153,62 @@ def test_move_table_matches_per_source_reference(n):
 
 
 def test_chunked_build_matches_one_pass(monkeypatch):
-    """Chunks of a few moves, which split levels, give the pattern, terms
-    and coefficients of one pass per level."""
-    pw = analysis.CensusSpace(8).pattern
+    """Chunks of a few moves, which split levels, give the cells, terms,
+    coefficients and first cells of one pass per level, each chunk inside
+    one level and the chunks from the top level down."""
+    whole = stream(analysis.CensusSpace(8))[0]
     monkeypatch.setattr(analysis, "_CHUNK_MOVES", 50)
-    pc = analysis.CensusSpace(8).pattern
-    for a, b in zip([pw.to, pw.term, pw.coeff], [pc.to, pc.term, pc.coeff]):
+    split = list(analysis.CensusSpace(8).cells())
+    assert len(split) > len(whole)
+    assert [chunk.rows.start for chunk in split] == sorted(
+        (chunk.rows.start for chunk in split), reverse=True)
+    split = split[::-1]
+    for field in ("to", "term", "coeff"):
+        a, b = joined(whole, field), joined(split, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    for lw, lc in zip(pw.levels, pc.levels):
-        assert lw[:2] == lc[:2] and all(np.array_equal(x, y) for x, y in zip(lw[2:], lc[2:]))
+
+    def firsts(chunks):  # each census's first cell in the concatenated cells
+        ends = np.cumsum([0] + [len(chunk.to) for chunk in chunks])
+        return np.concatenate([chunk.first + end for chunk, end in zip(chunks, ends)])
+
+    assert np.array_equal(firsts(whole), firsts(split))
+    level = analysis.CensusSpace(8).level
+    for chunk in split:
+        assert (level[chunk.rows] == chunk.level).all()
 
 
-def test_cached_space_keeps_three_arrays_per_cell():
-    """Past its build, a space keeps per cell only the destination census
-    and the table entry, both int32, and the coefficient sum: 16 bytes."""
-    space = analysis.CensusSpace(6)
-    pattern = space.pattern
-    per_cell = {name: arr.dtype for obj in (space, pattern) for name, arr in vars(obj).items()
-                if isinstance(arr, np.ndarray) and len(arr) == len(pattern.term)}
-    assert per_cell == {"to": np.int32, "term": np.int32, "coeff": np.float64}
+def test_cell_chunks_keep_three_arrays_per_cell():
+    """A chunk holds per cell only the destination census and the table
+    entry, both int32, and the coefficient sum: 16 bytes; its only other
+    array is per census."""
+    for chunk in analysis.CensusSpace(6).cells():
+        arrays = {name: arr for name, arr in chunk._asdict().items()
+                  if isinstance(arr, np.ndarray)}
+        assert len(arrays.pop("first")) == chunk.rows.stop - chunk.rows.start
+        assert {name: arr.dtype for name, arr in arrays.items()} == {
+            "to": np.int32, "term": np.int32, "coeff": np.float64}
+        assert len(chunk.to) == len(chunk.term) == len(chunk.coeff)
 
 
 def test_cell_counts_match_the_built_cells():
-    """The closed-form count of each census's cells, which sizes the cell
-    build, is the number of cells the build finds per source."""
+    """The closed-form count of each census's cells, which checks each
+    chunk of the cell build, is the number of cells the build finds per
+    source."""
     for n in (1, 2, 5, 9, 13):
         space = analysis.CensusSpace(n)
-        built = np.bincount(space.pattern.term // (2 * n + 1), minlength=len(space.counts))
+        term = joined(stream(space)[0], "term")
+        built = np.bincount(term // (2 * n + 1), minlength=len(space.counts))
         assert np.array_equal(space._cell_counts(), built)
+
+
+def test_cell_total_is_the_summed_cell_counts():
+    """The degree-6 polynomial of the total cell count, which bounds the
+    analysis before any census is enumerated, sums the per-census closed
+    form at N = 0..30."""
+    for n in range(31):
+        assert cell_total(n) == analysis.CensusSpace(n)._cell_counts().sum()
+    assert (cell_total(40), cell_total(60)) == (32_715_991, 331_030_896)
+    assert analysis.MAX_CELLS == cell_total(60)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
@@ -190,86 +232,68 @@ def test_arrival_table_matches_dense_powers(n, lam, timing):
 
 def test_cell_coefficients_sum_to_binomials():
     """Per census and level gain g, the coefficient sums of its cells are
-    C(empty queues, g), so each transition row sums to 1; checked one level
-    at a time, as the build checks its chunks, a single coefficient off by
-    1e-10 relative is refused, naming its census."""
+    C(empty queues, g), so each transition row sums to 1; checked one chunk
+    at a time, as the build checks them, a single coefficient off by 1e-10
+    relative is refused, naming its census."""
     space = analysis.CensusSpace(5)
-    p, ne = space.pattern, 2 * space.n + 1
-    off = len(p.term) // 2
-    bad = p.coeff.copy()
-    bad[off] *= 1.0 + 1e-10
-    k1, k2, k3 = space.censuses[p.term[off] // ne]
-    for rows, cells, _, _ in p.levels:  # a level's sources at their positions in it
-        source, gain = np.divmod(p.term[cells], ne)
-        at = (source - rows.start) * ne + gain
-        space._check_arrival_sums(rows, at, p.coeff[cells])
-        if cells.start <= off < cells.stop:
+    ne = 2 * space.n + 1
+    chunks = list(space.cells())
+    for i, chunk in enumerate(chunks):  # a chunk's sources at their positions in it
+        source, gain = np.divmod(chunk.term, ne)
+        at = (source - chunk.rows.start) * ne + gain
+        space._check_arrival_sums(chunk.rows, at, chunk.coeff)
+        if i == len(chunks) // 2:
+            off = len(chunk.term) // 2
+            bad = chunk.coeff.copy()
+            bad[off] *= 1.0 + 1e-10
+            k1, k2, k3 = space.censuses[source[off]]
             with pytest.raises(ConsistencyError, match=rf"census \({k1}, {k2}, {k3}\) that "
                                                        rf"gain \d+ levels sum to"):
-                space._check_arrival_sums(rows, at, bad[cells])
+                space._check_arrival_sums(chunk.rows, at, bad)
 
 
-def test_move_table_only_for_all_n_pairs(timing):
-    """Only the census space of all n pairs tabulates its cells; the space
-    of n - 1 pairs serves the contention summaries alone."""
-    census_space.cache_clear()
-    make_model(5, 40.0, timing)
-    assert "pattern" in vars(census_space(5))
-    assert "pattern" not in vars(census_space(4))
+def test_move_table_only_for_all_n_pairs(timing, monkeypatch):
+    """A three-rate ``fixed_points`` builds the cells once, those of the
+    space of all n pairs; the space of n - 1 pairs serves the contention
+    summaries alone."""
+    built = []
+    real = analysis.CensusSpace.cells
+
+    def cells(self):
+        built.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(analysis.CensusSpace, "cells", cells)
+    cfg = SystemConfig(n_stations=5, pi=PI, per_state_per=PER)
+    sols = fixed_points([20.0, 50.0, 80.0], cfg, TimerPolicy(), np.asarray(PI), timing)
+    assert [s.lambda_pps for s in sols] == [20.0, 50.0, 80.0]
+    assert built == [5]
 
 
-def test_census_cache_keeps_two_spaces(timing):
-    """A model needs the spaces of n and n - 1 pairs only: the cache holds no
-    more, and a second model at the same n builds no space again."""
-    census_space.cache_clear()
-    try:
-        for n, lam in ((5, 30.0), (5, 60.0), (7, 30.0)):
-            misses = census_space.cache_info().misses
-            make_model(n, lam, timing)
-            info = census_space.cache_info()
-            assert info.currsize <= 2
-            if lam == 60.0:
-                assert info.misses == misses
-    finally:
-        census_space.cache_clear()
-    assert census_space.cache_info().maxsize == 2
+def test_rates_swept_together_match_each_alone(timing):
+    """The models of a grid, swept in one pass over the cells, hold bitwise
+    the vectors that each rate's model holds when swept alone."""
+    kernels = [build_kernels(TimerPolicy(), np.asarray(PI), lam) for lam in (0.0, 35.0, 400.0)]
+    for kt, model in zip(kernels, cycle_models(kernels, timing, PER, 7)):
+        alone = cycle_models([kt], timing, PER, 7)[0]
+        assert solved(model).tobytes() == solved(alone).tobytes()
 
 
 def test_model_build_memory_peak(timing):
-    """The census system is kept as three arrays per cell of the move
-    pattern, never as the dense M: an N = 15 model, its cells included,
-    peaks at 6.94 MB of traced allocations (9.18 MB with the per-cell
-    source, destination and values kept); the bound leaves about 10%."""
+    """The census system is never stored: an N = 15 model streams its cells
+    a chunk at a time into the level sweep, next to its contention
+    summaries and its per-level arrival table.  The whole build peaks at
+    5.19 MB of traced allocations when it is the first in its process, and
+    at 4.25 MB after (6.93 MB with every cell kept for later rates); the
+    bound leaves about 10%."""
     kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
-    census_space.cache_clear()
     tracemalloc.start()
     try:
-        CycleModel(kt, timing, PER, 15)
+        cycle_models([kt], timing, PER, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        census_space.cache_clear()
-    assert peak < 7.6 * 2**20, f"peak {peak / 2**20:.2f} MB"
-
-
-def test_model_build_memory_peak_on_cached_cells(timing):
-    """Past its cells, an N = 15 model allocates its contention summaries,
-    the per-level arrival table, whose columns are the level gains rather
-    than every exponent pair, and one level's entries of M at a time.
-    Measured at 1.62 MB of traced allocations (4.46 MB with one value per
-    cell, 10.25 MB with the dense table of every exponent pair); the bound
-    leaves about 10%."""
-    kt = build_kernels(TimerPolicy(), np.asarray(PI), 50.0)
-    census_space.cache_clear()
-    census_space(15).pattern
-    tracemalloc.start()
-    try:
-        CycleModel(kt, timing, PER, 15)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        census_space.cache_clear()
-    assert peak < 1.8 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak < 5.7 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_renewal_identity_check_catches_a_wrong_operator(timing, monkeypatch):
@@ -318,28 +342,45 @@ def test_sweep_matches_dense_solve(n, lam, timing):
 
 
 def hand_system(cells, level):
-    """(pattern, table) of a system on a hand-built pattern: ``cells`` maps
-    each (source, destination) cell to its entry, the censuses numbered by
-    ``level``.  The cells are grouped by source, each cell's term is its
-    position and its coefficient is 1, so the table is the entries as one
-    column."""
+    """(chunks, tables) of a system on hand-built cells: ``cells`` maps
+    each (source, destination) cell to its entry, and ``level`` labels the
+    censuses.  Each run of censuses of one level is a chunk, from the last
+    census down.  The cells are grouped by source, each cell's term is its
+    position and its coefficient is 1, so the one rate's table is the
+    entries as one column."""
     grouped = sorted(cells.items())
     src, dst = np.array([cell for cell, _ in grouped], dtype=np.int32).reshape(-1, 2).T
-    pattern = MovePattern(np.array(level), np.bincount(src, minlength=len(level)), dst,
-                          np.arange(len(grouped), dtype=np.int32), np.ones(len(grouped)))
-    return pattern, np.array([[value] for _, value in grouped])
+    first = np.searchsorted(src, np.arange(len(level) + 1))  # each census's first cell
+    cuts = [o for o in range(1, len(level)) if level[o] != level[o - 1]]
+    chunks = [CellChunk(level[lo], slice(lo, hi), dst[first[lo]:first[hi]],
+                        np.arange(first[lo], first[hi], dtype=np.int32),
+                        np.ones(first[hi] - first[lo]), first[lo:hi] - first[lo])
+              for lo, hi in zip([0, *cuts], [*cuts, len(level)])]
+    return chunks[::-1], np.array([[[value] for _, value in grouped]])
+
+
+def sweep(system, rhs):
+    """``block_sweep`` of a ``hand_system`` at its one rate."""
+    chunks, tables = system
+    return block_sweep(chunks, tables, rhs[None])[0]
 
 
 def test_sweep_solves_hand_example():
     # m = [[0.5, 0.25, 0], [0, 0, 0.5], [0, 0, 0.75]]
-    pattern, table = hand_system({(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.0, (1, 2): 0.5,
-                                  (2, 2): 0.75}, [0, 1, 2])
+    system = hand_system({(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.0, (1, 2): 0.5,
+                          (2, 2): 0.75}, [0, 1, 2])
     c = np.array([1.0, 2.0, 3.0])
-    x = block_sweep(pattern, table, c[:, None])[:, 0]
+    x = sweep(system, c[:, None])[:, 0]
     # x2 = 3 / (1 - 0.75), x1 = 2 + 0.5 x2, x0 = (1 + 0.25 x1) / (1 - 0.5)
     np.testing.assert_allclose(x, [6.0, 8.0, 12.0], rtol=1e-15)
-    np.testing.assert_allclose(block_sweep(pattern, table, np.stack([c, 2 * c], 1)),
+    np.testing.assert_allclose(sweep(system, np.stack([c, 2 * c], 1)),
                                np.stack([x, 2 * x], 1), rtol=1e-15)
+    # two rates at once, the second with every entry halved
+    chunks, tables = system
+    both = block_sweep(chunks, np.concatenate([tables, tables / 2]), np.stack([c, c])[:, :, None])
+    np.testing.assert_allclose(both[0, :, 0], x, rtol=1e-15)
+    np.testing.assert_allclose(both[1, :, 0], sweep((chunks, tables / 2), c[:, None])[:, 0],
+                               rtol=0)
 
 
 @pytest.mark.parametrize("move,level", [((0, 1), [0, 0, 1]), ((1, 0), [0, 1, 2])],
@@ -348,23 +389,28 @@ def test_sweep_rejects_moves_that_do_not_raise_the_level(move, level):
     # m = [[0.1, 0, 0], [0, 0.3, 0.4], [0, 0, 0.5]] plus 0.2 at ``move``
     cells = {(0, 0): 0.1, (1, 1): 0.3, (1, 2): 0.4, (2, 2): 0.5, move: 0.2}
     with pytest.raises(ConsistencyError, match=f"census {move[0]} has a move that does not"):
-        hand_system(cells, level)
+        sweep(hand_system(cells, level), np.ones((3, 1)))
 
 
-def test_pattern_refuses_censuses_not_numbered_by_level():
-    """The census index is the sweep index: a pattern whose censuses do
-    not ascend in level is refused before any cell is read."""
-    cells = {(0, 0): 0.1, (0, 2): 0.2, (1, 1): 0.3, (1, 0): 0.4, (2, 2): 0.5}
-    with pytest.raises(ValueError, match="numbered by ascending level"):
-        hand_system(cells, [1, 0, 2])
+def test_sweep_refuses_chunks_out_of_level_order():
+    """The census index is the sweep index: chunks whose levels rise on the
+    way down, or that leave a census out, are refused before they are
+    solved."""
+    cells = {(0, 0): 0.1, (0, 2): 0.2, (1, 1): 0.3, (1, 2): 0.4, (2, 2): 0.5}
+    with pytest.raises(ValueError, match="from the last down, a level at a time"):
+        sweep(hand_system(cells, [1, 0, 2]), np.ones((3, 1)))
+    chunks, tables = hand_system({(0, 0): 0.1, (1, 1): 0.3, (2, 2): 0.5}, [0, 1, 2])
+    for gap in (chunks[1:], chunks[:1] + chunks[2:], chunks[:-1]):
+        with pytest.raises(ValueError, match="from the last down, a level at a time"):
+            block_sweep(gap, tables, np.ones((1, 3, 1)))
 
 
 @pytest.mark.parametrize("diag", [1.0, 1.5, np.nan])
 def test_sweep_rejects_diagonal_not_below_one(diag):
     # m = [[0.1, 0.2], [0, diag]]
-    pattern, table = hand_system({(0, 0): 0.1, (0, 1): 0.2, (1, 1): diag}, [0, 1])
+    system = hand_system({(0, 0): 0.1, (0, 1): 0.2, (1, 1): diag}, [0, 1])
     with pytest.raises(ConsistencyError, match="diagonal entry at level 1 is not"):
-        block_sweep(pattern, table, np.ones((2, 1)))
+        sweep(system, np.ones((2, 1)))
 
 
 @st.composite
@@ -392,15 +438,15 @@ def upward_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(upward_systems(), st.data())
 def test_sweep_matches_dense_solve_on_random_patterns(system, data):
-    """Through ``MovePattern`` and ``block_sweep``, random upward cells with
-    one diagonal per census solve as the dense system does; one downward
-    cell raises ``ConsistencyError``, one missing diagonal ``ValueError``."""
+    """Through ``block_sweep``, random upward cells with one diagonal per
+    census solve as the dense system does; one downward cell raises
+    ``ConsistencyError``, one missing diagonal ``ValueError``."""
     cells, level, rhs = system
     nc = len(level)
     m = np.zeros((nc, nc))
     for (o, d), value in cells.items():
         m[o, d] = value
-    np.testing.assert_allclose(block_sweep(*hand_system(cells, level), rhs),
+    np.testing.assert_allclose(sweep(hand_system(cells, level), rhs),
                                dense_solve(m, rhs), rtol=1e-12, atol=0)
     if nc > 1:
         o = data.draw(st.sampled_from(range(nc)))
@@ -408,7 +454,8 @@ def test_sweep_matches_dense_solve_on_random_patterns(system, data):
         if level[d] > level[o]:
             o, d = d, o  # now level[d] <= level[o]: o -> d does not go up
         with pytest.raises(ConsistencyError, match=f"census {o} has a move that does not"):
-            hand_system({**cells, (o, d): 0.5}, level)
+            sweep(hand_system({**cells, (o, d): 0.5}, level), rhs)
     lost = data.draw(st.sampled_from(range(nc)))
     with pytest.raises(ValueError, match="every census needs its diagonal cell"):
-        hand_system({cell: v for cell, v in cells.items() if cell != (lost, lost)}, level)
+        sweep(hand_system({cell: v for cell, v in cells.items() if cell != (lost, lost)},
+                          level), rhs)

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_point, sim
+from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_points, sim
 from oppmac.sim import (
     CW_MAX,
     CW_MIN,
@@ -129,7 +129,7 @@ def test_winner_rate_bias(policy, timing, space):
 def test_matches_analysis_n2(policy, timing, space, uniform_pi):
     """Analysis cross-validation at desk scale: N=2, lambda=20."""
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, retry_limit=None, seed=42)
-    sol = fixed_point(20.0, cfg, TimerPolicy(), uniform_pi, timing)
+    sol, = fixed_points([20.0], cfg, TimerPolicy(), uniform_pi, timing)
     rep = run_opportunistic(20.0, cfg, policy, timing, space, duration_us=1875e6)
     assert abs(rep.p_a_hat - sol.p_a) / sol.p_a < 0.02
     assert abs(rep.p_s_hat - sol.p_s) / sol.p_s < 0.02
@@ -278,7 +278,7 @@ def test_bad_rate_refused_at_entry(mac, lam, policy, timing, space, uniform_pi):
         elif mac == "dcf":
             run_dcf(lam, cfg, timing, space, "arf", duration_us=1e6)
         else:
-            fixed_point(lam, cfg, policy, uniform_pi, timing)
+            fixed_points([lam], cfg, policy, uniform_pi, timing)
 
 
 def test_backoff_blocks_match_scalar_integers():
