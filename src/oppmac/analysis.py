@@ -505,21 +505,3 @@ def _iterate(model: CycleModel) -> AnalysisSolution:
         theta_sta_pps=theta_sta, converged=converged, iterations=iterations,
         identity_error=identity_err)
 
-
-ANALYSIS_COLUMNS = ("lambda_pps", "p_a", "p_s", "e_r_us", "pbar_a", "pbar_s",
-                    "theta_ap_pps", "theta_sta_pps", "converged", "iterations")
-
-
-def analysis_csv_lines(solutions, config_hash: str) -> list[str]:
-    """Plot-ready rows; units are packets/second and microseconds."""
-    lines = [f"# schema=analysis-v1 config_hash={config_hash} "
-             f"units: lambda_pps=pkts/s e_r_us=us theta=pkts/s",
-             ",".join(ANALYSIS_COLUMNS)]
-    for s in solutions:
-        lines.append(",".join([
-            repr(float(s.lambda_pps)), repr(float(s.p_a)), repr(float(s.p_s)),
-            repr(float(s.expected_renewal_us)), repr(float(s.pbar_a)),
-            repr(float(s.pbar_s)), repr(float(s.theta_ap_pps)),
-            repr(float(s.theta_sta_pps)), str(int(s.converged)),
-            str(s.iterations)]))
-    return lines

@@ -9,7 +9,8 @@ Subcommands (all take --config, --lambda, --out and --set):
     compare    per-scheme throughput curves -> compare.csv;
                also --scheme --reps --seed --duration-s
 A verb refuses other flags, repeated rates or schemes and an --out that is,
-or lies beneath, a file; analyze and validate need rates > 0.  The
+or lies beneath, a file; analyze and validate need rates > 0, and
+simulate refuses two rates whose run files share a name (lam{rate:g}).  The
 simulator runs of a verb spread over the CPUs of its affinity mask: one
 child per CPU is forked, and run j goes to child j mod children;
 ``taskset -c 0`` keeps them in-process.  On Linux a child dies with its
@@ -29,13 +30,12 @@ import os
 import pickle
 import signal
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import MAX_CELLS, analysis_csv_lines, cell_total, fixed_points
+from .analysis import MAX_CELLS, cell_total, fixed_points
 from .config import ConfigError, WlanSetup, default_setup, load_config, setup_hash
 from .core import ParameterError
 from .sim import SimReport, run_dcf, run_opportunistic
@@ -121,51 +121,30 @@ def _run_share(jobs, cpu: int, cpus: list, fd: int, parent: int):
         os._exit(1)
 
 
-def _gather(children: list, n_jobs: int):
-    """Reads each child's pipe to EOF and reaps the child, in order, then
-    yields the reports in job order: job j ran on child j mod len(children)."""
-    shares = []
-    while children:
-        pid, fd = children[0]
-        with open(fd, "rb", closefd=False) as pipe:
-            payload = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        del children[0]
-        os.close(fd)
-        if not payload:
-            raise RuntimeError(f"simulator child {pid} exited without a report "
-                               f"(exit status {os.waitstatus_to_exitcode(status)})")
-        ok, result = pickle.loads(payload)
-        if not ok:
-            exc, trace = result
-            raise exc from RuntimeError(f"in simulator child {pid}:\n{trace}")
-        shares.append(result)
-    for j in range(n_jobs):
-        yield shares[j % len(shares)][j // len(shares)]
-
-
-@contextmanager
-def _simulations(spec: ExperimentSpec, pairs, **overrides):
-    """Starts the spec's ``reps`` runs of each (scheme, lambda) in ``pairs`` and
-    yields an iterator over their reports, one tuple per pair, in order.
+def _runs_and_solutions(spec: ExperimentSpec, pairs, rates=None, **overrides):
+    """The spec's ``reps`` reports of each (scheme, lambda) in ``pairs``, one
+    list per pair, in order, and the fixed point at each of ``rates`` by
+    rate; with ``rates`` None nothing is solved, else pi is resolved before
+    any run starts.
 
     With w = min(runs, CPUs of the affinity mask) >= 2, w children are forked
-    when the block starts, and child i runs jobs i, i + w, ...; the jobs are
-    in its memory already, so only the reports cross a pipe.  With one run,
-    one CPU or no fork, the same function is mapped in-process, lazily.  Every
-    run has its own seed, so the reports do not depend on the path.  On every
-    way out of the block, each child not yet reaped is killed and reaped; a
-    parent killed from outside takes its children along (``_run_share``).
+    first, and child i runs jobs i, i + w, ...; the jobs are in its memory
+    already, so only the reports cross a pipe.  The fixed points are solved
+    here while the children run.  With one run, one CPU or no fork, the runs
+    follow the solve in-process.  Every run has its own seed, so the reports
+    do not depend on the path.  On every way out, each child not yet reaped
+    is killed and reaped; a parent killed from outside takes its children
+    along (``_run_share``).
     """
-    jobs = [(spec.setup, spec.duration_s, overrides, scheme, lam, rep)
+    setup = spec.setup
+    pi = None if rates is None else setup.resolve_pi()
+    jobs = [(setup, spec.duration_s, overrides, scheme, lam, rep)
             for scheme, lam in pairs for rep in range(spec.reps)]
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    workers = min(len(jobs), len(cpus))
+    workers = min(len(jobs), len(cpus)) if hasattr(os, "fork") else 1
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
-        if workers < 2 or not hasattr(os, "fork"):
-            reports = map(_simulate_one, jobs)
-        else:
+        if workers >= 2:
             # child w starts on CPU w + 1 of the mask: with CPU w, paired runs
             # of the sim benchmarks on 2 CPUs were no faster and often slower
             parent = os.getpid()
@@ -177,14 +156,38 @@ def _simulations(spec: ExperimentSpec, pairs, **overrides):
                                parent)
                 os.close(write_fd)
                 children.append((pid, read_fd))
-            reports = _gather(children, len(jobs))
-        # one iterator zipped with itself: each tuple takes the next reps reports
-        yield zip(*[reports] * spec.reps)
+        try:
+            sols = {} if rates is None else dict(zip(rates, fixed_points(
+                rates, setup.config, setup.policy, pi, setup.timing)))
+        except MemoryError:
+            raise ConfigError("system.n_stations", f"the analysis model of "
+                              f"{setup.config.n_stations} stations does not fit in "
+                              f"memory") from None
+        shares = []  # the reports of each child, read to EOF and reaped in order
+        while children:
+            pid, fd = children[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            os.close(fd)
+            if not payload:
+                raise RuntimeError(f"simulator child {pid} exited without a report "
+                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
+            ok, result = pickle.loads(payload)
+            if not ok:
+                exc, trace = result
+                raise exc from RuntimeError(f"in simulator child {pid}:\n{trace}")
+            shares.append(result)
     finally:
         for pid, fd in children:
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    # job j ran on child j mod len(shares)
+    reports = ([shares[j % len(shares)][j // len(shares)] for j in range(len(jobs))]
+               if shares else list(map(_simulate_one, jobs)))
+    return [reports[i:i + spec.reps] for i in range(0, len(jobs), spec.reps)], sols
 
 
 def _write(path: Path, lines) -> None:
@@ -192,22 +195,30 @@ def _write(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _fixed_points(setup: WlanSetup, pi, lambdas) -> list:
-    """``fixed_points`` over ``lambdas``; a model too large for memory is a
-    configuration error of the station count."""
-    try:
-        return fixed_points(lambdas, setup.config, setup.policy, pi, setup.timing)
-    except MemoryError:
-        raise ConfigError("system.n_stations", f"the analysis model of "
-                          f"{setup.config.n_stations} stations does not fit in memory") from None
+def _cell(x) -> str:
+    """A CSV cell: a string as is, None empty, a bool or an integer as an
+    integer, any other number as the repr of its float."""
+    if isinstance(x, int):  # a bool is an int
+        return str(int(x))
+    return x if isinstance(x, str) else "" if x is None else repr(float(x))
+
+
+def _write_csv(spec: ExperimentSpec, verb: str, units: str, columns, rows) -> None:
+    """``<out>/<verb>.csv``: a header naming the schema, the configuration
+    hash and the units, the column names, then one line per row."""
+    _write(spec.out_dir / f"{verb}.csv",
+           [f"# schema={verb}-v1 config_hash={setup_hash(spec.setup)} units: {units}",
+            ",".join(columns), *(",".join(map(_cell, row)) for row in rows)])
 
 
 def cmd_analyze(spec: ExperimentSpec) -> int:
-    setup = spec.setup
-    pi = setup.resolve_pi()
-    sols = _fixed_points(setup, pi, spec.lambdas)
-    _write(spec.out_dir / "analysis.csv", analysis_csv_lines(sols, setup_hash(setup)))
-    retry = setup.config.retry_limit
+    sols = _runs_and_solutions(spec, [], spec.lambdas)[1].values()
+    _write_csv(spec, "analysis", "lambda_pps=pkts/s e_r_us=us theta=pkts/s",
+               ("lambda_pps", "p_a", "p_s", "e_r_us", "pbar_a", "pbar_s",
+                "theta_ap_pps", "theta_sta_pps", "converged", "iterations"),
+               [(s.lambda_pps, s.p_a, s.p_s, s.expected_renewal_us, s.pbar_a, s.pbar_s,
+                 s.theta_ap_pps, s.theta_sta_pps, s.converged, s.iterations) for s in sols])
+    retry = spec.setup.config.retry_limit
     note = "" if retry is None else f" (the model ignores system.retry_limit={retry})"
     for s in sols:
         flag = "converged" if s.converged else "NOT CONVERGED"
@@ -223,40 +234,30 @@ _SIM_METRICS = ("uplink_pps", "downlink_pps", "system_pps", "p_a_hat", "p_s_hat"
 def _aggregate(reports: list[SimReport]) -> dict:
     out = {}
     for m in _SIM_METRICS:
-        vals = [getattr(r, m) for r in reports]
-        vals = [v for v in vals if v is not None]
-        if not vals:
-            out[m] = (float("nan"), None)
-            continue
-        mean = float(np.mean(vals))
+        vals = [v for v in (getattr(r, m) for r in reports) if v is not None]
+        mean = float(np.mean(vals)) if vals else float("nan")
         err = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else None
         out[m] = (mean, err)
     return out
 
 
 def cmd_simulate(spec: ExperimentSpec) -> int:
-    setup = spec.setup
-    chash = setup_hash(setup)
-    meta = {"config_hash": chash, "units": {"throughput": "pkts/s", "time": "us"}}
-    lines = [f"# schema=simulate-v1 config_hash={chash} units: pps=pkts/s *_us=us",
-             "scheme,lambda_pps,reps," + ",".join(
-                 f"{m}_mean,{m}_stderr" for m in _SIM_METRICS)]
+    meta = {"config_hash": setup_hash(spec.setup),
+            "units": {"throughput": "pkts/s", "time": "us"}}
     pairs = [(scheme, lam) for scheme in spec.schemes for lam in spec.lambdas]
-    with _simulations(spec, pairs) as runs:
-        runs = list(runs)  # every run ends before any file is written
+    runs, _ = _runs_and_solutions(spec, pairs)  # every run ends before any file is written
+    rows = []
     for (scheme, lam), reports in zip(pairs, runs):
         for rep, report in enumerate(reports):
-            name = f"sim_{scheme}_lam{lam:g}_rep{rep}.json"
-            _write(spec.out_dir / name, [report.to_json(meta)])
+            _write(spec.out_dir / f"sim_{scheme}_lam{lam:g}_rep{rep}.json",
+                   [report.to_json(meta)])
         agg = _aggregate(reports)
-        cells = [scheme, repr(float(lam)), str(spec.reps)]
-        for m in _SIM_METRICS:
-            mean, err = agg[m]
-            cells += [repr(mean), "" if err is None else repr(err)]
-        lines.append(",".join(cells))
+        rows.append([scheme, lam, spec.reps, *(x for m in _SIM_METRICS for x in agg[m])])
         print(f"simulate {scheme} lambda={lam:g}: "
               f"system={agg['system_pps'][0]:.1f} pps over {spec.reps} rep(s)")
-    _write(spec.out_dir / "simulate.csv", lines)
+    _write_csv(spec, "simulate", "pps=pkts/s *_us=us",
+               ["scheme", "lambda_pps", "reps",
+                *(f"{m}_{stat}" for m in _SIM_METRICS for stat in ("mean", "stderr"))], rows)
     return 0
 
 
@@ -287,48 +288,34 @@ def validation_rows(solutions, sim_aggregates, tolerance: float):
 
 
 def cmd_validate(spec: ExperimentSpec) -> int:
-    setup = spec.setup
-    pi = setup.resolve_pi()
     # the analysis has no retry limit, so neither has its simulation
-    with _simulations(spec, [("opportunistic", lam) for lam in spec.lambdas],
-                      retry_limit=None) as runs:
-        sols = _fixed_points(setup, pi, spec.lambdas)
-        aggs = {lam: _aggregate(reports) for lam, reports in zip(spec.lambdas, runs)}
+    runs, sols = _runs_and_solutions(spec, [("opportunistic", lam) for lam in spec.lambdas],
+                                     spec.lambdas, retry_limit=None)
     # a metric that no replication measured is None, not _aggregate's NaN
-    aggs = {lam: {m: None if math.isnan(agg[m][0]) else agg[m][0]
-                  for m in ("p_a_hat", "p_s_hat", "mean_renewal_us")}
-            for lam, agg in aggs.items()}
-    rows, breached = validation_rows(sols, aggs, spec.tolerance)
-    chash = setup_hash(setup)
-    lines = [f"# schema=validate-v1 config_hash={chash} units: e_r_us=us "
-             f"tolerance={spec.tolerance!r}",
-             "lambda_pps,metric,analysis,simulation,rel_err,within_tol"]
+    aggs = {lam: {m: None if math.isnan(mean) else mean
+                  for m, (mean, _) in _aggregate(reports).items()}
+            for lam, reports in zip(spec.lambdas, runs)}
+    rows, breached = validation_rows(sols.values(), aggs, spec.tolerance)
     for lam, metric, ana, meas, rel, ok in rows:
-        lines.append(",".join([
-            repr(float(lam)), metric, repr(float(ana)),
-            "" if meas is None else repr(float(meas)),
-            "" if rel is None else repr(float(rel)), str(int(ok))]))
         state = "ok" if ok else "BREACH"
         rel_txt = "n/a" if rel is None else f"{rel:.2%}"
         sim_txt = "n/a" if meas is None else f"{float(meas):.6g}"
         print(f"validate lambda={lam:g} {metric}: analysis={ana:.6g} "
               f"sim={sim_txt} err={rel_txt} [{state}]")
-    _write(spec.out_dir / "validate.csv", lines)
+    _write_csv(spec, "validate", f"e_r_us=us tolerance={spec.tolerance!r}",
+               ("lambda_pps", "metric", "analysis", "simulation", "rel_err", "within_tol"),
+               rows)
     return 1 if breached else 0
 
 
 def cmd_compare(spec: ExperimentSpec) -> int:
-    setup = spec.setup
-    chash = setup_hash(setup)
-    pi = setup.resolve_pi() if "analysis" in spec.schemes else None
-    lines = [f"# schema=compare-v1 config_hash={chash} units: pps=pkts/s",
-             "scheme,lambda_pps,uplink_pps,downlink_pps,system_pps"]
+    n = spec.setup.config.n_stations
     pairs = [(scheme, lam) for scheme in spec.schemes if scheme != "analysis"
              for lam in spec.lambdas]
-    with _simulations(spec, pairs) as runs:
-        rates = [lam for lam in spec.lambdas if pi is not None and lam > 0]
-        sols = dict(zip(rates, _fixed_points(setup, pi, rates)))
-        aggs = {pair: _aggregate(reports) for pair, reports in zip(pairs, runs)}
+    rates = [lam for lam in spec.lambdas if lam > 0] if "analysis" in spec.schemes else None
+    runs, sols = _runs_and_solutions(spec, pairs, rates)
+    aggs = {pair: _aggregate(reports) for pair, reports in zip(pairs, runs)}
+    rows = []
     for scheme in spec.schemes:
         for lam in spec.lambdas:
             if scheme != "analysis":
@@ -336,21 +323,21 @@ def cmd_compare(spec: ExperimentSpec) -> int:
                 up, down = agg["uplink_pps"][0], agg["downlink_pps"][0]
             elif lam <= 0:
                 up = down = 0.0
+            elif sols[lam].converged:
+                up, down = n * sols[lam].theta_sta_pps, n * sols[lam].theta_ap_pps
             else:
-                sol = sols[lam]
-                n = setup.config.n_stations
-                up = n * sol.theta_sta_pps if sol.converged else float("nan")
-                down = n * sol.theta_ap_pps if sol.converged else float("nan")
-            lines.append(",".join([scheme, repr(float(lam)), repr(up), repr(down),
-                                   repr(up + down)]))
+                up = down = float("nan")
+            rows.append((scheme, lam, up, down, up + down))
             print(f"compare {scheme} lambda={lam:g}: system={up + down:.1f} pps")
-    _write(spec.out_dir / "compare.csv", lines)
+    _write_csv(spec, "compare", "pps=pkts/s",
+               ("scheme", "lambda_pps", "uplink_pps", "downlink_pps", "system_pps"), rows)
     return 0
 
 
 def _parse_lambdas(verb: str, text: str) -> tuple:
     """Comma-separated arrival rates, each a finite number >= 0; > 0 for the
-    verbs that solve the analysis, and at least one for validate."""
+    verbs that solve the analysis, at least one for validate, and for
+    simulate no two that name the same run file (``lam{rate:g}``)."""
     try:
         lams = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
@@ -359,6 +346,9 @@ def _parse_lambdas(verb: str, text: str) -> tuple:
         raise ConfigError("--lambda", f"rates must be finite and >= 0, got {text!r}")
     if len(set(lams)) < len(lams):
         raise ConfigError("--lambda", f"a rate repeats in {text!r}")
+    if verb == "simulate" and len({f"{x:g}" for x in lams}) < len(lams):
+        raise ConfigError("--lambda", f"two rates of {text!r} name the same run files "
+                                      "sim_<scheme>_lam<rate:g>_rep<k>.json")
     if verb in ("analyze", "validate") and 0.0 in lams:
         raise ConfigError("--lambda", f"{verb} needs a positive arrival rate, got {text!r}")
     if verb == "validate" and not lams:

@@ -210,19 +210,32 @@ class MacTiming:
         by default the lowest PHY rate of the space (the conservative,
         EIFS-like choice: every station defers as if the garbled frame were a
         longest, lowest-rate one).
+
+        A frame airtime that is not finite is a ParameterError on the field
+        that makes it so: the payload when it is too long at every rate, else
+        the PHY rate or the collision rate.
         """
         if payload_bytes <= 0:
             raise ParameterError("payload must be positive", "payload_bytes")
         col_rate = space.rates_mbps[0] if collision_rate_mbps is None else collision_rate_mbps
         if not col_rate > 0.0:
             raise ParameterError("collision rate must be positive", "collision_rate_mbps")
+
+        def airtime(rate: float, field: str) -> float:
+            try:
+                us = data_airtime_us(payload_bytes, rate)
+            except OverflowError:  # a bit or symbol count past the float range
+                us = math.inf
+            if not math.isfinite(us):
+                raise ParameterError(f"the airtime of a frame at {rate!r} Mbps is not finite",
+                                     field)
+            return us
+
+        airtime(max(space.rates_mbps), "payload_bytes")  # too long at every rate
         ack = ack_airtime_us()
         difs = SIFS_US + 2 * slot_us
-        tx = tuple(
-            data_airtime_us(payload_bytes, r) + SIFS_US + ack + difs
-            for r in space.rates_mbps
-        )
-        col = data_airtime_us(payload_bytes, col_rate) + difs
+        tx = tuple(airtime(r, "rates_mbps") + SIFS_US + ack + difs for r in space.rates_mbps)
+        col = airtime(col_rate, "collision_rate_mbps") + difs
         return cls(
             slot_us=slot_us,
             difs_us=difs,

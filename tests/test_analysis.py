@@ -13,7 +13,7 @@ from oppmac import (
     cycle_models,
     fixed_points,
 )
-from oppmac.analysis import CensusSpace, analysis_csv_lines
+from oppmac.analysis import CensusSpace
 
 from oracles import (
     capacity_search,
@@ -284,12 +284,3 @@ def test_capacity_monotone_in_per(timing, uniform_pi):
                            per_state_per=(per,) * 4)
         caps[per], _ = capacity_search(cfg, TimerPolicy(), uniform_pi, timing, grid)
     assert caps[0.5] is None or caps[0.5] <= caps[0.1]
-
-
-def test_analysis_csv_shape(timing, uniform_pi):
-    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
-    sol, = fixed_points([10.0], cfg, TimerPolicy(), uniform_pi, timing)
-    lines = analysis_csv_lines([sol], "deadbeef0000")
-    assert lines[0].startswith("# schema=analysis-v1 config_hash=deadbeef0000")
-    assert lines[1].split(",")[0] == "lambda_pps"
-    assert len(lines) == 3

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pickle
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from oppmac import analysis, cli
-from oppmac.cli import ExperimentSpec, main, validation_rows
+from oppmac.cli import VERB_SCHEMES, ExperimentSpec, main, validation_rows
 from oppmac.config import (
     _DEFAULTS,
     ConfigError,
@@ -129,6 +130,26 @@ def test_config_nonfinite_names_key(key, value):
         default_setup({key: value})
     assert err.value.key == key
     assert key in str(err.value)
+
+
+# values whose frame airtime lies past the float range
+NONFINITE_AIRTIME = {"channel.rates_mbps": "1e-310,24,48,54",
+                     "timing.collision_rate_mbps": "1e-310",
+                     "timing.payload_bytes": "9" * 400}
+
+
+@pytest.mark.parametrize("key", sorted(NONFINITE_AIRTIME))
+def test_nonfinite_airtime_exit_code(tmp_path, capsys, monkeypatch, key):
+    """A rate or payload whose frame airtime is not finite exits 2 from every
+    verb, naming its key, before anything runs or is written."""
+    forbid_model_and_simulator(monkeypatch)
+    for verb in VERB_FLAGS:
+        out = tmp_path / verb
+        assert main([verb, "--lambda", "20", "--set", f"{key}={NONFINITE_AIRTIME[key]}",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "not finite" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("source", ["file", "--set"])
@@ -334,6 +355,32 @@ def test_simulate_outputs(tmp_path):
     assert (out / "simulate.csv").read_bytes() == (out2 / "simulate.csv").read_bytes()
 
 
+def test_simulate_csv_pinned_digest(tmp_path):
+    """simulate.csv of a small two-scheme run is pinned byte for byte; its
+    lambda = 0 rows measure no renewal, so that mean reads nan and its
+    standard error is blank."""
+    assert main(["simulate", "--scheme", "opportunistic,dcf-arf", "--lambda", "0,25",
+                 "--reps", "2", "--duration-s", "1", "--set", "system.n_stations=2",
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "simulate.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        "592f6a2301d5043c0fab9e009acdc0f298382fd98324902bf6b455af415b2cdc"
+    zero_rows = [r for r in data.decode().splitlines()[2:] if r.split(",")[1] == "0.0"]
+    assert len(zero_rows) == 2 and all(r.endswith(",nan,") for r in zero_rows)
+
+
+def test_simulate_refuses_rates_that_share_a_file_name(tmp_path, capsys, monkeypatch):
+    """Two rates that print alike under {:g} would write one run file twice:
+    simulate exits 2 naming --lambda before any run, and writes nothing."""
+    forbid_model_and_simulator(monkeypatch)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--lambda", "10.0000001,10.0000002", "--duration-s", "1",
+                 "--set", "system.n_stations=2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config key '--lambda'" in err and "same run files" in err
+    assert not out.exists()
+
+
 def test_simulate_single_rep_blank_stderr(tmp_path):
     out = tmp_path / "one"
     assert main(["simulate", "--lambda", "25", "--reps", "1",
@@ -392,6 +439,41 @@ def test_validate_reports_unmeasured_metric(tmp_path, capsys):
     assert row[:2] == ["1.0", "e_r_us"] and row[3:] == ["", "", "0"]
     line = capsys.readouterr().out.splitlines()[2]
     assert "e_r_us" in line and "sim=n/a err=n/a [BREACH]" in line
+
+
+CSV_HEADERS = {  # verb: (file stem, units, columns, rows over two rates)
+    "analyze": ("analysis", "lambda_pps=pkts/s e_r_us=us theta=pkts/s",
+                "lambda_pps,p_a,p_s,e_r_us,pbar_a,pbar_s,theta_ap_pps,theta_sta_pps,"
+                "converged,iterations", 2),
+    "simulate": ("simulate", "pps=pkts/s *_us=us",
+                 "scheme,lambda_pps,reps," + ",".join(
+                     f"{m}_{stat}" for m in ("uplink_pps", "downlink_pps", "system_pps",
+                                             "p_a_hat", "p_s_hat", "mean_renewal_us")
+                     for stat in ("mean", "stderr")), 4),
+    "validate": ("validate", "e_r_us=us tolerance=0.1",
+                 "lambda_pps,metric,analysis,simulation,rel_err,within_tol", 6),
+    "compare": ("compare", "pps=pkts/s",
+                "scheme,lambda_pps,uplink_pps,downlink_pps,system_pps", 4),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(CSV_HEADERS))
+def test_csv_header_and_columns(tmp_path, verb):
+    """Each verb's CSV opens with its schema, the configuration hash and its
+    units, then its columns, and each row has one cell per column."""
+    stem, units, columns, n_rows = CSV_HEADERS[verb]
+    args = [verb, "--lambda", "10,20", "--set", "system.n_stations=2", "--out", str(tmp_path)]
+    if verb != "analyze":
+        args += ["--duration-s", "0.5"]
+    if verb in VERB_SCHEMES:
+        args += ["--scheme", "opportunistic,dcf-arf" if verb == "simulate"
+                 else "opportunistic,analysis"]
+    assert main(args) in (0, 1)  # half a second of validate may breach
+    lines = (tmp_path / f"{stem}.csv").read_text().splitlines()
+    chash = setup_hash(default_setup({"system.n_stations": "2"}))
+    assert lines[0] == f"# schema={stem}-v1 config_hash={chash} units: {units}"
+    assert lines[1] == columns and len(lines) == 2 + n_rows
+    assert all(len(line.split(",")) == len(columns.split(",")) for line in lines[2:])
 
 
 def test_validation_rows_negative_control():
