@@ -82,8 +82,8 @@ _FIELD_KEYS = {
     "thresholds_db": "channel.thresholds_db",
     "rates_mbps": "channel.rates_mbps",
     "num_states": "channel.rates_mbps",
-    "per_state_tx_us": "channel.rates_mbps",
     "pi": "channel.pi",
+    "mean_ebn0_db": "channel.mean_ebn0_db",
     "n_stations": "system.n_stations",
     "per_state_per": "system.per_state_per",
     "retry_limit": "system.retry_limit",

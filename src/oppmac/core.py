@@ -64,9 +64,20 @@ class ChannelSpace:
 
     def thresholds_linear(self) -> np.ndarray:
         """Linear-scale lower bin edges; the first edge is 0 (open below)."""
-        edges = [10.0 ** (t / 10.0) for t in self.thresholds_db]
+        edges = [db_to_linear(t, "thresholds_db") for t in self.thresholds_db]
         edges[0] = 0.0
         return np.asarray(edges)
+
+
+def db_to_linear(db: float, field: str) -> float:
+    """10^(db/10); a ParameterError on ``field`` unless finite and positive."""
+    try:
+        x = 10.0 ** (db / 10.0)
+    except OverflowError:  # past the float range
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ParameterError(f"{db!r} dB has no finite positive linear value", field)
+    return x
 
 
 def check_rate(lambda_pps: float) -> None:
@@ -95,11 +106,7 @@ def state_probabilities(space: ChannelSpace, mean_ebn0_db: float) -> np.ndarray:
     pi_i = exp(-t_i/mu) - exp(-t_{i+1}/mu) with t_i the linear bin edges and
     t_{|H|} = infinity.
     """
-    if not math.isfinite(mean_ebn0_db):
-        raise ParameterError(f"mean Eb/N0 must be finite, got {mean_ebn0_db!r}")
-    mu = 10.0 ** (mean_ebn0_db / 10.0)
-    if mu <= 0.0:
-        raise ParameterError("linear mean Eb/N0 must be positive")
+    mu = db_to_linear(mean_ebn0_db, "mean_ebn0_db")
     edges = space.thresholds_linear()
     upper = np.append(edges[1:], np.inf)
     pi = np.exp(-edges / mu) - np.exp(-upper / mu)
@@ -179,7 +186,8 @@ class MacTiming:
     channel state i: data airtime + SIFS + ACK + DIFS, so that summing one
     such term per attempt accounts for every interframe gap in a cycle.
     ``collision_us`` is the constant charged per collision (airtime the
-    channel is blocked plus the trailing DIFS).
+    channel is blocked plus the trailing DIFS).  No order of the per-state
+    costs is required: with short payloads two states can cost the same.
     """
 
     slot_us: float
@@ -190,9 +198,6 @@ class MacTiming:
     collision_us: float
 
     def __post_init__(self):
-        if any(b <= a for b, a in zip(self.per_state_tx_us, self.per_state_tx_us[1:])):
-            raise ParameterError("per-state tx times must strictly decrease with state",
-                                 "per_state_tx_us")
         if self.collision_us <= 0:
             raise ParameterError("collision duration must be positive", "collision_us")
 

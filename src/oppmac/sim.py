@@ -19,7 +19,8 @@ the channel event, which precedes the mark.  A MAC is four hooks:
   return the time it resolves.
 - ``join(q, t)``: queue q became backlogged mid-contention; return a new,
   earlier resolution time, or None if the pending one stands.
-- ``resolve(t)``: pick the outcome; return how long the channel is busy.
+- ``resolve()``: pick the outcome at the resolution time ``start`` or
+  ``join`` last returned; return how long the channel is busy.
 - ``end(t)``: the transaction ends; apply the outcome through the shared
   ``_Tally``, the one record of the run, and return nothing.  A success is
   the winner's delivery, so the report's success counts are sums of the
@@ -64,6 +65,7 @@ from .core import (
     TimerPolicy,
     check_duration,
     check_rate,
+    db_to_linear,
 )
 
 # Draws per block: small enough that the 2N arrival streams' blocks add no
@@ -237,7 +239,7 @@ def _state_draws(config: SystemConfig, space: ChannelSpace, rng,
         def draw(size):
             return np.minimum(np.searchsorted(cum, rng.random(size), side="right"), top)
     else:
-        mean_lin = 10.0 ** (config.mean_ebn0_db / 10.0)
+        mean_lin = db_to_linear(config.mean_ebn0_db, "mean_ebn0_db")
         edges = space.thresholds_linear()[1:]
 
         def draw(size):
@@ -301,7 +303,7 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
                 break
             if not busy:
                 busy = True
-                t_chan = now + resolve(now)
+                t_chan = now + resolve()
                 continue
             busy = False
             end(now)
@@ -383,7 +385,7 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
             insort(first, q)
         return None
 
-    def resolve(t: float) -> float:
+    def resolve() -> float:
         nonlocal attempted, won_state, ok
         ap_exp = [q for q in first if not q & 1]
         if len(ap_exp) == len(first) or len(first) == 1:
@@ -568,16 +570,6 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
     idle_t0 = 0.0  # instant the clock last advanced to
     attempts, ok = [], False  # outcome of the last resolution
 
-    def normalize(t: float) -> None:
-        nonlocal idle_t0, clock
-        # slack absorbs float error of the t0 + k*delta event times
-        elapsed = int(math.floor((t - idle_t0) / delta + 1e-7))
-        if elapsed > 0:
-            clock += elapsed
-            idle_t0 += elapsed * delta
-        if soonest < clock:
-            raise InvariantError("a backoff counter fell behind the idle clock")
-
     def start(t: float) -> float:
         nonlocal idle_t0, soonest, expiring
         # frozen counters resume; fresh ones are drawn in station order
@@ -593,8 +585,14 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
         return idle_t0 + (soonest - clock) * delta
 
     def join(st: int, t: float) -> float | None:
-        nonlocal soonest, expiring
-        normalize(t)
+        nonlocal idle_t0, clock, soonest, expiring
+        # slack absorbs float error of the t0 + k*delta event times
+        elapsed = int(math.floor((t - idle_t0) / delta + 1e-7))
+        if elapsed > 0:
+            clock += elapsed
+            idle_t0 += elapsed * delta
+        if soonest < clock:
+            raise InvariantError("a backoff counter fell behind the idle clock")
         k = next_backoff(cw[st])
         if t > idle_t0:
             k += 1  # mid-slot joiner starts at the next boundary
@@ -606,11 +604,9 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
             insort(expiring, st)
         return None
 
-    def resolve(t: float) -> float:
-        nonlocal ap_dest, attempts, ok
-        normalize(t)
-        if soonest != clock:
-            raise InvariantError("transmission event with no expiring counter")
+    def resolve() -> float:
+        nonlocal ap_dest, attempts, ok, clock
+        clock = soonest  # the resolution fires at the slot it was scheduled for
         attempts = []
         for st in expiring:
             if st == 0:

@@ -152,6 +152,43 @@ def test_nonfinite_airtime_exit_code(tmp_path, capsys, monkeypatch, key):
         assert "Traceback" not in err and not out.exists()
 
 
+# rayleigh-mode dB values whose linear form overflows or underflows to 0
+OUT_OF_RANGE_DB = [("channel.mean_ebn0_db", "4000"), ("channel.mean_ebn0_db", "-4000"),
+                   ("channel.thresholds_db", "0,19,26,4000")]
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE_DB)
+def test_out_of_range_db_exit_code(tmp_path, capsys, monkeypatch, key, value):
+    """A rayleigh-mode dB value without a finite positive linear form exits 2
+    from every verb, naming its key, before anything runs or is written."""
+    forbid_model_and_simulator(monkeypatch)
+    for verb in VERB_FLAGS:
+        out = tmp_path / verb
+        assert main([verb, "--lambda", "20", "--set", "channel.mode=rayleigh",
+                     "--set", f"{key}={value}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err and not out.exists()
+
+
+def test_explicit_mode_ignores_threshold_values():
+    """Explicit mode reads no threshold value, so one past the float range
+    builds the same setup as the default thresholds."""
+    pi = default_setup({"channel.thresholds_db": "0,19,26,4000"}).resolve_pi()
+    assert pi.tolist() == default_setup().resolve_pi().tolist()
+
+
+def test_short_payload_is_analyzed(tmp_path):
+    """A 64-byte frame takes as many OFDM symbols at 48 as at 54 Mbps; its
+    equal airtimes are a valid scenario with a finite row."""
+    assert main(["analyze", "--lambda", "20", "--set", "timing.payload_bytes=64",
+                 "--out", str(tmp_path)]) == 0
+    lines = [ln for ln in (tmp_path / "analysis.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    assert len(lines) == 2
+    assert np.isfinite([float(x) for x in lines[1].split(",")]).all()
+
+
 @pytest.mark.parametrize("source", ["file", "--set"])
 def test_arrival_rate_is_not_a_config_key(tmp_path, capsys, monkeypatch, source):
     """The rates come from --lambda alone: system.lambda_pps, in a file or
@@ -176,7 +213,7 @@ def test_arrival_rate_is_not_a_config_key(tmp_path, capsys, monkeypatch, source)
     ("channel.rates_mbps", "54,48,24,12"),
     ("channel.rates_mbps", "0,24,48,54"),          # a zero PHY rate
     ("timing.collision_rate_mbps", "0"),
-    ("timing.payload_bytes", "0"),                 # not a tx-time ordering error
+    ("timing.payload_bytes", "0"),                 # no frame to send
     ("channel.pi", "0.5,0.5"),                     # one entry per channel state
     ("system.per_state_per", "0.1,0.1,0.1,0.1,0.1"),
 ])

@@ -51,9 +51,11 @@ def test_state_probabilities_is_distribution(mean_db):
 
 
 def test_state_probabilities_rejects_nonfinite(space):
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ParameterError):
+    """A mean whose linear form is not finite and positive is refused."""
+    for bad in (math.nan, math.inf, -math.inf, 4000.0, -4000.0):
+        with pytest.raises(ParameterError) as err:
             state_probabilities(space, bad)
+        assert err.value.field == "mean_ebn0_db"
 
 
 def test_state_probabilities_monte_carlo(space):
@@ -128,9 +130,19 @@ def test_mac_timing_values(space, timing):
 
 
 def test_mac_timing_validation(space):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as err:
         MacTiming(slot_us=9, difs_us=34, sifs_us=16, ack_us=28,
-                  per_state_tx_us=(100.0, 200.0), collision_us=50.0)
+                  per_state_tx_us=(200.0, 100.0), collision_us=0.0)
+    assert err.value.field == "collision_us"
+
+
+def test_mac_timing_accepts_every_short_payload(space):
+    """Up to 161 B many frames take as many OFDM symbols at 48 as at 54 Mbps;
+    the equal per-state costs are valid, and no cost grows with the state."""
+    for payload in range(1, 201):
+        tx = MacTiming.dot11a(space, payload_bytes=payload).per_state_tx_us
+        assert all(b <= a for a, b in zip(tx, tx[1:])), payload
+    assert MacTiming.dot11a(space, payload_bytes=64).per_state_tx_us[2:] == (114.0, 114.0)
 
 
 def test_system_config_validation():

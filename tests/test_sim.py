@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oppmac import ParameterError, SystemConfig, TimerPolicy, fixed_points, sim
+from oppmac import MacTiming, ParameterError, SystemConfig, TimerPolicy, fixed_points, sim
 from oppmac.sim import (
     CW_MAX,
     CW_MIN,
@@ -198,6 +198,18 @@ def test_dcf_equal_access_share(timing, space):
     assert rep.downlink_pps < n * lam / 2
 
 
+@pytest.mark.parametrize("slot_us", [1e-3, 1e-12])
+@pytest.mark.parametrize("adaptation", ["arf", "threshold"])
+def test_dcf_runs_at_a_tiny_slot(space, slot_us, adaptation):
+    """Once the float error of the event times passes a slot, a resolution
+    still fires at the slot it was scheduled for, and the run conserves."""
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4, seed=5)
+    timing = MacTiming.dot11a(space, slot_us=slot_us)
+    rep = run_dcf(300.0, cfg, timing, space, adaptation, 3e6)
+    assert_conservation(rep)
+    assert sum(q["delivered"] for q in rep.queues.values()) > 0
+
+
 def test_dcf_arf_counters():
     arf = _ArfState()
     for _ in range(9):
@@ -315,8 +327,8 @@ def test_heap_entry_ordering(space):
         calls.append(("join", q, t))
         return 5.0 if q == 3 else None
 
-    def resolve(t):
-        calls.append(("resolve", t))
+    def resolve():
+        calls.append(("resolve",))
         return 10.0
 
     def end(t):
@@ -331,7 +343,7 @@ def test_heap_entry_ordering(space):
     tally.snapshot = lambda t: (calls.append(("mark", t)), snapshot(t))
     rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end, 100.0)
     assert calls == [("start", 1.0), ("join", 3, 3.0), ("join", 0, 5.0),
-                     ("join", 1, 5.0), ("resolve", 5.0), ("mark", 5.0),
+                     ("join", 1, 5.0), ("resolve",), ("mark", 5.0),  # resolved at 5: ends at 5 + 10
                      ("end", 15.0), ("start", 15.0)]
     assert rep.warmup_us == 5.0 and rep.duration_us == 100.0
     assert [rep.queues[str(q)]["backlog"] for q in range(4)] == [1] * 4
