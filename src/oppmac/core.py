@@ -104,13 +104,13 @@ def state_probabilities(space: ChannelSpace, mean_ebn0_db: float) -> np.ndarray:
 
     The instantaneous Eb/N0 is exponential with the linear-scale mean, so
     pi_i = exp(-t_i/mu) - exp(-t_{i+1}/mu) with t_i the linear bin edges and
-    t_{|H|} = infinity.
+    t_{|H|} = infinity.  exp(-x) is 0 in floats from x = 746 on, so each
+    t_i/mu is capped there: a huge edge over a tiny mean cannot overflow.
     """
     mu = db_to_linear(mean_ebn0_db, "mean_ebn0_db")
-    edges = space.thresholds_linear()
-    upper = np.append(edges[1:], np.inf)
-    pi = np.exp(-edges / mu) - np.exp(-upper / mu)
-    return pi
+    edges = np.minimum(space.thresholds_linear(), 746.0 * mu)
+    upper = np.append(edges[1:], 746.0 * mu)
+    return np.exp(-edges / mu) - np.exp(-upper / mu)
 
 
 @dataclass(frozen=True)

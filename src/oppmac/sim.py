@@ -26,20 +26,24 @@ the channel event, which precedes the mark.  A MAC is four hooks:
   the winner's delivery, so the report's success counts are sums of the
   per-queue deliveries.
 
-Each contention is one pass over the backlogged queues: the opportunistic
-MAC keeps a running minimum of its timers, and DCF stores each backoff
-counter as the slot of a virtual idle clock at which it expires.  Both keep
-the queues that reach the minimum, so a resolution reads its contenders
-without a scan.
+Each DCF contention, and each opportunistic one with some queue empty, is
+one pass over the backlogged queues: the opportunistic MAC keeps a running
+minimum of its timers, and DCF stores each backoff counter as the slot of a
+virtual idle clock at which it expires.  Both keep the queues that reach the
+minimum, so a resolution reads its contenders without a scan.  An
+opportunistic contention with every queue backlogged, which no queue can
+join, is one row of a numpy batch computed from the channel-state and timer
+draws read ahead of their streams; it takes the draws the pass would.
 
 The engine is strictly deterministic for a given (config, seed): every
-random stream has its own generator, whose draws may be served from blocks
-but are never reordered.  A transmission transaction spans the frame, its
-acknowledgment, and the trailing interframe gap; queue state changes are
-applied when the transaction completes, so a queue counts as occupied for
-exactly the per-attempt duration the analytical model charges it.  Renewal
-instants shift by the same constant for every success, leaving
-renewal-length statistics unchanged.
+random stream has its own generator, whose draws are served from blocks by
+one stream type, ``_Draws``, and may be read ahead but are never reordered.
+A transmission transaction spans the frame, its acknowledgment, and the
+trailing interframe gap; queue state changes are applied when the
+transaction completes, so a queue counts as occupied for exactly the
+per-attempt duration the analytical model charges it.  Renewal instants
+shift by the same constant for every success, leaving renewal-length
+statistics unchanged.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ import heapq
 import json
 import math
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice
+from operator import length_hint
 
 import numpy as np
 
@@ -68,10 +74,13 @@ from .core import (
     db_to_linear,
 )
 
-# Draws per block: small enough that the 2N arrival streams' blocks add no
-# measurable memory, large enough that the numpy call per block is amortised.
-DRAW_BLOCK = 64
+# Draws per block of a MAC stream: large enough that the numpy call per block
+# is amortised and that one block holds a batch of full contentions' draws at
+# N = 15; an arrival stream's block stays small, as there are 2N of them.
+DRAW_BLOCK = 1024
 ARRIVAL_BLOCK = 16
+# Full-backlog contentions the opportunistic MAC reads ahead in one batch.
+BATCH = 32
 
 
 class InvariantError(RuntimeError):
@@ -210,28 +219,62 @@ def _rng_streams(seed: int, n_arrival_streams: int):
     return gens[:n_arrival_streams], gens[n_arrival_streams:]
 
 
-def _blocks(draw, size: int):
-    """Endless iterator of Python scalars, drawn ``size`` at a time by
-    ``draw(size=size)``.  numpy returns the same values, in the same order,
-    for k draws in one call as for k scalar calls, so while nothing else
-    draws from the generator behind ``draw`` this is its scalar stream.  The
-    one-pass contentions draw timers, states and backoffs (as idle-clock
-    expiries) queue by queue in queue order, so they take the same draws."""
-    return chain.from_iterable(draw(size=size).tolist() for _ in repeat(None))
+class _Draws:
+    """Endless stream of one generator's draws, made ``size`` at a time by
+    ``draw(size=size)``.  ``next`` gives the next draw as a Python scalar;
+    it is a C-level iterator's ``__next__``, so a scalar draw runs no Python
+    frame.  ``peek(m)`` gives the next m draws as an array without consuming
+    them, and ``skip(m)`` consumes m.  numpy returns the same values, in the
+    same order, for k draws in one call as for k scalar calls, so while
+    nothing else draws from the generator behind ``draw``, any interleaving
+    of the three gives its scalar stream."""
+
+    def __init__(self, draw, size: int):
+        self._draw, self._size = draw, size
+        self._ahead = deque()  # blocks drawn for a peek and not yet served
+        self._block = draw(size=0)  # the block being served, as drawn
+        self._left = iter(())  # the iterator serving the rest of it
+        self._served = chain.from_iterable(self._blocks())
+        self.next = self._served.__next__
+
+    def _blocks(self):
+        while True:
+            self._block = self._ahead.popleft() if self._ahead else self._draw(size=self._size)
+            self._left = iter(self._block.tolist())
+            yield self._left
+
+    def peek(self, m: int) -> np.ndarray:
+        parts = [self._block[len(self._block) - length_hint(self._left):], *self._ahead]
+        have = sum(map(len, parts))
+        while have < m:
+            parts.append(self._draw(size=self._size))
+            self._ahead.append(parts[-1])
+            have += self._size
+        return np.concatenate(parts)[:m]
+
+    def skip(self, m: int) -> None:
+        left = length_hint(self._left)
+        deque(islice(self._left, min(m, left)), maxlen=0)
+        m -= left
+        while m > 0:  # past the block being served: whole blocks, then a tail
+            block = self._ahead.popleft() if self._ahead else self._draw(size=self._size)
+            if m < len(block):
+                self._ahead.appendleft(block[m:])
+            m -= len(block)
 
 
 def _backoff_draws(rng):
     """Callable cw -> ``rng.integers(cw + 1)`` for cw + 1 a power of two: numpy's
     bounded method (Lemire's) then never rejects and keeps the top bits of one
     32-bit draw, so the draws are served from blocks of raw 32-bit words."""
-    words = _blocks(partial(rng.integers, 0, 1 << 32, dtype=np.uint32), DRAW_BLOCK)
-    return lambda cw: next(words) >> (32 - cw.bit_length())
+    word = _Draws(partial(rng.integers, 0, 1 << 32, dtype=np.uint32), DRAW_BLOCK).next
+    return lambda cw: word() >> (32 - cw.bit_length())
 
 
 def _state_draws(config: SystemConfig, space: ChannelSpace, rng,
-                 size: int = DRAW_BLOCK):
-    """Endless iterator of channel states, explicit distribution or Rayleigh
-    quantized, each block quantized by one ``searchsorted``."""
+                 size: int = DRAW_BLOCK) -> _Draws:
+    """Stream of channel states, explicit distribution or Rayleigh quantized,
+    each block quantized by one ``searchsorted``."""
     if config.pi is not None:
         cum = np.cumsum(np.asarray(config.pi, dtype=float))
         top = len(cum) - 1  # guards the ~1-ulp shortfall of the last cumsum
@@ -244,13 +287,13 @@ def _state_draws(config: SystemConfig, space: ChannelSpace, rng,
 
         def draw(size):
             return np.searchsorted(edges, rng.exponential(mean_lin, size), side="right")
-    return _blocks(draw, size)
+    return _Draws(draw, size)
 
 
 def _gap_draws(rng, mean_us: float):
     """Zero-argument callable giving the successive inter-arrival gaps of one
     Poisson stream with the given mean."""
-    return _blocks(partial(rng.exponential, mean_us), ARRIVAL_BLOCK).__next__
+    return _Draws(partial(rng.exponential, mean_us), ARRIVAL_BLOCK).next
 
 
 def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
@@ -339,10 +382,13 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     difs = timing.difs_us
 
     arr_rngs, (chan_rng, timer_rng, per_rng, pick_rng, _) = _rng_streams(config.seed, nq)
-    next_state = _state_draws(config, space, chan_rng).__next__
-    next_timer_u = _blocks(timer_rng.random, DRAW_BLOCK).__next__
-    next_coin = _blocks(per_rng.random, DRAW_BLOCK).__next__
+    state_draws = _state_draws(config, space, chan_rng)
+    timer_draws = _Draws(timer_rng.random, DRAW_BLOCK)
+    next_state, next_timer_u = state_draws.next, timer_draws.next
+    next_coin = _Draws(per_rng.random, DRAW_BLOCK).next
     next_gap = [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs] if lam_us > 0.0 else []
+    base_of = np.array(base)
+    p_even_of = np.tile(p_even, n)  # indexed by queue
 
     tally = _Tally([f"{side}{i}" for i in range(n) for side in (AP, STA)],
                    range(0, nq, 2), space.num_states, config.retry_limit)
@@ -350,12 +396,46 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     tau = 0.0
     pair_state: list = [None] * n
     k_star, first = 0, []  # earliest expiry slot; the queues reaching it, ascending
+    # full-backlog contentions read ahead of the state and timer streams,
+    # last first, and how many were taken whose draws the streams still hold
+    rows, taken = [], 0
     attempted, won_state, ok = [], None, False  # outcome of the last resolution
 
+    def read_rows() -> list:
+        """The next BATCH full-backlog contentions as the per-queue pass of
+        ``start`` would draw them, last first: each row's pair states, its
+        earliest slot and the queues reaching it, ascending.  Nothing is
+        consumed: row b starts b * n states and b * nq timers ahead."""
+        h = state_draws.peek(BATCH * n).reshape(BATCH, n)
+        u = timer_draws.peek(BATCH * nq).reshape(BATCH, nq)
+        k = base_of[h].repeat(2, axis=1) + (u >= p_even_of)
+        k_min = k.min(axis=1)
+        row, q = np.nonzero(k == k_min[:, None])  # row-major: q ascends in a row
+        ends = np.cumsum(np.bincount(row, minlength=BATCH)).tolist()
+        q = q.tolist()
+        firsts = [q[a:b] for a, b in zip([0] + ends, ends)]
+        return list(zip(h.tolist(), k_min.tolist(), firsts))[::-1]
+
     def start(t: float) -> float:
-        nonlocal tau, k_star, first
-        tau, k_star, first = t, math.inf, []
-        pair_state[:] = [None] * n
+        nonlocal tau, k_star, first, pair_state, rows, taken
+        tau = t
+        full = len(backlogged) == nq
+        if taken and not (full and rows):
+            # the streams move past the rows taken before anything else reads
+            # them; the rows left over are dropped
+            state_draws.skip(taken * n)
+            timer_draws.skip(taken * nq)
+            rows, taken = [], 0
+        if full:
+            # no queue can join, so the contention takes exactly one row's
+            # draws, in the order the per-queue pass would take them
+            if not rows:
+                rows = read_rows()
+            pair_state, k_star, first = rows.pop()
+            taken += 1
+            return tau + k_star * delta
+        k_star, first = math.inf, []
+        pair_state = [None] * n
         for q in sorted(backlogged):
             h = pair_state[q >> 1]
             if h is None:
@@ -540,9 +620,9 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
 
     arr_rngs, (chan_rng, back_rng, per_rng, _pick, dest_rng) = _rng_streams(
         config.seed, ns)
-    next_state = _state_draws(config, space, chan_rng).__next__
-    next_coin = _blocks(per_rng.random, DRAW_BLOCK).__next__
-    next_dest = _blocks(partial(dest_rng.integers, n), DRAW_BLOCK).__next__
+    next_state = _state_draws(config, space, chan_rng).next
+    next_coin = _Draws(per_rng.random, DRAW_BLOCK).next
+    next_dest = _Draws(partial(dest_rng.integers, n), DRAW_BLOCK).next
     next_backoff = _backoff_draws(back_rng)
     per = [float(e) for e in config.per_state_per]
     airtime = [timing.data_airtime(s) for s in range(space.num_states)]

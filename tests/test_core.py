@@ -58,6 +58,15 @@ def test_state_probabilities_rejects_nonfinite(space):
         assert err.value.field == "mean_ebn0_db"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean_db", [-3070.0, -3080.0])
+def test_state_probabilities_tiny_mean_is_worst_state(space, mean_db):
+    """A mean whose linear form is tiny but positive puts every pair in the
+    worst state, with no overflow warning on the way: t_i/mu passes the
+    float range, and exp(-t_i/mu) is 0 in that limit."""
+    assert state_probabilities(space, mean_db).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_state_probabilities_monte_carlo(space):
     """Quantizing 1e7 exponential draws must reproduce the closed form."""
     mean_db = 25.0

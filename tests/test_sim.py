@@ -12,8 +12,8 @@ from oppmac.sim import (
     InvariantError,
     _ArfState,
     _backoff_draws,
-    _blocks,
     _build_report,
+    _Draws,
     _run,
     _state_draws,
     _Tally,
@@ -364,38 +364,77 @@ def test_integers_of_one_value_draws_nothing():
     assert gen.integers(7, size=9).tolist() == ref.integers(7, size=9).tolist()
 
 
-def test_block_draws_match_scalar_calls(space):
-    """A stream served in blocks of 7 gives, across three block boundaries,
-    the same Python scalars in the same order as one scalar call per draw."""
-    k = 23
-
-    def served(it):
-        got = [next(it) for _ in range(k)]
-        assert len({type(x) for x in got}) == 1
-        return got
-
+def _reference_streams(space, k):
+    """(name, stream served in blocks of 7, its first k draws by scalar calls)
+    for the uniform, explicit-pi state and Rayleigh state streams."""
     ref = _gen()
-    assert served(_blocks(_gen().random, 7)) == [ref.random() for _ in range(k)]
-    ref = _gen()
-    assert served(_blocks(partial(_gen().exponential, 631.5), 7)) \
-        == [ref.exponential(631.5) for _ in range(k)]
+    yield "uniform", _Draws(_gen().random, 7), [ref.random() for _ in range(k)]
 
     pi = (0.1, 0.2, 0.3, 0.4)
     cum = np.cumsum(pi)
     ref = _gen()
     want = [min(int(np.searchsorted(cum, ref.random(), side="right")), 3)
             for _ in range(k)]
-    explicit = SystemConfig(n_stations=1, pi=pi)
-    assert served(_state_draws(explicit, space, _gen(), size=7)) == want
     assert len(set(want)) == 4
+    explicit = SystemConfig(n_stations=1, pi=pi)
+    yield "explicit", _state_draws(explicit, space, _gen(), size=7), want
 
     edges = space.thresholds_linear()[1:]
     ref = _gen()
     want = [int(np.searchsorted(edges, ref.exponential(10.0 ** 2.8), side="right"))
             for _ in range(k)]
-    rayleigh = SystemConfig(n_stations=1, mean_ebn0_db=28.0)
-    assert served(_state_draws(rayleigh, space, _gen(), size=7)) == want
     assert len(set(want)) > 1
+    rayleigh = SystemConfig(n_stations=1, mean_ebn0_db=28.0)
+    yield "rayleigh", _state_draws(rayleigh, space, _gen(), size=7), want
+
+
+def test_block_draws_match_scalar_calls(space):
+    """A stream served in blocks of 7 gives, across three block boundaries,
+    the same Python scalars in the same order as one scalar call per draw."""
+    k = 23
+
+    def served(draws):
+        got = [draws.next() for _ in range(k)]
+        assert len({type(x) for x in got}) == 1
+        return got
+
+    ref = _gen()
+    assert served(_Draws(partial(_gen().exponential, 631.5), 7)) \
+        == [ref.exponential(631.5) for _ in range(k)]
+    for _, draws, want in _reference_streams(space, k):
+        assert served(draws) == want
+
+
+@pytest.mark.parametrize("name", ["uniform", "explicit", "rayleigh"])
+def test_stream_peek_and_skip_match_scalar_calls(name, space):
+    """Scalar draws, ``peek`` and ``skip`` of a stream served in blocks of 7,
+    interleaved in any order, give exactly the draws of scalar calls on an
+    identically seeded generator: a peek before the first draw, peeks longer
+    than a block and across block boundaries, skips inside one block and
+    past several.  A peek consumes nothing and repeats."""
+    scripted = [("peek", 3), ("peek", 3), ("next", 2), ("peek", 20), ("skip", 4),
+                ("next", 5), ("peek", 9), ("skip", 16), ("next", 3), ("peek", 1),
+                ("skip", 1), ("skip", 7), ("peek", 30), ("next", 1)]
+    mix = np.random.Generator(np.random.PCG64(77))
+    shuffled = [(("next", "peek", "skip")[op], int(m)) for op, m in
+                zip(mix.integers(3, size=400), mix.integers(0, 25, size=400))]
+    for ops in (scripted, shuffled):
+        k = sum(m for op, m in ops if op != "peek") + 30
+        draws, want = next((d, w) for stream, d, w in _reference_streams(space, k)
+                           if stream == name)
+        at = 0
+        for op, m in ops:
+            if op == "peek":
+                got = draws.peek(m).tolist()
+                assert got == want[at:at + m]
+                assert [type(x) for x in got] == [type(x) for x in want[at:at + m]]
+            elif op == "skip":
+                draws.skip(m)
+                at += m
+            else:
+                assert [draws.next() for _ in range(m)] == want[at:at + m]
+                at += m
+        assert draws.next() == want[at]
 
 
 def test_conservation_breach_raises():
@@ -519,6 +558,12 @@ GOLDEN_RUNS = [
     # channel states in station order, which threshold rates remember
     ("threshold", 15, 40.0, RAYLEIGH, 7, 20e6,
      "5cb88c096a37de50f404cc20652bb093129c2775b7990d8dba365bbe09b07d54"),
+    # N = 4 near capacity: 2,912 of 5,834 contentions (49.9%) start with
+    # every queue backlogged, so the opportunistic MAC keeps switching
+    # between the rows it reads ahead and per-queue draws.  Pinned from the
+    # per-queue draws alone, before the rows were read ahead.
+    ("opportunistic", 4, 190.0, EXPLICIT, 7, 2e6,
+     "5a731ef7ac881f10b4b3ce5079d93b2ae4a12a2dda479576c7b52065d8b7de68"),
 ]
 
 
