@@ -108,8 +108,9 @@ def state_probabilities(space: ChannelSpace, mean_ebn0_db: float) -> np.ndarray:
     t_i/mu is capped there: a huge edge over a tiny mean cannot overflow.
     """
     mu = db_to_linear(mean_ebn0_db, "mean_ebn0_db")
-    edges = np.minimum(space.thresholds_linear(), 746.0 * mu)
-    upper = np.append(edges[1:], 746.0 * mu)
+    cap = 746.0 * mu
+    edges = np.minimum(space.thresholds_linear(), cap)
+    upper = np.append(edges[1:], cap)
     return np.exp(-edges / mu) - np.exp(-upper / mu)
 
 
