@@ -10,10 +10,13 @@ either ARF or threshold-based rate adaptation.
 
 Both run on ``_run``, which owns the event clock, the channel phase
 (vacant, contention, busy), the warmup mark, the stop at the run's duration
-and the report.  Only arrivals are heap entries: the channel's one pending
-event (a resolution or a transaction end) and the warmup mark are scalars, so
-no resolution goes stale.  At one instant arrivals (lower queue first) precede
-the channel event, which precedes the mark.  A MAC is four hooks:
+and the report.  The only heap entries are the next arrivals of the empty
+queues, the only arrivals that can start or join a contention; an arrival at
+a backlogged queue changes no MAC decision and is counted when that queue's
+counters are next read.  The channel's one pending event (a resolution or a
+transaction end) and the warmup mark are scalars, so no resolution goes
+stale.  At one instant arrivals (lower queue first) precede the channel
+event, which precedes the mark.  A MAC is four hooks:
 
 - ``start(t)``: a contention among the backlogged queues begins at t;
   return the time it resolves.
@@ -131,7 +134,7 @@ class SimReport:
 
 class _QueueStat:
     __slots__ = ("arrivals", "delivered", "dropped", "backlog", "occ_us",
-                 "last_t", "retry")
+                 "last_t", "retry", "next", "gap")
 
     def __init__(self):
         self.arrivals = 0
@@ -141,17 +144,35 @@ class _QueueStat:
         self.occ_us = 0.0
         self.last_t = 0.0
         self.retry = 0
+        self.next = math.inf  # first arrival not yet counted; inf at a zero rate
+        self.gap = None  # gives the gaps after it
 
     def flush(self, t: float) -> None:
-        if self.backlog > 0:
-            self.occ_us += t - self.last_t
-        self.last_t = t
+        """Count the arrivals due by t, then bring occupancy to t, with the
+        float operations, in order, of a flush at each arrival."""
+        a = self.next
+        if a > t:
+            if self.backlog > 0:
+                self.occ_us += t - self.last_t
+            self.last_t = t
+            return
+        occ, last, held, gap = self.occ_us, self.last_t, self.backlog, self.gap
+        while a <= t:
+            if held:
+                occ += a - last
+            last = a
+            held += 1
+            a += gap()
+        self.arrivals += held - self.backlog
+        self.occ_us, self.last_t, self.backlog, self.next = occ + (t - last), t, held, a
 
 
 class _Tally:
     """The one record of a run: the queues' names and sides, their counters
     and the bookkeeping both MACs share, plus a warmup snapshot for windowed
-    metrics.  Success and side counts are sums of the per-queue deliveries."""
+    metrics.  Success and side counts are sums of the per-queue deliveries.
+    ``heap`` holds ``(next arrival, queue)`` for each empty queue and the
+    ``(inf, -1)`` sentinel; every read of a queue's counters flushes it."""
 
     def __init__(self, names: list, ap_ids, num_states: int, retry_limit: int | None):
         self.names = names
@@ -159,6 +180,7 @@ class _Tally:
         self.q = [_QueueStat() for _ in names]
         self.retry_limit = retry_limit
         self.backlogged: set[int] = set()  # queues with backlog > 0
+        self.heap = [(math.inf, -1)]
         self.collisions = 0
         self.ap_merges = 0
         self.last_success_t = None
@@ -172,8 +194,8 @@ class _Tally:
 
     def deliver(self, q: int, t: float, state: int) -> None:
         """Queue q's head packet got through in (rate) state ``state``."""
-        self.q[q].delivered += 1
         self._pop_head(q, t)
+        self.q[q].delivered += 1
         self.last_success_t = t
         self.winner_states[state] += 1
         if self.snap is not None and self.first_after_snap is None:
@@ -186,17 +208,20 @@ class _Tally:
         qs.retry += 1
         if self.retry_limit is None or qs.retry <= self.retry_limit:
             return False
-        qs.dropped += 1
         self._pop_head(q, t)
+        qs.dropped += 1
         return True
 
     def _pop_head(self, q: int, t: float) -> None:
         qs = self.q[q]
         qs.flush(t)
+        if not qs.backlog:
+            raise InvariantError(f"queue {self.names[q]} popped while empty")
         qs.backlog -= 1
         qs.retry = 0
         if not qs.backlog:
             self.backlogged.discard(q)
+            heapq.heappush(self.heap, (qs.next, q))  # later than t
 
     def snapshot(self, t: float) -> None:
         self.flush(t)
@@ -306,18 +331,22 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     the warmup mark at ``WARMUP_FRAC`` of it fires first and the measured
     window is positive.
 
-    The heap holds one ``(time_us, queue)`` entry per queue, its next
-    arrival, advanced by one ``heapreplace`` per arrival.  ``t_chan`` is the
-    channel's pending event: inf while vacant (idle, nothing queued), the
-    resolution while contending, the transaction end (including its trailing
-    interframe gap) while busy.  A join that brings the resolution forward
-    overwrites it, so a superseded resolution never fires.  ``t_mark`` is
-    the warmup mark.  Ties go to the arrival, then the channel event."""
-    qstat, backlogged = tally.q, tally.backlogged
+    The heap (``tally.heap``) holds the next arrival of each empty queue, so
+    a pop is an arrival that starts or joins a contention; an arrival at a
+    backlogged queue is counted when that queue is next flushed, at or after
+    it.  ``t_chan`` is the channel's pending event: inf while vacant (idle,
+    nothing queued), the resolution while contending, the transaction end
+    (including its trailing interframe gap) while busy.  A join that brings
+    the resolution forward overwrites it, so a superseded resolution never
+    fires.  ``t_mark`` is the warmup mark.  Ties go to the arrival, then the
+    channel event: a flush counts the arrivals due at its instant."""
+    qstat, backlogged, heap = tally.q, tally.backlogged, tally.heap
     inf = math.inf
-    heap = [(gap(), q) for q, gap in enumerate(next_gap)] or [(inf, -1)]
+    for q, (qs, gap) in enumerate(zip(qstat, next_gap)):
+        qs.gap, qs.next = gap, gap()
+        heap.append((qs.next, q))
     heapq.heapify(heap)
-    advance = heapq.heapreplace
+    pop = heapq.heappop
 
     t_chan, busy, t_mark = inf, False, WARMUP_FRAC * duration_us
     while True:
@@ -325,20 +354,16 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
         if now <= t_chan and now <= t_mark:
             if now > duration_us:
                 break
-            qs = qstat[q]
-            qs.flush(now)
-            qs.arrivals += 1
-            qs.backlog += 1
-            advance(heap, (now + next_gap[q](), q))
-            if qs.backlog == 1:
-                backlogged.add(q)
-                if t_chan == inf:
-                    t_chan = start(now)
-                elif not busy:
-                    t_res = join(q, now)
-                    if t_res is not None:
-                        t_chan = t_res
-                # while the channel is busy the queue just backlogs
+            pop(heap)
+            qstat[q].flush(now)  # counts this arrival at the empty queue
+            backlogged.add(q)
+            if t_chan == inf:
+                t_chan = start(now)
+            elif not busy:
+                t_res = join(q, now)
+                if t_res is not None:
+                    t_chan = t_res
+            # while the channel is busy the queue just backlogs
 
         elif t_chan <= t_mark:
             now = t_chan

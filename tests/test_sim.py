@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from functools import partial
 
 import numpy as np
@@ -316,7 +317,9 @@ def test_heap_entry_ordering(space):
     """Driven with stub hooks and fixed gaps, ``_run`` fires two arrivals, a
     channel event and the warmup mark that share one instant in the order
     arrival (lower queue first), channel event, mark; a join that returns an
-    earlier time supersedes the pending resolution, which never fires."""
+    earlier time supersedes the pending resolution, which never fires.  An
+    arrival at a backlogged queue at the instant a transaction ends counts
+    before the end, so the delivery there leaves that queue backlogged."""
     calls = []
 
     def start(t):
@@ -332,11 +335,13 @@ def test_heap_entry_ordering(space):
         return 10.0
 
     def end(t):
-        calls.append(("end", t))
+        tally.deliver(2, t, 0)
+        calls.append(("end", t, tally.q[2].arrivals, tally.q[2].backlog))
 
-    # queue 2 arrives at 1, queue 3 at 3, queues 0 and 1 at 5 = the mark
-    first = [5.0, 5.0, 1.0, 3.0]
-    next_gap = [iter([g, 1e9]).__next__ for g in first]
+    # queue 2 arrives at 1 and 15 = the end, queue 3 at 3, queues 0 and 1
+    # at 5 = the mark
+    gaps = [[5.0, 1e9], [5.0, 1e9], [1.0, 14.0, 1e9], [3.0, 1e9]]
+    next_gap = [iter(g).__next__ for g in gaps]
     cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
     tally = _Tally(["0", "1", "2", "3"], [0, 2], space.num_states, None)
     snapshot = tally.snapshot
@@ -344,9 +349,10 @@ def test_heap_entry_ordering(space):
     rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end, 100.0)
     assert calls == [("start", 1.0), ("join", 3, 3.0), ("join", 0, 5.0),
                      ("join", 1, 5.0), ("resolve",), ("mark", 5.0),  # resolved at 5: ends at 5 + 10
-                     ("end", 15.0), ("start", 15.0)]
+                     ("end", 15.0, 2, 1), ("start", 15.0)]
     assert rep.warmup_us == 5.0 and rep.duration_us == 100.0
     assert [rep.queues[str(q)]["backlog"] for q in range(4)] == [1] * 4
+    assert rep.queues["2"]["delivered"] == 1 and tally.heap == [(math.inf, -1)]
 
 
 def _gen():
@@ -499,6 +505,65 @@ def test_tally_deliver_resets_retries(retry_limit):
     assert tally.winner_states == [1, 0, 0, 1] and tally.last_success_t == 30.0
 
 
+@pytest.mark.parametrize("pop", ["deliver", "fail"])
+def test_pop_from_empty_queue_raises(pop):
+    """Taking a head packet from an empty queue is refused by name, as the
+    conservation check cannot see a backlog driven below zero."""
+    tally = _Tally(["ap0", "sta0"], [0], 4, 0)
+    with pytest.raises(InvariantError, match="queue sta0"):
+        tally.deliver(1, 5.0, 0) if pop == "deliver" else tally.fail(1, 5.0)
+    assert tally.q[1].backlog == 0
+
+
+def test_deferred_count_matches_event_by_event_fold():
+    """A backlogged queue's arrivals, counted only when it is flushed, give
+    the counters and the bit-identical occupancy integral of flushing at
+    every arrival as it happens: a flush at exactly a pending arrival's time
+    counts it, a flush before it does not, and the pop that empties the
+    queue leaves its next arrival, later than the pop, as its one heap
+    entry."""
+    gaps = np.random.Generator(np.random.PCG64(31)).exponential(7.3, size=40).tolist()
+    arrival = np.cumsum(gaps).tolist()
+    tally = _Tally(["ap0", "sta0"], [0], 4, 0)
+    qs = tally.q[1]
+    qs.gap, qs.next = iter(gaps[1:]).__next__, gaps[0]
+    # as ``_run``'s arrival branch: the first arrival reaches the empty queue
+    qs.flush(arrival[0])
+    tally.backlogged.add(1)
+    reads = [arrival[0]]
+
+    def read(t, counted):
+        reads.append(t)
+        assert qs.arrivals == counted and qs.next == arrival[counted]
+
+    qs.flush(arrival[3] - 1e-9)  # just before the fourth arrival
+    read(arrival[3] - 1e-9, 3)
+    tally.deliver(1, arrival[3], 0)  # at exactly the fourth
+    read(arrival[3], 4)
+    tally.snapshot(arrival[9] + 0.5)
+    read(arrival[9] + 0.5, 10)
+    while tally.backlogged:  # drops at one instant empty the queue
+        tally.fail(1, arrival[12] + 0.25)
+    read(arrival[12] + 0.25, 13)
+    assert (qs.backlog, qs.delivered, qs.dropped) == (0, 1, 12)
+    assert [e for e in tally.heap if e[1] == 1] == [(arrival[13], 1)]
+    assert arrival[13] > arrival[12] + 0.25
+    # the reference flushes at every arrival and every read, arrivals first
+    occ, last, backlog = 0.0, 0.0, 0
+    events = sorted([(a, 0) for a in arrival[:13]] + [(t, 1) for t in reads])
+    for t, kind in events:
+        if backlog > 0:
+            occ += t - last
+        last = t
+        if kind == 0:
+            backlog += 1
+        elif t == arrival[3]:
+            backlog -= 1
+        elif t == reads[-1]:
+            backlog = 0
+    assert qs.occ_us == occ and qs.last_t == last and qs.arrivals == 13
+
+
 def test_replication_consistency(policy, timing, space):
     """Distinct seeds give distinct but statistically consistent reports."""
     reps = []
@@ -564,6 +629,15 @@ GOLDEN_RUNS = [
     # per-queue draws alone, before the rows were read ahead.
     ("opportunistic", 4, 190.0, EXPLICIT, 7, 2e6,
      "5a731ef7ac881f10b4b3ce5079d93b2ae4a12a2dda479576c7b52065d8b7de68"),
+    # N = 7 at 5000 pkts/s, no retry limit: about 70,000 arrivals against
+    # under 900 deliveries, so thousands of arrivals at a backlogged queue
+    # are counted between two reads of it, and the warmup mark falls among
+    # them.  Pinned with every arrival a heap event, before the arrivals at
+    # a backlogged queue were counted when it is next read.
+    ("opportunistic", 7, 5000.0, EXPLICIT, None, 1e6,
+     "6e0b5162f5a0e1e8e87eaed6f88496145217e6f5d7205a27d456f73dfa533df0"),
+    ("threshold", 7, 5000.0, RAYLEIGH, None, 1e6,
+     "6a18bb1b098a39d15491c69bc67b592370ced5a8db1bf3289b037fbba8072823"),
 ]
 
 
