@@ -638,6 +638,22 @@ GOLDEN_RUNS = [
      "6e0b5162f5a0e1e8e87eaed6f88496145217e6f5d7205a27d456f73dfa533df0"),
     ("threshold", 7, 5000.0, RAYLEIGH, None, 1e6,
      "6a18bb1b098a39d15491c69bc67b592370ced5a8db1bf3289b037fbba8072823"),
+    # N = 7 below capacity, as in the sim-light-n7 benchmark: 63-87% of the
+    # contentions start with one backlogged queue (1,589 of 1,831
+    # opportunistic), and some of those meet a joiner.  The last run has
+    # N = 2: 2,144 of 2,958 contentions start lone, and in 10 of them the
+    # lone queue's partner joins, reusing the pair's state, while other
+    # pairs' queues join with states of their own.  Pinned with every
+    # contention a pass over the backlogged queues, before a lone contender
+    # took its draws directly.
+    ("opportunistic", 7, 40.0, RAYLEIGH, 7, 3e6,
+     "cdd7c58b17e259bfe9632f0d4ba377be824f8160291295aa90c832d5df1cd51a"),
+    ("arf", 7, 40.0, RAYLEIGH, 7, 3e6,
+     "7bca10247df2aaab36705766f5636dba9e74540692017715968110c2ebccad04"),
+    ("threshold", 7, 40.0, RAYLEIGH, 7, 3e6,
+     "8ae3838f0f37570977c006211b400b744c9357a384ef562ead002fdd141bcb50"),
+    ("opportunistic", 2, 200.0, EXPLICIT, None, 3e6,
+     "c246ce947ea05774eaa7d39b0b7966c41f77044b2fff493ead9c99b6a999c3cf"),
 ]
 
 
