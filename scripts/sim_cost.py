@@ -12,7 +12,10 @@ with ``system.n_stations = N``:
   event loop's heap pops, the only arrivals that can start or join a
   contention; an arrival at a backlogged queue is only counted;
 - ``contentions``: the contentions started (calls of the MAC's ``start``
-  hook).
+  hook);
+- ``lone``: the contentions that started with one backlogged queue, which
+  take the lone-contender path of ``start`` and, unless a queue joins,
+  ``resolve``.
 
 The counts come from one extra run with counters on ``heapq.heappop`` and
 on the ``start`` hook, which is not timed.  The perfbench sim spans cannot
@@ -40,8 +43,8 @@ SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
 
 @contextmanager
 def counters():
-    """Count heap pops and ``start`` calls while the block runs."""
-    counts = {"pops": 0, "starts": 0}
+    """Count heap pops and ``start`` calls, all and lone, while the block runs."""
+    counts = {"pops": 0, "starts": 0, "lone": 0}
     pop, run_loop = heapq.heappop, sim._run
 
     def counted_pop(heap):
@@ -51,6 +54,7 @@ def counters():
     def counted_run(scheme, config, lam, tally, next_gap, start, *hooks):
         def counted_start(t):
             counts["starts"] += 1
+            counts["lone"] += len(tally.backlogged) == 1
             return start(t)
         return run_loop(scheme, config, lam, tally, next_gap, counted_start, *hooks)
 
@@ -76,6 +80,7 @@ def measure(scheme: str, n: int, lam: float, duration_s: float, repeats: int) ->
         "arrivals": sum(q["arrivals"] for q in rep.queues.values()),
         "at_empty": counts["pops"],
         "contentions": counts["starts"],
+        "lone": counts["lone"],
     }
 
 
@@ -87,7 +92,7 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     cols = ("scheme", "n", "lambda", "wall_per_sim_s", "arrivals", "at_empty",
-            "contentions")
+            "contentions", "lone")
     print("  ".join(f"{c:>14}" for c in cols))
     for scheme in SCHEMES:
         for n in map(int, args.n.split(",")):

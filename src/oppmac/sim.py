@@ -29,14 +29,22 @@ event, which precedes the mark.  A MAC is four hooks:
   the winner's delivery, so the report's success counts are sums of the
   per-queue deliveries.
 
-Each DCF contention, and each opportunistic one with some queue empty, is
-one pass over the backlogged queues: the opportunistic MAC keeps a running
-minimum of its timers, and DCF stores each backoff counter as the slot of a
-virtual idle clock at which it expires.  Both keep the queues that reach the
-minimum, so a resolution reads its contenders without a scan.  An
-opportunistic contention with every queue backlogged, which no queue can
-join, is one row of a numpy batch computed from the channel-state and timer
-draws read ahead of their streams; it takes the draws the pass would.
+A contention takes one of three paths, each with the draws, in order, of
+the per-queue pass:
+
+- lone contender: one backlogged queue, as in most contentions below
+  capacity, takes its draws directly, and ``resolve`` with one queue at
+  the earliest slot skips the sorting of expiries that a pick or a
+  collision needs;
+- per-queue pass: two or more backlogged queues (for the opportunistic MAC,
+  with some queue empty) are one pass in queue order.  The opportunistic MAC
+  keeps a running minimum of its timers, and DCF stores each backoff
+  counter as the slot of a virtual idle clock at which it expires.  Both
+  keep the queues that reach the minimum, so a resolution reads its
+  contenders without a scan;
+- batch row: an opportunistic contention with every queue backlogged, which
+  no queue can join, is one row of a numpy batch computed from the
+  channel-state and timer draws read ahead of their streams.
 
 The engine is strictly deterministic for a given (config, seed): every
 random stream has its own generator, whose draws are served from blocks by
@@ -459,8 +467,15 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
             pair_state, k_star, first = rows.pop()
             taken += 1
             return tau + k_star * delta
+        pair_state = [None] * n  # a joiner of another pair draws its own state
+        if len(backlogged) == 1:
+            # a lone contender: the pass's two draws, without the pass
+            q, = backlogged
+            h = pair_state[q >> 1] = next_state()
+            k_star = base[h] if next_timer_u() < p_even[q & 1] else base[h] + 1
+            first = [q]  # fresh: join inserts into it
+            return tau + k_star * delta
         k_star, first = math.inf, []
-        pair_state = [None] * n
         for q in sorted(backlogged):
             h = pair_state[q >> 1]
             if h is None:
@@ -492,25 +507,25 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
 
     def resolve() -> float:
         nonlocal attempted, won_state, ok
-        ap_exp = [q for q in first if not q & 1]
-        if len(ap_exp) == len(first) or len(first) == 1:
-            # AP expiries alone merge by a uniform pick; a lone queue wins
-            # without one (integers(1) would return 0 and draw nothing)
-            if len(ap_exp) > 1:
-                winner = ap_exp[int(pick_rng.integers(len(ap_exp)))]
-                tally.ap_merges += 1
-            else:
-                winner = first[0]
-            attempted = [winner]
-            won_state = pair_state[winner >> 1]
-            ok = next_coin() >= per[won_state]
-            return tx_us[won_state]
-        # an STA expiry among two or more collides; the channel is blocked
-        # for the longest colliding frame.  The colliders drew good states,
-        # so this is usually far shorter than the analysis' conservative
-        # lowest-rate constant.
-        attempted, ok = first, False
-        return max(air_us[pair_state[q >> 1]] for q in first) + difs
+        if len(first) == 1:
+            # a lone expiry wins without a pick (integers(1) would return 0
+            # and draw nothing)
+            attempted = first
+        else:
+            ap_exp = [q for q in first if not q & 1]
+            if len(ap_exp) < len(first):
+                # an STA expiry among two or more collides; the channel is
+                # blocked for the longest colliding frame.  The colliders
+                # drew good states, so this is usually far shorter than the
+                # analysis' conservative lowest-rate constant.
+                attempted, ok = first, False
+                return max(air_us[pair_state[q >> 1]] for q in first) + difs
+            # AP expiries alone merge by a uniform pick
+            attempted = [ap_exp[int(pick_rng.integers(len(ap_exp)))]]
+            tally.ap_merges += 1
+        won_state = pair_state[attempted[0] >> 1]
+        ok = next_coin() >= per[won_state]
+        return tx_us[won_state]
 
     def end(t: float) -> None:
         if ok:
@@ -678,6 +693,13 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
     def start(t: float) -> float:
         nonlocal idle_t0, soonest, expiring
         # frozen counters resume; fresh ones are drawn in station order
+        if len(backlogged) == 1:  # a lone contender, without the pass
+            st, = backlogged
+            e = expiry[st]
+            if e is None:
+                e = expiry[st] = clock + next_backoff(cw[st])
+            idle_t0, soonest, expiring = t, e, [st]
+            return t + (e - clock) * delta
         idle_t0, soonest, expiring = t, math.inf, []
         for st in sorted(backlogged):
             e = expiry[st]
@@ -709,31 +731,34 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
             insort(expiring, st)
         return None
 
+    def attempt(st: int) -> tuple:
+        """Station st transmits: (st, link, the link's state, the rate index
+        it sends at), drawing the AP head's destination at its first attempt
+        and then the state."""
+        nonlocal ap_dest
+        if st == 0:
+            if ap_dest is None:
+                ap_dest = next_dest()
+            link = n + ap_dest
+        else:
+            link = st - 1
+        h = next_state()
+        ridx = arf[link].rate if use_arf else last_seen[link]
+        last_seen[link] = h  # known by the time of the next attempt
+        expiry[st] = None  # fresh backoff after this attempt
+        return st, link, h, ridx
+
     def resolve() -> float:
-        nonlocal ap_dest, attempts, ok, clock
+        nonlocal attempts, ok, clock
         clock = soonest  # the resolution fires at the slot it was scheduled for
-        attempts = []
-        for st in expiring:
-            if st == 0:
-                if ap_dest is None:
-                    ap_dest = next_dest()
-                link = n + ap_dest
-            else:
-                link = st - 1
-            h = next_state()
-            ridx = arf[link].rate if use_arf else last_seen[link]
-            last_seen[link] = h  # known by the time of the next attempt
-            attempts.append((st, link, h, ridx))
-            expiry[st] = None  # fresh backoff after this attempt
-        busy = max(airtime[r] for _, _, _, r in attempts)
-        if len(attempts) > 1:
-            ok = False
-            return busy + eifs
+        if len(expiring) > 1:
+            attempts, ok = [attempt(st) for st in expiring], False
+            return max(airtime[a[3]] for a in attempts) + eifs
+        attempts = [attempt(expiring[0])]
         _, _, h, ridx = attempts[0]
-        # + ACK (or its timeout) + trailing DIFS / EIFS
-        busy += sifs_ack
         ok = next_coin() >= (per[ridx] if h >= ridx else 1.0)
-        return busy + (difs if ok else eifs)
+        # + ACK (or its timeout) + trailing DIFS / EIFS
+        return airtime[ridx] + sifs_ack + (difs if ok else eifs)
 
     def end(t: float) -> None:
         nonlocal ap_dest
