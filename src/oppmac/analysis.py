@@ -59,6 +59,9 @@ class AnalysisSolution:
     converged: bool
     iterations: int
     identity_error: float = 0.0  # max observed |N(pbar_a + pbar_s) - 1|
+    # why a non-converged iteration stopped: "iteration cap", "pinned" (a
+    # coordinate held at 1 - FP_EPS) or "one side never wins" (its theta is 0)
+    reason: str = ""
 
 
 def enumerate_censuses(n: int) -> list[tuple[int, int, int]]:
@@ -485,23 +488,27 @@ def _iterate(model: CycleModel) -> AnalysisSolution:
     """The fixed-point iterations of ``fixed_points`` at the model's rate."""
     lambda_pps, n = model.lambda_pps, model.n
     pa, ps, prev_a, prev_s = 0.1, 0.1, None, None
-    pinned, identity_err, converged = 0, 0.0, False
+    pinned, identity_err, converged, reason = 0, 0.0, False, "iteration cap"
     for iterations in range(1, FP_MAX_ITER + 1):
         theta_ap, theta_sta, e_r, pbar_a, pbar_s = model.throughput(pa, ps)
         identity_err = max(identity_err, abs(n * (pbar_a + pbar_s) - 1.0))
         res_a = abs(theta_ap - lambda_pps) / lambda_pps
         res_s = abs(theta_sta - lambda_pps) / lambda_pps
         if res_a < FP_TOL and res_s < FP_TOL:
-            converged = True
+            converged, reason = True, ""
+            break
+        if theta_ap == 0.0 or theta_sta == 0.0:  # no occupancy step from log(0)
+            reason = "one side never wins"
             break
         pa, prev_a = _next_occupancy(pa, theta_ap, lambda_pps, prev_a)
         ps, prev_s = _next_occupancy(ps, theta_sta, lambda_pps, prev_s)
         pinned = pinned + 1 if pa >= 1.0 - FP_EPS or ps >= 1.0 - FP_EPS else 0
         if pinned >= FP_PIN_LIMIT:
+            reason = "pinned"
             break
     return AnalysisSolution(
         lambda_pps=lambda_pps, p_a=pa, p_s=ps, expected_renewal_us=e_r,
         pbar_a=pbar_a, pbar_s=pbar_s, theta_ap_pps=theta_ap,
         theta_sta_pps=theta_sta, converged=converged, iterations=iterations,
-        identity_error=identity_err)
+        identity_error=identity_err, reason=reason)
 

@@ -10,8 +10,8 @@ Subcommands (all take --config, --lambda, --out and --set):
                also --scheme --reps --seed --duration-s
 A verb refuses other flags, repeated rates or schemes and an --out that is,
 or lies beneath, a file; analyze and validate need rates > 0, and
-simulate refuses two rates whose run files share a name (lam{rate:g}).  The
-simulator runs of a verb spread over the CPUs of its affinity mask: one
+simulate refuses two rates whose run files share a name (lam{rate:g}); the
+verbs that simulate refuse a run past MAX_SIM_WORK.  The simulator runs of a verb spread over the CPUs of its affinity mask: one
 child per CPU is forked, and run j goes to child j mod children;
 ``taskset -c 0`` keeps them in-process.  On Linux a child dies with its
 parent.  The outputs do not depend on the number of CPUs.
@@ -44,6 +44,12 @@ SIM_SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
 ALL_SCHEMES = SIM_SCHEMES + ("analysis",)
 # the schemes --scheme may name; without it a verb runs ExperimentSpec's default
 VERB_SCHEMES = {"simulate": SIM_SCHEMES, "compare": ALL_SCHEMES}
+# The work one simulator run may take, in events: both its expected arrivals,
+# 2N * lambda * duration, and the most contentions its duration holds, one per
+# DIFS.  The costliest run of the repo's own, a tier-1 test's 20,000 s at
+# N = 2, holds 5.9e8 contentions; the costliest by arrivals, CI's N = 7 at
+# 5000 pkts/s for 1 s, expects 7e4.
+MAX_SIM_WORK = 1e9
 
 
 @dataclass
@@ -211,6 +217,11 @@ def _write_csv(spec: ExperimentSpec, verb: str, units: str, columns, rows) -> No
             ",".join(columns), *(",".join(map(_cell, row)) for row in rows)])
 
 
+def _flag(sol) -> str:
+    """A fixed point's state on a stdout line, with why it did not converge."""
+    return "converged" if sol.converged else f"NOT CONVERGED ({sol.reason})"
+
+
 def cmd_analyze(spec: ExperimentSpec) -> int:
     sols = _runs_and_solutions(spec, [], spec.lambdas)[1].values()
     _write_csv(spec, "analysis", "lambda_pps=pkts/s e_r_us=us theta=pkts/s",
@@ -221,8 +232,7 @@ def cmd_analyze(spec: ExperimentSpec) -> int:
     retry = spec.setup.config.retry_limit
     note = "" if retry is None else f" (the model ignores system.retry_limit={retry})"
     for s in sols:
-        flag = "converged" if s.converged else "NOT CONVERGED"
-        print(f"analyze lambda={s.lambda_pps:g}: {flag} "
+        print(f"analyze lambda={s.lambda_pps:g}: {_flag(s)} "
               f"P_A={s.p_a:.4f} P_S={s.p_s:.4f}{note}")
     return 0
 
@@ -318,6 +328,7 @@ def cmd_compare(spec: ExperimentSpec) -> int:
     rows = []
     for scheme in spec.schemes:
         for lam in spec.lambdas:
+            note = ""
             if scheme != "analysis":
                 agg = aggs[scheme, lam]
                 up, down = agg["uplink_pps"][0], agg["downlink_pps"][0]
@@ -325,10 +336,11 @@ def cmd_compare(spec: ExperimentSpec) -> int:
                 up = down = 0.0
             elif sols[lam].converged:
                 up, down = n * sols[lam].theta_sta_pps, n * sols[lam].theta_ap_pps
-            else:
+            else:  # a nan row, flagged on stdout
                 up = down = float("nan")
+                note = f" {_flag(sols[lam])}"
             rows.append((scheme, lam, up, down, up + down))
-            print(f"compare {scheme} lambda={lam:g}: system={up + down:.1f} pps")
+            print(f"compare {scheme} lambda={lam:g}: system={up + down:.1f} pps{note}")
     _write_csv(spec, "compare", "pps=pkts/s",
                ("scheme", "lambda_pps", "uplink_pps", "downlink_pps", "system_pps"), rows)
     return 0
@@ -385,8 +397,29 @@ def build_spec(args) -> ExperimentSpec:
             and cell_total(n) > MAX_CELLS:
         raise ConfigError("system.n_stations", f"the analysis of {n} stations has "
                           f"{cell_total(n):,} cells, more than the {MAX_CELLS:,} of 60 stations")
-    return ExperimentSpec(setup=setup, lambdas=_parse_lambdas(args.command, args.lam),
+    spec = ExperimentSpec(setup=setup, lambdas=_parse_lambdas(args.command, args.lam),
                           out_dir=out, **plan)
+    if args.command != "analyze" and set(spec.schemes) - {"analysis"}:
+        _check_sim_work(spec)
+    return spec
+
+
+def _check_sim_work(spec: ExperimentSpec) -> None:
+    """Refuses a simulator run past MAX_SIM_WORK: on --duration-s when its
+    duration holds too many contentions, else on --lambda when it expects too
+    many arrivals."""
+    n, difs = spec.setup.config.n_stations, spec.setup.timing.difs_us
+    contentions = spec.duration_s * 1e6 / difs
+    if contentions > MAX_SIM_WORK:
+        raise ConfigError("--duration-s", f"{spec.duration_s:g} s holds up to "
+                          f"{contentions:.3g} contentions of one DIFS ({difs:g} us), more "
+                          f"than the {MAX_SIM_WORK:.0e} events one run may take")
+    arrivals = 2 * n * max(spec.lambdas, default=0.0) * spec.duration_s
+    if arrivals > MAX_SIM_WORK:
+        raise ConfigError("--lambda", f"{max(spec.lambdas):g} pkts/s per queue, over "
+                          f"2N = {2 * n} queues for {spec.duration_s:g} s, expects "
+                          f"{arrivals:.3g} arrivals, more than the {MAX_SIM_WORK:.0e} "
+                          f"events one run may take")
 
 
 def main(argv=None) -> int:

@@ -544,6 +544,19 @@ def test_compare_keeps_zero_rate_rows(tmp_path):
     assert all(float(r.split(",")[4]) == 0.0 for r in zero_rows)
 
 
+def test_compare_flags_a_non_converged_analysis_row(tmp_path, capsys):
+    """At N = 7, lambda = 120 the fixed point does not converge: the analysis
+    row of compare.csv is nan, as before, and its stdout line says NOT
+    CONVERGED and why."""
+    assert main(["compare", "--scheme", "analysis", "--lambda", "20,120",
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "NOT CONVERGED" not in lines[0]
+    assert lines[1] == "compare analysis lambda=120: system=nan pps NOT CONVERGED (pinned)"
+    assert (tmp_path / "compare.csv").read_text().splitlines()[-1] \
+        == "analysis,120.0,nan,nan,nan"
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.conf"
     bad.write_text("system.n_stations = 2\nsystem.bogus_key = 1\n")
@@ -746,10 +759,88 @@ def test_analysis_past_the_cell_budget_exit_code(tmp_path, capsys, monkeypatch, 
         assert cli.build_spec(args).setup.config.n_stations == n
 
 
+@pytest.mark.parametrize("verb", ["simulate", "validate", "compare"])
+@pytest.mark.parametrize("flag, rate, duration_s", [
+    ("--lambda", "1e300", "0.001"),  # the arrivals of a run that never ended
+    ("--lambda", "1e7", "30"),       # 4.2e9 arrivals, about 17 minutes a run
+    ("--duration-s", "20", "1e9"),   # 2.9e13 contentions of one DIFS
+])
+def test_simulation_past_the_work_budget_exit_code(tmp_path, capsys, monkeypatch, verb,
+                                                   flag, rate, duration_s):
+    """A run whose expected arrivals or whose duration in DIFS exceeds
+    MAX_SIM_WORK is refused on the flag that sets it, before any simulator
+    or child starts, and leaves no --out."""
+    forbid_model_and_simulator(monkeypatch)
+    children = force_cpus(monkeypatch, {0, 1})
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    assert main([verb, "--lambda", rate, "--duration-s", duration_s, "--set",
+                 "system.n_stations=2" if rate == "1e300" else "system.n_stations=7",
+                 "--out", str(out)]) == 2
+    assert time.monotonic() - t0 < 5
+    err = capsys.readouterr().err
+    assert f"config key '{flag}'" in err and "events one run may take" in err
+    assert "Traceback" not in err and not out.exists() and not children
+
+
+@pytest.mark.parametrize("argv", [
+    # results/throughput and results/validation
+    "compare --scheme opportunistic,dcf-arf,dcf-threshold --lambda 120 --duration-s 40",
+    "validate --lambda 80 --duration-s 60",
+    "validate --lambda 20 --set system.n_stations=2 --duration-s 120",
+    # CI's costliest by arrivals and by contentions (a 16.002 us DIFS)
+    "simulate --set system.n_stations=7 --lambda 5000 --duration-s 1",
+    "simulate --set system.n_stations=2 --set timer.delta_us=0.001 --lambda 300 "
+    "--duration-s 3",
+    # the benchmark's simulator workloads
+    "simulate --set system.n_stations=15 --lambda 300 --duration-s 4",
+    "simulate --set system.n_stations=7 --lambda 40 --duration-s 30",
+    # test_killed_verb_takes_its_children_along: 5.9e8 contentions
+    "simulate --set system.n_stations=2 --lambda 20 --duration-s 20000",
+    # the analysis alone is not bounded by the simulator's budget
+    "compare --scheme analysis --lambda 1e300 --duration-s 1e9",
+    "analyze --lambda 1e300",
+])
+def test_costliest_runs_fit_the_work_budget(tmp_path, argv):
+    """Every simulator run that the committed results, CI, the benchmark and
+    the tests make is inside MAX_SIM_WORK."""
+    command, *rest = argv.split()
+    flags = dict(zip(rest[::2], rest[1::2]))
+    sets = [v for k, v in zip(rest[::2], rest[1::2]) if k == "--set"]
+    parsed = argparse.Namespace(command=command, config=None, lam=flags["--lambda"],
+                                set=sets, out=str(tmp_path / "out"),
+                                scheme=flags.get("--scheme", ""))
+    if "--duration-s" in flags:
+        parsed.duration_s = float(flags["--duration-s"])
+    assert cli.build_spec(parsed).lambdas
+
+
 def test_analyze_zero_rate_exit_code(tmp_path, capsys):
     assert main(["analyze", "--lambda", "0", "--set", "system.n_stations=2",
                  "--out", str(tmp_path)]) == 2
     assert "positive arrival rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets, rate", [
+    (["timer.p=0"], "1e7"),
+    (["timer.p=0", "system.n_stations=1"], "1e9"),
+    (["timer.p=0", "system.n_stations=2"], "1e9"),
+    (["timer.p=1", "system.n_stations=1"], "1e9"),
+])
+def test_side_that_never_wins_is_not_converged(tmp_path, capsys, sets, rate):
+    """With p in {0, 1} and every queue refilled at once, one side of each
+    pair always draws the later slot of its state and never wins a cycle, so
+    its theta is exactly 0.  The row is NOT CONVERGED with that reason on
+    stdout, and the verb exits 0 without a traceback (the log of that theta
+    used to raise)."""
+    args = ["analyze", "--lambda", rate, "--out", str(tmp_path)]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert "NOT CONVERGED (one side never wins)" in out and not err
+    row = (tmp_path / "analysis.csv").read_text().splitlines()[2].split(",")
+    assert row[-2] == "0" and 0.0 in (float(row[6]), float(row[7]))  # a theta
 
 
 @pytest.mark.parametrize("overrides", [
