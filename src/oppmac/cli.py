@@ -11,10 +11,11 @@ Subcommands (all take --config, --lambda, --out and --set):
 A verb refuses other flags, repeated rates or schemes and an --out that is,
 or lies beneath, a file; analyze and validate need rates > 0, and
 simulate refuses two rates whose run files share a name (lam{rate:g}); the
-verbs that simulate refuse a run past MAX_SIM_WORK.  The simulator runs of a verb spread over the CPUs of its affinity mask: one
-child per CPU is forked, and run j goes to child j mod children;
-``taskset -c 0`` keeps them in-process.  On Linux a child dies with its
-parent.  The outputs do not depend on the number of CPUs.
+verbs that simulate refuse a run past MAX_SIM_WORK.  The simulator runs of a
+verb spread over the CPUs of its affinity mask: one child per CPU is forked,
+and run j goes to child j mod children; ``taskset -c 0`` keeps them
+in-process.  On Linux a child dies with its parent.  The outputs do not
+depend on the number of CPUs.
 Exit codes: 0 success, 1 validation tolerance breach, 2 configuration error.
 Outputs are deterministic for a given (config, seeds); every file carries a
 header naming the units and the configuration hash.

@@ -830,9 +830,9 @@ def test_analyze_zero_rate_exit_code(tmp_path, capsys):
 def test_side_that_never_wins_is_not_converged(tmp_path, capsys, sets, rate):
     """With p in {0, 1} and every queue refilled at once, one side of each
     pair always draws the later slot of its state and never wins a cycle, so
-    its theta is exactly 0.  The row is NOT CONVERGED with that reason on
-    stdout, and the verb exits 0 without a traceback (the log of that theta
-    used to raise)."""
+    its theta is exactly 0.  The iteration stops before taking its log: the
+    row is NOT CONVERGED with that reason on stdout, and the verb exits 0
+    without a traceback."""
     args = ["analyze", "--lambda", rate, "--out", str(tmp_path)]
     for item in sets:
         args += ["--set", item]
