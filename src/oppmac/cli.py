@@ -415,9 +415,10 @@ def _check_sim_work(spec: ExperimentSpec) -> None:
         raise ConfigError("--duration-s", f"{spec.duration_s:g} s holds up to "
                           f"{contentions:.3g} contentions of one DIFS ({difs:g} us), more "
                           f"than the {MAX_SIM_WORK:.0e} events one run may take")
-    arrivals = 2 * n * max(spec.lambdas, default=0.0) * spec.duration_s
+    lam = max(spec.lambdas, default=0.0)
+    arrivals = 2 * n * lam * spec.duration_s
     if arrivals > MAX_SIM_WORK:
-        raise ConfigError("--lambda", f"{max(spec.lambdas):g} pkts/s per queue, over "
+        raise ConfigError("--lambda", f"{lam:g} pkts/s per queue, over "
                           f"2N = {2 * n} queues for {spec.duration_s:g} s, expects "
                           f"{arrivals:.3g} arrivals, more than the {MAX_SIM_WORK:.0e} "
                           f"events one run may take")
