@@ -654,6 +654,11 @@ GOLDEN_RUNS = [
      "8ae3838f0f37570977c006211b400b744c9357a384ef562ead002fdd141bcb50"),
     ("opportunistic", 2, 200.0, EXPLICIT, None, 3e6,
      "c246ce947ea05774eaa7d39b0b7966c41f77044b2fff493ead9c99b6a999c3cf"),
+    # N = 7 near capacity: 3,460 of 6,786 contentions (51%) start with every
+    # queue backlogged, in stretches of many lengths.  Pinned with a fixed
+    # read-ahead of 32 rows, before the window grew with the stretch.
+    ("opportunistic", 7, 120.0, EXPLICIT, 7, 2e6,
+     "f47d002daca03ea6ab5ba52118df70207bc9e192c5cdf1cca85cc7c9f617a773"),
 ]
 
 
