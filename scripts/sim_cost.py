@@ -15,7 +15,10 @@ with ``system.n_stations = N``:
   hook);
 - ``lone``: the contentions that started with one backlogged queue, which
   take the lone-contender path of ``start`` and, unless a queue joins,
-  ``resolve``.
+  ``resolve``;
+- ``full``: the contentions that started with every queue backlogged.  For
+  the opportunistic MAC these are its batch rows, read ahead of the draw
+  streams.
 
 The counts come from one extra run with counters on ``heapq.heappop`` and
 on the ``start`` hook, which is not timed.  The perfbench sim spans cannot
@@ -43,8 +46,9 @@ SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
 
 @contextmanager
 def counters():
-    """Count heap pops and ``start`` calls, all and lone, while the block runs."""
-    counts = {"pops": 0, "starts": 0, "lone": 0}
+    """Count heap pops and ``start`` calls, all, lone and full, while the
+    block runs."""
+    counts = {"pops": 0, "starts": 0, "lone": 0, "full": 0}
     pop, run_loop = heapq.heappop, sim._run
 
     def counted_pop(heap):
@@ -55,6 +59,7 @@ def counters():
         def counted_start(t):
             counts["starts"] += 1
             counts["lone"] += len(tally.backlogged) == 1
+            counts["full"] += len(tally.backlogged) == len(tally.q)
             return start(t)
         return run_loop(scheme, config, lam, tally, next_gap, counted_start, *hooks)
 
@@ -81,6 +86,7 @@ def measure(scheme: str, n: int, lam: float, duration_s: float, repeats: int) ->
         "at_empty": counts["pops"],
         "contentions": counts["starts"],
         "lone": counts["lone"],
+        "full": counts["full"],
     }
 
 
@@ -92,7 +98,7 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     cols = ("scheme", "n", "lambda", "wall_per_sim_s", "arrivals", "at_empty",
-            "contentions", "lone")
+            "contentions", "lone", "full")
     print("  ".join(f"{c:>14}" for c in cols))
     for scheme in SCHEMES:
         for n in map(int, args.n.split(",")):

@@ -121,11 +121,50 @@ def build_kernels(policy: TimerPolicy, pi: np.ndarray, lambda_pps: float) -> Ker
     return KernelTable(policy, lambda_pps, ap, sta, both, surv)
 
 
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series with coefficients c at x, by numpy's ``legval``
+    recursion (Clenshaw's) with its bracketing of each product."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1] by the steps, and so the
+    values, of numpy's ``leggauss``, without importing ``numpy.polynomial``:
+    the roots of P_m are the eigenvalues of its symmetric companion matrix,
+    refined by one Newton step, and the weights 1 / (P_m' P_{m-1}) at them
+    are scaled to sum to 2."""
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    j = np.arange(m)
+    # P_m' = sum of (2j + 1) P_j over the j < m with m - j odd
+    der = np.where((m - j) % 2 == 1, 2.0 * j + 1.0, 0.0)
+    mat = np.zeros((m, m))
+    scl = 1.0 / np.sqrt(2 * j + 1)
+    mat.reshape(-1)[1::m + 1] = mat.reshape(-1)[m::m + 1] = j[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(mat)
+    df = _legval(x, der)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2  # both symmetric about 0
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @functools.lru_cache(maxsize=None)
 def _gl_nodes(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1], exact to the given degree;
     cached, so the arrays are read-only."""
-    x, w = np.polynomial.legendre.leggauss(max(1, (degree + 2) // 2))
+    x, w = _leggauss(max(1, (degree + 2) // 2))
     nodes, weights = (x + 1.0) / 2.0, w / 2.0
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

@@ -44,7 +44,12 @@ the per-queue pass:
   contenders without a scan;
 - batch row: an opportunistic contention with every queue backlogged, which
   no queue can join, is one row of a numpy batch computed from the
-  channel-state and timer draws read ahead of their streams.
+  channel-state and timer draws read ahead of their streams.  A row carries
+  its outcome too: whether it collides and, if so, the busy time, so
+  ``resolve`` looks a collision up.  The first batch of a stretch of such
+  contentions holds ``BATCH_FIRST`` rows, and each next batch twice as many
+  as the last, up to ``BATCH``, so a short stretch reads few rows it does
+  not take and a long one few batches.
 
 The engine is strictly deterministic for a given (config, seed): every
 random stream has its own generator, whose draws are served from blocks by
@@ -86,12 +91,17 @@ from .core import (
 )
 
 # Draws per block of a MAC stream: large enough that the numpy call per block
-# is amortised and that one block holds a batch of full contentions' draws at
-# N = 15; an arrival stream's block stays small, as there are 2N of them.
+# is amortised and that one block holds the first batch of a stretch of full
+# contentions at N = 30 (BATCH_FIRST * 2N timers); a batch at the cap spans
+# several blocks, peeked together.  An arrival stream's block stays small, as
+# there are 2N of them.
 DRAW_BLOCK = 1024
 ARRIVAL_BLOCK = 16
-# Full-backlog contentions the opportunistic MAC reads ahead in one batch.
-BATCH = 32
+# Full-backlog contentions the opportunistic MAC reads ahead in one batch: the
+# first batch of a stretch of full contentions, and the cap that the batch
+# doubles to while the stretch lasts.
+BATCH_FIRST = 8
+BATCH = 256
 
 
 class InvariantError(RuntimeError):
@@ -394,6 +404,30 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     return _build_report(scheme, config, lambda_pps, tally, duration_us)
 
 
+def _batch_rows(h: np.ndarray, u: np.ndarray, base_of: np.ndarray,
+                p_even_of: np.ndarray, air_of: np.ndarray, difs: float) -> list:
+    """Full-backlog contentions of the opportunistic MAC worked out from
+    their draws, last first.  Row b of ``h`` holds one contention's n pair
+    states and row b of ``u`` its 2n timer draws, in the order the per-queue
+    pass of ``start`` takes them.  Each row gives the pair states, the
+    earliest slot, the queues reaching it (ascending) and the busy time of
+    ``resolve``'s collision rule: max air time of the colliders + ``difs``
+    if an STA queue is among two or more at the earliest slot, else None."""
+    k = base_of[h].repeat(2, axis=1) + (u >= p_even_of)
+    k_min = k.min(axis=1)
+    at_min = k == k_min[:, None]
+    row, q = np.nonzero(at_min)  # row-major: q ascends in a row
+    count = np.bincount(row, minlength=len(h))
+    ends = np.cumsum(count).tolist()
+    q = q.tolist()
+    firsts = [q[a:b] for a, b in zip([0] + ends, ends)]
+    collide = (count > 1) & at_min[:, 1::2].any(axis=1)
+    pair_at_min = at_min[:, ::2] | at_min[:, 1::2]
+    busy = np.where(pair_at_min, air_of[h], -np.inf).max(axis=1) + difs
+    busy = np.where(collide, busy, None).tolist()
+    return list(zip(h.tolist(), k_min.tolist(), firsts, busy))[::-1]
+
+
 def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
                       timing: MacTiming, space: ChannelSpace,
                       duration_us: float) -> SimReport:
@@ -420,7 +454,7 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     next_state, next_timer_u = state_draws.next, timer_draws.next
     next_coin = _Draws(per_rng.random, DRAW_BLOCK).next
     next_gap = [_gap_draws(r, 1.0 / lam_us) for r in arr_rngs] if lam_us > 0.0 else []
-    base_of = np.array(base)
+    base_of, air_of = np.array(base), np.array(air_us)
     p_even_of = np.tile(p_even, n)  # indexed by queue
 
     tally = _Tally([f"{side}{i}" for i in range(n) for side in (AP, STA)],
@@ -430,27 +464,15 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     pair_state: list = [None] * n
     k_star, first = 0, []  # earliest expiry slot; the queues reaching it, ascending
     # full-backlog contentions read ahead of the state and timer streams,
-    # last first, and how many were taken whose draws the streams still hold
-    rows, taken = [], 0
+    # last first; how many were taken whose draws the streams still hold; the
+    # size of the next batch, which doubles while a stretch of full
+    # contentions lasts
+    rows, taken, window = [], 0, BATCH_FIRST
+    row_busy = None  # the busy time of a batch row that collides, until resolved
     attempted, won_state, ok = [], None, False  # outcome of the last resolution
 
-    def read_rows() -> list:
-        """The next BATCH full-backlog contentions as the per-queue pass of
-        ``start`` would draw them, last first: each row's pair states, its
-        earliest slot and the queues reaching it, ascending.  Nothing is
-        consumed: row b starts b * n states and b * nq timers ahead."""
-        h = state_draws.peek(BATCH * n).reshape(BATCH, n)
-        u = timer_draws.peek(BATCH * nq).reshape(BATCH, nq)
-        k = base_of[h].repeat(2, axis=1) + (u >= p_even_of)
-        k_min = k.min(axis=1)
-        row, q = np.nonzero(k == k_min[:, None])  # row-major: q ascends in a row
-        ends = np.cumsum(np.bincount(row, minlength=BATCH)).tolist()
-        q = q.tolist()
-        firsts = [q[a:b] for a, b in zip([0] + ends, ends)]
-        return list(zip(h.tolist(), k_min.tolist(), firsts))[::-1]
-
     def start(t: float) -> float:
-        nonlocal tau, k_star, first, pair_state, rows, taken
+        nonlocal tau, k_star, first, pair_state, rows, taken, window, row_busy
         tau = t
         full = len(backlogged) == nq
         if taken and not (full and rows):
@@ -459,12 +481,19 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
             state_draws.skip(taken * n)
             timer_draws.skip(taken * nq)
             rows, taken = [], 0
+            if not full:  # the stretch of full contentions ended
+                window = BATCH_FIRST
         if full:
             # no queue can join, so the contention takes exactly one row's
-            # draws, in the order the per-queue pass would take them
+            # draws, in the order the per-queue pass would take them.  The
+            # rows are only peeked: row b starts b * n states and b * nq
+            # timers ahead.
             if not rows:
-                rows = read_rows()
-            pair_state, k_star, first = rows.pop()
+                rows = _batch_rows(state_draws.peek(window * n).reshape(window, n),
+                                   timer_draws.peek(window * nq).reshape(window, nq),
+                                   base_of, p_even_of, air_of, difs)
+                window = min(2 * window, BATCH)
+            pair_state, k_star, first, row_busy = rows.pop()
             taken += 1
             return tau + k_star * delta
         pair_state = [None] * n  # a joiner of another pair draws its own state
@@ -506,11 +535,15 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
         return None
 
     def resolve() -> float:
-        nonlocal attempted, won_state, ok
+        nonlocal attempted, won_state, ok, row_busy
         if len(first) == 1:
             # a lone expiry wins without a pick (integers(1) would return 0
             # and draw nothing)
             attempted = first
+        elif row_busy is not None:  # a batch row that collides
+            attempted, ok = first, False
+            busy, row_busy = row_busy, None
+            return busy
         else:
             ap_exp = [q for q in first if not q & 1]
             if len(ap_exp) < len(first):

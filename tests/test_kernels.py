@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from oppmac import (
     cycle_models,
 )
 from oppmac.analysis import CensusSpace, enumerate_censuses
-from oppmac.kernels import PAIR_STATES
+from oppmac import kernels
+from oppmac.kernels import PAIR_STATES, _leggauss
 
 from conftest import LAMBDA_GRID, P_GRID, PI_GRID
 from oracles import (
@@ -398,3 +403,29 @@ def test_p_suc_sta_empty_census_no_arrivals(timing):
     kt = make_kernels(lam=0.0)
     succ, col = summaries(kt, timing, 2)[(0, 0, 0)]
     assert (succ == 0.0).all() and (col == 0.0).all()
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    """The local Gauss-Legendre rule is numpy's ``leggauss`` bit for bit, for
+    1 to 64 points."""
+    for m in range(1, 65):
+        x, w = _leggauss(m)
+        want_x, want_w = np.polynomial.legendre.leggauss(m)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w), m
+
+
+def test_analyze_leaves_numpy_polynomial_unimported(tmp_path):
+    """An analyze in a fresh interpreter takes its Gauss-Legendre nodes
+    without importing ``numpy.polynomial``."""
+    code = (
+        "import sys\n"
+        "from oppmac.cli import main\n"
+        "from oppmac.kernels import _gl_nodes\n"
+        f"code = main(['analyze', '--set', 'system.n_stations=4', '--lambda', '20',"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, _gl_nodes.cache_info().misses, 'numpy.polynomial' in sys.modules)\n")
+    src = Path(kernels.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 1 False"

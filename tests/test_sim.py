@@ -655,8 +655,11 @@ GOLDEN_RUNS = [
     ("opportunistic", 2, 200.0, EXPLICIT, None, 3e6,
      "c246ce947ea05774eaa7d39b0b7966c41f77044b2fff493ead9c99b6a999c3cf"),
     # N = 7 near capacity: 3,460 of 6,786 contentions (51%) start with every
-    # queue backlogged, in stretches of many lengths.  Pinned with a fixed
-    # read-ahead of 32 rows, before the window grew with the stretch.
+    # queue backlogged, in 64 stretches of 1 to 355.  63 of them end at a
+    # contention with some queue empty, 58 with rows read ahead left over,
+    # and the longest takes 2 of the 178 reads at the cap of 256 rows.
+    # Pinned with a fixed read-ahead of 32 rows, before the read-ahead grew
+    # with the stretch.
     ("opportunistic", 7, 120.0, EXPLICIT, 7, 2e6,
      "f47d002daca03ea6ab5ba52118df70207bc9e192c5cdf1cca85cc7c9f617a773"),
 ]
@@ -680,6 +683,92 @@ def test_golden_report_digests(policy, timing, space):
         merges += rep.ap_internal_merges
     assert got == [run[-1] for run in GOLDEN_RUNS]
     assert ap_drops > 0 and merges > 0
+
+
+def _per_queue_row(h_row, u_row, base, p_even, air_us, difs):
+    """One full-backlog contention as the per-queue pass of the opportunistic
+    ``start`` draws it and its ``resolve`` rules on a collision: (pair
+    states, earliest slot, queues reaching it, busy time or None)."""
+    states, timers = iter(h_row), iter(u_row)
+    pair_state, k_star, first = [None] * len(h_row), math.inf, []
+    for q in range(2 * len(h_row)):
+        h = pair_state[q >> 1]
+        if h is None:
+            h = pair_state[q >> 1] = next(states)
+        k = base[h] if next(timers) < p_even[q & 1] else base[h] + 1
+        if k < k_star:
+            k_star, first = k, [q]
+        elif k == k_star:
+            first.append(q)
+    busy = None
+    if len(first) > 1 and any(q & 1 for q in first):
+        busy = max(air_us[pair_state[q >> 1]] for q in first) + difs
+    return pair_state, k_star, first, busy
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 15])
+@pytest.mark.parametrize("chan", [EXPLICIT, RAYLEIGH], ids=["explicit", "rayleigh"])
+@pytest.mark.parametrize("p", [0.5, 0.85])
+def test_batch_rows_match_the_per_queue_pass(n, chan, p, timing, space):
+    """Each batch row worked out from random draws equals, row by row, the
+    per-queue pass and the collision rule in plain Python: the pair states,
+    the earliest slot, the queues reaching it, whether it collides and the
+    busy time, the same float.  The rows come last first."""
+    policy = TimerPolicy(p=p, delta_us=9.0, num_states=4)
+    base = [policy.base_slot(h) for h in range(4)]
+    p_even = (policy.p, 1.0 - policy.p)
+    air_us = [timing.data_airtime(h) for h in range(4)]
+    rows = 300
+    gen = np.random.Generator(np.random.PCG64(n))
+    h = _state_draws(SystemConfig(n_stations=n, **chan), space, gen).peek(rows * n)
+    h = h.reshape(rows, n)
+    u = gen.random((rows, 2 * n))
+    got = sim._batch_rows(h, u, np.array(base), np.tile(p_even, n), np.array(air_us),
+                          timing.difs_us)[::-1]
+    want = [_per_queue_row(hr, ur, base, p_even, air_us, timing.difs_us)
+            for hr, ur in zip(h.tolist(), u.tolist())]
+    assert len(got) == rows
+    for g, w in zip(got, want):
+        assert g == w
+        assert [type(x) for x in g] == [type(x) for x in w]
+    kinds = {(len(w[2]) > 1, w[3] is not None) for w in want}
+    assert (True, True) in kinds and (False, False) in kinds  # collisions, lone expiries
+    if n > 1:
+        assert (True, False) in kinds  # AP expiries alone
+
+
+def test_read_ahead_window_doubles_while_full_contentions_last(policy, timing, space,
+                                                                monkeypatch):
+    """In the pinned N = 7, lambda = 120 run the opportunistic MAC reads
+    BATCH_FIRST rows at the first full contention of a stretch and twice the
+    last read, up to BATCH, each time a stretch runs out of rows; a
+    contention that starts with some queue empty ends the stretch."""
+    fulls, reads = [], []
+    run_loop, batch_rows = sim._run, sim._batch_rows
+
+    def counted_run(scheme, config, lam, tally, next_gap, start, *hooks):
+        def counted_start(t):
+            fulls.append(len(tally.backlogged) == len(tally.q))
+            return start(t)
+        return run_loop(scheme, config, lam, tally, next_gap, counted_start, *hooks)
+
+    def counted_rows(h, *args):
+        reads.append((len(fulls) - 1, len(h)))
+        return batch_rows(h, *args)
+
+    monkeypatch.setattr(sim, "_run", counted_run)
+    monkeypatch.setattr(sim, "_batch_rows", counted_rows)
+    run_opportunistic(120.0, SystemConfig(n_stations=7, retry_limit=7, seed=34, **EXPLICIT),
+                      policy, timing, space, duration_us=2e6)
+    prev = None  # (start, size) of the last read
+    for at, size in reads:
+        assert fulls[at]
+        if prev is not None and all(fulls[prev[0]:at + 1]):  # the stretch went on
+            assert at == prev[0] + prev[1] and size == min(2 * prev[1], sim.BATCH)
+        else:
+            assert size == sim.BATCH_FIRST and not fulls[at - 1]
+        prev = at, size
+    assert max(size for _, size in reads) == sim.BATCH
 
 
 @pytest.mark.parametrize("mac", ["opportunistic", "arf", "threshold"])
