@@ -766,7 +766,7 @@ def test_read_ahead_window_doubles_while_full_contentions_last(policy, timing, s
         if prev is not None and all(fulls[prev[0]:at + 1]):  # the stretch went on
             assert at == prev[0] + prev[1] and size == min(2 * prev[1], sim.BATCH)
         else:
-            assert size == sim.BATCH_FIRST and not fulls[at - 1]
+            assert size == sim.BATCH_FIRST and (at == 0 or not fulls[at - 1])
         prev = at, size
     assert max(size for _, size in reads) == sim.BATCH
 
