@@ -662,6 +662,16 @@ GOLDEN_RUNS = [
     # with the stretch.
     ("opportunistic", 7, 120.0, EXPLICIT, 7, 2e6,
      "f47d002daca03ea6ab5ba52118df70207bc9e192c5cdf1cca85cc7c9f617a773"),
+    # N = 1 past capacity with retry limit 0: a collision of the pair drops
+    # both head packets, which can leave every queue empty, so the channel
+    # goes vacant straight from a full contention.
+    ("opportunistic", 1, 300.0, EXPLICIT, 0, 2e6,
+     "aa569655c00839978ab5957af350376285a09bca225f86b65cfdb7e635c48e16"),
+    # N = 7 far past capacity, retry limit 2: long runs of full contentions
+    # with AP merges among them, and a duration that is not a whole number of
+    # slots, so the run ends inside a transaction.
+    ("opportunistic", 7, 5000.0, EXPLICIT, 2, 1554330.0,
+     "7c0e0d4421bde87dd049a86318a37d339b10f8fd53862dcf242ca02f5a7a7b7c"),
 ]
 
 
