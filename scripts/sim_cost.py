@@ -11,17 +11,23 @@ with ``system.n_stations = N``:
 - ``at_empty``: the arrivals that reached an empty queue.  These are the
   event loop's heap pops, the only arrivals that can start or join a
   contention; an arrival at a backlogged queue is only counted;
-- ``contentions``: the contentions started (calls of the MAC's ``start``
-  hook);
+- ``contentions``: the contentions started: the calls of the MAC's
+  ``start`` hook and the contentions of the opportunistic MAC's stretches;
 - ``lone``: the contentions that started with one backlogged queue, which
   take the lone-contender path of ``start`` and, unless a queue joins,
   ``resolve``;
 - ``full``: the contentions that started with every queue backlogged.  For
   the opportunistic MAC these are its batch rows, read ahead of the draw
-  streams.
+  streams, which its ``stretch`` hook takes; each applies one outcome (a
+  tally's ``deliver``, ``fail`` or ``collide``), bar the one the warmup
+  mark or the duration may cut;
+- ``stretches``: the calls of the ``stretch`` hook, each a run of full
+  contentions that a queue emptying, the warmup mark or the duration ends
+  (a stretch that the mark cuts is two).
 
-The counts come from one extra run with counters on ``heapq.heappop`` and
-on the ``start`` hook, which is not timed.  The perfbench sim spans cannot
+The counts come from one extra run with counters on ``heapq.heappop``, on
+the ``start`` and ``stretch`` hooks and on the tally's outcomes, which is
+not timed.  The perfbench sim spans cannot
 give these numbers, as its simulator runs go to forked children.  Pin the
 process to one CPU so that the times are comparable:
 
@@ -46,28 +52,53 @@ SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
 
 @contextmanager
 def counters():
-    """Count heap pops and ``start`` calls, all, lone and full, while the
-    block runs."""
-    counts = {"pops": 0, "starts": 0, "lone": 0, "full": 0}
+    """Count heap pops, contentions (all, lone and full), stretches and the
+    tally's outcomes while the block runs."""
+    counts = {"pops": 0, "contentions": 0, "lone": 0, "full": 0, "stretches": 0,
+              "outcomes": 0}
     pop, run_loop = heapq.heappop, sim._run
+    outcomes = {name: getattr(sim._Tally, name) for name in ("deliver", "fail", "collide")}
 
     def counted_pop(heap):
         counts["pops"] += 1
         return pop(heap)
 
-    def counted_run(scheme, config, lam, tally, next_gap, start, *hooks):
+    def counted_outcome(apply):
+        def counted(self, *args):
+            counts["outcomes"] += 1
+            return apply(self, *args)
+        return counted
+
+    def counted_run(scheme, config, lam, tally, next_gap, start, join, resolve, end,
+                    duration_us, stretch=None):
         def counted_start(t):
-            counts["starts"] += 1
+            counts["contentions"] += 1
             counts["lone"] += len(tally.backlogged) == 1
             counts["full"] += len(tally.backlogged) == len(tally.q)
             return start(t)
-        return run_loop(scheme, config, lam, tally, next_gap, counted_start, *hooks)
+
+        def counted_stretch(t, stop):
+            counts["stretches"] += 1
+            applied = counts["outcomes"]
+            t_next, busy = stretch(t, stop)
+            # a stop leaves every queue backlogged and cuts one contention
+            full = counts["outcomes"] - applied + (len(tally.backlogged) == len(tally.q))
+            counts["contentions"] += full
+            counts["full"] += full
+            return t_next, busy
+
+        return run_loop(scheme, config, lam, tally, next_gap, counted_start, join, resolve,
+                        end, duration_us, stretch and counted_stretch)
 
     heapq.heappop, sim._run = counted_pop, counted_run
+    for name, apply in outcomes.items():
+        setattr(sim._Tally, name, counted_outcome(apply))
     try:
         yield counts
     finally:
         heapq.heappop, sim._run = pop, run_loop
+        for name, apply in outcomes.items():
+            setattr(sim._Tally, name, apply)
 
 
 def measure(scheme: str, n: int, lam: float, duration_s: float, repeats: int) -> dict:
@@ -84,9 +115,10 @@ def measure(scheme: str, n: int, lam: float, duration_s: float, repeats: int) ->
         "wall_per_sim_s": statistics.median(walls) / duration_s,
         "arrivals": sum(q["arrivals"] for q in rep.queues.values()),
         "at_empty": counts["pops"],
-        "contentions": counts["starts"],
+        "contentions": counts["contentions"],
         "lone": counts["lone"],
         "full": counts["full"],
+        "stretches": counts["stretches"],
     }
 
 
@@ -98,7 +130,7 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     cols = ("scheme", "n", "lambda", "wall_per_sim_s", "arrivals", "at_empty",
-            "contentions", "lone", "full")
+            "contentions", "lone", "full", "stretches")
     print("  ".join(f"{c:>14}" for c in cols))
     for scheme in SCHEMES:
         for n in map(int, args.n.split(",")):

@@ -16,7 +16,7 @@ a backlogged queue changes no MAC decision and is counted when that queue's
 counters are next read.  The channel's one pending event (a resolution or a
 transaction end) and the warmup mark are scalars, so no resolution goes
 stale.  At one instant arrivals (lower queue first) precede the channel
-event, which precedes the mark.  A MAC is four hooks:
+event, which precedes the mark.  A MAC is four hooks and an optional fifth:
 
 - ``start(t)``: a contention among the backlogged queues begins at t;
   return the time it resolves.
@@ -28,6 +28,13 @@ event, which precedes the mark.  A MAC is four hooks:
   ``_Tally``, the one record of the run, and return nothing.  A success is
   the winner's delivery, so the report's success counts are sums of the
   per-queue deliveries.
+- ``stretch(t, stop)``: a transaction ended at t with every queue
+  backlogged, so no arrival can start or join a contention and the channel
+  runs alone.  Run its contentions and transactions until a transaction end
+  empties a queue, and return that end and False; or, as soon as the
+  channel's next event passes ``stop`` (the warmup mark or the duration,
+  whichever comes first), return that event and whether it ends a
+  transaction.  An event at exactly ``stop`` is run.
 
 A contention takes one of three paths, each with the draws, in order, of
 the per-queue pass:
@@ -44,12 +51,16 @@ the per-queue pass:
   contenders without a scan;
 - batch row: an opportunistic contention with every queue backlogged, which
   no queue can join, is one row of a numpy batch computed from the
-  channel-state and timer draws read ahead of their streams.  A row carries
-  its outcome too: whether it collides and, if so, the busy time, so
-  ``resolve`` looks a collision up.  The first batch of a stretch of such
-  contentions holds ``BATCH_FIRST`` rows, and each next batch twice as many
-  as the last, up to ``BATCH``, so a short stretch reads few rows it does
-  not take and a long one few batches.
+  channel-state and timer draws read ahead of their streams.  The batch is
+  columns, one entry per row: the earliest slot, the queues reaching it,
+  whether it collides, a collision's busy time and a lone winner's state.
+  The opportunistic MAC's ``stretch`` takes the rows one after another and
+  applies each outcome in one loop; it hands a row to ``resolve`` only for
+  an AP merge (AP expiries alone tie) or when ``stop`` comes before the
+  row's resolution.  The first batch of a stretch holds ``BATCH_FIRST``
+  rows, and each next batch twice as many as the last, up to ``BATCH``, so
+  a short stretch reads few rows it does not take and a long one few
+  batches.
 
 The engine is strictly deterministic for a given (config, seed): every
 random stream has its own generator, whose draws are served from blocks by
@@ -93,10 +104,11 @@ from .core import (
 # Draws per block of a MAC stream: large enough that the numpy call per block
 # is amortised and that one block holds the first batch of a stretch of full
 # contentions at N = 30 (BATCH_FIRST * 2N timers); a batch at the cap spans
-# several blocks, peeked together.  An arrival stream's block stays small, as
-# there are 2N of them.
+# several blocks, peeked together.  An arrival stream's block is smaller, as
+# there are 2N of them: 2N * 256 draws of 8 bytes, 246 KB at N = 60, which
+# amortise the numpy call per block for the arrivals of a saturated run.
 DRAW_BLOCK = 1024
-ARRIVAL_BLOCK = 16
+ARRIVAL_BLOCK = 256
 # Full-backlog contentions the opportunistic MAC reads ahead in one batch: the
 # first batch of a stretch of full contentions, and the cap that the batch
 # doubles to while the stretch lasts.
@@ -230,6 +242,18 @@ class _Tally:
         qs.dropped += 1
         return True
 
+    def collide(self, queues: list, t: float) -> None:
+        """The head packets of ``queues`` collided: one collision, and a
+        failed attempt of each, as ``fail`` counts it."""
+        self.collisions += 1
+        limit = self.retry_limit
+        for q in queues:
+            qs = self.q[q]
+            qs.retry += 1
+            if limit is not None and qs.retry > limit:
+                self._pop_head(q, t)
+                qs.dropped += 1
+
     def _pop_head(self, q: int, t: float) -> None:
         qs = self.q[q]
         qs.flush(t)
@@ -267,14 +291,15 @@ class _Draws:
     ``draw(size=size)``.  ``next`` gives the next draw as a Python scalar;
     it is a C-level iterator's ``__next__``, so a scalar draw runs no Python
     frame.  ``peek(m)`` gives the next m draws as an array without consuming
-    them, and ``skip(m)`` consumes m.  numpy returns the same values, in the
-    same order, for k draws in one call as for k scalar calls, so while
-    nothing else draws from the generator behind ``draw``, any interleaving
-    of the three gives its scalar stream."""
+    them (a view of one held block when that block holds them all, so the
+    caller must not write to it), and ``skip(m)`` consumes m.  numpy returns
+    the same values, in the same order, for k draws in one call as for k
+    scalar calls, so while nothing else draws from the generator behind
+    ``draw``, any interleaving of the three gives its scalar stream."""
 
     def __init__(self, draw, size: int):
         self._draw, self._size = draw, size
-        self._ahead = deque()  # blocks drawn for a peek and not yet served
+        self._ahead = deque()  # drawn for a peek, whole blocks, and not yet served
         self._block = draw(size=0)  # the block being served, as drawn
         self._left = iter(())  # the iterator serving the rest of it
         self._served = chain.from_iterable(self._blocks())
@@ -287,13 +312,21 @@ class _Draws:
             yield self._left
 
     def peek(self, m: int) -> np.ndarray:
-        parts = [self._block[len(self._block) - length_hint(self._left):], *self._ahead]
-        have = sum(map(len, parts))
-        while have < m:
-            parts.append(self._draw(size=self._size))
-            self._ahead.append(parts[-1])
-            have += self._size
-        return np.concatenate(parts)[:m]
+        head = self._block[len(self._block) - length_hint(self._left):]
+        held = [part for part in (head, *self._ahead) if len(part)]
+        short = m - sum(map(len, held))
+        if short > 0:  # the shortfall in one draw, of whole blocks
+            held.append(self._draw(size=-(-short // self._size) * self._size))
+            self._ahead.append(held[-1])
+        parts = []
+        for part in held:  # only the parts the peek reaches, cut at m
+            if m <= 0:
+                break
+            parts.append(part[:m])
+            m -= len(part)
+        if len(parts) == 1:
+            return parts[0]  # a view: no copy
+        return np.concatenate(parts) if parts else head[:0]
 
     def skip(self, m: int) -> None:
         left = length_hint(self._left)
@@ -340,11 +373,12 @@ def _gap_draws(rng, mean_us: float):
 
 
 def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
-         next_gap: list, start, join, resolve, end, duration_us: float) -> SimReport:
-    """The event loop both MACs share; the MAC is the four hooks (see the
-    module docstring), of which ``end`` returns nothing: ``tally`` holds
-    everything the report reads.  ``next_gap[q]`` gives queue q's
-    inter-arrival gaps (empty at a zero rate).  The run ends at
+         next_gap: list, start, join, resolve, end, duration_us: float,
+         stretch=None) -> SimReport:
+    """The event loop both MACs share; the MAC is the four hooks and an
+    optional ``stretch`` (see the module docstring), of which ``end`` returns
+    nothing: ``tally`` holds everything the report reads.  ``next_gap[q]``
+    gives queue q's inter-arrival gaps (empty at a zero rate).  The run ends at
     ``duration_us``, which the caller checked with ``check_duration``, so
     the warmup mark at ``WARMUP_FRAC`` of it fires first and the measured
     window is positive.
@@ -357,8 +391,11 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     (including its trailing interframe gap) while busy.  A join that brings
     the resolution forward overwrites it, so a superseded resolution never
     fires.  ``t_mark`` is the warmup mark.  Ties go to the arrival, then the
-    channel event: a flush counts the arrivals due at its instant."""
+    channel event: a flush counts the arrivals due at its instant.  While
+    every queue is backlogged the heap holds only its sentinel, so a
+    ``stretch`` runs the channel up to the mark or the duration."""
     qstat, backlogged, heap = tally.q, tally.backlogged, tally.heap
+    nq = len(qstat)
     inf = math.inf
     for q, (qs, gap) in enumerate(zip(qstat, next_gap)):
         qs.gap, qs.next = gap, gap()
@@ -393,6 +430,11 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
                 continue
             busy = False
             end(now)
+            if stretch is not None and len(backlogged) == nq:
+                t_chan, busy = stretch(now, min(t_mark, duration_us))
+                if len(backlogged) == nq:  # stopped: t_chan passes the stop
+                    continue
+                now = t_chan  # a transaction end emptied a queue
             # the trailing interframe gap elapsed inside the transaction
             t_chan = start(now) if backlogged else inf
 
@@ -405,14 +447,16 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
 
 
 def _batch_rows(h: np.ndarray, u: np.ndarray, base_of: np.ndarray,
-                p_even_of: np.ndarray, air_of: np.ndarray, difs: float) -> list:
+                p_even_of: np.ndarray, air_of: np.ndarray, difs: float) -> tuple:
     """Full-backlog contentions of the opportunistic MAC worked out from
-    their draws, last first.  Row b of ``h`` holds one contention's n pair
-    states and row b of ``u`` its 2n timer draws, in the order the per-queue
-    pass of ``start`` takes them.  Each row gives the pair states, the
-    earliest slot, the queues reaching it (ascending) and the busy time of
-    ``resolve``'s collision rule: max air time of the colliders + ``difs``
-    if an STA queue is among two or more at the earliest slot, else None."""
+    their draws.  Row b of ``h`` holds one contention's n pair states and row
+    b of ``u`` its 2n timer draws, in the order the per-queue pass of
+    ``start`` takes them.  Returns five columns, entry b for row b: the
+    earliest slot; the queues reaching it, ascending; whether it collides
+    (an STA queue is among two or more at the earliest slot); the busy time
+    of ``resolve``'s collision rule, max air time of the colliders +
+    ``difs``, if it collides, else None; and the winner's pair state if one
+    queue reaches the earliest slot alone, else None."""
     k = base_of[h].repeat(2, axis=1) + (u >= p_even_of)
     k_min = k.min(axis=1)
     at_min = k == k_min[:, None]
@@ -424,8 +468,10 @@ def _batch_rows(h: np.ndarray, u: np.ndarray, base_of: np.ndarray,
     collide = (count > 1) & at_min[:, 1::2].any(axis=1)
     pair_at_min = at_min[:, ::2] | at_min[:, 1::2]
     busy = np.where(pair_at_min, air_of[h], -np.inf).max(axis=1) + difs
-    busy = np.where(collide, busy, None).tolist()
-    return list(zip(h.tolist(), k_min.tolist(), firsts, busy))[::-1]
+    lone_state = h[np.arange(len(h)), at_min.argmax(axis=1) >> 1]
+    return (k_min.tolist(), firsts, collide.tolist(),
+            np.where(collide, busy, None).tolist(),
+            np.where(count == 1, lone_state, None).tolist())
 
 
 def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPolicy,
@@ -463,39 +509,27 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     tau = 0.0
     pair_state: list = [None] * n
     k_star, first = 0, []  # earliest expiry slot; the queues reaching it, ascending
-    # full-backlog contentions read ahead of the state and timer streams,
-    # last first; how many were taken whose draws the streams still hold; the
-    # size of the next batch, which doubles while a stretch of full
-    # contentions lasts
-    rows, taken, window = [], 0, BATCH_FIRST
-    row_busy = None  # the busy time of a batch row that collides, until resolved
+    # full-backlog contentions read ahead of the state and timer streams: the
+    # pair states and the columns of _batch_rows; how many rows were taken,
+    # whose draws the streams still hold; the size of the next read, which
+    # doubles while a stretch lasts
+    no_rows = (None, [], [], [], [], [])
+    rows, taken, window = no_rows, 0, BATCH_FIRST
     attempted, won_state, ok = [], None, False  # outcome of the last resolution
 
+    def end_stretch() -> None:
+        """The streams move past the rows taken, the rest are dropped, and
+        the next stretch reads ``BATCH_FIRST`` rows first."""
+        nonlocal rows, taken, window
+        state_draws.skip(taken * n)
+        timer_draws.skip(taken * nq)
+        rows, taken, window = no_rows, 0, BATCH_FIRST
+
     def start(t: float) -> float:
-        nonlocal tau, k_star, first, pair_state, rows, taken, window, row_busy
+        nonlocal tau, k_star, first, pair_state
+        if taken:  # a stretch the warmup mark cut ended in the transaction after it
+            end_stretch()
         tau = t
-        full = len(backlogged) == nq
-        if taken and not (full and rows):
-            # the streams move past the rows taken before anything else reads
-            # them; the rows left over are dropped
-            state_draws.skip(taken * n)
-            timer_draws.skip(taken * nq)
-            rows, taken = [], 0
-            if not full:  # the stretch of full contentions ended
-                window = BATCH_FIRST
-        if full:
-            # no queue can join, so the contention takes exactly one row's
-            # draws, in the order the per-queue pass would take them.  The
-            # rows are only peeked: row b starts b * n states and b * nq
-            # timers ahead.
-            if not rows:
-                rows = _batch_rows(state_draws.peek(window * n).reshape(window, n),
-                                   timer_draws.peek(window * nq).reshape(window, nq),
-                                   base_of, p_even_of, air_of, difs)
-                window = min(2 * window, BATCH)
-            pair_state, k_star, first, row_busy = rows.pop()
-            taken += 1
-            return tau + k_star * delta
         pair_state = [None] * n  # a joiner of another pair draws its own state
         if len(backlogged) == 1:
             # a lone contender: the pass's two draws, without the pass
@@ -535,15 +569,11 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
         return None
 
     def resolve() -> float:
-        nonlocal attempted, won_state, ok, row_busy
+        nonlocal attempted, won_state, ok
         if len(first) == 1:
             # a lone expiry wins without a pick (integers(1) would return 0
             # and draw nothing)
             attempted = first
-        elif row_busy is not None:  # a batch row that collides
-            attempted, ok = first, False
-            busy, row_busy = row_busy, None
-            return busy
         else:
             ap_exp = [q for q in first if not q & 1]
             if len(ap_exp) < len(first):
@@ -563,14 +593,63 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     def end(t: float) -> None:
         if ok:
             tally.deliver(attempted[0], t, won_state)
-            return
-        if len(attempted) > 1:
-            tally.collisions += 1
-        for q in attempted:
-            tally.fail(q, t)
+        elif len(attempted) > 1:
+            tally.collide(attempted, t)
+        else:
+            tally.fail(attempted[0], t)
+
+    def stretch(t: float, stop: float) -> tuple:
+        # each contention takes the next batch row: the draws of the
+        # per-queue pass, in its order.  The rows are only peeked: row b
+        # starts b * n states and b * nq timers past the draws the streams
+        # have served.
+        nonlocal rows, taken, window, first, pair_state, attempted, won_state, ok
+        h_rows, slots, firsts, collides, busies, lone_states = rows
+        while True:
+            if taken == len(slots):  # the rows ran out: read the next batch
+                state_draws.skip(taken * n)
+                timer_draws.skip(taken * nq)
+                h_rows = state_draws.peek(window * n).reshape(window, n)
+                rows = (h_rows, *_batch_rows(h_rows, timer_draws.peek(window * nq)
+                                             .reshape(window, nq),
+                                             base_of, p_even_of, air_of, difs))
+                _, slots, firsts, collides, busies, lone_states = rows
+                taken, window = 0, min(2 * window, BATCH)
+            b = taken
+            taken += 1
+            t += slots[b] * delta  # the resolution
+            if t > stop:
+                first, pair_state = firsts[b], h_rows[b].tolist()
+                return t, False
+            if collides[b]:
+                t += busies[b]
+                if t > stop:
+                    attempted, ok = firsts[b], False
+                    return t, True
+                tally.collide(firsts[b], t)
+            elif lone_states[b] is not None:
+                h = lone_states[b]
+                won = next_coin() >= per[h]
+                t += tx_us[h]
+                if t > stop:
+                    attempted, won_state, ok = firsts[b], h, won
+                    return t, True
+                if won:
+                    tally.deliver(firsts[b][0], t, h)
+                else:
+                    tally.fail(firsts[b][0], t)
+            else:  # AP expiries alone: resolve picks one
+                first, pair_state = firsts[b], h_rows[b].tolist()
+                t += resolve()
+                if t > stop:
+                    return t, True
+                end(t)
+            if len(backlogged) < nq:  # a queue emptied: the stretch is over
+                end_stretch()
+                return t, False
 
     return _run("opportunistic", config, lambda_pps, tally, next_gap, start, join,
-                resolve, end, duration_us)
+                resolve, end, duration_us, stretch)
 
 
 def _build_report(scheme, config, lambda_pps, tally, final_t) -> SimReport:

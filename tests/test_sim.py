@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 
 from oppmac import MacTiming, ParameterError, SystemConfig, TimerPolicy, fixed_points, sim
+from oppmac.core import WARMUP_FRAC
 from oppmac.sim import (
     CW_MAX,
     CW_MIN,
@@ -443,6 +445,43 @@ def test_stream_peek_and_skip_match_scalar_calls(name, space):
         assert draws.next() == want[at]
 
 
+def test_peek_draws_a_shortfall_once_and_copies_only_what_it_returns(monkeypatch):
+    """A peek past the draws a stream holds makes one draw call, of whole
+    blocks, for the shortfall; it copies only the draws it returns, and none
+    when one held block holds them all, however many blocks the stream
+    holds ahead."""
+    sizes, copied = [], []
+    gen, want = _gen(), _gen().random(100).tolist()
+
+    def draw(size):
+        sizes.append(size)
+        return gen.random(size)
+
+    def counted_concatenate(parts):
+        copied.append(sum(map(len, parts)))
+        return concatenate(parts)
+
+    concatenate = np.concatenate
+    monkeypatch.setattr(sim.np, "concatenate", counted_concatenate)
+    draws, at = _Draws(draw, 7), 0
+    # (op, m, draw sizes after it, copied lengths after it)
+    script = [("peek", 3, [0, 7], []), ("peek", 20, [0, 7, 14], [20]),
+              ("next", 2, [0, 7, 14], [20]), ("peek", 4, [0, 7, 14], [20]),
+              ("skip", 8, [0, 7, 14], [20]), ("peek", 30, [0, 7, 14, 21], [20, 30]),
+              ("peek", 11, [0, 7, 14, 21], [20, 30]), ("next", 12, [0, 7, 14, 21], [20, 30]),
+              ("peek", 0, [0, 7, 14, 21], [20, 30]), ("peek", 20, [0, 7, 14, 21], [20, 30])]
+    for op, m, want_sizes, want_copied in script:
+        if op == "peek":
+            assert draws.peek(m).tolist() == want[at:at + m]
+        elif op == "skip":
+            draws.skip(m)
+            at += m
+        else:
+            assert [draws.next() for _ in range(m)] == want[at:at + m]
+            at += m
+        assert (sizes, copied) == (want_sizes, want_copied), (op, m)
+
+
 def test_conservation_breach_raises():
     """The report refuses counters where a packet went missing."""
     cfg = SystemConfig(n_stations=1, pi=(0.25,) * 4)
@@ -485,6 +524,32 @@ def test_tally_fail_drops_after_retry_limit(retry_limit):
     assert (qs.backlog, qs.dropped) == (0, 2)
     assert tally.backlogged == set()
     assert qs.arrivals == qs.delivered + qs.dropped + qs.backlog
+
+
+@pytest.mark.parametrize("retry_limit", [None, 0, 1])
+def test_tally_collide_fails_each_collider(retry_limit):
+    """A collision counts once and is, for each collider, the failed attempt
+    ``fail`` applies: the same retries, drops, occupancy and backlogged set."""
+    def tally_of_three():
+        tally = _Tally(["ap0", "sta0", "ap1", "sta1"], [0, 2], 4, retry_limit)
+        for q, backlog in ((0, 3), (1, 4), (3, 3)):
+            qs = tally.q[q]
+            qs.arrivals = qs.backlog = backlog
+            tally.backlogged.add(q)
+        return tally
+
+    collided, failed = tally_of_three(), tally_of_three()
+    for k in range(1, 4):
+        collided.collide([0, 1, 3], 10.0 * k)
+        for q in (0, 1, 3):
+            failed.fail(q, 10.0 * k)
+    assert collided.collisions == 3 and failed.collisions == 0
+    assert collided.backlogged == failed.backlogged
+    assert collided.heap == failed.heap
+    for a, b in zip(collided.q, failed.q):
+        assert [getattr(a, f) for f in a.__slots__] == [getattr(b, f) for f in b.__slots__]
+    assert sum(qs.dropped for qs in collided.q) == {None: 0, 0: 9, 1: 3}[retry_limit]
+    assert collided.backlogged == ({1} if retry_limit == 0 else {0, 1, 3})
 
 
 @pytest.mark.parametrize("retry_limit", [None, 0, 1])
@@ -663,13 +728,17 @@ GOLDEN_RUNS = [
     ("opportunistic", 7, 120.0, EXPLICIT, 7, 2e6,
      "f47d002daca03ea6ab5ba52118df70207bc9e192c5cdf1cca85cc7c9f617a773"),
     # N = 1 past capacity with retry limit 0: a collision of the pair drops
-    # both head packets, which can leave every queue empty, so the channel
-    # goes vacant straight from a full contention.
+    # both head packets.  Of its 24 stretches of full contentions, 4 end with
+    # every queue empty, so the channel goes vacant straight from a stretch;
+    # 19 end with one queue emptied (8 by a delivery, 11 by a drop); and the
+    # last is cut by the duration inside a transaction.  Pinned before the
+    # stretches ran in one loop.
     ("opportunistic", 1, 300.0, EXPLICIT, 0, 2e6,
      "aa569655c00839978ab5957af350376285a09bca225f86b65cfdb7e635c48e16"),
-    # N = 7 far past capacity, retry limit 2: long runs of full contentions
-    # with AP merges among them, and a duration that is not a whole number of
-    # slots, so the run ends inside a transaction.
+    # N = 7 far past capacity, retry limit 2: the warmup mark falls between
+    # a full contention's start and its resolution, and the duration inside
+    # a transaction; the run's 2 stretches hold 229 AP merges.  Pinned before
+    # the stretches ran in one loop.
     ("opportunistic", 7, 5000.0, EXPLICIT, 2, 1554330.0,
      "7c0e0d4421bde87dd049a86318a37d339b10f8fd53862dcf242ca02f5a7a7b7c"),
 ]
@@ -697,8 +766,9 @@ def test_golden_report_digests(policy, timing, space):
 
 def _per_queue_row(h_row, u_row, base, p_even, air_us, difs):
     """One full-backlog contention as the per-queue pass of the opportunistic
-    ``start`` draws it and its ``resolve`` rules on a collision: (pair
-    states, earliest slot, queues reaching it, busy time or None)."""
+    ``start`` draws it and its ``resolve`` rules on it: (earliest slot,
+    queues reaching it, whether it collides, busy time or None, the lone
+    winner's state or None)."""
     states, timers = iter(h_row), iter(u_row)
     pair_state, k_star, first = [None] * len(h_row), math.inf, []
     for q in range(2 * len(h_row)):
@@ -713,17 +783,19 @@ def _per_queue_row(h_row, u_row, base, p_even, air_us, difs):
     busy = None
     if len(first) > 1 and any(q & 1 for q in first):
         busy = max(air_us[pair_state[q >> 1]] for q in first) + difs
-    return pair_state, k_star, first, busy
+    lone_state = pair_state[first[0] >> 1] if len(first) == 1 else None
+    return k_star, first, busy is not None, busy, lone_state
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 15])
 @pytest.mark.parametrize("chan", [EXPLICIT, RAYLEIGH], ids=["explicit", "rayleigh"])
 @pytest.mark.parametrize("p", [0.5, 0.85])
 def test_batch_rows_match_the_per_queue_pass(n, chan, p, timing, space):
-    """Each batch row worked out from random draws equals, row by row, the
-    per-queue pass and the collision rule in plain Python: the pair states,
-    the earliest slot, the queues reaching it, whether it collides and the
-    busy time, the same float.  The rows come last first."""
+    """Each column of a batch worked out from random draws equals, row by
+    row, the per-queue pass and the collision rule in plain Python: the
+    earliest slot, the queues reaching it, whether it collides, the busy
+    time (the same float) and the lone winner's state, each with the same
+    type."""
     policy = TimerPolicy(p=p, delta_us=9.0, num_states=4)
     base = [policy.base_slot(h) for h in range(4)]
     p_even = (policy.p, 1.0 - policy.p)
@@ -734,51 +806,174 @@ def test_batch_rows_match_the_per_queue_pass(n, chan, p, timing, space):
     h = h.reshape(rows, n)
     u = gen.random((rows, 2 * n))
     got = sim._batch_rows(h, u, np.array(base), np.tile(p_even, n), np.array(air_us),
-                          timing.difs_us)[::-1]
-    want = [_per_queue_row(hr, ur, base, p_even, air_us, timing.difs_us)
-            for hr, ur in zip(h.tolist(), u.tolist())]
-    assert len(got) == rows
+                          timing.difs_us)
+    want = list(zip(*[_per_queue_row(hr, ur, base, p_even, air_us, timing.difs_us)
+                      for hr, ur in zip(h.tolist(), u.tolist())]))
+    assert len(got) == len(want) == 5
     for g, w in zip(got, want):
-        assert g == w
+        assert type(g) is list and len(g) == rows
+        assert g == list(w)
         assert [type(x) for x in g] == [type(x) for x in w]
-    kinds = {(len(w[2]) > 1, w[3] is not None) for w in want}
+    kinds = {(len(first) > 1, collides) for first, collides in zip(want[1], want[2])}
     assert (True, True) in kinds and (False, False) in kinds  # collisions, lone expiries
     if n > 1:
         assert (True, False) in kinds  # AP expiries alone
 
 
+@pytest.fixture
+def outcomes(monkeypatch):
+    """The kinds of the outcomes the tallies apply, in order: "delivery"
+    for ``deliver``, "failure" for ``fail`` and ``collide``.  Each
+    contention that ends applies exactly one."""
+    kinds = []
+    for name, kind in (("deliver", "delivery"), ("fail", "failure"), ("collide", "failure")):
+        def counted(self, *args, _apply=getattr(_Tally, name), _kind=kind):
+            kinds.append(_kind)
+            return _apply(self, *args)
+        monkeypatch.setattr(_Tally, name, counted)
+    return kinds
+
+
+def _wrap_hooks(monkeypatch, wrap_start=None, wrap_stretch=None):
+    """Wraps the opportunistic MAC's ``start`` or ``stretch`` hook as
+    ``wrap(tally, hook)`` in every run while the test lasts."""
+    run_loop = sim._run
+
+    def wrapped_run(scheme, config, lam, tally, next_gap, start, join, resolve, end,
+                    duration_us, stretch=None):
+        if stretch is not None:
+            start = wrap_start(tally, start) if wrap_start else start
+            stretch = wrap_stretch(tally, stretch) if wrap_stretch else stretch
+        return run_loop(scheme, config, lam, tally, next_gap, start, join, resolve, end,
+                        duration_us, stretch)
+
+    monkeypatch.setattr(sim, "_run", wrapped_run)
+
+
 def test_read_ahead_window_doubles_while_full_contentions_last(policy, timing, space,
-                                                                monkeypatch):
+                                                                monkeypatch, outcomes):
     """In the pinned N = 7, lambda = 120 run the opportunistic MAC reads
     BATCH_FIRST rows at the first full contention of a stretch and twice the
     last read, up to BATCH, each time a stretch runs out of rows; a
-    contention that starts with some queue empty ends the stretch."""
-    fulls, reads = [], []
-    run_loop, batch_rows = sim._run, sim._batch_rows
+    contention that starts with some queue empty ends the stretch.  As
+    contentions follow one another, the index of the one starting is the
+    number of outcomes applied so far."""
+    starts, reads = set(), []  # contentions that start with some queue empty
 
-    def counted_run(scheme, config, lam, tally, next_gap, start, *hooks):
-        def counted_start(t):
-            fulls.append(len(tally.backlogged) == len(tally.q))
+    def counted_start(tally, start):
+        def hook(t):
+            assert len(tally.backlogged) < len(tally.q)
+            starts.add(len(outcomes))
             return start(t)
-        return run_loop(scheme, config, lam, tally, next_gap, counted_start, *hooks)
+        return hook
 
     def counted_rows(h, *args):
-        reads.append((len(fulls) - 1, len(h)))
+        reads.append((len(outcomes), len(h)))
         return batch_rows(h, *args)
 
-    monkeypatch.setattr(sim, "_run", counted_run)
+    batch_rows = sim._batch_rows
+    _wrap_hooks(monkeypatch, wrap_start=counted_start)
     monkeypatch.setattr(sim, "_batch_rows", counted_rows)
     run_opportunistic(120.0, SystemConfig(n_stations=7, retry_limit=7, seed=34, **EXPLICIT),
                       policy, timing, space, duration_us=2e6)
-    prev = None  # (start, size) of the last read
+    prev = None  # (contention, size) of the last read
     for at, size in reads:
-        assert fulls[at]
-        if prev is not None and all(fulls[prev[0]:at + 1]):  # the stretch went on
+        assert at not in starts
+        if prev is not None and starts.isdisjoint(range(prev[0], at)):  # the stretch went on
             assert at == prev[0] + prev[1] and size == min(2 * prev[1], sim.BATCH)
         else:
-            assert size == sim.BATCH_FIRST and (at == 0 or not fulls[at - 1])
+            assert size == sim.BATCH_FIRST and at - 1 in starts
         prev = at, size
     assert max(size for _, size in reads) == sim.BATCH
+    assert len(starts) > 1000
+
+
+def test_golden_runs_end_stretches_every_way(policy, timing, space, monkeypatch, outcomes):
+    """Over the golden runs, a stretch of full contentions ends each way it
+    can: with every queue empty (the channel goes vacant), with a queue
+    emptied by a delivery or by a drop (a contention with some queue empty
+    starts), at the warmup mark or the duration before a row's resolution
+    (``resolve`` takes the row) or inside a transaction (``end`` applies
+    it); and AP merges happen inside stretches.  A failure that empties a
+    queue is a drop."""
+    exits = Counter()
+
+    def counted_stretch(tally, stretch):
+        def hook(t, stop):
+            merges, applied = tally.ap_merges, len(outcomes)
+            t_next, busy = stretch(t, stop)
+            exits["AP merge"] += tally.ap_merges - merges
+            if busy:
+                assert t_next > stop
+                exits["stop inside a transaction"] += 1
+            elif len(tally.backlogged) == len(tally.q):
+                assert t_next > stop
+                exits["stop before a resolution"] += 1
+            else:  # t_next is the transaction end that emptied a queue
+                assert t <= t_next <= stop and len(outcomes) > applied
+                if tally.backlogged:
+                    exits[f"a queue emptied by a {outcomes[-1]}"] += 1
+                else:
+                    assert outcomes[-1] == "failure"
+                    exits["every queue empty"] += 1
+            return t_next, busy
+        return hook
+
+    _wrap_hooks(monkeypatch, wrap_stretch=counted_stretch)
+    for i, (mac, n, lam, chan, retry, duration_us, _) in enumerate(GOLDEN_RUNS):
+        if mac == "opportunistic":
+            cfg = SystemConfig(n_stations=n, retry_limit=retry, seed=11 + i, **chan)
+            run_opportunistic(lam, cfg, policy, timing, space, duration_us=duration_us)
+    assert set(exits) == {"every queue empty", "a queue emptied by a delivery",
+                          "a queue emptied by a failure", "stop before a resolution",
+                          "stop inside a transaction", "AP merge"}
+    assert min(exits.values()) > 0
+
+
+@pytest.mark.parametrize("n, lam, chan, retry", [
+    (1, 300.0, EXPLICIT, 0), (2, 5000.0, RAYLEIGH, None), (7, 5000.0, EXPLICIT, 2),
+    (15, 300.0, RAYLEIGH, 7)])
+def test_stretch_matches_the_event_loop_without_it(n, lam, chan, retry, policy, timing,
+                                                   space, monkeypatch):
+    """Without the stretch hook ``_run`` takes each full contention through
+    ``start``'s per-queue pass, which draws the same states and timers in
+    the same order, so the reports are the same.  That holds also when the
+    duration or the warmup mark falls exactly on a transaction end inside a
+    stretch, which the stretch runs."""
+    run_loop, inside, ends = sim._run, [False], []  # ends: outcomes inside stretches
+
+    def recorded(apply):
+        def hook(self, q, t, *args):
+            if inside[0]:
+                ends.append(t)
+            return apply(self, q, t, *args)
+        return hook
+
+    def run(duration_us, with_stretch):
+        def looped(*args):
+            *args, stretch = args
+
+            def hook(t, stop):
+                inside[0] = True
+                try:
+                    return stretch(t, stop)
+                finally:
+                    inside[0] = False
+            return run_loop(*args, hook if with_stretch else None)
+
+        monkeypatch.setattr(sim, "_run", looped)
+        cfg = SystemConfig(n_stations=n, retry_limit=retry, seed=7, **chan)
+        return run_opportunistic(lam, cfg, policy, timing, space,
+                                 duration_us=duration_us).to_json()
+
+    for name in ("deliver", "fail", "collide"):
+        monkeypatch.setattr(_Tally, name, recorded(getattr(_Tally, name)))
+    assert run(1e6, True) == run(1e6, False)
+    late = [t for t in ends if t > 5e5]
+    at_mark = [t / WARMUP_FRAC for t in ends if WARMUP_FRAC * (t / WARMUP_FRAC) == t]
+    assert late and at_mark
+    for duration_us in (late[len(late) // 2], at_mark[0]):
+        assert run(duration_us, True) == run(duration_us, False)
 
 
 @pytest.mark.parametrize("mac", ["opportunistic", "arf", "threshold"])
