@@ -19,11 +19,11 @@ with ``system.n_stations = N``:
 - ``full``: the contentions that started with every queue backlogged.  For
   the opportunistic MAC these are its batch rows, read ahead of the draw
   streams, which its ``stretch`` hook takes; each applies one outcome (a
-  tally's ``deliver``, ``fail`` or ``collide``), bar the one the warmup
-  mark or the duration may cut;
+  tally's ``deliver``, ``fail`` or ``collide``), bar the one the duration
+  may cut;
 - ``stretches``: the calls of the ``stretch`` hook, each a run of full
-  contentions that a queue emptying, the warmup mark or the duration ends
-  (a stretch that the mark cuts is two).
+  contentions that a queue emptying or the end of the run ends.  The
+  warmup mark does not split a stretch.
 
 The counts come from one extra run with counters on ``heapq.heappop``, on
 the ``start`` and ``stretch`` hooks and on the tally's outcomes, which is
@@ -77,15 +77,15 @@ def counters():
             counts["full"] += len(tally.backlogged) == len(tally.q)
             return start(t)
 
-        def counted_stretch(t, stop):
+        def counted_stretch(t, mark, stop):
             counts["stretches"] += 1
             applied = counts["outcomes"]
-            t_next, busy = stretch(t, stop)
-            # a stop leaves every queue backlogged and cuts one contention
-            full = counts["outcomes"] - applied + (len(tally.backlogged) == len(tally.q))
+            t_end = stretch(t, mark, stop)
+            # the duration cuts one contention, whose outcome is never applied
+            full = counts["outcomes"] - applied + (t_end is None)
             counts["contentions"] += full
             counts["full"] += full
-            return t_next, busy
+            return t_end
 
         return run_loop(scheme, config, lam, tally, next_gap, counted_start, join, resolve,
                         end, duration_us, stretch and counted_stretch)

@@ -11,7 +11,8 @@ Subcommands (all take --config, --lambda, --out and --set):
 A verb refuses other flags, repeated rates or schemes and an --out that is,
 or lies beneath, a file; analyze and validate need rates > 0, and
 simulate refuses two rates whose run files share a name (lam{rate:g}); the
-verbs that simulate refuse a run past MAX_SIM_WORK.  The simulator runs of a
+verbs that simulate refuse a run, or the --reps runs of one scheme and rate
+together, past MAX_SIM_WORK.  The simulator runs of a
 verb spread over the CPUs of its affinity mask: one child per CPU is forked,
 and run j goes to child j mod children; ``taskset -c 0`` keeps them
 in-process.  On Linux a child dies with its parent.  The outputs do not
@@ -45,8 +46,9 @@ SIM_SCHEMES = ("opportunistic", "dcf-arf", "dcf-threshold")
 ALL_SCHEMES = SIM_SCHEMES + ("analysis",)
 # the schemes --scheme may name; without it a verb runs ExperimentSpec's default
 VERB_SCHEMES = {"simulate": SIM_SCHEMES, "compare": ALL_SCHEMES}
-# The work one simulator run may take, in events: both its expected arrivals,
-# 2N * lambda * duration, and the most contentions its duration holds, one per
+# The work one simulator run, and the --reps runs of one (scheme, lambda)
+# together, may take, in events: both the expected arrivals,
+# 2N * lambda * duration, and the most contentions the duration holds, one per
 # DIFS.  The costliest run of the repo's own, a tier-1 test's 20,000 s at
 # N = 2, holds 5.9e8 contentions; the costliest by arrivals, CI's N = 7 at
 # 5000 pkts/s for 1 s, expects 7e4.
@@ -406,9 +408,10 @@ def build_spec(args) -> ExperimentSpec:
 
 
 def _check_sim_work(spec: ExperimentSpec) -> None:
-    """Refuses a simulator run past MAX_SIM_WORK: on --duration-s when its
-    duration holds too many contentions, else on --lambda when it expects too
-    many arrivals."""
+    """Refuses simulator work past MAX_SIM_WORK: on --duration-s when a run's
+    duration holds too many contentions, else on --lambda when a run expects
+    too many arrivals, else on --reps when the runs of one (scheme, lambda)
+    together take too much of either."""
     n, difs = spec.setup.config.n_stations, spec.setup.timing.difs_us
     contentions = spec.duration_s * 1e6 / difs
     if contentions > MAX_SIM_WORK:
@@ -421,6 +424,11 @@ def _check_sim_work(spec: ExperimentSpec) -> None:
         raise ConfigError("--lambda", f"{lam:g} pkts/s per queue, over "
                           f"2N = {2 * n} queues for {spec.duration_s:g} s, expects "
                           f"{arrivals:.3g} arrivals, more than the {MAX_SIM_WORK:.0e} "
+                          f"events one run may take")
+    work = spec.reps * max(contentions, arrivals)
+    if work > MAX_SIM_WORK:
+        raise ConfigError("--reps", f"{spec.reps} runs of one scheme and rate take up to "
+                          f"{work:.3g} events together, more than the {MAX_SIM_WORK:.0e} "
                           f"events one run may take")
 
 

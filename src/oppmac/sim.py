@@ -28,13 +28,14 @@ event, which precedes the mark.  A MAC is four hooks and an optional fifth:
   ``_Tally``, the one record of the run, and return nothing.  A success is
   the winner's delivery, so the report's success counts are sums of the
   per-queue deliveries.
-- ``stretch(t, stop)``: a transaction ended at t with every queue
+- ``stretch(t, mark, stop)``: a transaction ended at t with every queue
   backlogged, so no arrival can start or join a contention and the channel
   runs alone.  Run its contentions and transactions until a transaction end
-  empties a queue, and return that end and False; or, as soon as the
-  channel's next event passes ``stop`` (the warmup mark or the duration,
-  whichever comes first), return that event and whether it ends a
-  transaction.  An event at exactly ``stop`` is run.
+  empties a queue, and return that end.  The first event past ``mark``
+  (the warmup mark, inf once the snapshot is taken) takes the snapshot
+  before its outcome is applied; once an event passes ``stop`` (the
+  duration), return None, and the run ends.  An event at exactly the mark
+  or the duration is run first.
 
 A contention takes one of three paths, each with the draws, in order, of
 the per-queue pass:
@@ -56,11 +57,11 @@ the per-queue pass:
   whether it collides, a collision's busy time and a lone winner's state.
   The opportunistic MAC's ``stretch`` takes the rows one after another and
   applies each outcome in one loop; it hands a row to ``resolve`` only for
-  an AP merge (AP expiries alone tie) or when ``stop`` comes before the
-  row's resolution.  The first batch of a stretch holds ``BATCH_FIRST``
-  rows, and each next batch twice as many as the last, up to ``BATCH``, so
-  a short stretch reads few rows it does not take and a long one few
-  batches.
+  an AP merge (AP expiries alone tie).  The rows are the stretch's own: the
+  draw streams skip the rows it took when it ends, and the rest are
+  dropped.  The first batch of a stretch holds ``BATCH_FIRST`` rows, and
+  each next batch twice as many as the last, up to ``BATCH``, so a short
+  stretch reads few rows it does not take and a long one few batches.
 
 The engine is strictly deterministic for a given (config, seed): every
 random stream has its own generator, whose draws are served from blocks by
@@ -390,10 +391,13 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     nothing queued), the resolution while contending, the transaction end
     (including its trailing interframe gap) while busy.  A join that brings
     the resolution forward overwrites it, so a superseded resolution never
-    fires.  ``t_mark`` is the warmup mark.  Ties go to the arrival, then the
-    channel event: a flush counts the arrivals due at its instant.  While
-    every queue is backlogged the heap holds only its sentinel, so a
-    ``stretch`` runs the channel up to the mark or the duration."""
+    fires.  ``t_mark`` is the warmup mark, inf once the snapshot is taken.
+    Ties go to the arrival, then the channel event: a flush counts the
+    arrivals due at its instant.  While every queue is backlogged the heap
+    holds only its sentinel, so a ``stretch`` runs the channel, and takes the
+    snapshot if the mark falls inside it, until a queue empties, where the
+    loop starts the next contention, or past the duration, where the run
+    ends."""
     qstat, backlogged, heap = tally.q, tally.backlogged, tally.heap
     nq = len(qstat)
     inf = math.inf
@@ -431,10 +435,11 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
             busy = False
             end(now)
             if stretch is not None and len(backlogged) == nq:
-                t_chan, busy = stretch(now, min(t_mark, duration_us))
-                if len(backlogged) == nq:  # stopped: t_chan passes the stop
-                    continue
-                now = t_chan  # a transaction end emptied a queue
+                now = stretch(now, t_mark, duration_us)
+                if now is None:  # an event passed the duration
+                    break
+                if tally.snap is not None:
+                    t_mark = inf
             # the trailing interframe gap elapsed inside the transaction
             t_chan = start(now) if backlogged else inf
 
@@ -509,26 +514,10 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
     tau = 0.0
     pair_state: list = [None] * n
     k_star, first = 0, []  # earliest expiry slot; the queues reaching it, ascending
-    # full-backlog contentions read ahead of the state and timer streams: the
-    # pair states and the columns of _batch_rows; how many rows were taken,
-    # whose draws the streams still hold; the size of the next read, which
-    # doubles while a stretch lasts
-    no_rows = (None, [], [], [], [], [])
-    rows, taken, window = no_rows, 0, BATCH_FIRST
     attempted, won_state, ok = [], None, False  # outcome of the last resolution
-
-    def end_stretch() -> None:
-        """The streams move past the rows taken, the rest are dropped, and
-        the next stretch reads ``BATCH_FIRST`` rows first."""
-        nonlocal rows, taken, window
-        state_draws.skip(taken * n)
-        timer_draws.skip(taken * nq)
-        rows, taken, window = no_rows, 0, BATCH_FIRST
 
     def start(t: float) -> float:
         nonlocal tau, k_star, first, pair_state
-        if taken:  # a stretch the warmup mark cut ended in the transaction after it
-            end_stretch()
         tau = t
         pair_state = [None] * n  # a joiner of another pair draws its own state
         if len(backlogged) == 1:
@@ -598,55 +587,55 @@ def run_opportunistic(lambda_pps: float, config: SystemConfig, policy: TimerPoli
         else:
             tally.fail(attempted[0], t)
 
-    def stretch(t: float, stop: float) -> tuple:
+    def stretch(t: float, mark: float, stop: float) -> float | None:
         # each contention takes the next batch row: the draws of the
         # per-queue pass, in its order.  The rows are only peeked: row b
         # starts b * n states and b * nq timers past the draws the streams
-        # have served.
-        nonlocal rows, taken, window, first, pair_state, attempted, won_state, ok
-        h_rows, slots, firsts, collides, busies, lone_states = rows
+        # have served, and the streams skip the rows taken as the next batch
+        # is read and as the stretch ends.
+        nonlocal first, pair_state
+        slots, taken, window = (), 0, BATCH_FIRST
+        cut = min(mark, stop)  # the warmup mark until the snapshot, then the duration
         while True:
             if taken == len(slots):  # the rows ran out: read the next batch
                 state_draws.skip(taken * n)
                 timer_draws.skip(taken * nq)
                 h_rows = state_draws.peek(window * n).reshape(window, n)
-                rows = (h_rows, *_batch_rows(h_rows, timer_draws.peek(window * nq)
-                                             .reshape(window, nq),
-                                             base_of, p_even_of, air_of, difs))
-                _, slots, firsts, collides, busies, lone_states = rows
+                slots, firsts, collides, busies, lone_states = _batch_rows(
+                    h_rows, timer_draws.peek(window * nq).reshape(window, nq),
+                    base_of, p_even_of, air_of, difs)
                 taken, window = 0, min(2 * window, BATCH)
             b = taken
             taken += 1
             t += slots[b] * delta  # the resolution
-            if t > stop:
-                first, pair_state = firsts[b], h_rows[b].tolist()
-                return t, False
-            if collides[b]:
-                t += busies[b]
-                if t > stop:
-                    attempted, ok = firsts[b], False
-                    return t, True
-                tally.collide(firsts[b], t)
-            elif lone_states[b] is not None:
-                h = lone_states[b]
+            h = lone_states[b]
+            if h is not None:
                 won = next_coin() >= per[h]
                 t += tx_us[h]
+            elif collides[b]:
+                t += busies[b]
+            elif t <= stop:  # AP expiries alone: resolve picks one
+                first, pair_state = firsts[b], h_rows[b].tolist()
+                t += resolve()
+            if t > cut:  # the end, or a merge's resolution past stop, passes the mark or stop
+                if cut < stop:
+                    tally.snapshot(cut)
+                    cut = stop
                 if t > stop:
-                    attempted, won_state, ok = firsts[b], h, won
-                    return t, True
+                    return None
+            if h is not None:
                 if won:
                     tally.deliver(firsts[b][0], t, h)
                 else:
                     tally.fail(firsts[b][0], t)
-            else:  # AP expiries alone: resolve picks one
-                first, pair_state = firsts[b], h_rows[b].tolist()
-                t += resolve()
-                if t > stop:
-                    return t, True
+            elif collides[b]:
+                tally.collide(firsts[b], t)
+            else:
                 end(t)
             if len(backlogged) < nq:  # a queue emptied: the stretch is over
-                end_stretch()
-                return t, False
+                state_draws.skip(taken * n)
+                timer_draws.skip(taken * nq)
+                return t
 
     return _run("opportunistic", config, lambda_pps, tally, next_gap, start, join,
                 resolve, end, duration_us, stretch)

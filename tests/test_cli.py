@@ -764,17 +764,23 @@ def test_analysis_past_the_cell_budget_exit_code(tmp_path, capsys, monkeypatch, 
     ("--lambda", "1e300", "0.001"),  # the arrivals of a run that never ended
     ("--lambda", "1e7", "30"),       # 4.2e9 arrivals, about 17 minutes a run
     ("--duration-s", "20", "1e9"),   # 2.9e13 contentions of one DIFS
+    ("--reps", "40", "30"),          # 1e9 runs of 8.8e5 contentions each
 ])
 def test_simulation_past_the_work_budget_exit_code(tmp_path, capsys, monkeypatch, verb,
                                                    flag, rate, duration_s):
     """A run whose expected arrivals or whose duration in DIFS exceeds
-    MAX_SIM_WORK is refused on the flag that sets it, before any simulator
-    or child starts, and leaves no --out."""
+    MAX_SIM_WORK, or runs of one scheme and rate that exceed it together,
+    are refused on the flag that sets it, before the job list is built and
+    before any simulator or child starts, and leave no --out."""
+    def built(*args, **kwargs):
+        raise AssertionError("the job list was built")
     forbid_model_and_simulator(monkeypatch)
+    monkeypatch.setattr(cli, "_runs_and_solutions", built)
     children = force_cpus(monkeypatch, {0, 1})
     out = tmp_path / "out"
     t0 = time.monotonic()
-    assert main([verb, "--lambda", rate, "--duration-s", duration_s, "--set",
+    reps = "1000000000" if flag == "--reps" else "1"
+    assert main([verb, "--lambda", rate, "--duration-s", duration_s, "--reps", reps, "--set",
                  "system.n_stations=2" if rate == "1e300" else "system.n_stations=7",
                  "--out", str(out)]) == 2
     assert time.monotonic() - t0 < 5
@@ -788,6 +794,11 @@ def test_simulation_past_the_work_budget_exit_code(tmp_path, capsys, monkeypatch
     "compare --scheme opportunistic,dcf-arf,dcf-threshold --lambda 120 --duration-s 40",
     "validate --lambda 80 --duration-s 60",
     "validate --lambda 20 --set system.n_stations=2 --duration-s 120",
+    # their replications, and CI's, together
+    "compare --scheme opportunistic,dcf-arf,dcf-threshold --lambda 120 --reps 2 "
+    "--duration-s 40",
+    "validate --lambda 80 --reps 3 --duration-s 60",
+    "validate --lambda 20 --reps 2 --duration-s 1",
     # CI's costliest by arrivals and by contentions (a 16.002 us DIFS)
     "simulate --set system.n_stations=7 --lambda 5000 --duration-s 1",
     "simulate --set system.n_stations=2 --set timer.delta_us=0.001 --lambda 300 "
@@ -803,7 +814,8 @@ def test_simulation_past_the_work_budget_exit_code(tmp_path, capsys, monkeypatch
 ])
 def test_costliest_runs_fit_the_work_budget(tmp_path, argv):
     """Every simulator run that the committed results, CI, the benchmark and
-    the tests make is inside MAX_SIM_WORK."""
+    the tests make, and its replications together, are inside
+    MAX_SIM_WORK."""
     command, *rest = argv.split()
     flags = dict(zip(rest[::2], rest[1::2]))
     sets = [v for k, v in zip(rest[::2], rest[1::2]) if k == "--set"]
@@ -812,6 +824,8 @@ def test_costliest_runs_fit_the_work_budget(tmp_path, argv):
                                 scheme=flags.get("--scheme", ""))
     if "--duration-s" in flags:
         parsed.duration_s = float(flags["--duration-s"])
+    if "--reps" in flags:
+        parsed.reps = int(flags["--reps"])
     assert cli.build_spec(parsed).lambdas
 
 

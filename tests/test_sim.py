@@ -835,8 +835,9 @@ def outcomes(monkeypatch):
 
 
 def _wrap_hooks(monkeypatch, wrap_start=None, wrap_stretch=None):
-    """Wraps the opportunistic MAC's ``start`` or ``stretch`` hook as
-    ``wrap(tally, hook)`` in every run while the test lasts."""
+    """Wraps the opportunistic MAC's ``start(t)`` or ``stretch(t, mark,
+    stop)`` hook as ``wrap(tally, hook)`` in every run while the test
+    lasts."""
     run_loop = sim._run
 
     def wrapped_run(scheme, config, lam, tally, next_gap, start, join, resolve, end,
@@ -892,31 +893,33 @@ def test_golden_runs_end_stretches_every_way(policy, timing, space, monkeypatch,
     """Over the golden runs, a stretch of full contentions ends each way it
     can: with every queue empty (the channel goes vacant), with a queue
     emptied by a delivery or by a drop (a contention with some queue empty
-    starts), at the warmup mark or the duration before a row's resolution
-    (``resolve`` takes the row) or inside a transaction (``end`` applies
-    it); and AP merges happen inside stretches.  A failure that empties a
-    queue is a drop."""
+    starts), or with an event past the duration (the run ends).  Inside
+    stretches the warmup snapshot is taken, at the mark, and AP merges
+    happen.  A failure that empties a queue is a drop; once the snapshot is
+    taken, ``_run`` passes an infinite mark."""
     exits = Counter()
 
     def counted_stretch(tally, stretch):
-        def hook(t, stop):
-            merges, applied = tally.ap_merges, len(outcomes)
-            t_next, busy = stretch(t, stop)
+        def hook(t, mark, stop):
+            assert (mark == math.inf) == (tally.snap is not None) and t <= min(mark, stop)
+            merges, applied, snapped = tally.ap_merges, len(outcomes), tally.snap
+            t_end = stretch(t, mark, stop)
             exits["AP merge"] += tally.ap_merges - merges
-            if busy:
-                assert t_next > stop
-                exits["stop inside a transaction"] += 1
-            elif len(tally.backlogged) == len(tally.q):
-                assert t_next > stop
-                exits["stop before a resolution"] += 1
-            else:  # t_next is the transaction end that emptied a queue
-                assert t <= t_next <= stop and len(outcomes) > applied
+            if snapped is None and tally.snap is not None:
+                assert tally.snap["t"] == mark
+                exits["warmup snapshot"] += 1
+            if t_end is None:
+                assert tally.snap is not None and len(tally.backlogged) == len(tally.q)
+                exits["the duration passed"] += 1
+            else:  # the transaction end that emptied a queue
+                assert t < t_end <= stop and len(outcomes) > applied
+                assert (tally.snap is snapped) == (t_end <= mark)
                 if tally.backlogged:
                     exits[f"a queue emptied by a {outcomes[-1]}"] += 1
                 else:
                     assert outcomes[-1] == "failure"
                     exits["every queue empty"] += 1
-            return t_next, busy
+            return t_end
         return hook
 
     _wrap_hooks(monkeypatch, wrap_stretch=counted_stretch)
@@ -925,8 +928,8 @@ def test_golden_runs_end_stretches_every_way(policy, timing, space, monkeypatch,
             cfg = SystemConfig(n_stations=n, retry_limit=retry, seed=11 + i, **chan)
             run_opportunistic(lam, cfg, policy, timing, space, duration_us=duration_us)
     assert set(exits) == {"every queue empty", "a queue emptied by a delivery",
-                          "a queue emptied by a failure", "stop before a resolution",
-                          "stop inside a transaction", "AP merge"}
+                          "a queue emptied by a failure", "the duration passed",
+                          "warmup snapshot", "AP merge"}
     assert min(exits.values()) > 0
 
 
@@ -939,26 +942,33 @@ def test_stretch_matches_the_event_loop_without_it(n, lam, chan, retry, policy, 
     ``start``'s per-queue pass, which draws the same states and timers in
     the same order, so the reports are the same.  That holds also when the
     duration or the warmup mark falls exactly on a transaction end inside a
-    stretch, which the stretch runs."""
-    run_loop, inside, ends = sim._run, [False], []  # ends: outcomes inside stretches
+    stretch, which the stretch runs; when the mark falls strictly inside a
+    stretch's transaction, whose end the stretch takes the snapshot before;
+    and when the duration falls before the resolution of an AP merge inside
+    a stretch, whose pick is then never drawn nor counted."""
+    run_loop, inside, snapped_inside = sim._run, [False], []
+    stretches = []  # (end, AP merges so far, state if delivered) of each outcome inside each
 
     def recorded(apply):
         def hook(self, q, t, *args):
             if inside[0]:
-                ends.append(t)
+                stretches[-1].append((t, self.ap_merges, args))
             return apply(self, q, t, *args)
         return hook
 
     def run(duration_us, with_stretch):
         def looped(*args):
             *args, stretch = args
+            tally = args[3]
 
-            def hook(t, stop):
-                inside[0] = True
+            def hook(t, mark, stop):
+                inside[0], snapped = True, tally.snap
+                stretches.append([])
                 try:
-                    return stretch(t, stop)
+                    return stretch(t, mark, stop)
                 finally:
                     inside[0] = False
+                    snapped_inside.append(snapped is None and tally.snap is not None)
             return run_loop(*args, hook if with_stretch else None)
 
         monkeypatch.setattr(sim, "_run", looped)
@@ -969,11 +979,23 @@ def test_stretch_matches_the_event_loop_without_it(n, lam, chan, retry, policy, 
     for name in ("deliver", "fail", "collide"):
         monkeypatch.setattr(_Tally, name, recorded(getattr(_Tally, name)))
     assert run(1e6, True) == run(1e6, False)
+    ends = [t for outcomes in stretches for t, _, _ in outcomes]
     late = [t for t in ends if t > 5e5]
     at_mark = [t / WARMUP_FRAC for t in ends if WARMUP_FRAC * (t / WARMUP_FRAC) == t]
-    assert late and at_mark
-    for duration_us in (late[len(late) // 2], at_mark[0]):
+    # 1 us before a transaction end is inside it: no transaction is that short
+    in_transaction = (ends[len(ends) // 4] - 1.0) / WARMUP_FRAC
+    # half a microsecond before a delivered AP merge's resolution, if that is
+    # after the transaction before it ended
+    tx_us = timing.per_state_tx_us
+    before_merge = [t - tx_us[h[0]] - 0.5 for outcomes in stretches
+                    for (t_prev, m_prev, _), (t, m, h) in zip(outcomes, outcomes[1:])
+                    if m > m_prev and h and t - tx_us[h[0]] - 0.5 > t_prev]
+    assert late and at_mark and (before_merge or n == 1)
+    for duration_us in (late[len(late) // 2], at_mark[0], in_transaction, *before_merge[:1]):
+        del snapped_inside[:]
         assert run(duration_us, True) == run(duration_us, False)
+        if duration_us == in_transaction:
+            assert any(snapped_inside)
 
 
 @pytest.mark.parametrize("mac", ["opportunistic", "arf", "threshold"])
