@@ -357,6 +357,57 @@ def test_heap_entry_ordering(space):
     assert rep.queues["2"]["delivered"] == 1 and tally.heap == [(math.inf, -1)]
 
 
+@pytest.mark.parametrize("last_busy", [174.0, 174.5])
+def test_transaction_end_event_order(space, last_busy):
+    """Driven with stub hooks and fixed gaps, ``_run`` orders each
+    transaction end against the events at its instant: an end at exactly
+    the warmup mark runs before the snapshot; an arrival at an empty queue
+    at exactly an end is counted before it; an end at exactly the duration
+    runs, and one past it ends the run unapplied.  An arrival at an empty
+    queue whose next gap is 0 counts both arrivals at once."""
+    calls = []
+    resolutions = {1.0: 2.0, 20.0: 21.0, 25.0: 26.0, 200.0: 201.0}
+    busies = iter([8.0, 4.0, last_busy])
+
+    def start(t):
+        calls.append(("start", t))
+        return resolutions[t]
+
+    def join(q, t):
+        raise AssertionError("no arrival comes mid-contention")
+
+    def resolve():
+        calls.append(("resolve",))
+        return next(busies)
+
+    def end(t):
+        calls.append(("end", t, tally.snap is None, [qs.arrivals for qs in tally.q],
+                      [qs.backlog for qs in tally.q]))
+        tally.deliver(min(tally.backlogged), t, 0)
+
+    # the mark falls at 10 and the run ends at 200; queue 0 arrives at 1,
+    # queue 1 at 20, queue 2 at 25 = the second end, queue 3 twice at 30
+    gaps = [[1.0, 1e9], [20.0, 1e9], [25.0, 1e9], [30.0, 0.0, 1e9]]
+    next_gap = [iter(g).__next__ for g in gaps]
+    cfg = SystemConfig(n_stations=2, pi=(0.25,) * 4)
+    tally = _Tally(["0", "1", "2", "3"], [0, 2], space.num_states, None)
+    snapshot = tally.snapshot
+    tally.snapshot = lambda t: (calls.append(("mark", t)), snapshot(t))
+    rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end, 200.0)
+    want = [("start", 1.0), ("resolve",), ("end", 10.0, True, [1, 0, 0, 0], [1, 0, 0, 0]),
+            ("mark", 10.0),
+            ("start", 20.0), ("resolve",), ("end", 25.0, False, [1, 1, 1, 0], [0, 1, 1, 0]),
+            ("start", 25.0), ("resolve",)]
+    if last_busy == 174.0:  # the third transaction ends at exactly the duration
+        want += [("end", 200.0, False, [1, 1, 1, 2], [0, 0, 1, 2]), ("start", 200.0)]
+    assert calls == want
+    assert rep.warmup_us == 10.0 and rep.duration_us == 200.0
+    assert [rep.queues[str(q)]["arrivals"] for q in range(4)] == [1, 1, 1, 2]
+    delivered = [1, 1, 1 if last_busy == 174.0 else 0, 0]
+    assert [rep.queues[str(q)]["delivered"] for q in range(4)] == delivered
+    assert [rep.queues[str(q)]["backlog"] for q in range(4)] == [0, 0, 1 - delivered[2], 2]
+
+
 def _gen():
     return np.random.Generator(np.random.PCG64(2024))
 
