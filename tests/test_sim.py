@@ -357,17 +357,19 @@ def test_heap_entry_ordering(space):
     assert rep.queues["2"]["delivered"] == 1 and tally.heap == [(math.inf, -1)]
 
 
+@pytest.mark.parametrize("first_busy", [8.0, 8.5])
 @pytest.mark.parametrize("last_busy", [174.0, 174.5])
-def test_transaction_end_event_order(space, last_busy):
+def test_transaction_end_event_order(space, first_busy, last_busy):
     """Driven with stub hooks and fixed gaps, ``_run`` orders each
     transaction end against the events at its instant: an end at exactly
-    the warmup mark runs before the snapshot; an arrival at an empty queue
-    at exactly an end is counted before it; an end at exactly the duration
-    runs, and one past it ends the run unapplied.  An arrival at an empty
-    queue whose next gap is 0 counts both arrivals at once."""
+    the warmup mark runs before the snapshot, and one past it after; an
+    arrival at an empty queue at exactly an end is counted before it; an end
+    at exactly the duration runs, and one past it ends the run unapplied.
+    An arrival at an empty queue whose next gap is 0 counts both arrivals at
+    once."""
     calls = []
     resolutions = {1.0: 2.0, 20.0: 21.0, 25.0: 26.0, 200.0: 201.0}
-    busies = iter([8.0, 4.0, last_busy])
+    busies = iter([first_busy, 4.0, last_busy])
 
     def start(t):
         calls.append(("start", t))
@@ -394,9 +396,10 @@ def test_transaction_end_event_order(space, last_busy):
     snapshot = tally.snapshot
     tally.snapshot = lambda t: (calls.append(("mark", t)), snapshot(t))
     rep = _run("stub", cfg, 1.0, tally, next_gap, start, join, resolve, end, 200.0)
-    want = [("start", 1.0), ("resolve",), ("end", 10.0, True, [1, 0, 0, 0], [1, 0, 0, 0]),
-            ("mark", 10.0),
-            ("start", 20.0), ("resolve",), ("end", 25.0, False, [1, 1, 1, 0], [0, 1, 1, 0]),
+    first_end = [("end", 2.0 + first_busy, first_busy == 8.0, [1, 0, 0, 0], [1, 0, 0, 0])]
+    want = [("start", 1.0), ("resolve",)]
+    want += first_end + [("mark", 10.0)] if first_busy == 8.0 else [("mark", 10.0)] + first_end
+    want += [("start", 20.0), ("resolve",), ("end", 25.0, False, [1, 1, 1, 0], [0, 1, 1, 0]),
             ("start", 25.0), ("resolve",)]
     if last_busy == 174.0:  # the third transaction ends at exactly the duration
         want += [("end", 200.0, False, [1, 1, 1, 2], [0, 0, 1, 2]), ("start", 200.0)]
