@@ -9,14 +9,19 @@ DCF baseline with one aggregate AP queue, binary exponential backoff, and
 either ARF or threshold-based rate adaptation.
 
 Both run on ``_run``, which owns the event clock, the channel phase
-(vacant, contention, busy), the warmup mark, the stop at the run's duration
-and the report.  The only heap entries are the next arrivals of the empty
-queues, the only arrivals that can start or join a contention; an arrival at
-a backlogged queue changes no MAC decision and is counted when that queue's
-counters are next read.  The channel's one pending event (a resolution or a
-transaction end) and the warmup mark are scalars, so no resolution goes
-stale.  At one instant arrivals (lower queue first) precede the channel
-event, which precedes the mark.  A MAC is four hooks and an optional fifth:
+(vacant, contention, busy), the warmup snapshot, the stop at the run's
+duration and the report.  It keeps one stop time, the warmup mark until the
+snapshot and then the duration: the first event past it takes the snapshot
+or ends the run.  The only heap entries are the next arrivals of the empty
+queues, the only arrivals that can start or join a contention, and each is
+counted in place; an arrival at a backlogged queue changes no MAC decision
+and is counted when that queue's counters are next read.  The channel's one
+pending event (a resolution or a transaction end) is a scalar, so no
+resolution goes stale, and a transaction end that comes before the next
+arrival and no later than the stop time runs in its resolution's loop pass.
+At one instant arrivals (lower queue first) precede the channel event, which
+precedes the mark; an event at exactly the duration runs.  A MAC is four
+hooks and an optional fifth:
 
 - ``start(t)``: a contention among the backlogged queues begins at t;
   return the time it resolves.
@@ -224,9 +229,18 @@ class _Tally:
             qs.flush(t)
 
     def deliver(self, q: int, t: float, state: int) -> None:
-        """Queue q's head packet got through in (rate) state ``state``."""
-        self._pop_head(q, t)
-        self.q[q].delivered += 1
+        """Queue q's head packet got through in (rate) state ``state``; the
+        pop of ``_pop_head``, written out."""
+        qs = self.q[q]
+        qs.flush(t)
+        if not qs.backlog:
+            raise InvariantError(f"queue {self.names[q]} popped while empty")
+        qs.backlog -= 1
+        qs.retry = 0
+        qs.delivered += 1
+        if not qs.backlog:
+            self.backlogged.discard(q)
+            heapq.heappush(self.heap, (qs.next, q))  # later than t
         self.last_success_t = t
         self.winner_states[state] += 1
         if self.snap is not None and self.first_after_snap is None:
@@ -385,19 +399,25 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     window is positive.
 
     The heap (``tally.heap``) holds the next arrival of each empty queue, so
-    a pop is an arrival that starts or joins a contention; an arrival at a
-    backlogged queue is counted when that queue is next flushed, at or after
-    it.  ``t_chan`` is the channel's pending event: inf while vacant (idle,
-    nothing queued), the resolution while contending, the transaction end
-    (including its trailing interframe gap) while busy.  A join that brings
-    the resolution forward overwrites it, so a superseded resolution never
-    fires.  ``t_mark`` is the warmup mark, inf once the snapshot is taken.
-    Ties go to the arrival, then the channel event: a flush counts the
-    arrivals due at its instant.  While every queue is backlogged the heap
-    holds only its sentinel, so a ``stretch`` runs the channel, and takes the
-    snapshot if the mark falls inside it, until a queue empties, where the
-    loop starts the next contention, or past the duration, where the run
-    ends."""
+    a pop is an arrival that starts or joins a contention.  It is counted in
+    place, as its flush would add no occupancy term, unless the next arrival
+    is due at the same instant; an arrival at a backlogged queue is counted
+    when that queue is next flushed, at or after it.  ``t_chan`` is the
+    channel's pending event: inf while vacant (idle, nothing queued), the
+    resolution while contending, the transaction end (including its trailing
+    interframe gap) while busy.  A join that brings the resolution forward
+    overwrites it, so a superseded resolution never fires.  A transaction end
+    that comes strictly before the next arrival and no later than ``stop``
+    runs in its resolution's pass, as no event can come between them.
+    ``stop`` is the one stop time: the warmup mark until the snapshot, then
+    the duration.  The first event past the mark takes the snapshot and the
+    first past the duration ends the run, so an event at exactly either runs
+    first.  Ties go to the arrival, then the channel event: a flush counts
+    the arrivals due at its instant.  While every queue is backlogged the
+    heap holds only its sentinel, so a ``stretch`` runs the channel, and
+    takes the snapshot if the mark falls inside it, until a queue empties,
+    where the loop starts the next contention, or past the duration, where
+    the run ends."""
     qstat, backlogged, heap = tally.q, tally.backlogged, tally.heap
     nq = len(qstat)
     inf = math.inf
@@ -407,14 +427,26 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     heapq.heapify(heap)
     pop = heapq.heappop
 
-    t_chan, busy, t_mark = inf, False, WARMUP_FRAC * duration_us
+    t_chan, busy, stop = inf, False, WARMUP_FRAC * duration_us
     while True:
         now, q = heap[0]
-        if now <= t_chan and now <= t_mark:
-            if now > duration_us:
+        if now > t_chan:
+            now, q = t_chan, -1
+        if now > stop:  # the event passes the mark (snapshot) or the duration (the end)
+            if tally.snap is not None:
                 break
+            tally.snapshot(stop)
+            stop = duration_us
+            continue
+
+        if q >= 0:  # an arrival at an empty queue, counted in place
             pop(heap)
-            qstat[q].flush(now)  # counts this arrival at the empty queue
+            qs = qstat[q]
+            qs.arrivals += 1
+            qs.backlog, qs.last_t = 1, now
+            qs.next = a = now + qs.gap()
+            if a <= now:  # the next arrival is due now too
+                qs.flush(now)
             backlogged.add(q)
             if t_chan == inf:
                 t_chan = start(now)
@@ -423,29 +455,24 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
                 if t_res is not None:
                     t_chan = t_res
             # while the channel is busy the queue just backlogs
+            continue
 
-        elif t_chan <= t_mark:
-            now = t_chan
-            if now > duration_us:
-                break
-            if not busy:
+        if not busy:  # the resolution
+            t_chan = now + resolve()
+            if t_chan >= heap[0][0] or t_chan > stop:
                 busy = True
-                t_chan = now + resolve()
                 continue
-            busy = False
-            end(now)
-            if stretch is not None and len(backlogged) == nq:
-                now = stretch(now, t_mark, duration_us)
-                if now is None:  # an event passed the duration
-                    break
-                if tally.snap is not None:
-                    t_mark = inf
-            # the trailing interframe gap elapsed inside the transaction
-            t_chan = start(now) if backlogged else inf
-
-        else:  # the mark precedes the end
-            tally.snapshot(t_mark)
-            t_mark = inf
+            now = t_chan  # no event comes first: the transaction ends now
+        busy = False
+        end(now)
+        if stretch is not None and len(backlogged) == nq:
+            now = stretch(now, stop if tally.snap is None else inf, duration_us)
+            if now is None:  # an event passed the duration
+                break
+            if tally.snap is not None:
+                stop = duration_us
+        # the trailing interframe gap elapsed inside the transaction
+        t_chan = start(now) if backlogged else inf
 
     tally.flush(duration_us)
     return _build_report(scheme, config, lambda_pps, tally, duration_us)
@@ -775,9 +802,11 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
     tally = _Tally([AP] + [f"{STA}{i}" for i in range(n)], [0], space.num_states,
                    config.retry_limit)
     backlogged = tally.backlogged
-    # destination of the AP's head packet, drawn at its first attempt; the
-    # queue is FIFO, so the k-th head packet takes the stream's k-th draw
-    ap_dest = None
+    # destination of the AP's head packet, drawn at its first attempt (the
+    # queue's retry count is 0 until the head leaves); the queue is FIFO, so
+    # the k-th head packet takes the stream's k-th draw
+    ap_dest = 0
+    ap_queue = tally.q[0]
     # link id: uplink of station i is i, downlink to station i is n + i
     arf = [_ArfState() for _ in range(2 * n)]
     last_seen = [0] * (2 * n)  # latest observed state per link
@@ -789,7 +818,11 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
     clock = soonest = 0  # soonest: the earliest held expiry
     expiring = []  # the stations holding soonest, ascending
     idle_t0 = 0.0  # instant the clock last advanced to
-    attempts, ok = [], False  # outcome of the last resolution
+    # outcome of the last resolution: the lone attempt's station, link and
+    # rate index; whether it got through; the (station, link) of each failed
+    # attempt
+    won = won_link = won_rate = 0
+    ok, failed = False, ()
 
     def start(t: float) -> float:
         nonlocal idle_t0, soonest, expiring
@@ -838,7 +871,7 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
         and then the state."""
         nonlocal ap_dest
         if st == 0:
-            if ap_dest is None:
+            if not ap_queue.retry:
                 ap_dest = next_dest()
             link = n + ap_dest
         else:
@@ -850,35 +883,32 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
         return st, link, h, ridx
 
     def resolve() -> float:
-        nonlocal attempts, ok, clock
+        nonlocal won, won_link, won_rate, ok, failed, clock
         clock = soonest  # the resolution fires at the slot it was scheduled for
         if len(expiring) > 1:
-            attempts, ok = [attempt(st) for st in expiring], False
+            attempts = [attempt(st) for st in expiring]
+            ok, failed = False, [a[:2] for a in attempts]
             return max(airtime[a[3]] for a in attempts) + eifs
-        attempts = [attempt(expiring[0])]
-        _, _, h, ridx = attempts[0]
-        ok = next_coin() >= (per[ridx] if h >= ridx else 1.0)
+        won, won_link, h, won_rate = attempt(expiring[0])
+        ok = next_coin() >= (per[won_rate] if h >= won_rate else 1.0)
+        failed = () if ok else ((won, won_link),)
         # + ACK (or its timeout) + trailing DIFS / EIFS
-        return airtime[ridx] + sifs_ack + (difs if ok else eifs)
+        return airtime[won_rate] + sifs_ack + (difs if ok else eifs)
 
     def end(t: float) -> None:
-        nonlocal ap_dest
-        if len(attempts) > 1:
-            tally.collisions += 1
-        for st, link, _h, ridx in attempts:
-            if ok:
-                tally.deliver(st, t, ridx)
-            if ok or tally.fail(st, t):  # the head packet left the queue
-                cw[st] = CW_MIN
-                if st == 0:
-                    ap_dest = None
-            else:
-                cw[st] = min(2 * cw[st] + 1, CW_MAX)
+        if ok:
+            tally.deliver(won, t, won_rate)
+            cw[won] = CW_MIN
             if use_arf:
-                if ok:
-                    arf[link].on_success(top_rate)
-                else:
-                    arf[link].on_failure()
+                arf[won_link].on_success(top_rate)
+            return
+        if len(failed) > 1:
+            tally.collisions += 1
+        for st, link in failed:
+            # a drop resets the window, as a delivery does
+            cw[st] = CW_MIN if tally.fail(st, t) else min(2 * cw[st] + 1, CW_MAX)
+            if use_arf:
+                arf[link].on_failure()
 
     return _run(f"dcf-{rate_adaptation}", config, lambda_pps, tally, next_gap,
                 start, join, resolve, end, duration_us)
