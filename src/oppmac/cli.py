@@ -51,7 +51,8 @@ VERB_SCHEMES = {"simulate": SIM_SCHEMES, "compare": ALL_SCHEMES}
 # 2N * lambda * duration, and the most contentions the duration holds, one per
 # DIFS.  The costliest run of the repo's own, a tier-1 test's 20,000 s at
 # N = 2, holds 5.9e8 contentions; the costliest by arrivals, CI's N = 7 at
-# 5000 pkts/s for 1 s, expects 7e4.
+# 5000 pkts/s for 1 s, expects 7e4.  Against --reps a run counts at least its
+# fixed cost, its 2N + 5 random generators, however short it is.
 MAX_SIM_WORK = 1e9
 
 
@@ -411,7 +412,7 @@ def _check_sim_work(spec: ExperimentSpec) -> None:
     """Refuses simulator work past MAX_SIM_WORK: on --duration-s when a run's
     duration holds too many contentions, else on --lambda when a run expects
     too many arrivals, else on --reps when the runs of one (scheme, lambda)
-    together take too much of either."""
+    together take too much of either or of a run's fixed cost."""
     n, difs = spec.setup.config.n_stations, spec.setup.timing.difs_us
     contentions = spec.duration_s * 1e6 / difs
     if contentions > MAX_SIM_WORK:
@@ -425,7 +426,7 @@ def _check_sim_work(spec: ExperimentSpec) -> None:
                           f"2N = {2 * n} queues for {spec.duration_s:g} s, expects "
                           f"{arrivals:.3g} arrivals, more than the {MAX_SIM_WORK:.0e} "
                           f"events one run may take")
-    work = spec.reps * max(contentions, arrivals)
+    work = spec.reps * max(contentions, arrivals, 2 * n + 5)
     if work > MAX_SIM_WORK:
         raise ConfigError("--reps", f"{spec.reps} runs of one scheme and rate take up to "
                           f"{work:.3g} events together, more than the {MAX_SIM_WORK:.0e} "

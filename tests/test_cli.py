@@ -765,6 +765,7 @@ def test_analysis_past_the_cell_budget_exit_code(tmp_path, capsys, monkeypatch, 
     ("--lambda", "1e7", "30"),       # 4.2e9 arrivals, about 17 minutes a run
     ("--duration-s", "20", "1e9"),   # 2.9e13 contentions of one DIFS
     ("--reps", "40", "30"),          # 1e9 runs of 8.8e5 contentions each
+    ("--reps", "40", "0.00001"),     # 1e9 runs shorter than one DIFS
 ])
 def test_simulation_past_the_work_budget_exit_code(tmp_path, capsys, monkeypatch, verb,
                                                    flag, rate, duration_s):
