@@ -7,6 +7,8 @@ with ``system.n_stations = N``:
 
 - ``wall_per_sim_s``: median wall seconds per simulated second over
   ``--repeats`` plain runs;
+- ``us_per_contention``: that median wall time in microseconds per
+  contention, the MAC's cost per event of its channel;
 - ``arrivals``: the packets that arrived, over all queues;
 - ``at_empty``: the arrivals that reached an empty queue.  These are the
   event loop's heap pops, the only arrivals that can start or join a
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import heapq
+import math
 import statistics
 import time
 from contextlib import contextmanager
@@ -110,9 +113,12 @@ def measure(scheme: str, n: int, lam: float, duration_s: float, repeats: int) ->
         t0 = time.perf_counter()
         _simulate_one(job)
         walls.append(time.perf_counter() - t0)
+    wall = statistics.median(walls)
     return {
         "scheme": scheme, "n": n, "lambda": f"{lam:g}",
-        "wall_per_sim_s": statistics.median(walls) / duration_s,
+        "wall_per_sim_s": wall / duration_s,
+        "us_per_contention": wall * 1e6 / counts["contentions"] if counts["contentions"]
+                             else math.nan,
         "arrivals": sum(q["arrivals"] for q in rep.queues.values()),
         "at_empty": counts["pops"],
         "contentions": counts["contentions"],
@@ -129,15 +135,17 @@ def main() -> None:
     ap.add_argument("--duration-s", type=float, default=2.0)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
-    cols = ("scheme", "n", "lambda", "wall_per_sim_s", "arrivals", "at_empty",
-            "contentions", "lone", "full", "stretches")
-    print("  ".join(f"{c:>14}" for c in cols))
+    cols = ("scheme", "n", "lambda", "wall_per_sim_s", "us_per_contention", "arrivals",
+            "at_empty", "contentions", "lone", "full", "stretches")
+    widths = [max(14, len(c)) for c in cols]
+    print("  ".join(f"{c:>{w}}" for c, w in zip(cols, widths)))
     for scheme in SCHEMES:
         for n in map(int, args.n.split(",")):
             for lam in map(float, args.lambdas.split(",")):
                 row = measure(scheme, n, lam, args.duration_s, args.repeats)
-                print("  ".join(f"{row[c]:>14.4f}" if isinstance(row[c], float)
-                                else f"{row[c]:>14}" for c in cols), flush=True)
+                print("  ".join(f"{row[c]:>{w}.4f}" if isinstance(row[c], float)
+                                else f"{row[c]:>{w}}" for c, w in zip(cols, widths)),
+                      flush=True)
 
 
 if __name__ == "__main__":

@@ -16,10 +16,12 @@ def test_sim_cost_smoke():
     assert [(r[0], r[2]) for r in rows] == [
         (scheme, lam) for scheme in ("opportunistic", "dcf-arf", "dcf-threshold")
         for lam in ("40", "5000")]
-    for scheme, n, lam, wall, arrivals, at_empty, contentions, lone, full, stretches in rows:
+    for (scheme, n, lam, wall, us_per_contention, arrivals, at_empty, contentions, lone,
+         full, stretches) in rows:
         arrivals, at_empty = int(arrivals), int(at_empty)
         contentions, lone, full, stretches = map(int, (contentions, lone, full, stretches))
-        assert float(wall) > 0.0 and 0 < at_empty <= arrivals and contentions > 0
+        assert float(wall) > 0.0 and float(us_per_contention) > 0.0
+        assert 0 < at_empty <= arrivals and contentions > 0
         if lam == "5000":  # past capacity nearly every arrival finds a backlog
             assert at_empty < arrivals / 100
             assert lone < contentions / 100
