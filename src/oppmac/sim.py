@@ -8,17 +8,17 @@ simultaneity involving an STA queue collides.  ``run_dcf`` is the 802.11
 DCF baseline with one aggregate AP queue, binary exponential backoff, and
 either ARF or threshold-based rate adaptation.
 
-Both run on ``_run``, which owns the event clock, the channel phase
-(vacant, contention, busy), the warmup snapshot, the stop at the run's
-duration and the report.  It keeps one stop time, the warmup mark until the
-snapshot and then the duration: the first event past it takes the snapshot
-or ends the run.  The only heap entries are the next arrivals of the empty
-queues, the only arrivals that can start or join a contention, and each is
-counted in place; an arrival at a backlogged queue changes no MAC decision
-and is counted when that queue's counters are next read.  The channel's one
-pending event (a resolution or a transaction end) is a scalar, so no
-resolution goes stale, and a transaction end that comes before the next
-arrival and no later than the stop time runs in its resolution's loop pass.
+Both run on ``_run``, which owns the event clock, the channel phase (vacant,
+contention, busy), the warmup snapshot, the stop at the run's duration and
+the report.  It keeps one stop time: the warmup mark until the snapshot,
+then the duration.  The only heap entries are the next arrivals of the empty
+queues, the only arrivals that can start or join a contention, each counted
+in place; an arrival at a backlogged queue changes no MAC decision and is
+counted when that queue's counters are next read.  The channel's one pending
+event (a resolution or a transaction end) is a scalar, so no resolution goes
+stale.  The channel's events run one after another while each comes before
+the next arrival and no later than the stop time, so a contention that no
+arrival joins runs to its transaction end in the loop pass that starts it.
 At one instant arrivals (lower queue first) precede the channel event, which
 precedes the mark; an event at exactly the duration runs.  A MAC is four
 hooks and an optional fifth:
@@ -406,18 +406,18 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
     channel's pending event: inf while vacant (idle, nothing queued), the
     resolution while contending, the transaction end (including its trailing
     interframe gap) while busy.  A join that brings the resolution forward
-    overwrites it, so a superseded resolution never fires.  A transaction end
-    that comes strictly before the next arrival and no later than ``stop``
-    runs in its resolution's pass, as no event can come between them.
-    ``stop`` is the one stop time: the warmup mark until the snapshot, then
-    the duration.  The first event past the mark takes the snapshot and the
-    first past the duration ends the run, so an event at exactly either runs
-    first.  Ties go to the arrival, then the channel event: a flush counts
-    the arrivals due at its instant.  While every queue is backlogged the
-    heap holds only its sentinel, so a ``stretch`` runs the channel, and
-    takes the snapshot if the mark falls inside it, until a queue empties,
-    where the loop starts the next contention, or past the duration, where
-    the run ends."""
+    overwrites it, so a superseded resolution never fires.  The inner loop
+    runs the channel's events while each comes strictly before the next
+    arrival and no later than ``stop``, as no event can come between them: an
+    arrival at the same instant goes first, and a flush counts the arrivals
+    due at its instant.  ``stop`` is the one stop time: the warmup mark until
+    the snapshot, then the duration.  The first event past the mark takes the
+    snapshot and the first past the duration ends the run, so an event at
+    exactly either runs first.  While every queue is backlogged the heap
+    holds only its sentinel, so a ``stretch`` runs the channel, and takes the
+    snapshot if the mark falls inside it, until a queue empties, where the
+    loop starts the next contention, or past the duration, where the run
+    ends."""
     qstat, backlogged, heap = tally.q, tally.backlogged, tally.heap
     nq = len(qstat)
     inf = math.inf
@@ -429,50 +429,45 @@ def _run(scheme: str, config: SystemConfig, lambda_pps: float, tally: _Tally,
 
     t_chan, busy, stop = inf, False, WARMUP_FRAC * duration_us
     while True:
+        while t_chan < heap[0][0] and t_chan <= stop:  # the channel's event comes first
+            now = t_chan
+            if not busy:  # the resolution
+                busy = True
+                t_chan = now + resolve()
+                continue
+            busy = False
+            end(now)
+            if stretch is not None and len(backlogged) == nq:
+                now = stretch(now, stop if tally.snap is None else inf, duration_us)
+                if now is None:  # an event passed the duration: with every queue
+                    break  # backlogged, the heap's sentinel ends the run below
+                if tally.snap is not None:
+                    stop = duration_us
+            # the trailing interframe gap elapsed inside the transaction
+            t_chan = start(now) if backlogged else inf
+
         now, q = heap[0]
-        if now > t_chan:
-            now, q = t_chan, -1
-        if now > stop:  # the event passes the mark (snapshot) or the duration (the end)
+        if now > stop:  # the next event passes the mark (snapshot) or the duration (the end)
             if tally.snap is not None:
                 break
             tally.snapshot(stop)
             stop = duration_us
             continue
-
-        if q >= 0:  # an arrival at an empty queue, counted in place
-            pop(heap)
-            qs = qstat[q]
-            qs.arrivals += 1
-            qs.backlog, qs.last_t = 1, now
-            qs.next = a = now + qs.gap()
-            if a <= now:  # the next arrival is due now too
-                qs.flush(now)
-            backlogged.add(q)
-            if t_chan == inf:
-                t_chan = start(now)
-            elif not busy:
-                t_res = join(q, now)
-                if t_res is not None:
-                    t_chan = t_res
-            # while the channel is busy the queue just backlogs
-            continue
-
-        if not busy:  # the resolution
-            t_chan = now + resolve()
-            if t_chan >= heap[0][0] or t_chan > stop:
-                busy = True
-                continue
-            now = t_chan  # no event comes first: the transaction ends now
-        busy = False
-        end(now)
-        if stretch is not None and len(backlogged) == nq:
-            now = stretch(now, stop if tally.snap is None else inf, duration_us)
-            if now is None:  # an event passed the duration
-                break
-            if tally.snap is not None:
-                stop = duration_us
-        # the trailing interframe gap elapsed inside the transaction
-        t_chan = start(now) if backlogged else inf
+        pop(heap)  # an arrival at an empty queue, counted in place
+        qs = qstat[q]
+        qs.arrivals += 1
+        qs.backlog, qs.last_t = 1, now
+        qs.next = a = now + qs.gap()
+        if a <= now:  # the next arrival is due now too
+            qs.flush(now)
+        backlogged.add(q)
+        if t_chan == inf:
+            t_chan = start(now)
+        elif not busy:
+            t_res = join(q, now)
+            if t_res is not None:
+                t_chan = t_res
+        # while the channel is busy the queue just backlogs
 
     tally.flush(duration_us)
     return _build_report(scheme, config, lambda_pps, tally, duration_us)
