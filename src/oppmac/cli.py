@@ -412,7 +412,7 @@ def _check_sim_work(spec: ExperimentSpec) -> None:
     """Refuses simulator work past MAX_SIM_WORK: on --duration-s when a run's
     duration holds too many contentions, else on --lambda when a run expects
     too many arrivals, else on --reps when the runs of one (scheme, lambda)
-    together take too much of either or of a run's fixed cost."""
+    together take too much of either, each run at least its fixed cost."""
     n, difs = spec.setup.config.n_stations, spec.setup.timing.difs_us
     contentions = spec.duration_s * 1e6 / difs
     if contentions > MAX_SIM_WORK:

@@ -797,11 +797,10 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
     tally = _Tally([AP] + [f"{STA}{i}" for i in range(n)], [0], space.num_states,
                    config.retry_limit)
     backlogged = tally.backlogged
-    # destination of the AP's head packet, drawn at its first attempt (the
-    # queue's retry count is 0 until the head leaves); the queue is FIFO, so
-    # the k-th head packet takes the stream's k-th draw
-    ap_dest = 0
-    ap_queue = tally.q[0]
+    # destination of the AP's head packet, drawn at its first attempt (while
+    # its retry count is 0); the queue is FIFO, so the k-th head packet takes
+    # the stream's k-th draw
+    ap_dest, ap_queue = 0, tally.q[0]
     # link id: uplink of station i is i, downlink to station i is n + i
     arf = [_ArfState() for _ in range(2 * n)]
     last_seen = [0] * (2 * n)  # latest observed state per link
@@ -814,8 +813,7 @@ def run_dcf(lambda_pps: float, config: SystemConfig, timing: MacTiming,
     expiring = []  # the stations holding soonest, ascending
     idle_t0 = 0.0  # instant the clock last advanced to
     # outcome of the last resolution: the lone attempt's station, link and
-    # rate index; whether it got through; the (station, link) of each failed
-    # attempt
+    # rate index, whether it got through, and each failed (station, link)
     won = won_link = won_rate = 0
     ok, failed = False, ()
 
